@@ -18,7 +18,9 @@ from .qcount import gauss_binom
 from .subspace import Subspace
 
 DEFAULT_ENUM_BUDGET = 10**7
-DEFAULT_DISTANCE_CELL_BUDGET = 2 * 1024**3  # one byte per lattice pair
+# Bytes: the distance table takes one per lattice pair; clique adjacency takes
+# n_v^2 / 8 for its bitsets plus n_v q^n / 8 for the vector masks.
+DEFAULT_DISTANCE_CELL_BUDGET = 2 * 1024**3
 
 
 def lattice_size(q: int, n: int) -> int:
@@ -64,11 +66,15 @@ def enumerate_layer(field: FieldSpec, n: int, k: int, budget: int | None = DEFAU
 class LatticeIndex:
     """All subspaces of F_q^n in canonical order, with layer offsets.
 
-    Optionally carries the full pairwise distance table (one byte per pair)
-    when it fits the memory budget.
+    Distances come from the vector-set meet kernel: each subspace U carries
+    a bitmask m_U of its q^dim U vectors (``Subspace.vector_mask``), so
+    dim(U ∩ W) >= s iff popcount(m_U & m_W) >= q^s.  The masks are built
+    once, on first use.  The full pairwise byte table of row-elimination
+    distances is kept as the reference the kernel is tested against.
     """
 
-    __slots__ = ("field", "n", "subspaces", "layer_bounds", "_pos", "_dist")
+    __slots__ = ("field", "n", "subspaces", "layer_bounds", "_pos", "_dist",
+                 "_masks")
 
     def __init__(self, field, n, subspaces, layer_bounds):
         self.field = field
@@ -77,6 +83,7 @@ class LatticeIndex:
         self.layer_bounds = layer_bounds
         self._pos = {s: i for i, s in enumerate(subspaces)}
         self._dist = None
+        self._masks = None
 
     @property
     def size(self):
@@ -95,6 +102,37 @@ class LatticeIndex:
 
     def __contains__(self, s):
         return s in self._pos
+
+    def vector_masks(self) -> list:
+        """Materialize (once) the vector-set bitmask of every subspace."""
+        if self._masks is None:
+            self._masks = [s.vector_mask() for s in self.subspaces]
+        return self._masks
+
+    def ball(self, i: int, radius: int) -> int:
+        """Vertex bitmask of the subspaces at distance <= radius from vertex i.
+
+        With a = dim U_i and b the dimension of a layer, distance <= radius
+        means dim(U_i ∩ W) >= s = ceil((a + b - radius) / 2).  Every pair
+        meets in at least max(0, a + b - n) dimensions and at most min(a, b),
+        so whole layers are taken or skipped without looking at a pair.
+        """
+        masks = self.vector_masks()
+        n = self.n
+        q = self.field.q
+        a = self.subspaces[i].dim
+        mi = masks[i]
+        out = 0
+        for b, (lo, hi) in self.layer_bounds.items():
+            s = (a + b - radius + 1) // 2
+            if s <= max(0, a + b - n):
+                out |= (1 << hi) - (1 << lo)
+            elif s <= min(a, b):
+                thr = q ** s
+                bits = "".join(["1" if (mi & m).bit_count() >= thr else "0"
+                                for m in masks[lo:hi]])
+                out |= int(bits[::-1], 2) << lo
+        return out
 
     def distance_table(self, cell_budget: int = DEFAULT_DISTANCE_CELL_BUDGET) -> bytearray:
         """Materialize (once) the full pairwise distance table."""

@@ -32,7 +32,8 @@ from .families import (SubspaceFamily, canonical_double_ball, diameter_at_most,
                        extremal_odd_family, is_admissible, is_s_intersecting,
                        lower_layers, perp_family, star, upper_layers)
 from .gfq import field_new
-from .grassmann import build_index, enumerate_layer, lattice_size
+from .grassmann import (DEFAULT_DISTANCE_CELL_BUDGET, build_index,
+                        enumerate_layer, lattice_size)
 from .qcount import (gauss_binom, hilton_milner_bound, kleitman_bound,
                      kleitman_in_range, odd_stability_bound,
                      odd_stability_in_range, small_s_nontrivial_bound,
@@ -116,16 +117,13 @@ class _CliqueEngine:
         n = index.n
         q = index.field.q
         self.nv = nv
-        table = index.distance_table()
-        adj = []
-        for i in range(nv):
-            row = i * nv
-            mask = 0
-            for j in range(nv):
-                if j != i and table[row + j] <= d:
-                    mask |= 1 << j
-            adj.append(mask)
-        self.adj = adj
+        # Adjacency bitsets plus the index's vector masks, in bytes.
+        need = (nv * nv + nv * q ** n + 7) // 8
+        if need > DEFAULT_DISTANCE_CELL_BUDGET:
+            raise BudgetExceeded(
+                f"adjacency of (q={q}, n={n}) needs {need} bytes, budget is "
+                f"{DEFAULT_DISTANCE_CELL_BUDGET}", would_be_count=need)
+        self.adj = [index.ball(i, d) ^ (1 << i) for i in range(nv)]
         self.layer_of = [s.dim for s in index.subspaces]
         layer_mask = [0] * (n + 1)
         for i, k in enumerate(self.layer_of):
@@ -162,31 +160,41 @@ class _CliqueEngine:
         self.deadline = None
 
     def _degeneracy_order(self):
-        """Peel minimum-degree vertices, canonical index as tie-break."""
+        """Peel minimum-degree vertices, canonical index as tie-break.
+
+        Alive vertices sit in per-degree bitmask buckets; the next vertex is
+        the lowest bit of the lowest non-empty bucket.  A removal lowers the
+        minimum degree by at most one, so the bucket scan resumes there.
+        """
         nv = self.nv
         adj = self.adj
         alive = (1 << nv) - 1
-        degree = [(adj[v] & alive).bit_count() for v in range(nv)]
+        degree = [adj[v].bit_count() for v in range(nv)]
+        buckets = [0] * (nv + 1)
+        for v, k in enumerate(degree):
+            buckets[k] |= 1 << v
         order = []
+        low = 0
         for _ in range(nv):
-            bestv = -1
-            bestdeg = nv + 1
-            rest = alive
-            while rest:
-                b = rest & -rest
-                v = b.bit_length() - 1
-                rest ^= b
-                if degree[v] < bestdeg:
-                    bestdeg = degree[v]
-                    bestv = v
-            order.append(bestv)
-            alive ^= 1 << bestv
-            neigh = adj[bestv] & alive
+            while not buckets[low]:
+                low += 1
+            bucket = buckets[low]
+            b = bucket & -bucket
+            v = b.bit_length() - 1
+            buckets[low] = bucket ^ b
+            order.append(v)
+            alive ^= b
+            neigh = adj[v] & alive
             while neigh:
                 b = neigh & -neigh
                 u = b.bit_length() - 1
                 neigh ^= b
-                degree[u] -= 1
+                k = degree[u]
+                buckets[k] ^= b
+                buckets[k - 1] |= b
+                degree[u] = k - 1
+            if low:
+                low -= 1
         return order
 
     def _color_order(self, cand):
@@ -391,14 +399,7 @@ def _materialize_witnesses(index, collected, d):
 # admissible search
 
 def _ball_mask(index, center, radius):
-    nv = index.size
-    table = index.distance_table()
-    row = index.position(center) * nv
-    mask = 0
-    for j in range(nv):
-        if table[row + j] <= radius:
-            mask |= 1 << j
-    return mask
+    return index.ball(index.position(center), radius)
 
 
 def _forbidden_mask_from_report(index, report, t):

@@ -146,7 +146,7 @@ class Subspace:
 
     __slots__ = ("field", "n", "rows", "pivots", "bits", "_h")
 
-    def __init__(self, field, n, rows, pivots, bits, _token=None):
+    def __init__(self, field, n, rows, pivots, bits):
         # Internal: callers go through from_generators / _from_rref.
         self.field = field
         self.n = n
@@ -310,6 +310,26 @@ class Subspace:
                     new.append(tuple(add[a][b] for a, b in zip(base, s)))
             combos = new
         return iter(combos)
+
+    def vector_mask(self) -> int:
+        """Bitmask of the vectors of the subspace: bit i is set iff the vector
+        whose base-q digits, most significant first, spell i lies in it.
+
+        For q = 2 the index of a vector is its packed row.  Two masks meet in
+        q^dim(U ∩ W) bits, so |U ∩ W| = popcount(mask(U) & mask(W)).
+        """
+        if self.bits is not None:
+            vecs = [0]
+            for r in self.bits:
+                vecs += [v ^ r for v in vecs]
+        else:
+            q = self.field.q
+            vecs = [int("".join([_DIGITS[e] for e in v]) or "0", q)
+                    for v in self.vectors()]
+        mask = 0
+        for v in vecs:
+            mask |= 1 << v
+        return mask
 
     # -- serialization -------------------------------------------------------
 

@@ -403,7 +403,7 @@ def test_criterion7_type_compare_as_stated():
     # (first failure: q=2, t=2, n=12, where the type-B value exceeds the
     # type-A value by a factor of about 75); the underlying estimate is
     # asymptotic.  Kept as stated so the defect stays visible; see
-    # notes/decisions.md and the exact counterexamples in the companion
+    # docs/decisions.md and the exact counterexamples in the companion
     # test below.
     start = time.monotonic()
     rep = sweep_type_compare(q_values=(2, 3), t_values=(2, 3))

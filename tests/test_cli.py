@@ -1,5 +1,7 @@
 import json
+from pathlib import Path
 
+import jsonschema
 import pytest
 
 from qdiam.cli import main
@@ -192,6 +194,28 @@ def test_oracle_threads_validated(capsys):
     with pytest.raises(SystemExit):
         main(["oracle", "max", "--q", "2", "--n", "3", "--d", "2",
               "--threads", "0"])
+
+
+REPORT_SCHEMA = json.loads(
+    (Path(__file__).parent.parent / "docs" / "search_report.schema.json").read_text())
+
+
+@pytest.mark.parametrize("extra", [
+    (),
+    ("--all",),
+    ("--class", "B_odd"),
+    ("--class", "A_odd", "--all"),
+])
+def test_oracle_report_matches_schema(capsys, extra):
+    code, out, _ = run_cli(capsys, "oracle", "max", "--q", "2", "--n", "4",
+                           "--d", "3", *extra)
+    assert code == 0
+    doc = json.loads(out)
+    jsonschema.validate(doc, REPORT_SCHEMA)
+    assert ("characterization_diagnostics" in doc) == (extra == ("--all",))
+    doc["optimum"] = int(doc["optimum"])
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(doc, REPORT_SCHEMA)
 
 
 # -- sweep -----------------------------------------------------------------------

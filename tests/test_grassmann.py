@@ -1,9 +1,11 @@
 import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdiam.errors import BudgetExceeded
-from qdiam.gfq import field_new
+from qdiam.gfq import SUPPORTED_ORDERS, field_new
 from qdiam.grassmann import (build_index, enumerate_layer, lattice_size,
                              write_subspaces)
 from qdiam.qcount import count_profile, gauss_binom
@@ -102,6 +104,33 @@ def test_distance_table_budget():
     idx = build_index(F2, 3)
     with pytest.raises(BudgetExceeded):
         idx.distance_table(cell_budget=10)
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_vector_mask_meet_matches_row_elimination(q):
+    # popcount(m_U & m_W) = q^dim(U ∩ W) on every pair of the lattice, n <= 3
+    field = field_new(q)
+    for n in range(4):
+        idx = build_index(field, n)
+        subs = idx.subspaces
+        masks = idx.vector_masks()
+        for a, ma in zip(subs, masks):
+            assert ma.bit_count() == q ** a.dim
+            for b, mb in zip(subs, masks):
+                meet = a.dim + b.dim - a.rank_with(b)
+                assert (ma & mb).bit_count() == q ** meet
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), q=st.sampled_from((2, 3, 4, 5)))
+def test_vector_mask_meet_random_pairs_n6(data, q):
+    field = field_new(q)
+    gens = st.lists(st.lists(st.integers(0, q - 1), min_size=6, max_size=6),
+                    max_size=6)
+    a = Subspace.from_generators(field, 6, data.draw(gens))
+    b = Subspace.from_generators(field, 6, data.draw(gens))
+    meet = a.dim + b.dim - a.rank_with(b)
+    assert (a.vector_mask() & b.vector_mask()).bit_count() == q ** meet
 
 
 def test_write_subspaces_round_trip():

@@ -2,12 +2,14 @@ import json
 
 import pytest
 
+import qdiam.oracle as oracle
 from qdiam.errors import BudgetExceeded, NotExhaustive
 from qdiam.families import (SubspaceFamily, diameter_at_most,
                             is_admissible, lower_layers, upper_layers)
-from qdiam.gfq import field_new
-from qdiam.grassmann import enumerate_layer
-from qdiam.oracle import (max_admissible_family, max_diameter_family,
+from qdiam.gfq import SUPPORTED_ORDERS, field_new
+from qdiam.grassmann import build_index, enumerate_layer
+from qdiam.oracle import (_ball_mask, _CliqueEngine,
+                          max_admissible_family, max_diameter_family,
                           run_sweep, sweep_hm_positive, sweep_lemma26,
                           sweep_type_compare, sweep_type_ratio,
                           verify_characterization)
@@ -352,3 +354,85 @@ def test_oracle_q3_n4_within_default_budget():
         stars += is_star
         duals += is_dual
     assert stars == 160 and duals == 160
+
+
+# -- meet kernel against the row-elimination distance table ------------------------
+
+# Every lattice with q^n <= 243 and n <= 5; all but (3, 5) have at most 374
+# vertices, few enough for the quadratic reference loops below.
+SMALL_LATTICES = [(q, n) for q in SUPPORTED_ORDERS for n in range(6)
+                  if q ** n <= 243]
+DESK_LATTICES = [(q, n) for q, n in SMALL_LATTICES if (q, n) != (3, 5)]
+
+
+def _table_ball(table, nv, i, radius):
+    """Vertex mask of row i of the byte distance table, thresholded at radius."""
+    digits = bytes(ord("1") if x <= radius else ord("0") for x in range(256))
+    return int(table[i * nv:(i + 1) * nv].translate(digits)[::-1], 2)
+
+
+def _degeneracy_order_by_scan(adj, nv):
+    """The full alive-set scan the bucket queue replaced, kept as reference."""
+    alive = (1 << nv) - 1
+    degree = [(adj[v] & alive).bit_count() for v in range(nv)]
+    order = []
+    for _ in range(nv):
+        bestv = -1
+        bestdeg = nv + 1
+        rest = alive
+        while rest:
+            b = rest & -rest
+            v = b.bit_length() - 1
+            rest ^= b
+            if degree[v] < bestdeg:
+                bestdeg = degree[v]
+                bestv = v
+        order.append(bestv)
+        alive ^= 1 << bestv
+        neigh = adj[bestv] & alive
+        while neigh:
+            b = neigh & -neigh
+            u = b.bit_length() - 1
+            neigh ^= b
+            degree[u] -= 1
+    return order
+
+
+@pytest.mark.parametrize("q,n", SMALL_LATTICES)
+def test_engine_adjacency_matches_distance_table(q, n):
+    index = build_index(field_new(q), n, budget=None)
+    nv = index.size
+    table = index.distance_table()
+    for d in range(n + 1):
+        expected = [_table_ball(table, nv, i, d) ^ (1 << i) for i in range(nv)]
+        assert _CliqueEngine(index, d).adj == expected
+
+
+@pytest.mark.parametrize("q,n", DESK_LATTICES)
+def test_degeneracy_order_matches_full_scan(q, n):
+    index = build_index(field_new(q), n)
+    for d in range(n + 1):
+        engine = _CliqueEngine(index, d)
+        assert engine._degeneracy_order() == _degeneracy_order_by_scan(engine.adj, index.size)
+
+
+@pytest.mark.parametrize("q,n", DESK_LATTICES)
+def test_ball_mask_matches_distance_table_rows(q, n):
+    index = build_index(field_new(q), n)
+    nv = index.size
+    table = index.distance_table()
+    for radius in range(-1, n + 2):
+        for i, center in enumerate(index.subspaces):
+            assert _ball_mask(index, center, radius) == _table_ball(table, nv, i, radius)
+
+
+def test_engine_memory_budget_checked_before_allocation(monkeypatch):
+    index = build_index(F2, 3)
+    need = (16 * 16 + 16 * 2 ** 3 + 7) // 8
+    monkeypatch.setattr(oracle, "DEFAULT_DISTANCE_CELL_BUDGET", need - 1)
+    with pytest.raises(BudgetExceeded) as exc:
+        _CliqueEngine(index, 2)
+    assert exc.value.would_be_count == need
+    assert index._masks is None
+    monkeypatch.setattr(oracle, "DEFAULT_DISTANCE_CELL_BUDGET", need)
+    assert len(_CliqueEngine(index, 2).adj) == 16
