@@ -8,7 +8,6 @@ check      : diameter / layer / intersection / admissibility report for a file
 enumerate  : dump a Grassmannian layer or the whole lattice
 oracle     : exhaustive maximum-family search (optionally with witnesses)
 sweep      : exact inequality sweeps over parameter grids
-selftest   : run the built-in invariant suite
 
 All counts are printed as exact decimals (never floats, never truncated).
 Budgets can be preset via QDIAM_MAX_LATTICE and QDIAM_TIMEOUT_SECS; explicit
@@ -23,7 +22,6 @@ import json
 import os
 import sys
 
-from . import selftest as selftest_mod
 from .errors import BudgetExceeded, ParseError, QdiamError
 from .families import (ADMISSIBILITY_CLASSES, ball, canonical_double_ball,
                        canonical_family, cross_intersection_profile, diameter,
@@ -304,7 +302,7 @@ def cmd_oracle(args) -> int:
     budget = _resolve_budget(args)
     timeout = _resolve_timeout(args)
     common = dict(lattice_budget=budget, timeout_secs=timeout,
-                  witness_cap=args.witness_cap, threads=args.threads)
+                  witness_cap=args.witness_cap)
     try:
         if args.family_class is None:
             report = max_diameter_family(args.q, args.n, args.d,
@@ -385,10 +383,6 @@ def cmd_sweep(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def cmd_selftest(args) -> int:
-    return selftest_mod.run_selftest(seed=args.seed, verbose=True)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qdiam",
@@ -458,7 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeout", type=float, metavar="SECS",
                    help=f"wall-clock cap (env {_ENV_TIMEOUT})")
     p.add_argument("--witness-cap", type=int, default=DEFAULT_WITNESS_CAP)
-    p.add_argument("--threads", type=int, default=1)
     add_common(p)
     p.set_defaults(func=cmd_oracle)
 
@@ -472,19 +465,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("selftest", help="run the invariant suite")
-    p.add_argument("--seed", type=int, default=20250809)
-    add_common(p)
-    p.set_defaults(func=cmd_selftest)
-
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", 1) < 1:
-        parser.error("--threads must be at least 1")
     try:
         return args.func(args)
     except BudgetExceeded as exc:

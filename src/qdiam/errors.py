@@ -36,10 +36,6 @@ class BudgetExceeded(QdiamError):
         self.would_be_count = would_be_count
 
 
-class TimeoutExceeded(QdiamError):
-    """A search exceeded its wall-clock cap."""
-
-
 class InvalidConfiguration(QdiamError):
     """Construction parameters describe no valid family (e.g. X <= Y)."""
 

@@ -16,6 +16,7 @@ on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, product
 
 from .errors import (AmbientMismatch, EmptyFamily, InvalidConfiguration,
                      ParseError)
@@ -162,9 +163,7 @@ def canonical_family(field, n, t, which, x=None,
     if which == "L":
         return lower_layers(field, n, t, budget)
     if which == "U":
-        fam = upper_layers(field, n, t, budget)
-        assert fam == perp_family(lower_layers(field, n, t, budget))
-        return fam
+        return upper_layers(field, n, t, budget)
     if which == "D":
         if x is None:
             raise InvalidConfiguration("canonical double ball needs a line x")
@@ -190,7 +189,7 @@ def hilton_milner_family(x: Subspace, y: Subspace,
     members = []
     for s in enumerate_layer(field, n, k, budget=budget):
         if s.contains(x):
-            if s.dim + y.dim - s.rank_with(y) >= 1:
+            if _meet_dim(s, y) >= 1:
                 members.append(s)
         elif hull.contains(s):
             members.append(s)
@@ -203,7 +202,7 @@ def hilton_milner_triple(y: Subspace, budget=DEFAULT_ENUM_BUDGET) -> SubspaceFam
         raise InvalidConfiguration(f"y must have dimension 3, got {y.dim}")
     field, n = y.field, y.n
     members = [s for s in enumerate_layer(field, n, 3, budget=budget)
-               if s.dim + 3 - s.rank_with(y) >= 2]
+               if _meet_dim(s, y) >= 2]
     return SubspaceFamily(field, n, members)
 
 
@@ -229,6 +228,27 @@ def perp_family(fam: SubspaceFamily) -> SubspaceFamily:
 # ---------------------------------------------------------------------------
 # statistics
 
+def _meet_dim(a: Subspace, b: Subspace) -> int:
+    return a.dim + b.dim - a.rank_with(b)
+
+
+def _min_meet(xs, ys, stop):
+    """Smallest dim(a ∩ b) over the pairs a in xs, b in ys, and a pair that
+    reaches it; ys=None means the pairs of distinct positions of xs.
+
+    The scan stops at the first pair meeting in at most `stop` dimensions.
+    Returns (None, None) when there is no pair.
+    """
+    best, pair = None, None
+    for a, b in combinations(xs, 2) if ys is None else product(xs, ys):
+        m = _meet_dim(a, b)
+        if best is None or m < best:
+            best, pair = m, (a, b)
+            if m <= stop:
+                break
+    return best, pair
+
+
 def _layer_pairs_by_dimsum(fam):
     dims = fam.support
     pairs = []
@@ -239,12 +259,18 @@ def _layer_pairs_by_dimsum(fam):
     return pairs
 
 
+def _layer_pair_min_meet(fam, a, b, stop):
+    return _min_meet(fam.layer(a), None if a == b else fam.layer(b), stop)
+
+
 def diameter(fam: SubspaceFamily) -> int:
     """Exact maximum pairwise distance, exhaustive over member pairs.
 
+    An a-space and a b-space are at distance a + b - 2 dim(a ∩ b), so each
+    layer pair contributes a + b minus twice its smallest meet; the scan of a
+    layer pair stops at the floor max(0, a + b - n) that no meet goes below.
     Layer pairs are visited in decreasing dimension-sum order and the scan
-    stops as soon as no remaining pair can beat the running maximum (the
-    distance between an a-space and a b-space is at most a + b).
+    stops as soon as no remaining pair can beat the running maximum.
     """
     if not fam.members:
         raise EmptyFamily("diameter of an empty family")
@@ -252,59 +278,31 @@ def diameter(fam: SubspaceFamily) -> int:
     for dimsum, a, b in _layer_pairs_by_dimsum(fam):
         if dimsum <= best:
             break
-        la = fam.layer(a)
-        lb = fam.layer(b)
-        if a == b:
-            for i in range(len(la)):
-                si = la[i]
-                for j in range(i + 1, len(la)):
-                    d = si.distance(la[j])
-                    if d > best:
-                        best = d
-                        if best == dimsum:
-                            break
-                if best == dimsum:
-                    break
-        else:
-            if b - a > best:
-                best = b - a  # realized: some pair has distance >= b - a
-            for si in la:
-                for sj in lb:
-                    d = si.distance(sj)
-                    if d > best:
-                        best = d
-                        if best == dimsum:
-                            break
-                if best == dimsum:
-                    break
+        m, _ = _layer_pair_min_meet(fam, a, b, max(0, dimsum - fam.n))
+        if m is not None:
+            best = max(best, dimsum - 2 * m)
     return best
 
 
 def diameter_at_most(fam: SubspaceFamily, d: int):
     """(True, None) if every pairwise distance is <= d, else (False, pair).
 
-    Pairs whose dimension sum is at most d are skipped outright.
+    A pair of an a-space and a b-space is farther apart than d exactly when
+    it meets in at most (a + b - d - 1) // 2 dimensions.  Pairs whose
+    dimension sum is at most d are skipped outright.
     """
     if not fam.members:
         raise EmptyFamily("diameter of an empty family")
+    if d < 0:  # a member is at distance 0 from itself
+        top = fam.layer(fam.support[-1])[0]
+        return False, (top, top)
     for dimsum, a, b in _layer_pairs_by_dimsum(fam):
         if dimsum <= d:
             break
-        la = fam.layer(a)
-        lb = fam.layer(b)
-        if b - a > d:
-            return False, (la[0], lb[0])
-        if a == b:
-            for i in range(len(la)):
-                si = la[i]
-                for j in range(i + 1, len(la)):
-                    if si.distance(la[j]) > d:
-                        return False, (si, la[j])
-        else:
-            for si in la:
-                for sj in lb:
-                    if si.distance(sj) > d:
-                        return False, (si, sj)
+        stop = (dimsum - d - 1) // 2
+        m, pair = _layer_pair_min_meet(fam, a, b, stop)
+        if m is not None and m <= stop:
+            return False, pair
     return True, None
 
 
@@ -324,23 +322,15 @@ def min_supp_norm(fam: SubspaceFamily) -> int:
     return min(supp[0], fam.n - supp[-1])
 
 
-def _meet_dim(a: Subspace, b: Subspace) -> int:
-    return a.dim + b.dim - a.rank_with(b)
-
-
 def is_s_intersecting(members, s: int) -> bool:
     """True iff every pair of the given subspaces meets in dimension >= s."""
     mem = list(members)
     if not mem:
         raise EmptyFamily("intersecting predicate on an empty collection")
-    for i in range(len(mem)):
-        ai = mem[i]
-        if ai.dim < s:
-            return False
-        for j in range(i + 1, len(mem)):
-            if _meet_dim(ai, mem[j]) < s:
-                return False
-    return True
+    if min(a.dim for a in mem) < s:
+        return False
+    m, _ = _min_meet(mem, None, s - 1)
+    return m is None or m >= s
 
 
 def is_cross_intersecting(members_a, members_b, s: int) -> bool:
@@ -349,11 +339,8 @@ def is_cross_intersecting(members_a, members_b, s: int) -> bool:
     mb = list(members_b)
     if not ma or not mb:
         raise EmptyFamily("cross-intersecting predicate on an empty side")
-    for a in ma:
-        for b in mb:
-            if _meet_dim(a, b) < s:
-                return False
-    return True
+    m, _ = _min_meet(ma, mb, s - 1)
+    return m >= s
 
 
 def cross_intersection_profile(fam: SubspaceFamily, d: int):
@@ -364,15 +351,7 @@ def cross_intersection_profile(fam: SubspaceFamily, d: int):
     for ii, i in enumerate(supp):
         for j in supp[ii:]:
             required = max(0, -((d - i - j) // 2))
-            got = None
-            li, lj = fam.layer(i), fam.layer(j)
-            for a in li:
-                for b in lj:
-                    if i == j and a == b:
-                        continue
-                    m = _meet_dim(a, b)
-                    if got is None or m < got:
-                        got = m
+            got, _ = _layer_pair_min_meet(fam, i, j, max(0, i + j - fam.n))
             if got is None:
                 got = min(i, j)  # single member pairs with itself only
             rows.append((i, j, required, got, got >= required))

@@ -164,22 +164,6 @@ def field_new(q: int) -> FieldSpec:
     return FieldSpec(q, p, e, reduction)
 
 
-def field_arith(spec: FieldSpec, op: str, x: int, y: int | None = None) -> int:
-    """Single-dispatch field operation: op in {add, mul, neg, inv}."""
-    q = spec.q
-    if not 0 <= x < q:
-        raise ValueError(f"element {x} out of range for GF({q})")
-    if op in ("add", "mul"):
-        if y is None or not 0 <= y < q:
-            raise ValueError(f"element {y} out of range for GF({q})")
-        return spec.add(x, y) if op == "add" else spec.mul(x, y)
-    if op == "neg":
-        return spec.neg(x)
-    if op == "inv":
-        return spec.inv(x)
-    raise ValueError(f"unknown field operation {op!r}")
-
-
 def multiplicative_generator(spec: FieldSpec) -> int:
     """Smallest element generating the cyclic group of nonzero elements."""
     target = spec.q - 1

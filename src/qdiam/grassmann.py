@@ -155,11 +155,6 @@ class LatticeIndex:
         self._dist = table
         return table
 
-    def distance(self, i: int, j: int) -> int:
-        if self._dist is not None:
-            return self._dist[i * len(self.subspaces) + j]
-        return self.subspaces[i].distance(self.subspaces[j])
-
 
 def build_index(field: FieldSpec, n: int, budget: int | None = DEFAULT_ENUM_BUDGET) -> LatticeIndex:
     """Enumerate the whole lattice of F_q^n into a LatticeIndex."""

@@ -338,15 +338,13 @@ def _seed_family(field, n, d, budget):
 def max_diameter_family(q, n, d, enumerate_all=False, *, lattice_budget=None,
                         timeout_secs=DEFAULT_TIMEOUT_SECS,
                         witness_cap=DEFAULT_WITNESS_CAP,
-                        structural_cap=True, threads=1) -> SearchReport:
+                        structural_cap=True) -> SearchReport:
     """Exact maximum size of a diameter-<= d family, by exhaustive search.
 
     With enumerate_all, every maximum family is collected (up to the witness
-    cap; the true count is always reported).  The `threads` parameter is
-    accepted for interface compatibility; the search itself is sequential
-    and deterministic.
+    cap; the true count is always reported).  The search is sequential and
+    deterministic.
     """
-    del threads
     budget = _resolve_budget(lattice_budget)
     total = lattice_size(q, n)
     if total > budget:
@@ -471,7 +469,7 @@ def max_admissible_family(q, n, d, family_class, enumerate_all=False, *,
                           lattice_budget=None,
                           timeout_secs=DEFAULT_TIMEOUT_SECS,
                           witness_cap=DEFAULT_WITNESS_CAP,
-                          structural_cap=True, threads=1) -> SearchReport:
+                          structural_cap=True) -> SearchReport:
     """Exact maximum size of an admissible diameter-bounded family.
 
     family_class is one of A_even, B_even (even d) or A_odd, B_odd (odd d).
@@ -480,7 +478,6 @@ def max_admissible_family(q, n, d, family_class, enumerate_all=False, *,
     stability theorems' hypothesis thresholds the result is reported as an
     observation, never asserted against the formulas.
     """
-    del threads
     even_class = family_class.endswith("even")
     if even_class != (d % 2 == 0):
         raise ParameterOutOfRange(

@@ -102,9 +102,7 @@ def nontrivial_intersecting_bound(n: int, k: int, s: int, q: int) -> int:
     if s == 1:
         return hilton_milner_bound(n, k, q)
     if 2 * s <= k - 2:
-        return (gauss_binom(n - s, k - s, q)
-                - q**((k + 1 - s) * (k - s)) * gauss_binom(n - k - 1, k - s, q)
-                + q**(k + 1 - s) * gauss_binom(s, 1, q))
+        return small_s_nontrivial_bound(n, k, s, q)
     return (gauss_binom(s + 2, 1, q) * gauss_binom(n - s - 1, k - s - 1, q)
             - q * gauss_binom(s + 1, 1, q) * gauss_binom(n - s - 2, k - s - 2, q))
 

@@ -190,12 +190,6 @@ def test_oracle_timeout_exit_two(capsys):
     assert doc["proven_optimal"] is False
 
 
-def test_oracle_threads_validated(capsys):
-    with pytest.raises(SystemExit):
-        main(["oracle", "max", "--q", "2", "--n", "3", "--d", "2",
-              "--threads", "0"])
-
-
 REPORT_SCHEMA = json.loads(
     (Path(__file__).parent.parent / "docs" / "search_report.schema.json").read_text())
 

@@ -199,6 +199,8 @@ def test_q3_construction_sizes_smallest_n():
 def test_diameter_examples():
     single = SubspaceFamily(F2, 3, [span(F2, 3, [1, 0, 0])])
     assert diameter(single) == 0
+    assert diameter_at_most(single, 0) == (True, None)
+    assert diameter_at_most(single, -1) == (False, single.members * 2)
     both_ends = SubspaceFamily(F2, 3, [Subspace.zero(F2, 3), Subspace.full(F2, 3)])
     assert diameter(both_ends) == 3
     assert diameter(lower_layers(F2, 5, 2)) == 4
@@ -208,17 +210,37 @@ def test_diameter_examples():
 
 
 def test_diameter_matches_bruteforce():
+    # every statistic built on the member-pair meet scan, against all pairs;
+    # meets come from intersect(), which does not go through rank_with
     rng = random.Random(31)
-    for _ in range(60):
-        n = rng.randrange(1, 6)
-        fam = random_family(F2, n, rng, rng.randrange(1, 8))
-        brute = max(a.distance(b) for a in fam for b in fam)
-        assert diameter(fam) == brute
-        for d in range(n + 1):
-            ok, pair = diameter_at_most(fam, d)
-            assert ok == (brute <= d)
-            if not ok:
-                assert pair[0].distance(pair[1]) > d
+    for field in (F2, F3, field_new(4)):
+        for _ in range(60):
+            n = rng.randrange(1, 6)
+            fam = random_family(field, n, rng, rng.randrange(1, 8))
+            mem = fam.members
+            pairs = [(a, b) for i, a in enumerate(mem) for b in mem[i + 1:]]
+            brute = max(a.distance(b) for a in fam for b in fam)
+            assert diameter(fam) == brute
+            for d in range(n + 1):
+                ok, pair = diameter_at_most(fam, d)
+                assert ok == (brute <= d)
+                if not ok:
+                    assert pair[0] in fam and pair[1] in fam
+                    assert pair[0].distance(pair[1]) > d
+                    # layer pairs are scanned by decreasing dimension sum
+                    assert pair[0].dim + pair[1].dim == max(
+                        a.dim + b.dim for a, b in pairs if a.distance(b) > d)
+            for (i, j, _, got, _) in cross_intersection_profile(fam, brute):
+                meets = [a.intersect(b).dim for a, b in pairs
+                         if {a.dim, b.dim} == {i, j}]
+                assert got == min(meets, default=min(i, j))
+            xs, ys = mem[::2], mem[1::2] or mem
+            for s in range(n + 2):
+                assert is_s_intersecting(mem, s) == (
+                    min(a.dim for a in mem) >= s
+                    and all(a.intersect(b).dim >= s for a, b in pairs))
+                assert is_cross_intersecting(xs, ys, s) == all(
+                    a.intersect(b).dim >= s for a in xs for b in ys)
 
 
 def test_dim_spread_and_min_supp_norm():
@@ -242,6 +264,7 @@ def test_perp_family_properties():
         assert diameter(pf) == diameter(fam)
         assert pf.support == tuple(n - k for k in reversed(fam.support))
         assert perp_family(pf) == fam
+        assert 2 * min_supp_norm(fam) <= n - dim_spread(fam)
 
 
 def test_perp_family_of_lower_is_upper():

@@ -1,8 +1,7 @@
 import pytest
 
 from qdiam.errors import NonPrimePower, ZeroInverse
-from qdiam.gfq import (SUPPORTED_ORDERS, field_arith, field_new,
-                       multiplicative_generator)
+from qdiam.gfq import SUPPORTED_ORDERS, field_new, multiplicative_generator
 
 
 def test_prime_field_basics():
@@ -37,19 +36,7 @@ def test_inverse_of_zero():
     with pytest.raises(ZeroInverse):
         field_new(5).inv(0)
     with pytest.raises(ZeroInverse):
-        field_arith(field_new(4), "inv", 0)
-
-
-def test_field_arith_dispatch():
-    f9 = field_new(9)
-    assert field_arith(f9, "add", 1, 2) == f9.add(1, 2)
-    assert field_arith(f9, "mul", 4, 5) == f9.mul(4, 5)
-    assert field_arith(f9, "neg", 7) == f9.neg(7)
-    assert field_arith(f9, "inv", 5) == f9.inv(5)
-    with pytest.raises(ValueError):
-        field_arith(f9, "add", 9, 0)
-    with pytest.raises(ValueError):
-        field_arith(f9, "frobenius", 1)
+        field_new(4).inv(0)
 
 
 @pytest.mark.parametrize("q", SUPPORTED_ORDERS)
