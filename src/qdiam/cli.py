@@ -226,8 +226,7 @@ def cmd_check(args) -> int:
         fam = read_family(fh)
     if not fam.members:
         raise QdiamError("family file is empty")
-    diam = diameter(fam)
-    rows = cross_intersection_profile(fam, diam)
+    diam, rows = cross_intersection_profile(fam)
     verdict_json = {
         "q": fam.field.q,
         "n": fam.n,

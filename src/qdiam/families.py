@@ -7,10 +7,16 @@ diameter/support statistics, intersection predicates, and the admissibility
 checkers that decide whether a family escapes every forbidden configuration
 of a given class.
 
+All member-pair statistics share one scan, `_min_meet`;
+`cross_intersection_profile` takes the diameter from the same per-layer-pair
+minimum meets it reports, so a check scans each layer pair once.
+
 Admissibility scans for the ball classes enumerate candidate centers but
 prune by dimension windows and by probing a few extreme members first;
 pruning is by provably necessary conditions only, so verdicts never depend
-on it.
+on it.  The adjacent center pairs of B_odd are a center c1 and each of its
+covers c2, built directly from c1's row echelon form rather than by a scan
+of F_q^n.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from .errors import (AmbientMismatch, EmptyFamily, InvalidConfiguration,
                      ParseError)
 from .gfq import field_new
 from .grassmann import DEFAULT_ENUM_BUDGET, enumerate_layer
-from .subspace import Subspace
+from .subspace import Subspace, _rref_table
 
 
 class SubspaceFamily:
@@ -343,19 +349,30 @@ def is_cross_intersecting(members_a, members_b, s: int) -> bool:
     return m >= s
 
 
-def cross_intersection_profile(fam: SubspaceFamily, d: int):
-    """Minimum meet dimension per layer pair, with the level the diameter
-    condition guarantees: ceil((i + j - d) / 2)."""
-    rows = []
+def cross_intersection_profile(fam: SubspaceFamily):
+    """The diameter d and, per layer pair (i, j), the minimum meet dimension
+    with the level the diameter condition guarantees: ceil((i + j - d) / 2).
+
+    Each layer pair is scanned once, down to the floor max(0, i + j - n), and
+    d is the largest i + j - 2 * meet over the layer pairs.  Returns
+    (d, rows) with rows of (i, j, required, achieved, ok).
+    """
+    if not fam.members:
+        raise EmptyFamily("cross-intersection profile of an empty family")
+    meets = []
     supp = fam.support
     for ii, i in enumerate(supp):
         for j in supp[ii:]:
-            required = max(0, -((d - i - j) // 2))
             got, _ = _layer_pair_min_meet(fam, i, j, max(0, i + j - fam.n))
             if got is None:
-                got = min(i, j)  # single member pairs with itself only
-            rows.append((i, j, required, got, got >= required))
-    return rows
+                got = i  # a single member pairs with itself only
+            meets.append((i, j, got))
+    d = max(i + j - 2 * got for i, j, got in meets)
+    rows = []
+    for i, j, got in meets:
+        required = max(0, -((d - i - j) // 2))
+        rows.append((i, j, required, got, got >= required))
+    return d, rows
 
 
 # ---------------------------------------------------------------------------
@@ -435,26 +452,47 @@ def _contained_canonical_double_ball(fam, t):
     return None
 
 
-def _all_vectors(field, n):
-    if (field.q, n) not in _ALL_VECTORS_CACHE:
-        _ALL_VECTORS_CACHE[(field.q, n)] = tuple(Subspace.full(field, n).vectors())
-    return _ALL_VECTORS_CACHE[(field.q, n)]
-
-
-_ALL_VECTORS_CACHE: dict = {}
-
-
 def _covers_of(s: Subspace):
-    """All subspaces covering s (dimension dim(s)+1 containing s)."""
+    """The [n-k 1]_q subspaces covering the k-space s, each built once.
+
+    Every cover is s + <v> for exactly one v that vanishes on the columns
+    leading the rows of s with its columns reversed (in RREF) and whose
+    highest-index nonzero entry is 1.  Ordering vectors by base-q value,
+    coordinate n-1 most significant, that v is the smallest vector of the
+    cover outside s, and the covers come out in increasing order of it.
+    """
     field, n = s.field, s.n
-    seen = set()
-    # Spanning vectors outside s: run over the whole space; dedupe spans.
-    for v in _all_vectors(field, n):
-        if any(v) and not s.contains_vector(v):
-            cover = Subspace.from_generators(field, n, list(s.rows) + [v])
-            if cover not in seen:
-                seen.add(cover)
-                yield cover
+    mul, sub, inv = field.mul_table, field.sub_table, field.inv_table
+    _, rev_pivots = _rref_table(field, n, [r[::-1] for r in s.rows])
+    taken = {n - 1 - p for p in rev_pivots}
+    free = [j for j in range(n) if j not in taken]
+    for top, f in enumerate(free):
+        below = free[:top][::-1]  # most significant first
+        for digits in product(range(field.q), repeat=top):
+            v = [0] * n
+            v[f] = 1
+            for j, e in zip(below, digits):
+                v[j] = e
+            # RREF of s + <v>: reduce v by s, scale, clear its column from s.
+            for r, p in zip(s.rows, s.pivots):
+                c = v[p]
+                if c:
+                    mrow = mul[c]
+                    v = [sub[a][mrow[b]] for a, b in zip(v, r)]
+            lead = next(j for j, e in enumerate(v) if e)
+            mrow = mul[inv[v[lead]]]
+            v = tuple(mrow[e] for e in v)
+            rows = []
+            for r in s.rows:
+                c = r[lead]
+                if c:
+                    mrow = mul[c]
+                    r = tuple(sub[a][mrow[b]] for a, b in zip(r, v))
+                rows.append(r)
+            at = sum(1 for p in s.pivots if p < lead)
+            rows.insert(at, v)
+            pivots = s.pivots[:at] + (lead,) + s.pivots[at:]
+            yield Subspace._from_rref(field, n, tuple(rows), pivots)
 
 
 def is_admissible(fam: SubspaceFamily, family_class: str, t: int,

@@ -233,28 +233,6 @@ class Subspace:
             return False
         return self.rank_with(other) == self.dim
 
-    def contains_vector(self, vec) -> bool:
-        row = tuple(vec)
-        if len(row) != self.n:
-            raise DimensionMismatch(
-                f"vector of length {len(row)} in ambient dimension {self.n}")
-        if self.field.q == 2:
-            v = _pack_row(row, self.n)
-            for r in self.bits:
-                if (v >> (r.bit_length() - 1)) & 1:
-                    v ^= r
-            return v == 0
-        v = list(row)
-        sub = self.field.sub
-        mul = self.field.mul_table
-        for r, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if c:
-                mrow = mul[c]
-                for j in range(p, self.n):
-                    v[j] = sub(v[j], mrow[r[j]])
-        return not any(v)
-
     def rank_with(self, other: "Subspace") -> int:
         """dim(self + other) without building the canonical sum."""
         if self.bits is not None:

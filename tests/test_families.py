@@ -5,17 +5,18 @@ import pytest
 
 from qdiam.errors import (AmbientMismatch, EmptyFamily, InvalidConfiguration,
                           ParseError)
-from qdiam.families import (SubspaceFamily, ball, canonical_double_ball,
-                            canonical_family, cross_intersection_profile,
-                            diameter, diameter_at_most, dim_spread,
-                            double_ball, extremal_odd_family,
-                            extremal_odd_triple, hilton_milner_family,
-                            hilton_milner_triple, is_admissible,
-                            is_cross_intersecting, is_s_intersecting,
-                            lower_layers, min_supp_norm, perp_family,
-                            read_family, star, upper_layers, write_family)
-from qdiam.gfq import field_new
-from qdiam.grassmann import build_index, enumerate_layer
+from qdiam.families import (SubspaceFamily, _covers_of, ball,
+                            canonical_double_ball, canonical_family,
+                            cross_intersection_profile, diameter,
+                            diameter_at_most, dim_spread, double_ball,
+                            extremal_odd_family, extremal_odd_triple,
+                            hilton_milner_family, hilton_milner_triple,
+                            is_admissible, is_cross_intersecting,
+                            is_s_intersecting, lower_layers, min_supp_norm,
+                            perp_family, read_family, star, upper_layers,
+                            write_family)
+from qdiam.gfq import SUPPORTED_ORDERS, field_new
+from qdiam.grassmann import build_index, enumerate_layer, lattice_size
 from qdiam.qcount import (gauss_binom, hilton_milner_bound, kleitman_bound,
                           layer_sum, odd_stability_bound, type_a_even_bound)
 from qdiam.subspace import Subspace
@@ -221,6 +222,8 @@ def test_diameter_matches_bruteforce():
             pairs = [(a, b) for i, a in enumerate(mem) for b in mem[i + 1:]]
             brute = max(a.distance(b) for a in fam for b in fam)
             assert diameter(fam) == brute
+            profile_d, rows = cross_intersection_profile(fam)
+            assert profile_d == brute
             for d in range(n + 1):
                 ok, pair = diameter_at_most(fam, d)
                 assert ok == (brute <= d)
@@ -230,7 +233,7 @@ def test_diameter_matches_bruteforce():
                     # layer pairs are scanned by decreasing dimension sum
                     assert pair[0].dim + pair[1].dim == max(
                         a.dim + b.dim for a, b in pairs if a.distance(b) > d)
-            for (i, j, _, got, _) in cross_intersection_profile(fam, brute):
+            for (i, j, _, got, _) in rows:
                 meets = [a.intersect(b).dim for a, b in pairs
                          if {a.dim, b.dim} == {i, j}]
                 assert got == min(meets, default=min(i, j))
@@ -273,7 +276,8 @@ def test_perp_family_of_lower_is_upper():
 
 def test_cross_intersection_profile_on_double_ball():
     fam = canonical_double_ball(axis_line(F2, 4), 1)
-    rows = cross_intersection_profile(fam, 3)
+    d, rows = cross_intersection_profile(fam)
+    assert d == 3
     assert all(ok for (_, _, _, _, ok) in rows)
     # the (2,2) layer pair of the star is 1-intersecting
     row22 = [r for r in rows if r[0] == 2 and r[1] == 2][0]
@@ -351,9 +355,70 @@ def test_b_odd_admissibility_small():
     assert rep.admissible
     # while the canonical double ball itself is contained (in itself)
     dd = canonical_double_ball(x, 2)
-    rep = is_admissible(dd, "B_odd", 2)
+    _assert_double_ball_witness(dd, 2)
+    # and so is a q = 3 double ball around a line and a plane through it
+    c1 = axis_line(F3, 4)
+    c2 = axis_subspace(F3, 4, [0, 2])
+    _assert_double_ball_witness(double_ball(c1, c2, 1), 1)
+
+
+def _assert_double_ball_witness(fam, t):
+    rep = is_admissible(fam, "B_odd", t)
     assert not rep.admissible
     assert rep.witness_kind == "double_ball"
+    c1, c2 = rep.witness_centers
+    assert c2.contains(c1) and c2.dim == c1.dim + 1
+    assert all(min(c1.distance(m), c2.distance(m)) <= t for m in fam)
+
+
+def _covers_by_scan(s):
+    """Reference: scan all q^n vectors in the order of vectors() and keep
+    each new span s + <v> of a v outside s."""
+    field, n = s.field, s.n
+    covers, seen = [], set()
+    for v in Subspace.full(field, n).vectors():
+        if any(v) and not s.contains(Subspace.from_generators(field, n, [v])):
+            cover = Subspace.from_generators(field, n, list(s.rows) + [v])
+            if cover not in seen:
+                seen.add(cover)
+                covers.append(cover)
+    return covers
+
+
+def _subspaces_to_cover(field, n, rng):
+    """Every subspace of a lattice of at most 400; above that, where the
+    reference scan gets slow, up to 6 random subspaces per dimension."""
+    if lattice_size(field.q, n) <= 400:
+        for k in range(n + 1):
+            yield from enumerate_layer(field, n, k)
+        return
+    for k in range(n + 1):
+        picked = set()
+        while len(picked) < min(6, gauss_binom(n, k, field.q)):
+            s = Subspace.from_generators(
+                field, n, [[rng.randrange(field.q) for _ in range(n)]
+                           for _ in range(k)])
+            if s.dim == k and s not in picked:
+                picked.add(s)
+                yield s
+
+
+def test_covers_match_vector_scan():
+    # same covers, in the same order and the same canonical form, as the
+    # q^n scan, for every q and every n with q^n <= 256
+    rng = random.Random(43)
+    for q in SUPPORTED_ORDERS:
+        field = field_new(q)
+        n = 1
+        while q ** n <= 256:
+            for s in _subspaces_to_cover(field, n, rng):
+                covers = list(_covers_of(s))
+                assert covers == _covers_by_scan(s)
+                assert len(covers) == gauss_binom(n - s.dim, 1, q)
+                for c in covers:
+                    canon = Subspace.from_generators(field, n, c.rows)
+                    assert (c.pivots, c.bits) == (canon.pivots, canon.bits)
+            n += 1
 
 
 def test_is_admissible_validates_class():
@@ -417,8 +482,8 @@ def test_cross_intersection_required_levels():
     # required level for layers (i, j) under diameter d is ceil((i+j-d)/2)
     import math
     fam = canonical_double_ball(axis_line(F2, 5), 2)
-    d = diameter(fam)
-    rows = cross_intersection_profile(fam, d)
+    d, rows = cross_intersection_profile(fam)
+    assert d == diameter(fam)
     for (i, j, required, got, ok) in rows:
         assert required == max(0, math.ceil((i + j - d) / 2))
         assert ok == (got >= required)
