@@ -86,10 +86,6 @@ class SubspaceFamily:
         return (self.field.q == other.field.q and self.n == other.n
                 and self.member_set == other.member_set)
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def __hash__(self):
         return hash((self.field.q, self.n, self.member_set))
 

@@ -162,17 +162,3 @@ def field_new(q: int) -> FieldSpec:
     p, e = pe
     reduction = _REDUCTION.get(q, ())
     return FieldSpec(q, p, e, reduction)
-
-
-def multiplicative_generator(spec: FieldSpec) -> int:
-    """Smallest element generating the cyclic group of nonzero elements."""
-    target = spec.q - 1
-    for g in range(1, spec.q):
-        x = g
-        order = 1
-        while x != 1:
-            x = spec.mul(x, g)
-            order += 1
-        if order == target:
-            return g
-    raise NonPrimePower(f"GF({spec.q}) tables do not form a field")

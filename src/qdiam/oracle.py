@@ -13,8 +13,19 @@ Admissibility ("not contained in any forbidden configuration") is not
 hereditary, so admissible optima are found by lazily generated exclusion
 clauses: whenever a record candidate turns out to lie inside a forbidden
 configuration, that configuration becomes a constraint (the clique must
-leave it), and the search continues.  Recorded witnesses are always
-re-validated through the families module, an independent code path.
+leave it), and the search continues.  A clause can prune a subtree only
+while the partial clique lies inside it, and the partial clique only grows
+on the way down, so the engine keeps a per-vertex index of the clauses
+containing each vertex: a node inherits its parent's live clauses narrowed
+by the vertex it adds, tests only the clauses learned since its parent
+against the partial clique, and checks its candidates against the live
+ones alone.
+
+Recorded witnesses are always re-verified by row elimination
+(``Subspace.distance``), a code path independent of the vector masks the
+adjacency came from; each distinct member pair is met once across all
+witnesses.  The timeout runs from the entry of the search functions, so
+the index, the seed and the adjacency count against it.
 
 Everything is deterministic: vertex order, branching, tie-breaks, and the
 final canonical sort of witnesses.
@@ -22,7 +33,6 @@ final canonical sort of witnesses.
 
 from __future__ import annotations
 
-import json
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -99,9 +109,6 @@ class SearchReport:
             "witness_cap": self.witness_cap,
         }
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_json_dict(), **kwargs)
-
 
 class _Timeout(Exception):
     pass
@@ -147,6 +154,9 @@ class _CliqueEngine:
         else:
             self.groups.append(((1 << nv) - 1, nv))
         self.forbidden: list[int] = []
+        # clause_of[v]: bit j set when clause j contains vertex v; built by
+        # search() only when clauses can exist.
+        self.clause_of = None
         self.leaf_check = None
         self.reset_counters()
 
@@ -225,17 +235,24 @@ class _CliqueEngine:
             total += avail if avail < room else room
         return total
 
+    def _index_clause(self, j):
+        clause_of = self.clause_of
+        bj = 1 << j
+        rest = self.forbidden[j]
+        while rest:
+            b = rest & -rest
+            clause_of[b.bit_length() - 1] |= bj
+            rest ^= b
+
     def _record(self, plist, pmask):
         size = len(plist)
         if size < self.best:
             return
-        for fm in self.forbidden:
-            if pmask & ~fm == 0:
-                return
         if self.leaf_check is not None:
             new_forbidden = self.leaf_check(plist, pmask)
             if new_forbidden is not None:
                 self.forbidden.append(new_forbidden)
+                self._index_clause(len(self.forbidden) - 1)
                 return
         if size > self.best:
             self.best = size
@@ -246,15 +263,28 @@ class _CliqueEngine:
             if len(self.collected) < self.witness_cap:
                 self.collected.append(list(plist))
 
-    def _expand(self, plist, pmask, cand, used):
-        self.nodes += 1
+    def _expand(self, plist, pmask, cand, used, alive, seen):
+        """Search below the partial clique plist (vertex mask pmask).
+
+        alive holds the clauses among the first `seen` that contain pmask;
+        clauses learned since then are tested here.  A clause prunes the
+        node when it also contains every candidate.
+        """
         if self.deadline is not None and self.nodes & 1023 == 0:
             if time.monotonic() > self.deadline:
                 raise _Timeout
-        union = pmask | cand
-        for fm in self.forbidden:
-            if union & ~fm == 0:
+        self.nodes += 1
+        forbidden = self.forbidden
+        for j in range(seen, len(forbidden)):
+            if pmask & ~forbidden[j] == 0:
+                alive |= 1 << j
+        seen = len(forbidden)
+        rest = alive
+        while rest:
+            b = rest & -rest
+            if cand & ~forbidden[b.bit_length() - 1] == 0:
                 return
+            rest ^= b
         need = self.best if self.collect_all else self.best + 1
         if self._group_bound(len(plist), used, cand) < need:
             return
@@ -266,6 +296,7 @@ class _CliqueEngine:
         psize = len(plist)
         group_of_layer = self.group_of_layer
         layer_of = self.layer_of
+        clause_of = self.clause_of
         for i in range(len(order) - 1, -1, -1):
             need = self.best if self.collect_all else self.best + 1
             if psize + bounds[i] < need:
@@ -275,19 +306,27 @@ class _CliqueEngine:
             gi = group_of_layer[layer_of[v]]
             plist.append(v)
             used[gi] += 1
-            self._expand(plist, pmask | bv, cur & self.adj[v], used)
+            self._expand(plist, pmask | bv, cur & self.adj[v], used,
+                         alive and alive & clause_of[v], seen)
             used[gi] -= 1
             plist.pop()
             cur ^= bv
 
     def search(self, *, seed_vertices=None, collect_all=False,
-               witness_cap=DEFAULT_WITNESS_CAP, timeout_secs=None):
-        """Run the search; returns (best, collected, count, nodes, timed_out)."""
+               witness_cap=DEFAULT_WITNESS_CAP, deadline=None):
+        """Run the search; returns (best, collected, count, nodes, timed_out).
+
+        deadline is a time.monotonic() value, checked at the first node and
+        at every 1024th after it.
+        """
         self.reset_counters()
         self.collect_all = collect_all
         self.witness_cap = witness_cap
-        if timeout_secs is not None:
-            self.deadline = time.monotonic() + timeout_secs
+        self.deadline = deadline
+        if self.forbidden or self.leaf_check is not None:
+            self.clause_of = [0] * self.nv
+            for j in range(len(self.forbidden)):
+                self._index_clause(j)
         if seed_vertices:
             self.best = len(seed_vertices)
             if not collect_all:
@@ -303,7 +342,9 @@ class _CliqueEngine:
                 gi = self.group_of_layer[self.layer_of[v]]
                 used = [0] * len(self.groups)
                 used[gi] = 1
-                self._expand([v], bv, self.adj[v] & later, used)
+                alive = self.clause_of[v] if self.clause_of else 0
+                self._expand([v], bv, self.adj[v] & later, used, alive,
+                             len(self.forbidden))
         except _Timeout:
             timed_out = True
         if collect_all and seed_vertices and not self.collected:
@@ -343,8 +384,11 @@ def max_diameter_family(q, n, d, enumerate_all=False, *, lattice_budget=None,
 
     With enumerate_all, every maximum family is collected (up to the witness
     cap; the true count is always reported).  The search is sequential and
-    deterministic.
+    deterministic.  timeout_secs runs from this call's entry, so building
+    the index, the seed and the adjacency count against it.
     """
+    start = time.monotonic()
+    deadline = None if timeout_secs is None else start + timeout_secs
     budget = _resolve_budget(lattice_budget)
     total = lattice_size(q, n)
     if total > budget:
@@ -352,14 +396,13 @@ def max_diameter_family(q, n, d, enumerate_all=False, *, lattice_budget=None,
             f"lattice (q={q}, n={n}) has {total} subspaces, search budget is "
             f"{budget}", would_be_count=total)
     field = field_new(q)
-    start = time.monotonic()
     index = build_index(field, n, budget=budget)
     seed = _seed_family(field, n, d, budget=None)
     seed_vertices = sorted(index.position(s) for s in seed)
     engine = _CliqueEngine(index, d, structural_cap=structural_cap)
     best, collected, count, nodes, timed_out = engine.search(
         seed_vertices=seed_vertices, collect_all=enumerate_all,
-        witness_cap=witness_cap, timeout_secs=timeout_secs)
+        witness_cap=witness_cap, deadline=deadline)
     elapsed_ms = int((time.monotonic() - start) * 1000)
 
     witnesses = _materialize_witnesses(index, collected, d)
@@ -379,16 +422,39 @@ def max_diameter_family(q, n, d, enumerate_all=False, *, lattice_budget=None,
 
 
 def _materialize_witnesses(index, collected, d):
-    """Vertex lists -> families, re-verified through the families module."""
+    """Vertex lists -> families, each member pair re-verified by row elimination.
+
+    Subspace.distance does not use the vector masks the search adjacency
+    came from.  Witnesses share most of their pairs, so each distinct pair
+    is met once; pairs whose dimension sum is at most d cannot be farther
+    apart than d and are skipped.
+    """
     field, n = index.field, index.n
+    subspaces = index.subspaces
+    slot = {v: i for i, v in enumerate(sorted(set().union(*collected)))}
+    m = len(slot)
+    verified = bytearray(m * m)
     witnesses = []
     for vertices in collected:
-        fam = SubspaceFamily(field, n, [index.subspaces[v] for v in vertices])
-        ok, pair = diameter_at_most(fam, d)
-        if not ok:
-            raise AssertionError(
-                f"search produced a witness violating the diameter bound: {pair}")
-        witnesses.append(fam)
+        # Index positions run layer by layer, so in descending order the
+        # dimension sum only falls along each row of pairs.
+        vertices = sorted(vertices, reverse=True)
+        members = [subspaces[v] for v in vertices]
+        slots = [slot[v] for v in vertices]
+        for i, a in enumerate(members):
+            row = slots[i] * m
+            for b, col in zip(members[i + 1:], slots[i + 1:]):
+                if a.dim + b.dim <= d:
+                    break
+                key = row + col
+                if verified[key]:
+                    continue
+                if a.distance(b) > d:
+                    raise AssertionError(
+                        "search produced a witness violating the diameter "
+                        f"bound: {(a, b)}")
+                verified[key] = 1
+        witnesses.append(SubspaceFamily(field, n, members))
     witnesses.sort(key=lambda f: tuple(s.sort_key() for s in f.members))
     return witnesses
 
@@ -476,8 +542,11 @@ def max_admissible_family(q, n, d, family_class, enumerate_all=False, *,
     Containment constraints are enforced lazily: configurations discovered
     to contain a record candidate become exclusion clauses.  Below the
     stability theorems' hypothesis thresholds the result is reported as an
-    observation, never asserted against the formulas.
+    observation, never asserted against the formulas.  timeout_secs runs
+    from this call's entry, as in max_diameter_family.
     """
+    start = time.monotonic()
+    deadline = None if timeout_secs is None else start + timeout_secs
     even_class = family_class.endswith("even")
     if even_class != (d % 2 == 0):
         raise ParameterOutOfRange(
@@ -490,7 +559,6 @@ def max_admissible_family(q, n, d, family_class, enumerate_all=False, *,
             f"lattice (q={q}, n={n}) has {total} subspaces, search budget is "
             f"{budget}", would_be_count=total)
     field = field_new(q)
-    start = time.monotonic()
     index = build_index(field, n, budget=budget)
     engine = _CliqueEngine(index, d, structural_cap=structural_cap)
 
@@ -527,7 +595,7 @@ def max_admissible_family(q, n, d, family_class, enumerate_all=False, *,
         seed_vertices = sorted(index.position(s) for s in seed)
     best, collected, count, nodes, timed_out = engine.search(
         seed_vertices=seed_vertices, collect_all=enumerate_all,
-        witness_cap=witness_cap, timeout_secs=timeout_secs)
+        witness_cap=witness_cap, deadline=deadline)
     elapsed_ms = int((time.monotonic() - start) * 1000)
 
     witnesses = _materialize_witnesses(index, collected, d)

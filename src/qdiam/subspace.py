@@ -358,10 +358,6 @@ class Subspace:
         return (self.field.q == other.field.q and self.n == other.n
                 and self.rows == other.rows)
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def __lt__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented

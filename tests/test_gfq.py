@@ -1,7 +1,21 @@
 import pytest
 
 from qdiam.errors import NonPrimePower, ZeroInverse
-from qdiam.gfq import SUPPORTED_ORDERS, field_new, multiplicative_generator
+from qdiam.gfq import SUPPORTED_ORDERS, field_new
+
+
+def multiplicative_generator(spec):
+    """Smallest element generating the cyclic group of nonzero elements."""
+    target = spec.q - 1
+    for g in range(1, spec.q):
+        x = g
+        order = 1
+        while x != 1:
+            x = spec.mul(x, g)
+            order += 1
+        if order == target:
+            return g
+    raise NonPrimePower(f"GF({spec.q}) tables do not form a field")
 
 
 def test_prime_field_basics():

@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,6 +15,7 @@ from qdiam.oracle import (_ball_mask, _CliqueEngine,
                           sweep_type_compare, sweep_type_ratio,
                           verify_characterization)
 from qdiam.qcount import kleitman_bound, type_a_even_bound
+from qdiam.subspace import Subspace
 
 F2 = field_new(2)
 
@@ -79,6 +81,29 @@ def test_structural_cap_off_same_answer():
                                       structural_cap=False)
         assert with_cap.optimum == without.optimum
         assert with_cap.witnesses == without.witnesses
+
+
+def test_timeout_counts_setup(monkeypatch):
+    # The fake clock moves only while the lattice index is built, so a
+    # search whose budget setup has used up stops at its first node.
+    now = [0.0]
+    monkeypatch.setattr(oracle, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    build = oracle.build_index
+
+    def slow_build(*args, **kwargs):
+        now[0] += 5.0
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "build_index", slow_build)
+    for run in (lambda: max_diameter_family(2, 4, 3, timeout_secs=4.0),
+                lambda: max_admissible_family(2, 4, 3, "A_odd", timeout_secs=4.0)):
+        rep = run()
+        assert rep.timed_out and not rep.proven_optimal
+        assert rep.nodes_explored == 0
+        assert rep.optimum == rep.greedy_seed_size
+        assert rep.elapsed_ms == 5000
+    rep = max_diameter_family(2, 4, 3, timeout_secs=6.0)
+    assert not rep.timed_out and rep.optimum == 23
 
 
 def test_timeout_reports_lower_bound():
@@ -188,7 +213,7 @@ def test_admissible_enumerate_all_deterministic():
 
 def test_report_json_schema_fields():
     rep = max_diameter_family(2, 3, 2, enumerate_all=True)
-    doc = json.loads(rep.to_json())
+    doc = json.loads(json.dumps(rep.to_json_dict()))
     assert doc["schema"] == "qdiam.search_report/1"
     assert doc["optimum"] == "8"
     assert isinstance(doc["optimum"], str)
@@ -436,3 +461,108 @@ def test_engine_memory_budget_checked_before_allocation(monkeypatch):
     assert index._masks is None
     monkeypatch.setattr(oracle, "DEFAULT_DISTANCE_CELL_BUDGET", need)
     assert len(_CliqueEngine(index, 2).adj) == 16
+
+
+# -- per-vertex clause index against the full clause scan --------------------------
+
+class _FullScanEngine(_CliqueEngine):
+    """The engine with every node testing every clause, kept as reference."""
+
+    def _expand(self, plist, pmask, cand, used, alive=0, seen=0):
+        self.nodes += 1
+        union = pmask | cand
+        for fm in self.forbidden:
+            if union & ~fm == 0:
+                return
+        need = self.best if self.collect_all else self.best + 1
+        if self._group_bound(len(plist), used, cand) < need:
+            return
+        if not cand:
+            self._record(plist, pmask)
+            return
+        order, bounds = self._color_order(cand)
+        cur = cand
+        psize = len(plist)
+        for i in range(len(order) - 1, -1, -1):
+            need = self.best if self.collect_all else self.best + 1
+            if psize + bounds[i] < need:
+                return
+            v = order[i]
+            bv = 1 << v
+            gi = self.group_of_layer[self.layer_of[v]]
+            plist.append(v)
+            used[gi] += 1
+            self._expand(plist, pmask | bv, cur & self.adj[v], used)
+            used[gi] -= 1
+            plist.pop()
+            cur ^= bv
+
+
+def _search_with(monkeypatch, engine_cls, q, n, d, family_class, enumerate_all):
+    """One search on an engine of engine_cls; returns the report and engine."""
+    engines = []
+
+    class Recording(engine_cls):
+        def search(self, **kwargs):
+            engines.append(self)
+            return super().search(**kwargs)
+
+    monkeypatch.setattr(oracle, "_CliqueEngine", Recording)
+    if family_class is None:
+        rep = max_diameter_family(q, n, d, enumerate_all)
+    else:
+        rep = max_admissible_family(q, n, d, family_class, enumerate_all)
+    return rep, engines[0]
+
+
+# --all doubles or more the nodes of these; they run without it.
+_COSTLY_ALL = {(3, 4, 1, "B_odd"), (3, 4, 2, "A_even"), (3, 4, 2, "B_even"),
+               (3, 4, 3, None), (3, 4, 3, "A_odd"), (3, 4, 3, "B_odd"),
+               (2, 5, 2, "B_even")}
+CLAUSE_CASES = [(q, n, d, cls) for q in (2, 3) for n in range(2, 5)
+                for d in range(1, n)
+                for cls in ((None, "A_even", "B_even") if d % 2 == 0
+                            else (None, "A_odd", "B_odd"))] + [(2, 5, 2, "B_even")]
+
+
+@pytest.mark.parametrize("q,n,d,family_class", CLAUSE_CASES)
+def test_clause_index_matches_full_scan(monkeypatch, q, n, d, family_class):
+    enumerate_all = (q, n, d, family_class) not in _COSTLY_ALL
+    ref, ref_engine = _search_with(monkeypatch, _FullScanEngine, q, n, d,
+                                   family_class, enumerate_all)
+    rep, engine = _search_with(monkeypatch, _CliqueEngine, q, n, d,
+                               family_class, enumerate_all)
+    assert rep.optimum == ref.optimum
+    assert rep.nodes_explored == ref.nodes_explored
+    assert rep.witness_count == ref.witness_count
+    assert rep.witnesses == ref.witnesses
+    assert engine.forbidden == ref_engine.forbidden
+    if family_class is None:
+        assert engine.clause_of is None  # no clauses, no index
+
+
+# -- witness re-verification ---------------------------------------------------------
+
+def test_materialize_rejects_planted_far_pair():
+    index = build_index(F2, 4)
+    rep = max_diameter_family(2, 4, 3, enumerate_all=True)
+    collected = [[index.position(s) for s in fam] for fam in rep.witnesses]
+    assert oracle._materialize_witnesses(index, collected, 3) == rep.witnesses
+    # Every outsider of a maximum family is farther than d from one of its
+    # members; the pairs met for the 120 true witnesses must not hide that.
+    first = collected[0]
+    for v in range(index.size):
+        if v not in first:
+            with pytest.raises(AssertionError, match="violating the diameter bound"):
+                oracle._materialize_witnesses(index, collected + [first + [v]], 3)
+
+
+def test_materialize_skips_pairs_within_dimension_sum(monkeypatch):
+    index = build_index(F2, 4)
+    _, hi = index.layer_range(1)
+    calls = []
+    monkeypatch.setattr(Subspace, "rank_with",
+                        lambda self, other: calls.append(other) or 0)
+    (fam,) = oracle._materialize_witnesses(index, [list(range(hi))], 2)
+    assert fam == lower_layers(F2, 4, 1)
+    assert calls == []
