@@ -430,6 +430,11 @@ def _line_inside(s: Subspace) -> Subspace:
     return Subspace.from_generators(s.field, s.n, [s.rows[0]])
 
 
+def _first_line(field, n) -> Subspace:
+    """The first line of F_q^n in canonical order."""
+    return next(enumerate_layer(field, n, 1, budget=None))
+
+
 def _contained_canonical_double_ball(fam, t):
     """A line x with fam inside the canonical double ball of x, if any."""
     supp = fam.support
@@ -440,8 +445,7 @@ def _contained_canonical_double_ball(fam, t):
         return None
     top = fam.layer(t + 1)
     if not top:
-        first_line = next(iter(enumerate_layer(field, n, 1, budget=None)))
-        return first_line
+        return _first_line(field, n)
     common = _common_subspace(top)
     if common.dim >= 1:
         return _line_inside(common)

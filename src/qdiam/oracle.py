@@ -10,16 +10,15 @@ so branches violating that die early.  The cap is what keeps the 374-vertex
 lattice of F_2^5 tractable; generic coloring alone stalls there.
 
 Admissibility ("not contained in any forbidden configuration") is not
-hereditary, so admissible optima are found by lazily generated exclusion
-clauses: whenever a record candidate turns out to lie inside a forbidden
-configuration, that configuration becomes a constraint (the clique must
-leave it), and the search continues.  A clause can prune a subtree only
+hereditary, so it cannot be folded into the graph.  Every class is instead
+a list of exclusion clauses, the vertex masks of its forbidden
+configurations, built from the index's ball masks before the search: a
+clique inside a clause must leave it.  A clause can prune a subtree only
 while the partial clique lies inside it, and the partial clique only grows
 on the way down, so the engine keeps a per-vertex index of the clauses
 containing each vertex: a node inherits its parent's live clauses narrowed
-by the vertex it adds, tests only the clauses learned since its parent
-against the partial clique, and checks its candidates against the live
-ones alone.
+by the vertex it adds and checks its candidates against the live ones
+alone.
 
 Recorded witnesses are always re-verified by row elimination
 (``Subspace.distance``), a code path independent of the vector masks the
@@ -38,7 +37,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, NotExhaustive, ParameterOutOfRange
-from .families import (SubspaceFamily, canonical_double_ball, diameter_at_most,
+from .families import (SubspaceFamily, _common_subspace, _first_line,
+                       _line_inside, canonical_double_ball, diameter_at_most,
                        extremal_odd_family, is_admissible, is_s_intersecting,
                        lower_layers, perp_family, star, upper_layers)
 from .gfq import field_new
@@ -115,17 +115,25 @@ class _Timeout(Exception):
 
 
 class _CliqueEngine:
-    """Branch-and-bound maximum clique over a lattice distance graph."""
+    """Branch-and-bound maximum clique over a lattice distance graph.
 
-    def __init__(self, index, d, structural_cap=True):
+    With a family_class, the forbidden configurations of that admissibility
+    class become exclusion clauses.
+    """
+
+    def __init__(self, index, d, family_class=None, structural_cap=True):
         self.index = index
         self.d = d
         nv = index.size
         n = index.n
         q = index.field.q
         self.nv = nv
-        # Adjacency bitsets plus the index's vector masks, in bytes.
-        need = (nv * nv + nv * q ** n + 7) // 8
+        clauses = {"A_even": 2, "A_odd": 2 * gauss_binom(n, 1, q), "B_even": nv,
+                   "B_odd": sum(gauss_binom(n, k, q) * gauss_binom(n - k, 1, q)
+                                for k in range(n))}.get(family_class, 0)
+        # Adjacency bitsets, the index's vector masks, and the clauses with
+        # their per-vertex index, in bytes.
+        need = (nv * nv + nv * q ** n + 2 * clauses * nv + 7) // 8
         if need > DEFAULT_DISTANCE_CELL_BUDGET:
             raise BudgetExceeded(
                 f"adjacency of (q={q}, n={n}) needs {need} bytes, budget is "
@@ -153,12 +161,46 @@ class _CliqueEngine:
                 self.groups.append((mask, cap))
         else:
             self.groups.append(((1 << nv) - 1, nv))
-        self.forbidden: list[int] = []
+        self.forbidden = self._clauses(family_class, d // 2)
         # clause_of[v]: bit j set when clause j contains vertex v; built by
-        # search() only when clauses can exist.
+        # search() only when there are clauses.
         self.clause_of = None
-        self.leaf_check = None
         self.reset_counters()
+
+    def _clauses(self, family_class, t):
+        """Vertex masks of the forbidden configurations of family_class.
+
+        A_even forbids the radius-t balls around 0 and F_q^n.  A_odd forbids,
+        for every line x, the union of the balls around 0 and x and the union
+        of those around F_q^n and x-perp.  B_even forbids every radius-t ball,
+        and B_odd the union of the balls around c1 and c2 for every cover
+        pair c1 < c2.
+        """
+        if family_class is None:
+            return []
+        index = self.index
+        top = self.nv - 1  # F_q^n
+        if family_class == "A_even":
+            return [index.ball(0, t), index.ball(top, t)]
+        if family_class == "A_odd":
+            zero, full = index.ball(0, t), index.ball(top, t)
+            clauses = []
+            for x in range(*index.layer_range(1)):
+                perp = index.position(index.subspaces[x].perp())
+                clauses.append(zero | index.ball(x, t))
+                clauses.append(full | index.ball(perp, t))
+            return clauses
+        balls = [index.ball(v, t) for v in range(self.nv)]
+        if family_class == "B_even":
+            return balls
+        clauses = []
+        for c1, k in enumerate(self.layer_of[:top]):  # F_q^n has no cover
+            covers = index.ball(c1, 1) & self.layer_mask[k + 1]
+            while covers:
+                b = covers & -covers
+                clauses.append(balls[c1] | balls[b.bit_length() - 1])
+                covers ^= b
+        return clauses
 
     def reset_counters(self):
         self.nodes = 0
@@ -235,25 +277,10 @@ class _CliqueEngine:
             total += avail if avail < room else room
         return total
 
-    def _index_clause(self, j):
-        clause_of = self.clause_of
-        bj = 1 << j
-        rest = self.forbidden[j]
-        while rest:
-            b = rest & -rest
-            clause_of[b.bit_length() - 1] |= bj
-            rest ^= b
-
-    def _record(self, plist, pmask):
+    def _record(self, plist):
         size = len(plist)
         if size < self.best:
             return
-        if self.leaf_check is not None:
-            new_forbidden = self.leaf_check(plist, pmask)
-            if new_forbidden is not None:
-                self.forbidden.append(new_forbidden)
-                self._index_clause(len(self.forbidden) - 1)
-                return
         if size > self.best:
             self.best = size
             self.collected = [list(plist)]
@@ -263,22 +290,17 @@ class _CliqueEngine:
             if len(self.collected) < self.witness_cap:
                 self.collected.append(list(plist))
 
-    def _expand(self, plist, pmask, cand, used, alive, seen):
-        """Search below the partial clique plist (vertex mask pmask).
+    def _expand(self, plist, cand, used, alive):
+        """Search below the partial clique plist.
 
-        alive holds the clauses among the first `seen` that contain pmask;
-        clauses learned since then are tested here.  A clause prunes the
-        node when it also contains every candidate.
+        alive holds the clauses that contain the partial clique; one that
+        also contains every candidate prunes the node.
         """
         if self.deadline is not None and self.nodes & 1023 == 0:
             if time.monotonic() > self.deadline:
                 raise _Timeout
         self.nodes += 1
         forbidden = self.forbidden
-        for j in range(seen, len(forbidden)):
-            if pmask & ~forbidden[j] == 0:
-                alive |= 1 << j
-        seen = len(forbidden)
         rest = alive
         while rest:
             b = rest & -rest
@@ -289,7 +311,7 @@ class _CliqueEngine:
         if self._group_bound(len(plist), used, cand) < need:
             return
         if not cand:
-            self._record(plist, pmask)
+            self._record(plist)
             return
         order, bounds = self._color_order(cand)
         cur = cand
@@ -302,15 +324,14 @@ class _CliqueEngine:
             if psize + bounds[i] < need:
                 return
             v = order[i]
-            bv = 1 << v
             gi = group_of_layer[layer_of[v]]
             plist.append(v)
             used[gi] += 1
-            self._expand(plist, pmask | bv, cur & self.adj[v], used,
-                         alive and alive & clause_of[v], seen)
+            self._expand(plist, cur & self.adj[v], used,
+                         alive and alive & clause_of[v])
             used[gi] -= 1
             plist.pop()
-            cur ^= bv
+            cur ^= 1 << v
 
     def search(self, *, seed_vertices=None, collect_all=False,
                witness_cap=DEFAULT_WITNESS_CAP, deadline=None):
@@ -323,10 +344,15 @@ class _CliqueEngine:
         self.collect_all = collect_all
         self.witness_cap = witness_cap
         self.deadline = deadline
-        if self.forbidden or self.leaf_check is not None:
-            self.clause_of = [0] * self.nv
-            for j in range(len(self.forbidden)):
-                self._index_clause(j)
+        if self.forbidden:
+            clause_of = [0] * self.nv
+            for j, rest in enumerate(self.forbidden):
+                bj = 1 << j
+                while rest:
+                    b = rest & -rest
+                    clause_of[b.bit_length() - 1] |= bj
+                    rest ^= b
+            self.clause_of = clause_of
         if seed_vertices:
             self.best = len(seed_vertices)
             if not collect_all:
@@ -343,8 +369,7 @@ class _CliqueEngine:
                 used = [0] * len(self.groups)
                 used[gi] = 1
                 alive = self.clause_of[v] if self.clause_of else 0
-                self._expand([v], bv, self.adj[v] & later, used, alive,
-                             len(self.forbidden))
+                self._expand([v], self.adj[v] & later, used, alive)
         except _Timeout:
             timed_out = True
         if collect_all and seed_vertices and not self.collected:
@@ -357,10 +382,6 @@ class _CliqueEngine:
 
 def _resolve_budget(lattice_budget):
     return DEFAULT_SEARCH_LATTICE_BUDGET if lattice_budget is None else lattice_budget
-
-
-def _first_line(field, n):
-    return next(iter(enumerate_layer(field, n, 1, budget=None)))
 
 
 def _seed_family(field, n, d, budget):
@@ -462,34 +483,6 @@ def _materialize_witnesses(index, collected, d):
 # ---------------------------------------------------------------------------
 # admissible search
 
-def _ball_mask(index, center, radius):
-    return index.ball(index.position(center), radius)
-
-
-def _forbidden_mask_from_report(index, report, t):
-    """Vertex mask of the configuration named by an admissibility report."""
-    field, n = index.field, index.n
-    zero = Subspace.zero(field, n)
-    full = Subspace.full(field, n)
-    kind = report.witness_kind
-    if kind == "lower_layers":
-        return _ball_mask(index, zero, t)
-    if kind == "upper_layers":
-        return _ball_mask(index, full, t)
-    if kind == "ball":
-        return _ball_mask(index, report.witness_centers[0], t)
-    if kind == "canonical_double_ball":
-        x = report.witness_centers[0]
-        return _ball_mask(index, zero, t) | _ball_mask(index, x, t)
-    if kind == "canonical_double_ball_perp":
-        x = report.witness_centers[0]
-        return _ball_mask(index, full, t) | _ball_mask(index, x.perp(), t)
-    if kind == "double_ball":
-        c1, c2 = report.witness_centers
-        return _ball_mask(index, c1, t) | _ball_mask(index, c2, t)
-    raise AssertionError(f"unexpected witness kind {kind!r}")
-
-
 def _admissible_seed(field, n, d, family_class, budget):
     """Best known-by-construction admissible family, if any."""
     t = d // 2
@@ -539,8 +532,8 @@ def max_admissible_family(q, n, d, family_class, enumerate_all=False, *,
     """Exact maximum size of an admissible diameter-bounded family.
 
     family_class is one of A_even, B_even (even d) or A_odd, B_odd (odd d).
-    Containment constraints are enforced lazily: configurations discovered
-    to contain a record candidate become exclusion clauses.  Below the
+    Every forbidden configuration of the class is an exclusion clause of
+    the search; each witness is re-verified by is_admissible.  Below the
     stability theorems' hypothesis thresholds the result is reported as an
     observation, never asserted against the formulas.  timeout_secs runs
     from this call's entry, as in max_diameter_family.
@@ -560,34 +553,8 @@ def max_admissible_family(q, n, d, family_class, enumerate_all=False, *,
             f"{budget}", would_be_count=total)
     field = field_new(q)
     index = build_index(field, n, budget=budget)
-    engine = _CliqueEngine(index, d, structural_cap=structural_cap)
-
-    if family_class == "A_even":
-        zero = Subspace.zero(field, n)
-        full = Subspace.full(field, n)
-        engine.forbidden = [_ball_mask(index, zero, t),
-                            _ball_mask(index, full, t)]
-    elif family_class == "A_odd":
-        zero = Subspace.zero(field, n)
-        full = Subspace.full(field, n)
-        zmask = _ball_mask(index, zero, t)
-        fmask = _ball_mask(index, full, t)
-        masks = []
-        lo, hi = index.layer_range(1)
-        for x in index.subspaces[lo:hi]:
-            xmask = _ball_mask(index, x, t)
-            masks.append(zmask | xmask)
-            masks.append(fmask | _ball_mask(index, x.perp(), t))
-        engine.forbidden = masks
-
-    def leaf_check(plist, pmask):
-        fam = SubspaceFamily(field, n, [index.subspaces[v] for v in plist])
-        rep = is_admissible(fam, family_class, t, budget=None)
-        if rep.admissible:
-            return None
-        return _forbidden_mask_from_report(index, rep, t)
-
-    engine.leaf_check = leaf_check
+    engine = _CliqueEngine(index, d, family_class,
+                           structural_cap=structural_cap)
 
     seed = _admissible_seed(field, n, d, family_class, budget=None)
     seed_vertices = None
@@ -654,17 +621,11 @@ def _classify_witness(fam, q, n, d, field):
                              ("canonical_double_ball_perp", perp_family(fam))):
             supp = probe.support
             if supp[0] == 0 and supp[-1] == t + 1:
-                top = probe.layer(t + 1)
-                if top:
-                    common = top[0]
-                    for s in top[1:]:
-                        common = common.intersect(s)
-                        if common.dim == 0:
-                            break
-                    if common.dim >= 1:
-                        x = Subspace.from_generators(field, n, [common.rows[0]])
-                        if probe == canonical_double_ball(x, t, budget=None):
-                            return label, f"double ball at {x.to_token()}"
+                common = _common_subspace(probe.layer(t + 1))
+                if common.dim >= 1:
+                    x = _line_inside(common)
+                    if probe == canonical_double_ball(x, t, budget=None):
+                        return label, f"double ball at {x.to_token()}"
         return None, "not a canonical double ball or its perp"
     # boundary n = d + 1
     for k in range(t + 1):

@@ -180,14 +180,12 @@ class Subspace:
                     raise ValueError(f"entry {e} out of range for GF({q})")
             vecs.append(row)
         if q == 2:
-            packed = _rref_bits(_pack_row(v, n) for v in vecs)
+            packed = tuple(_rref_bits(_pack_row(v, n) for v in vecs))
             rows = tuple(_unpack_row(v, n) for v in packed)
             pivots = tuple(n - v.bit_length() for v in packed)
-        else:
-            rows_list, piv = _rref_table(field, n, vecs)
-            rows = tuple(rows_list)
-            pivots = tuple(piv)
-        return cls._from_rref(field, n, rows, pivots)
+            return cls(field, n, rows, pivots, packed)
+        rows, pivots = _rref_table(field, n, vecs)
+        return cls(field, n, tuple(rows), tuple(pivots), None)
 
     @classmethod
     def zero(cls, field, n):
@@ -379,44 +377,3 @@ class Subspace:
     def __repr__(self):
         return f"Subspace({self.to_token()!r})"
 
-
-def intersect_by_kernel(s: Subspace, t: Subspace) -> Subspace:
-    """Intersection by matching coefficient vectors, independent of perp().
-
-    Solves sum_i a_i s_i = sum_j b_j t_j: the kernel of the n x (ds+dt)
-    matrix whose columns are the basis rows of s and the negated basis rows
-    of t gives the coefficient pairs spanning the intersection.
-    """
-    s._check_ambient(t)
-    field = s.field
-    n = s.n
-    ds, dt = s.dim, t.dim
-    if ds == 0 or dt == 0:
-        return Subspace.zero(field, n)
-    neg = field.neg_table
-    cols = ds + dt
-    mat = []
-    for r in range(n):
-        row = [s.rows[i][r] for i in range(ds)]
-        row += [neg[t.rows[j][r]] for j in range(dt)]
-        mat.append(tuple(row))
-    reduced, pivots = _rref_table(field, cols, mat)
-    pivset = set(pivots)
-    add = field.add_table
-    mul = field.mul_table
-    gens = []
-    for f in range(cols):
-        if f in pivset:
-            continue
-        coeff = [0] * cols
-        coeff[f] = 1
-        for i, p in enumerate(pivots):
-            coeff[p] = neg[reduced[i][f]]
-        vec = [0] * n
-        for i in range(ds):
-            c = coeff[i]
-            if c:
-                mrow = mul[c]
-                vec = [add[v][mrow[e]] for v, e in zip(vec, s.rows[i])]
-        gens.append(vec)
-    return Subspace.from_generators(field, n, gens)

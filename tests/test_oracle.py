@@ -9,10 +9,9 @@ from qdiam.families import (SubspaceFamily, diameter_at_most,
                             is_admissible, lower_layers, upper_layers)
 from qdiam.gfq import SUPPORTED_ORDERS, field_new
 from qdiam.grassmann import build_index, enumerate_layer
-from qdiam.oracle import (_ball_mask, _CliqueEngine,
-                          max_admissible_family, max_diameter_family,
-                          run_sweep, sweep_hm_positive, sweep_lemma26,
-                          sweep_type_compare, sweep_type_ratio,
+from qdiam.oracle import (_CliqueEngine, max_admissible_family,
+                          max_diameter_family, run_sweep, sweep_hm_positive,
+                          sweep_lemma26, sweep_type_compare, sweep_type_ratio,
                           verify_characterization)
 from qdiam.qcount import kleitman_bound, type_a_even_bound
 from qdiam.subspace import Subspace
@@ -390,6 +389,10 @@ SMALL_LATTICES = [(q, n) for q in SUPPORTED_ORDERS for n in range(6)
 DESK_LATTICES = [(q, n) for q, n in SMALL_LATTICES if (q, n) != (3, 5)]
 
 
+def _ball_mask(index, center, radius):
+    return index.ball(index.position(center), radius)
+
+
 def _table_ball(table, nv, i, radius):
     """Vertex mask of row i of the byte distance table, thresholded at radius."""
     digits = bytes(ord("1") if x <= radius else ord("0") for x in range(256))
@@ -463,14 +466,35 @@ def test_engine_memory_budget_checked_before_allocation(monkeypatch):
     assert len(_CliqueEngine(index, 2).adj) == 16
 
 
+# Clauses of each class on F_2^3: the two canonical balls; two per line;
+# one ball per subspace; and one double ball per cover pair, 7 lines over 0,
+# 3 planes over each of the 7 lines and F_2^3 over each of the 7 planes.
+@pytest.mark.parametrize("family_class,d,clauses",
+                         [("A_even", 2, 2), ("A_odd", 3, 14),
+                          ("B_even", 2, 16), ("B_odd", 1, 35)])
+def test_clause_memory_budget_checked_before_allocation(monkeypatch, family_class,
+                                                        d, clauses):
+    index = build_index(F2, 3)
+    need = (16 * 16 + 16 * 2 ** 3 + 2 * clauses * 16 + 7) // 8
+    monkeypatch.setattr(oracle, "DEFAULT_DISTANCE_CELL_BUDGET", need - 1)
+    with pytest.raises(BudgetExceeded) as exc:
+        _CliqueEngine(index, d, family_class)
+    assert exc.value.would_be_count == need
+    assert index._masks is None
+    monkeypatch.setattr(oracle, "DEFAULT_DISTANCE_CELL_BUDGET", need)
+    assert len(_CliqueEngine(index, d, family_class).forbidden) == clauses
+
+
 # -- per-vertex clause index against the full clause scan --------------------------
 
 class _FullScanEngine(_CliqueEngine):
     """The engine with every node testing every clause, kept as reference."""
 
-    def _expand(self, plist, pmask, cand, used, alive=0, seen=0):
+    def _expand(self, plist, cand, used, alive=0):
         self.nodes += 1
-        union = pmask | cand
+        union = cand
+        for v in plist:
+            union |= 1 << v
         for fm in self.forbidden:
             if union & ~fm == 0:
                 return
@@ -478,7 +502,7 @@ class _FullScanEngine(_CliqueEngine):
         if self._group_bound(len(plist), used, cand) < need:
             return
         if not cand:
-            self._record(plist, pmask)
+            self._record(plist)
             return
         order, bounds = self._color_order(cand)
         cur = cand
@@ -488,14 +512,13 @@ class _FullScanEngine(_CliqueEngine):
             if psize + bounds[i] < need:
                 return
             v = order[i]
-            bv = 1 << v
             gi = self.group_of_layer[self.layer_of[v]]
             plist.append(v)
             used[gi] += 1
-            self._expand(plist, pmask | bv, cur & self.adj[v], used)
+            self._expand(plist, cur & self.adj[v], used)
             used[gi] -= 1
             plist.pop()
-            cur ^= bv
+            cur ^= 1 << v
 
 
 def _search_with(monkeypatch, engine_cls, q, n, d, family_class, enumerate_all):
@@ -539,6 +562,112 @@ def test_clause_index_matches_full_scan(monkeypatch, q, n, d, family_class):
     assert engine.forbidden == ref_engine.forbidden
     if family_class is None:
         assert engine.clause_of is None  # no clauses, no index
+
+
+# -- static clauses against clauses learned at the leaves ---------------------------
+
+def _forbidden_mask_from_report(index, report, t):
+    """Vertex mask of the configuration named by an admissibility report."""
+    field, n = index.field, index.n
+    zero = Subspace.zero(field, n)
+    full = Subspace.full(field, n)
+    kind = report.witness_kind
+    if kind == "lower_layers":
+        return _ball_mask(index, zero, t)
+    if kind == "upper_layers":
+        return _ball_mask(index, full, t)
+    if kind == "ball":
+        return _ball_mask(index, report.witness_centers[0], t)
+    if kind == "canonical_double_ball":
+        x = report.witness_centers[0]
+        return _ball_mask(index, zero, t) | _ball_mask(index, x, t)
+    if kind == "canonical_double_ball_perp":
+        x = report.witness_centers[0]
+        return _ball_mask(index, full, t) | _ball_mask(index, x.perp(), t)
+    if kind == "double_ball":
+        c1, c2 = report.witness_centers
+        return _ball_mask(index, c1, t) | _ball_mask(index, c2, t)
+    raise AssertionError(f"unexpected witness kind {kind!r}")
+
+
+class _LazyEngine(_FullScanEngine):
+    """Clauses learned at the leaves, kept as reference for the static ones.
+
+    Only the canonical A-class configurations start as clauses.  Every
+    record candidate is rebuilt as a family and checked by is_admissible;
+    a rejected one is not recorded, and the configuration that contains it
+    becomes a new clause.
+    """
+
+    def __init__(self, index, d, family_class=None, structural_cap=True):
+        static = family_class if family_class in ("A_even", "A_odd") else None
+        super().__init__(index, d, static, structural_cap=structural_cap)
+        self.family_class = family_class
+
+    def _record(self, plist):
+        if self.family_class is not None and len(plist) >= self.best:
+            index, t = self.index, self.d // 2
+            fam = SubspaceFamily(index.field, index.n,
+                                 [index.subspaces[v] for v in plist])
+            rep = is_admissible(fam, self.family_class, t, budget=None)
+            if not rep.admissible:
+                self.forbidden.append(_forbidden_mask_from_report(index, rep, t))
+                return
+        super()._record(plist)
+
+
+@pytest.mark.parametrize("q,n,d,family_class", CLAUSE_CASES)
+def test_static_clauses_match_lazy_learning(monkeypatch, q, n, d, family_class):
+    enumerate_all = (q, n, d, family_class) not in _COSTLY_ALL
+    ref, _ = _search_with(monkeypatch, _LazyEngine, q, n, d, family_class,
+                          enumerate_all)
+    rep, _ = _search_with(monkeypatch, _CliqueEngine, q, n, d, family_class,
+                          enumerate_all)
+    assert rep.optimum == ref.optimum
+    assert rep.witness_count == ref.witness_count
+    assert rep.witnesses == ref.witnesses
+    assert rep.nodes_explored <= ref.nodes_explored
+
+
+@pytest.mark.parametrize("q,n,d,family_class",
+                         [(3, 4, 1, "B_odd"), (2, 4, 2, "B_even")])
+def test_search_makes_no_admissibility_check(monkeypatch, q, n, d, family_class):
+    # is_admissible runs on the seed candidates and on the reported
+    # witnesses only; no search node builds a family.
+    phase = ["setup"]
+    calls = []
+
+    def in_phase(name, fn):
+        def run(*args, **kwargs):
+            phase[0] = name
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                phase[0] = "after " + name
+        return run
+
+    def counted(name, fn):
+        def run(*args, **kwargs):
+            calls.append((name, phase[0]))
+            return fn(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(oracle, "_admissible_seed",
+                        in_phase("seed", oracle._admissible_seed))
+    monkeypatch.setattr(_CliqueEngine, "search",
+                        in_phase("search", _CliqueEngine.search))
+    monkeypatch.setattr(oracle, "is_admissible",
+                        counted("is_admissible", oracle.is_admissible))
+    monkeypatch.setattr(oracle, "SubspaceFamily",
+                        counted("SubspaceFamily", oracle.SubspaceFamily))
+    rep = max_admissible_family(q, n, d, family_class)
+    assert ("is_admissible", "search") not in calls
+    assert ("SubspaceFamily", "search") not in calls
+    assert calls.count(("is_admissible", "after search")) == len(rep.witnesses)
+    if family_class == "B_odd":
+        assert rep.optimum == 0 and rep.infeasible
+    else:
+        assert rep.optimum == 8 and len(rep.witnesses) == 1
 
 
 # -- witness re-verification ---------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from qdiam.errors import AmbientMismatch, DimensionMismatch, ParseError
 from qdiam.gfq import SUPPORTED_ORDERS, field_new
 from qdiam.grassmann import build_index
-from qdiam.subspace import Subspace, intersect_by_kernel
+from qdiam.subspace import Subspace, _rref_table
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -188,6 +188,48 @@ def test_perp_isometry_random():
             assert a.perp().distance(b.perp()) == a.distance(b)
 
 
+def _intersect_by_kernel(s: Subspace, t: Subspace) -> Subspace:
+    """Intersection by matching coefficient vectors, independent of perp().
+
+    Solves sum_i a_i s_i = sum_j b_j t_j: the kernel of the n x (ds+dt)
+    matrix whose columns are the basis rows of s and the negated basis rows
+    of t gives the coefficient pairs spanning the intersection.
+    """
+    s._check_ambient(t)
+    field = s.field
+    n = s.n
+    ds, dt = s.dim, t.dim
+    if ds == 0 or dt == 0:
+        return Subspace.zero(field, n)
+    neg = field.neg_table
+    cols = ds + dt
+    mat = []
+    for r in range(n):
+        row = [s.rows[i][r] for i in range(ds)]
+        row += [neg[t.rows[j][r]] for j in range(dt)]
+        mat.append(tuple(row))
+    reduced, pivots = _rref_table(field, cols, mat)
+    pivset = set(pivots)
+    add = field.add_table
+    mul = field.mul_table
+    gens = []
+    for f in range(cols):
+        if f in pivset:
+            continue
+        coeff = [0] * cols
+        coeff[f] = 1
+        for i, p in enumerate(pivots):
+            coeff[p] = neg[reduced[i][f]]
+        vec = [0] * n
+        for i in range(ds):
+            c = coeff[i]
+            if c:
+                mrow = mul[c]
+                vec = [add[v][mrow[e]] for v, e in zip(vec, s.rows[i])]
+        gens.append(vec)
+    return Subspace.from_generators(field, n, gens)
+
+
 def test_intersect_matches_kernel_route():
     rng = random.Random(19)
     for q in SUPPORTED_ORDERS:
@@ -196,7 +238,7 @@ def test_intersect_matches_kernel_route():
             n = rng.randrange(1, 6 if q <= 4 else 4)
             a = random_subspace(field, n, rng)
             b = random_subspace(field, n, rng)
-            assert a.intersect(b) == intersect_by_kernel(a, b)
+            assert a.intersect(b) == _intersect_by_kernel(a, b)
 
 
 # -- order, vectors, serialization -------------------------------------------
