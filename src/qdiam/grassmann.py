@@ -19,13 +19,44 @@ from .subspace import Subspace
 
 DEFAULT_ENUM_BUDGET = 10**7
 # Bytes: the distance table takes one per lattice pair; clique adjacency takes
-# n_v^2 / 8 for its bitsets plus n_v q^n / 8 for the vector masks.
+# n_v^2 / 8 for its bitsets, n_v q^n / 8 for the vector masks and
+# n_v [n 1]_q / 8 for the line incidence columns.
 DEFAULT_DISTANCE_CELL_BUDGET = 2 * 1024**3
 
 
 def lattice_size(q: int, n: int) -> int:
     """Total number of subspaces of F_q^n."""
     return sum(gauss_binom(n, k, q) for k in range(n + 1))
+
+
+def ripple_add(planes, mask):
+    """Add one to the bit-sliced count of every vertex in mask, in place.
+
+    planes[j] holds bit j of every vertex's count, one bit position per
+    vertex, so each step updates all counts at once; a carry out of the top
+    plane becomes a new plane.
+    """
+    for j, p in enumerate(planes):
+        if not mask:
+            return
+        planes[j] = p ^ mask
+        mask &= p
+    if mask:
+        planes.append(mask)
+
+
+def _at_least(planes, t):
+    """Vertex mask of the bit-sliced counts that are >= t (t >= 1)."""
+    if t.bit_length() > len(planes):
+        return 0
+    above, equal = 0, -1  # -1: every vertex, until a plane narrows it
+    for j in range(len(planes) - 1, -1, -1):
+        if (t >> j) & 1:
+            equal &= planes[j]
+        else:
+            above |= equal & planes[j]
+            equal &= ~planes[j]
+    return above | equal
 
 
 def enumerate_layer(field: FieldSpec, n: int, k: int, budget: int | None = DEFAULT_ENUM_BUDGET):
@@ -66,15 +97,17 @@ def enumerate_layer(field: FieldSpec, n: int, k: int, budget: int | None = DEFAU
 class LatticeIndex:
     """All subspaces of F_q^n in canonical order, with layer offsets.
 
-    Distances come from the vector-set meet kernel: each subspace U carries
-    a bitmask m_U of its q^dim U vectors (``Subspace.vector_mask``), so
-    dim(U ∩ W) >= s iff popcount(m_U & m_W) >= q^s.  The masks are built
-    once, on first use.  The full pairwise byte table of row-elimination
-    distances is kept as the reference the kernel is tested against.
+    Distances come from line incidence: U ∩ W holds [dim(U ∩ W) 1]_q
+    lines, and those are the lines U and W share.  Each subspace carries a
+    bitmask of its q^dim vectors (``Subspace.vector_mask``); the lines a
+    mask holds give, per line, the vertex mask of the subspaces through it.
+    Both are built once, on first use.  The full pairwise byte table of
+    row-elimination distances is kept as the reference the masks are
+    tested against.
     """
 
     __slots__ = ("field", "n", "subspaces", "layer_bounds", "_pos", "_dist",
-                 "_masks")
+                 "_masks", "_incidence")
 
     def __init__(self, field, n, subspaces, layer_bounds):
         self.field = field
@@ -84,6 +117,7 @@ class LatticeIndex:
         self._pos = {s: i for i, s in enumerate(subspaces)}
         self._dist = None
         self._masks = None
+        self._incidence = None
 
     @property
     def size(self):
@@ -109,29 +143,73 @@ class LatticeIndex:
             self._masks = [s.vector_mask() for s in self.subspaces]
         return self._masks
 
+    def line_incidence(self):
+        """Materialize (once) the lines of every vertex and, per line, the
+        vertex mask of the subspaces that contain it.
+
+        A line's RREF row is its one vector with leading entry 1, so the
+        vector indices of those rows pick the lines out of any vector mask.
+        The columns are the transpose of the per-vertex line lists, written
+        as one digit string per line.
+        """
+        if self._incidence is None:
+            q = self.field.q
+            masks = self.vector_masks()
+            lo, hi = self.layer_bounds[1]
+            line_at = {}
+            for x in range(lo, hi):
+                v = 0
+                for e in self.subspaces[x].rows[0]:
+                    v = v * q + e
+                line_at[v] = x - lo
+            reps = sum(1 << v for v in line_at)
+            nv = len(self.subspaces)
+            digits = [bytearray(b"0" * nv) for _ in line_at]
+            lines_of = []
+            for w, m in enumerate(masks):
+                m &= reps
+                lines = []
+                while m:
+                    b = m & -m
+                    m ^= b
+                    x = line_at[b.bit_length() - 1]
+                    lines.append(x)
+                    digits[x][nv - 1 - w] = 49  # ord("1")
+                lines_of.append(lines)
+            self._incidence = (lines_of, [int(col, 2) for col in digits])
+        return self._incidence
+
     def ball(self, i: int, radius: int) -> int:
         """Vertex bitmask of the subspaces at distance <= radius from vertex i.
 
         With a = dim U_i and b the dimension of a layer, distance <= radius
         means dim(U_i ∩ W) >= s = ceil((a + b - radius) / 2).  Every pair
         meets in at least max(0, a + b - n) dimensions and at most min(a, b),
-        so whole layers are taken or skipped without looking at a pair.
+        so whole layers are taken or skipped without looking at a pair.  In
+        between, the incidence columns of U_i's lines are ripple-added into
+        bit planes that count, for every W at once, the [dim(U_i ∩ W) 1]_q
+        lines the two share; dim(U_i ∩ W) >= s iff that count is >= [s 1]_q.
         """
-        masks = self.vector_masks()
         n = self.n
         q = self.field.q
         a = self.subspaces[i].dim
-        mi = masks[i]
+        planes = None
+        at_least = {}
         out = 0
         for b, (lo, hi) in self.layer_bounds.items():
             s = (a + b - radius + 1) // 2
+            layer = (1 << hi) - (1 << lo)
             if s <= max(0, a + b - n):
-                out |= (1 << hi) - (1 << lo)
+                out |= layer
             elif s <= min(a, b):
-                thr = q ** s
-                bits = "".join(["1" if (mi & m).bit_count() >= thr else "0"
-                                for m in masks[lo:hi]])
-                out |= int(bits[::-1], 2) << lo
+                if planes is None:
+                    lines_of, columns = self.line_incidence()
+                    planes = []
+                    for x in lines_of[i]:
+                        ripple_add(planes, columns[x])
+                if s not in at_least:
+                    at_least[s] = _at_least(planes, (q ** s - 1) // (q - 1))
+                out |= at_least[s] & layer
         return out
 
     def distance_table(self, cell_budget: int = DEFAULT_DISTANCE_CELL_BUDGET) -> bytearray:

@@ -2,12 +2,15 @@
 
 The maximum bounded-diameter family problem is a maximum clique problem on
 the graph whose vertices are all subspaces and whose edges join pairs at
-distance at most d.  The engine branches in degeneracy order at the root
-with canonical tie-breaking, uses greedy-coloring upper bounds inside, and
-adds a domain cap: a partial solution together with its candidates can
-never place more than [n k] members on a complementary layer pair (k, n-k),
-so branches violating that die early.  The cap is what keeps the 374-vertex
-lattice of F_2^5 tractable; generic coloring alone stalls there.
+distance at most d.  Each adjacency row is a ball mask of the lattice
+index, and the degeneracy order peels vertices by bit-sliced degree
+counters, so neither loops over vertex pairs in Python.  The engine
+branches in degeneracy order at the root with canonical tie-breaking, uses
+greedy-coloring upper bounds inside, and adds a domain cap: a partial
+solution together with its candidates can never place more than [n k]
+members on a complementary layer pair (k, n-k), so branches violating that
+die early.  The cap is what keeps the 374-vertex lattice of F_2^5
+tractable; generic coloring alone stalls there.
 
 Admissibility ("not contained in any forbidden configuration") is not
 hereditary, so it cannot be folded into the graph.  Every class is instead
@@ -18,11 +21,12 @@ while the partial clique lies inside it, and the partial clique only grows
 on the way down, so the engine keeps a per-vertex index of the clauses
 containing each vertex: a node inherits its parent's live clauses narrowed
 by the vertex it adds and checks its candidates against the live ones
-alone.
+alone.  B_even's clauses are the radius-t balls, and the ball relation is
+symmetric, so that clause list is its own per-vertex index.
 
 Recorded witnesses are always re-verified by row elimination
-(``Subspace.distance``), a code path independent of the vector masks the
-adjacency came from; each distinct member pair is met once across all
+(``Subspace.distance``), a code path independent of the line incidence
+the adjacency came from; each distinct member pair is met once across all
 witnesses.  The timeout runs from the entry of the search functions, so
 the index, the seed and the adjacency count against it.
 
@@ -43,7 +47,7 @@ from .families import (SubspaceFamily, _common_subspace, _first_line,
                        lower_layers, perp_family, star, upper_layers)
 from .gfq import field_new
 from .grassmann import (DEFAULT_DISTANCE_CELL_BUDGET, build_index,
-                        enumerate_layer, lattice_size)
+                        enumerate_layer, lattice_size, ripple_add)
 from .qcount import (gauss_binom, hilton_milner_bound, kleitman_bound,
                      kleitman_in_range, odd_stability_bound,
                      odd_stability_in_range, small_s_nontrivial_bound,
@@ -131,9 +135,10 @@ class _CliqueEngine:
         clauses = {"A_even": 2, "A_odd": 2 * gauss_binom(n, 1, q), "B_even": nv,
                    "B_odd": sum(gauss_binom(n, k, q) * gauss_binom(n - k, 1, q)
                                 for k in range(n))}.get(family_class, 0)
-        # Adjacency bitsets, the index's vector masks, and the clauses with
-        # their per-vertex index, in bytes.
-        need = (nv * nv + nv * q ** n + 2 * clauses * nv + 7) // 8
+        # Adjacency bitsets, the index's vector masks and line incidence
+        # columns, and the clauses with their per-vertex index, in bytes.
+        need = (nv * nv + nv * q ** n + gauss_binom(n, 1, q) * nv
+                + 2 * clauses * nv + 7) // 8
         if need > DEFAULT_DISTANCE_CELL_BUDGET:
             raise BudgetExceeded(
                 f"adjacency of (q={q}, n={n}) needs {need} bytes, budget is "
@@ -162,9 +167,11 @@ class _CliqueEngine:
         else:
             self.groups.append(((1 << nv) - 1, nv))
         self.forbidden = self._clauses(family_class, d // 2)
-        # clause_of[v]: bit j set when clause j contains vertex v; built by
-        # search() only when there are clauses.
-        self.clause_of = None
+        # clause_of[v]: bit j set when clause j contains vertex v.  B_even's
+        # clause u is ball(u, t), and v lies in it exactly when u lies in
+        # ball(v, t), so that list is its own index; search() builds the
+        # others, when there are clauses.
+        self.clause_of = self.forbidden if family_class == "B_even" else None
         self.reset_counters()
 
     def _clauses(self, family_class, t):
@@ -214,39 +221,36 @@ class _CliqueEngine:
     def _degeneracy_order(self):
         """Peel minimum-degree vertices, canonical index as tie-break.
 
-        Alive vertices sit in per-degree bitmask buckets; the next vertex is
-        the lowest bit of the lowest non-empty bucket.  A removal lowers the
-        minimum degree by at most one, so the bucket scan resumes there.
+        The degrees are bit-sliced: plane j holds bit j of every vertex's
+        degree, built by ripple-adding the adjacency rows.  A top-down scan
+        of the planes keeps, at each plane, the alive vertices with a 0 bit
+        whenever there are any, which leaves those of minimum degree; the
+        next vertex is the lowest of them.  Removing it ripple-borrows one
+        from the degree of each alive neighbour.
         """
-        nv = self.nv
         adj = self.adj
-        alive = (1 << nv) - 1
-        degree = [adj[v].bit_count() for v in range(nv)]
-        buckets = [0] * (nv + 1)
-        for v, k in enumerate(degree):
-            buckets[k] |= 1 << v
+        planes = []
+        for row in adj:
+            ripple_add(planes, row)
+        alive = (1 << self.nv) - 1
         order = []
-        low = 0
-        for _ in range(nv):
-            while not buckets[low]:
-                low += 1
-            bucket = buckets[low]
-            b = bucket & -bucket
+        for _ in range(self.nv):
+            low = alive
+            for p in reversed(planes):
+                zero = low & ~p
+                if zero:
+                    low = zero
+            b = low & -low
             v = b.bit_length() - 1
-            buckets[low] = bucket ^ b
             order.append(v)
             alive ^= b
-            neigh = adj[v] & alive
-            while neigh:
-                b = neigh & -neigh
-                u = b.bit_length() - 1
-                neigh ^= b
-                k = degree[u]
-                buckets[k] ^= b
-                buckets[k - 1] |= b
-                degree[u] = k - 1
-            if low:
-                low -= 1
+            borrow = adj[v] & alive
+            j = 0
+            while borrow:
+                p = planes[j]
+                planes[j] = p ^ borrow
+                borrow &= ~p
+                j += 1
         return order
 
     def _color_order(self, cand):
@@ -344,7 +348,7 @@ class _CliqueEngine:
         self.collect_all = collect_all
         self.witness_cap = witness_cap
         self.deadline = deadline
-        if self.forbidden:
+        if self.forbidden and self.clause_of is None:
             clause_of = [0] * self.nv
             for j, rest in enumerate(self.forbidden):
                 bj = 1 << j

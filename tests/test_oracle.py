@@ -426,6 +426,91 @@ def _degeneracy_order_by_scan(adj, nv):
     return order
 
 
+def _popcount_ball(index, i, radius):
+    """The per-pair vector-mask popcount ball the line counters replaced."""
+    masks = index.vector_masks()
+    n = index.n
+    q = index.field.q
+    a = index.subspaces[i].dim
+    mi = masks[i]
+    out = 0
+    for b, (lo, hi) in index.layer_bounds.items():
+        s = (a + b - radius + 1) // 2
+        if s <= max(0, a + b - n):
+            out |= (1 << hi) - (1 << lo)
+        elif s <= min(a, b):
+            thr = q ** s
+            bits = "".join(["1" if (mi & m).bit_count() >= thr else "0"
+                            for m in masks[lo:hi]])
+            out |= int(bits[::-1], 2) << lo
+    return out
+
+
+def _degeneracy_order_by_buckets(adj, nv):
+    """The per-degree bucket queue the bit-sliced degrees replaced."""
+    alive = (1 << nv) - 1
+    degree = [adj[v].bit_count() for v in range(nv)]
+    buckets = [0] * (nv + 1)
+    for v, k in enumerate(degree):
+        buckets[k] |= 1 << v
+    order = []
+    low = 0
+    for _ in range(nv):
+        while not buckets[low]:
+            low += 1
+        bucket = buckets[low]
+        b = bucket & -bucket
+        v = b.bit_length() - 1
+        buckets[low] = bucket ^ b
+        order.append(v)
+        alive ^= b
+        neigh = adj[v] & alive
+        while neigh:
+            b = neigh & -neigh
+            u = b.bit_length() - 1
+            neigh ^= b
+            k = degree[u]
+            buckets[k] ^= b
+            buckets[k - 1] |= b
+            degree[u] = k - 1
+        if low:
+            low -= 1
+    return order
+
+
+@pytest.mark.parametrize("q,n", SMALL_LATTICES + [(2, 6)])
+def test_ball_matches_popcount_reference(q, n):
+    index = build_index(field_new(q), n, budget=None)
+    for radius in range(-1, n + 2):
+        for i in range(index.size):
+            assert index.ball(i, radius) == _popcount_ball(index, i, radius)
+
+
+@pytest.mark.parametrize("q,n", [(2, 6), (3, 5)])
+def test_degeneracy_order_matches_bucket_queue(q, n):
+    index = build_index(field_new(q), n, budget=None)
+    for d in range(n + 1):
+        engine = _CliqueEngine(index, d)
+        assert engine._degeneracy_order() == _degeneracy_order_by_buckets(engine.adj, index.size)
+
+
+def _clause_index_by_bits(clauses, nv):
+    """Per-vertex clause index transposed one bit at a time."""
+    clause_of = [0] * nv
+    for j, rest in enumerate(clauses):
+        while rest:
+            b = rest & -rest
+            clause_of[b.bit_length() - 1] |= 1 << j
+            rest ^= b
+    return clause_of
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_b_even_clause_list_is_its_own_index(q):
+    engine = _CliqueEngine(build_index(field_new(q), 4), 2, "B_even")
+    assert engine.clause_of == _clause_index_by_bits(engine.forbidden, engine.nv)
+
+
 @pytest.mark.parametrize("q,n", SMALL_LATTICES)
 def test_engine_adjacency_matches_distance_table(q, n):
     index = build_index(field_new(q), n, budget=None)
@@ -456,12 +541,12 @@ def test_ball_mask_matches_distance_table_rows(q, n):
 
 def test_engine_memory_budget_checked_before_allocation(monkeypatch):
     index = build_index(F2, 3)
-    need = (16 * 16 + 16 * 2 ** 3 + 7) // 8
+    need = (16 * 16 + 16 * 2 ** 3 + 7 * 16 + 7) // 8
     monkeypatch.setattr(oracle, "DEFAULT_DISTANCE_CELL_BUDGET", need - 1)
     with pytest.raises(BudgetExceeded) as exc:
         _CliqueEngine(index, 2)
     assert exc.value.would_be_count == need
-    assert index._masks is None
+    assert index._masks is None and index._incidence is None
     monkeypatch.setattr(oracle, "DEFAULT_DISTANCE_CELL_BUDGET", need)
     assert len(_CliqueEngine(index, 2).adj) == 16
 
@@ -475,12 +560,12 @@ def test_engine_memory_budget_checked_before_allocation(monkeypatch):
 def test_clause_memory_budget_checked_before_allocation(monkeypatch, family_class,
                                                         d, clauses):
     index = build_index(F2, 3)
-    need = (16 * 16 + 16 * 2 ** 3 + 2 * clauses * 16 + 7) // 8
+    need = (16 * 16 + 16 * 2 ** 3 + 7 * 16 + 2 * clauses * 16 + 7) // 8
     monkeypatch.setattr(oracle, "DEFAULT_DISTANCE_CELL_BUDGET", need - 1)
     with pytest.raises(BudgetExceeded) as exc:
         _CliqueEngine(index, d, family_class)
     assert exc.value.would_be_count == need
-    assert index._masks is None
+    assert index._masks is None and index._incidence is None
     monkeypatch.setattr(oracle, "DEFAULT_DISTANCE_CELL_BUDGET", need)
     assert len(_CliqueEngine(index, d, family_class).forbidden) == clauses
 
