@@ -7,16 +7,21 @@ diameter/support statistics, intersection predicates, and the admissibility
 checkers that decide whether a family escapes every forbidden configuration
 of a given class.
 
-All member-pair statistics share one scan, `_min_meet`;
+All member-pair statistics share one scan, `_min_meet`, which meets a
+pair by the popcount of its two vector masks (|U ∩ W| = q^dim(U ∩ W)) and
+masks each member once per scan, on first use;
 `cross_intersection_profile` takes the diameter from the same per-layer-pair
 minimum meets it reports, so a check scans each layer pair once.
+One-off subspaces (the candidate centers and their covers) meet the
+members by row elimination, `Subspace.distance`.
 
 Admissibility scans for the ball classes enumerate candidate centers but
 prune by dimension windows and by probing a few extreme members first;
 pruning is by provably necessary conditions only, so verdicts never depend
 on it.  The adjacent center pairs of B_odd are a center c1 and each of its
 covers c2, built directly from c1's row echelon form rather than by a scan
-of F_q^n.
+of F_q^n.  A cover moves every distance by exactly one, so a center with a
+probe farther than t + 1 has its covers skipped unbuilt.
 """
 
 from __future__ import annotations
@@ -230,6 +235,13 @@ def perp_family(fam: SubspaceFamily) -> SubspaceFamily:
 # ---------------------------------------------------------------------------
 # statistics
 
+# Member-pair scans meet by vector masks while F_q^n has at most this many
+# vectors (a mask is q^n bits); above it they meet by row elimination.  On
+# a 2-vCPU Xeon a mask repaid its build after 2-8 meets up to q^n = 8192,
+# but after 24 at q^n = 2^14, where each mask is 2 KB.
+MASK_MEET_MAX_VECTORS = 4096
+
+
 def _meet_dim(a: Subspace, b: Subspace) -> int:
     return a.dim + b.dim - a.rank_with(b)
 
@@ -238,9 +250,47 @@ def _min_meet(xs, ys, stop):
     """Smallest dim(a ∩ b) over the pairs a in xs, b in ys, and a pair that
     reaches it; ys=None means the pairs of distinct positions of xs.
 
-    The scan stops at the first pair meeting in at most `stop` dimensions.
-    Returns (None, None) when there is no pair.
+    Pairs are met in the order of combinations(xs, 2) or product(xs, ys),
+    and the scan stops at the first pair meeting in at most `stop`
+    dimensions.  Returns (None, None) when there is no pair.
+
+    A pair meets by popcount: U ∩ W holds q^dim(U ∩ W) vectors, the bits
+    the two vector masks share, so the scan compares counts and looks the
+    dimension up at the end.  Each member's mask is built on its first
+    meet and dropped when the scan returns, so a scan that stops early
+    masks only the members it reached.  Above MASK_MEET_MAX_VECTORS vectors
+    in F_q^n the scan meets by row elimination instead.
     """
+    same = ys is None
+    if same:
+        ys = xs
+    if not xs or not ys:
+        return None, None
+    q, n = xs[0].field.q, xs[0].n
+    if q ** n > MASK_MEET_MAX_VECTORS:
+        return _min_meet_by_rank(xs, None if same else ys, stop)
+    dim_of = {q ** m: m for m in range(n + 1)}
+    limit = q ** stop if stop >= 0 else 0  # a count <= limit stops the scan
+    best, pair = q ** n + 1, None
+    ymasks = [None] * len(ys)
+    for i, a in enumerate(xs):
+        ma = ymasks[i] if same else None
+        if ma is None:
+            ma = a.vector_mask()
+        for j in range(i + 1 if same else 0, len(ys)):
+            mb = ymasks[j]
+            if mb is None:
+                mb = ymasks[j] = ys[j].vector_mask()
+            c = (ma & mb).bit_count()
+            if c < best:
+                best, pair = c, (a, ys[j])
+                if c <= limit:
+                    return dim_of[c], pair
+    return (None, None) if pair is None else (dim_of[best], pair)
+
+
+def _min_meet_by_rank(xs, ys, stop):
+    """_min_meet by row elimination, for lattices too large for masks."""
     best, pair = None, None
     for a, b in combinations(xs, 2) if ys is None else product(xs, ys):
         m = _meet_dim(a, b)
@@ -495,6 +545,23 @@ def _covers_of(s: Subspace):
             yield Subspace._from_rref(field, n, tuple(rows), pivots)
 
 
+def _probes_left_to_cover(c1, probes, t):
+    """The probes farther than t from c1, which a cover c2 of c1 must bring
+    within t; None when one is farther than t + 1.
+
+    A cover moves every distance by exactly one, so such a probe is outside
+    every double ball around c1 and c1 needs no cover enumerated at all.
+    """
+    left = []
+    for p in probes:
+        dist = c1.distance(p)
+        if dist > t + 1:
+            return None
+        if dist > t:
+            left.append(p)
+    return left
+
+
 def is_admissible(fam: SubspaceFamily, family_class: str, t: int,
                   budget=DEFAULT_ENUM_BUDGET) -> AdmissibilityReport:
     """Decide whether fam has the right diameter and escapes every forbidden
@@ -568,8 +635,9 @@ def is_admissible(fam: SubspaceFamily, family_class: str, t: int,
     hi = min(n - 1, m + t)
     for k in range(lo, hi + 1):
         for c1 in enumerate_layer(field, n, k, budget=budget):
-            # Probes not already covered by c1 must all be covered by c2.
-            must_cover = [p for p in probes if c1.distance(p) > t]
+            must_cover = _probes_left_to_cover(c1, probes, t)
+            if must_cover is None:
+                continue
             for c2 in _covers_of(c1):
                 covered = True
                 for p in must_cover:

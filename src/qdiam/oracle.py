@@ -21,8 +21,10 @@ while the partial clique lies inside it, and the partial clique only grows
 on the way down, so the engine keeps a per-vertex index of the clauses
 containing each vertex: a node inherits its parent's live clauses narrowed
 by the vertex it adds and checks its candidates against the live ones
-alone.  B_even's clauses are the radius-t balls, and the ball relation is
-symmetric, so that clause list is its own per-vertex index.
+alone.  Every clause is a union of radius-t balls around its centres, and
+the ball relation is symmetric, so a vertex lies in a clause exactly when
+one of the clause's centres lies in the vertex's ball: the index is built
+from the centres' balls, and B_even's clause list is its own index.
 
 Recorded witnesses are always re-verified by row elimination
 (``Subspace.distance``), a code path independent of the line incidence
@@ -166,48 +168,63 @@ class _CliqueEngine:
                 self.groups.append((mask, cap))
         else:
             self.groups.append(((1 << nv) - 1, nv))
-        self.forbidden = self._clauses(family_class, d // 2)
-        # clause_of[v]: bit j set when clause j contains vertex v.  B_even's
-        # clause u is ball(u, t), and v lies in it exactly when u lies in
-        # ball(v, t), so that list is its own index; search() builds the
-        # others, when there are clauses.
-        self.clause_of = self.forbidden if family_class == "B_even" else None
+        self.forbidden, self.clause_of = self._clauses(family_class, d // 2)
         self.reset_counters()
 
     def _clauses(self, family_class, t):
-        """Vertex masks of the forbidden configurations of family_class.
+        """Vertex masks of the forbidden configurations of family_class, and
+        the per-vertex clause index clause_of: bit j of clause_of[v] is set
+        when clause j contains vertex v.  Without a class there are no
+        clauses and clause_of is None.
 
         A_even forbids the radius-t balls around 0 and F_q^n.  A_odd forbids,
         for every line x, the union of the balls around 0 and x and the union
         of those around F_q^n and x-perp.  B_even forbids every radius-t ball,
         and B_odd the union of the balls around c1 and c2 for every cover
         pair c1 < c2.
+
+        Every clause is a union of radius-t balls around its centres, and v
+        lies in ball(u, t) exactly when u lies in ball(v, t).  So B_even's
+        clause list is its own index, and for the other classes the clauses
+        centred at u are added to clause_of[v] for every v in ball(u, t).
         """
         if family_class is None:
-            return []
+            return [], None
         index = self.index
         top = self.nv - 1  # F_q^n
+        if family_class == "B_even":
+            balls = [index.ball(v, t) for v in range(self.nv)]
+            return balls, balls
         if family_class == "A_even":
-            return [index.ball(0, t), index.ball(top, t)]
-        if family_class == "A_odd":
-            zero, full = index.ball(0, t), index.ball(top, t)
-            clauses = []
+            centres = [(0,), (top,)]
+        elif family_class == "A_odd":
+            centres = []
             for x in range(*index.layer_range(1)):
                 perp = index.position(index.subspaces[x].perp())
-                clauses.append(zero | index.ball(x, t))
-                clauses.append(full | index.ball(perp, t))
-            return clauses
-        balls = [index.ball(v, t) for v in range(self.nv)]
-        if family_class == "B_even":
-            return balls
-        clauses = []
-        for c1, k in enumerate(self.layer_of[:top]):  # F_q^n has no cover
-            covers = index.ball(c1, 1) & self.layer_mask[k + 1]
-            while covers:
-                b = covers & -covers
-                clauses.append(balls[c1] | balls[b.bit_length() - 1])
-                covers ^= b
-        return clauses
+                centres += [(0, x), (top, perp)]
+        else:
+            centres = []
+            for c1, k in enumerate(self.layer_of[:top]):  # F_q^n has no cover
+                covers = index.ball(c1, 1) & self.layer_mask[k + 1]
+                while covers:
+                    b = covers & -covers
+                    centres.append((c1, b.bit_length() - 1))
+                    covers ^= b
+        ends = {}  # centre -> the indices of the clauses centred there
+        for j, cs in enumerate(centres):
+            for u in cs:
+                ends.setdefault(u, []).append(j)
+        balls = {u: index.ball(u, t) for u in ends}
+        clauses = [balls[cs[0]] | balls[cs[-1]] for cs in centres]
+        clause_of = [0] * self.nv
+        for u, js in ends.items():
+            mask = sum(1 << j for j in js)
+            rest = balls[u]
+            while rest:
+                b = rest & -rest
+                clause_of[b.bit_length() - 1] |= mask
+                rest ^= b
+        return clauses, clause_of
 
     def reset_counters(self):
         self.nodes = 0
@@ -348,15 +365,6 @@ class _CliqueEngine:
         self.collect_all = collect_all
         self.witness_cap = witness_cap
         self.deadline = deadline
-        if self.forbidden and self.clause_of is None:
-            clause_of = [0] * self.nv
-            for j, rest in enumerate(self.forbidden):
-                bj = 1 << j
-                while rest:
-                    b = rest & -rest
-                    clause_of[b.bit_length() - 1] |= bj
-                    rest ^= b
-            self.clause_of = clause_of
         if seed_vertices:
             self.best = len(seed_vertices)
             if not collect_all:

@@ -291,8 +291,12 @@ class Subspace:
         """Bitmask of the vectors of the subspace: bit i is set iff the vector
         whose base-q digits, most significant first, spell i lies in it.
 
-        For q = 2 the index of a vector is its packed row.  Two masks meet in
-        q^dim(U ∩ W) bits, so |U ∩ W| = popcount(mask(U) & mask(W)).
+        For q = 2 the index of a vector is its packed row.  For q > 2 the
+        indices of all q^dim vectors are built a column at a time: column j
+        of the combination with coefficients c holds sum_i c_i r_ij, listed
+        for every c in one fixed order, and each index takes the Horner step
+        index * q + digit.  Two masks meet in q^dim(U ∩ W) bits, so
+        |U ∩ W| = popcount(mask(U) & mask(W)).
         """
         if self.bits is not None:
             vecs = [0]
@@ -300,8 +304,17 @@ class Subspace:
                 vecs += [v ^ r for v in vecs]
         else:
             q = self.field.q
-            vecs = [int("".join([_DIGITS[e] for e in v]) or "0", q)
-                    for v in self.vectors()]
+            add, mul = self.field.add_table, self.field.mul_table
+            vecs = [0] * q ** len(self.rows)
+            for col in zip(*self.rows):
+                digits = [0]
+                for e in col:
+                    if e:
+                        digits += [add[mul[c][e]][x]
+                                   for c in range(1, q) for x in digits]
+                    else:
+                        digits *= q
+                vecs = [v * q + x for v, x in zip(vecs, digits)]
         mask = 0
         for v in vecs:
             mask |= 1 << v

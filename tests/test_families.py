@@ -1,11 +1,14 @@
 import io
 import random
+from itertools import combinations, product
 
 import pytest
 
 from qdiam.errors import (AmbientMismatch, EmptyFamily, InvalidConfiguration,
                           ParseError)
-from qdiam.families import (SubspaceFamily, _covers_of, ball,
+from qdiam import families
+from qdiam.families import (MASK_MEET_MAX_VECTORS, SubspaceFamily, _covers_of,
+                            _min_meet, ball,
                             canonical_double_ball, canonical_family,
                             cross_intersection_profile, diameter,
                             diameter_at_most, dim_spread, double_ball,
@@ -246,6 +249,62 @@ def test_diameter_matches_bruteforce():
                     a.intersect(b).dim >= s for a in xs for b in ys)
 
 
+def _min_meet_by_rows(xs, ys, stop):
+    """Reference: the member-pair scan meeting each pair by row elimination."""
+    best, pair = None, None
+    for a, b in combinations(xs, 2) if ys is None else product(xs, ys):
+        m = a.dim + b.dim - a.rank_with(b)
+        if best is None or m < best:
+            best, pair = m, (a, b)
+            if m <= stop:
+                break
+    return best, pair
+
+
+def _random_layer(field, n, k, rng, size):
+    layer = []
+    while len(layer) < size:
+        s = Subspace.from_generators(
+            field, n, [[rng.randrange(field.q) for _ in range(n)] for _ in range(k)])
+        if s.dim == k:
+            layer.append(s)
+    return layer
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_min_meet_matches_row_elimination(q):
+    # same (meet, pair) as the pair-by-pair row-elimination scan, for both
+    # shapes and for a stop that never fires, one at the floor and one at n
+    field = field_new(q)
+    rng = random.Random(q)
+    n = max(n for n in range(2, 6) if q ** n <= 256)
+    for a in range(n + 1):
+        for b in range(a, n + 1):
+            xs = _random_layer(field, n, a, rng, 6)
+            ys = _random_layer(field, n, b, rng, 5)
+            for stop in (-1, max(0, a + b - n), n):
+                assert _min_meet(xs, None, stop) == _min_meet_by_rows(xs, None, stop)
+                assert _min_meet(xs, ys, stop) == _min_meet_by_rows(xs, ys, stop)
+    assert _min_meet(xs[:1], None, -1) == (None, None)
+    assert _min_meet(xs, [], -1) == (None, None)
+
+
+def test_min_meet_above_mask_cap_meets_by_rows(monkeypatch):
+    n = 13
+    assert 2 ** n > MASK_MEET_MAX_VECTORS
+    rng = random.Random(13)
+    layers = [_random_layer(F2, n, k, rng, 4) for k in (3, 6, 9)]
+
+    def no_mask(self):
+        raise AssertionError("masked a subspace above the cap")
+
+    monkeypatch.setattr(Subspace, "vector_mask", no_mask)
+    for xs in layers:
+        for ys in [None] + layers:
+            for stop in (-1, 0, n):
+                assert _min_meet(xs, ys, stop) == _min_meet_by_rows(xs, ys, stop)
+
+
 def test_dim_spread_and_min_supp_norm():
     fam = lower_layers(F2, 5, 2)
     assert dim_spread(fam) == 2
@@ -419,6 +478,72 @@ def test_covers_match_vector_scan():
                     canon = Subspace.from_generators(field, n, c.rows)
                     assert (c.pivots, c.bits) == (canon.pivots, canon.bits)
             n += 1
+
+
+def _probes_left_unpruned(c1, probes, t):
+    """Reference: the probes farther than t from c1, never None, so the
+    B_odd scan enumerates the covers of every centre."""
+    return [p for p in probes if c1.distance(p) > t]
+
+
+def _b_odd_cases(field, n, rng):
+    """Random families, balls, double balls around a cover pair, random
+    halves of those double balls and, where n >= t + 2, the admissible
+    Hilton-Milner family K(x, y) and a random half of it, for t = 0, 1, 2."""
+    for t in range(min(2, n) + 1):
+        yield random_family(field, n, rng, rng.randrange(1, 6)), t
+        c1 = _random_layer(field, n, rng.randrange(n), rng, 1)[0]
+        c2 = rng.choice(list(_covers_of(c1)))
+        yield ball(c1, t), t
+        for fam in (double_ball(c1, c2, t), _random_k_family(field, n, t, rng)):
+            if fam is not None:
+                yield fam, t
+                half = rng.sample(fam.members, (len(fam) + 1) // 2)
+                yield SubspaceFamily(field, n, half), t
+
+
+def _random_k_family(field, n, t, rng):
+    if t == 0 or n < t + 2:
+        return None
+    y = _random_layer(field, n, t + 1, rng, 1)[0]
+    while True:
+        x = _random_layer(field, n, 1, rng, 1)[0]
+        if not y.contains(x):
+            return extremal_odd_family(x, y)
+
+
+# The unpruned reference takes 8 s at (3,5) and 3 s at (4,4); both stay out.
+@pytest.mark.parametrize("q,n", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3),
+                                 (3, 4), (4, 2), (4, 3)])
+def test_b_odd_prune_matches_unpruned_scan(monkeypatch, q, n):
+    field = field_new(q)
+    rng = random.Random(100 * q + n)
+    cases = [case for _ in range(3) for case in _b_odd_cases(field, n, rng)]
+    pruned = [is_admissible(fam, "B_odd", t) for fam, t in cases]
+    monkeypatch.setattr(families, "_probes_left_to_cover", _probes_left_unpruned)
+    assert pruned == [is_admissible(fam, "B_odd", t) for fam, t in cases]
+
+
+def test_b_odd_scan_expands_no_centre_with_a_far_probe(monkeypatch):
+    # an admissible family: the scan visits every centre of its window and
+    # enumerates covers for exactly those with every probe within t + 1
+    n, t = 5, 2
+    fam = extremal_odd_family(axis_line(F2, n), axis_subspace(F2, n, [1, 2, 3]))
+    expanded = []
+    covers_of = families._covers_of
+
+    def counted_covers_of(c1):
+        expanded.append(c1)
+        return covers_of(c1)
+
+    monkeypatch.setattr(families, "_covers_of", counted_covers_of)
+    assert is_admissible(fam, "B_odd", t).admissible
+    probes = families._probe_members(fam)
+    window = [c1 for k in range(max(fam.support) - t - 1, min(fam.support) + t + 1)
+              for c1 in enumerate_layer(F2, n, k)]
+    near = [c1 for c1 in window if all(c1.distance(p) <= t + 1 for p in probes)]
+    assert expanded == near
+    assert 0 < len(near) < len(window)
 
 
 def test_is_admissible_validates_class():

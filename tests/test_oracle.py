@@ -511,6 +511,14 @@ def test_b_even_clause_list_is_its_own_index(q):
     assert engine.clause_of == _clause_index_by_bits(engine.forbidden, engine.nv)
 
 
+@pytest.mark.parametrize("q,n,d,family_class",
+                         [(q, n, 3, cls) for q, n in ((2, 4), (3, 4), (2, 5))
+                          for cls in ("A_odd", "B_odd")] + [(2, 4, 2, "A_even")])
+def test_clause_index_from_centres_matches_transposition(q, n, d, family_class):
+    engine = _CliqueEngine(build_index(field_new(q), n), d, family_class)
+    assert engine.clause_of == _clause_index_by_bits(engine.forbidden, engine.nv)
+
+
 @pytest.mark.parametrize("q,n", SMALL_LATTICES)
 def test_engine_adjacency_matches_distance_table(q, n):
     index = build_index(field_new(q), n, budget=None)

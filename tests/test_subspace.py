@@ -260,6 +260,26 @@ def test_vectors_enumeration():
     assert all(s.contains(span(F3, 3, v)) for v in vecs)
 
 
+def _vector_mask_by_parse(s):
+    """Reference: each vector of vectors() spelled as base-q digits and
+    parsed as a base-q integer."""
+    mask = 0
+    for v in s.vectors():
+        mask |= 1 << int("".join("0123456789abcdef"[e] for e in v) or "0", s.field.q)
+    return mask
+
+
+def test_vector_mask_matches_parsed_vectors():
+    # every subspace of every lattice with q^n <= 256, q > 2
+    for q in [q for q in SUPPORTED_ORDERS if q > 2]:
+        field = field_new(q)
+        n = 0
+        while q ** n <= 256:
+            for s in build_index(field, n, budget=None).subspaces:
+                assert s.vector_mask() == _vector_mask_by_parse(s)
+            n += 1
+
+
 def test_token_round_trip():
     rng = random.Random(29)
     for field in (F2, F3, field_new(4)):
