@@ -27,12 +27,13 @@ probe farther than t + 1 has its covers skipped unbuilt.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 
-from .errors import (AmbientMismatch, EmptyFamily, InvalidConfiguration,
-                     ParseError)
+from .errors import (AmbientMismatch, BudgetExceeded, EmptyFamily,
+                     InvalidConfiguration, ParseError)
 from .gfq import field_new
-from .grassmann import DEFAULT_ENUM_BUDGET, enumerate_layer
+from .grassmann import (DEFAULT_DISTANCE_CELL_BUDGET, DEFAULT_ENUM_BUDGET,
+                        enumerate_layer)
 from .subspace import Subspace, _rref_table
 
 
@@ -235,13 +236,6 @@ def perp_family(fam: SubspaceFamily) -> SubspaceFamily:
 # ---------------------------------------------------------------------------
 # statistics
 
-# Member-pair scans meet by vector masks while F_q^n has at most this many
-# vectors (a mask is q^n bits); above it they meet by row elimination.  On
-# a 2-vCPU Xeon a mask repaid its build after 2-8 meets up to q^n = 8192,
-# but after 24 at q^n = 2^14, where each mask is 2 KB.
-MASK_MEET_MAX_VECTORS = 4096
-
-
 def _meet_dim(a: Subspace, b: Subspace) -> int:
     return a.dim + b.dim - a.rank_with(b)
 
@@ -258,8 +252,9 @@ def _min_meet(xs, ys, stop):
     the two vector masks share, so the scan compares counts and looks the
     dimension up at the end.  Each member's mask is built on its first
     meet and dropped when the scan returns, so a scan that stops early
-    masks only the members it reached.  Above MASK_MEET_MAX_VECTORS vectors
-    in F_q^n the scan meets by row elimination instead.
+    masks only the members it reached.  A mask is q^n bits; the scan
+    raises BudgetExceeded when the masks of ys would take more than
+    DEFAULT_DISTANCE_CELL_BUDGET bytes.
     """
     same = ys is None
     if same:
@@ -267,8 +262,10 @@ def _min_meet(xs, ys, stop):
     if not xs or not ys:
         return None, None
     q, n = xs[0].field.q, xs[0].n
-    if q ** n > MASK_MEET_MAX_VECTORS:
-        return _min_meet_by_rank(xs, None if same else ys, stop)
+    if len(ys) * q ** n > 8 * DEFAULT_DISTANCE_CELL_BUDGET:
+        raise BudgetExceeded(
+            f"vector masks of {len(ys)} members of GF({q})^{n} exceed the "
+            f"byte budget", would_be_count=len(ys) * q ** n // 8)
     dim_of = {q ** m: m for m in range(n + 1)}
     limit = q ** stop if stop >= 0 else 0  # a count <= limit stops the scan
     best, pair = q ** n + 1, None
@@ -287,18 +284,6 @@ def _min_meet(xs, ys, stop):
                 if c <= limit:
                     return dim_of[c], pair
     return (None, None) if pair is None else (dim_of[best], pair)
-
-
-def _min_meet_by_rank(xs, ys, stop):
-    """_min_meet by row elimination, for lattices too large for masks."""
-    best, pair = None, None
-    for a, b in combinations(xs, 2) if ys is None else product(xs, ys):
-        m = _meet_dim(a, b)
-        if best is None or m < best:
-            best, pair = m, (a, b)
-            if m <= stop:
-                break
-    return best, pair
 
 
 def _layer_pairs_by_dimsum(fam):

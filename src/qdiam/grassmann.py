@@ -20,7 +20,8 @@ from .subspace import Subspace
 DEFAULT_ENUM_BUDGET = 10**7
 # Bytes: the distance table takes one per lattice pair; clique adjacency takes
 # n_v^2 / 8 for its bitsets, n_v q^n / 8 for the vector masks and
-# n_v [n 1]_q / 8 for the line incidence columns.
+# n_v [n 1]_q / 8 for the line incidence columns.  A member-pair scan takes
+# q^n / 8 for each member's vector mask.
 DEFAULT_DISTANCE_CELL_BUDGET = 2 * 1024**3
 
 

