@@ -46,22 +46,27 @@ _ENV_LATTICE = "QDIAM_MAX_LATTICE"
 _ENV_TIMEOUT = "QDIAM_TIMEOUT_SECS"
 
 
+def _env_number(name, convert):
+    """The environment variable parsed by convert, or None when unset."""
+    text = os.environ.get(name)
+    try:
+        return None if text is None else convert(text)
+    except ValueError:
+        raise QdiamError(
+            f"{name}={text!r} is not a valid {convert.__name__}") from None
+
+
 def _resolve_budget(args):
     if getattr(args, "budget", None) is not None:
         return args.budget
-    env = os.environ.get(_ENV_LATTICE)
-    if env is not None:
-        return int(env)
-    return None
+    return _env_number(_ENV_LATTICE, int)
 
 
 def _resolve_timeout(args):
     if getattr(args, "timeout", None) is not None:
         return float(args.timeout)
-    env = os.environ.get(_ENV_TIMEOUT)
-    if env is not None:
-        return float(env)
-    return DEFAULT_TIMEOUT_SECS
+    env = _env_number(_ENV_TIMEOUT, float)
+    return DEFAULT_TIMEOUT_SECS if env is None else env
 
 
 def _emit(args, payload_text, payload_json):

@@ -34,7 +34,7 @@ from .errors import (AmbientMismatch, BudgetExceeded, EmptyFamily,
 from .gfq import field_new
 from .grassmann import (DEFAULT_DISTANCE_CELL_BUDGET, DEFAULT_ENUM_BUDGET,
                         enumerate_layer)
-from .subspace import Subspace, _rref_table
+from .subspace import Subspace
 
 
 class SubspaceFamily:
@@ -497,9 +497,8 @@ def _covers_of(s: Subspace):
     cover outside s, and the covers come out in increasing order of it.
     """
     field, n = s.field, s.n
-    mul, sub, inv = field.mul_table, field.sub_table, field.inv_table
-    _, rev_pivots = _rref_table(field, n, [r[::-1] for r in s.rows])
-    taken = {n - 1 - p for p in rev_pivots}
+    rev = Subspace.from_generators(field, n, [r[::-1] for r in s.rows])
+    taken = {n - 1 - p for p in rev.pivots}
     free = [j for j in range(n) if j not in taken]
     for top, f in enumerate(free):
         below = free[:top][::-1]  # most significant first
@@ -508,26 +507,7 @@ def _covers_of(s: Subspace):
             v[f] = 1
             for j, e in zip(below, digits):
                 v[j] = e
-            # RREF of s + <v>: reduce v by s, scale, clear its column from s.
-            for r, p in zip(s.rows, s.pivots):
-                c = v[p]
-                if c:
-                    mrow = mul[c]
-                    v = [sub[a][mrow[b]] for a, b in zip(v, r)]
-            lead = next(j for j, e in enumerate(v) if e)
-            mrow = mul[inv[v[lead]]]
-            v = tuple(mrow[e] for e in v)
-            rows = []
-            for r in s.rows:
-                c = r[lead]
-                if c:
-                    mrow = mul[c]
-                    r = tuple(sub[a][mrow[b]] for a, b in zip(r, v))
-                rows.append(r)
-            at = sum(1 for p in s.pivots if p < lead)
-            rows.insert(at, v)
-            pivots = s.pivots[:at] + (lead,) + s.pivots[at:]
-            yield Subspace._from_rref(field, n, tuple(rows), pivots)
+            yield Subspace.from_generators(field, n, s.rows + (tuple(v),))
 
 
 def _probes_left_to_cover(c1, probes, t):

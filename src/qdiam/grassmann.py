@@ -15,7 +15,7 @@ from itertools import combinations, product
 from .errors import BudgetExceeded
 from .gfq import FieldSpec
 from .qcount import gauss_binom
-from .subspace import Subspace
+from .subspace import Subspace, vector_index
 
 DEFAULT_ENUM_BUDGET = 10**7
 # Bytes: the distance table takes one per lattice pair; clique adjacency takes
@@ -157,12 +157,8 @@ class LatticeIndex:
             q = self.field.q
             masks = self.vector_masks()
             lo, hi = self.layer_bounds[1]
-            line_at = {}
-            for x in range(lo, hi):
-                v = 0
-                for e in self.subspaces[x].rows[0]:
-                    v = v * q + e
-                line_at[v] = x - lo
+            line_at = {vector_index(self.subspaces[x].rows[0], q): x - lo
+                       for x in range(lo, hi)}
             reps = sum(1 << v for v in line_at)
             nv = len(self.subspaces)
             digits = [bytearray(b"0" * nv) for _ in line_at]

@@ -38,15 +38,17 @@ final canonical sort of witnesses.
 
 from __future__ import annotations
 
+import io
 import time
 from collections import Counter
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, NotExhaustive, ParameterOutOfRange
-from .families import (SubspaceFamily, _common_subspace, _first_line,
-                       _line_inside, canonical_double_ball, diameter_at_most,
+from .families import (SubspaceFamily, _contained_canonical_double_ball,
+                       _first_line, canonical_double_ball, diameter_at_most,
                        extremal_odd_family, is_admissible, is_s_intersecting,
-                       lower_layers, perp_family, star, upper_layers)
+                       lower_layers, perp_family, star, upper_layers,
+                       write_family)
 from .gfq import field_new
 from .grassmann import (DEFAULT_DISTANCE_CELL_BUDGET, build_index,
                         enumerate_layer, lattice_size, ripple_add)
@@ -90,9 +92,9 @@ class SearchReport:
         """JSON form; all counts are decimal strings, witnesses family files."""
         witness_files = []
         for fam in self.witnesses:
-            lines = [f"family {self.q} {self.n} {len(fam)}"]
-            lines.extend(s.to_token() for s in fam)
-            witness_files.append("\n".join(lines) + "\n")
+            buf = io.StringIO()
+            write_family(fam, buf)
+            witness_files.append(buf.getvalue())
         return {
             "schema": "qdiam.search_report/1",
             "parameters": {"q": self.q, "n": self.n, "d": self.d,
@@ -392,10 +394,6 @@ class _CliqueEngine:
         return self.best, self.collected, self.collected_count, self.nodes, timed_out
 
 
-def _resolve_budget(lattice_budget):
-    return DEFAULT_SEARCH_LATTICE_BUDGET if lattice_budget is None else lattice_budget
-
-
 def _seed_family(field, n, d, budget):
     """Largest known-by-construction family of diameter <= d (verified)."""
     t = d // 2
@@ -407,6 +405,22 @@ def _seed_family(field, n, d, budget):
     if not ok:
         raise AssertionError("seed construction violates the diameter bound")
     return fam
+
+
+def _search_index(q, n, d, witness_cap, lattice_budget):
+    """The lattice index of a search, after refusing negative n, d or
+    witness cap and a lattice larger than the budget."""
+    for name, value in (("n", n), ("d", d), ("witness cap", witness_cap)):
+        if value < 0:
+            raise ParameterOutOfRange(f"{name} must be >= 0, got {value}")
+    budget = (DEFAULT_SEARCH_LATTICE_BUDGET if lattice_budget is None
+              else lattice_budget)
+    total = lattice_size(q, n)
+    if total > budget:
+        raise BudgetExceeded(
+            f"lattice (q={q}, n={n}) has {total} subspaces, search budget is "
+            f"{budget}", would_be_count=total)
+    return build_index(field_new(q), n, budget=budget)
 
 
 def max_diameter_family(q, n, d, enumerate_all=False, *, lattice_budget=None,
@@ -422,14 +436,8 @@ def max_diameter_family(q, n, d, enumerate_all=False, *, lattice_budget=None,
     """
     start = time.monotonic()
     deadline = None if timeout_secs is None else start + timeout_secs
-    budget = _resolve_budget(lattice_budget)
-    total = lattice_size(q, n)
-    if total > budget:
-        raise BudgetExceeded(
-            f"lattice (q={q}, n={n}) has {total} subspaces, search budget is "
-            f"{budget}", would_be_count=total)
-    field = field_new(q)
-    index = build_index(field, n, budget=budget)
+    index = _search_index(q, n, d, witness_cap, lattice_budget)
+    field = index.field
     seed = _seed_family(field, n, d, budget=None)
     seed_vertices = sorted(index.position(s) for s in seed)
     engine = _CliqueEngine(index, d, structural_cap=structural_cap)
@@ -557,14 +565,8 @@ def max_admissible_family(q, n, d, family_class, enumerate_all=False, *,
         raise ParameterOutOfRange(
             f"class {family_class} needs {'even' if even_class else 'odd'} d, got {d}")
     t = d // 2
-    budget = _resolve_budget(lattice_budget)
-    total = lattice_size(q, n)
-    if total > budget:
-        raise BudgetExceeded(
-            f"lattice (q={q}, n={n}) has {total} subspaces, search budget is "
-            f"{budget}", would_be_count=total)
-    field = field_new(q)
-    index = build_index(field, n, budget=budget)
+    index = _search_index(q, n, d, witness_cap, lattice_budget)
+    field = index.field
     engine = _CliqueEngine(index, d, family_class,
                            structural_cap=structural_cap)
 
@@ -631,13 +633,9 @@ def _classify_witness(fam, q, n, d, field):
             return None, "not a full lower/upper layer union"
         for label, probe in (("canonical_double_ball", fam),
                              ("canonical_double_ball_perp", perp_family(fam))):
-            supp = probe.support
-            if supp[0] == 0 and supp[-1] == t + 1:
-                common = _common_subspace(probe.layer(t + 1))
-                if common.dim >= 1:
-                    x = _line_inside(common)
-                    if probe == canonical_double_ball(x, t, budget=None):
-                        return label, f"double ball at {x.to_token()}"
+            x = _contained_canonical_double_ball(probe, t)
+            if x is not None and probe == canonical_double_ball(x, t, budget=None):
+                return label, f"double ball at {x.to_token()}"
         return None, "not a canonical double ball or its perp"
     # boundary n = d + 1
     for k in range(t + 1):

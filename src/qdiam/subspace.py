@@ -4,7 +4,9 @@ A subspace is stored as its reduced row echelon basis (RREF), which is the
 unique canonical representative, so structural equality of the stored rows
 is equality of subspaces and hashing is cheap.  Rows are tuples of field
 elements; for q = 2 a bit-packed copy of each row (column j <-> bit n-1-j)
-is kept alongside and all rank computations run word-parallel on ints.
+is kept alongside.  Each row format has one forward-elimination core: a
+rank is the length of its output, and the RREF is that output normalised
+and back-substituted.
 
 The distance between subspaces U, W is
 
@@ -25,13 +27,14 @@ _DIGIT_VALUE = {c: i for i, c in enumerate(_DIGITS)}
 
 
 # ---------------------------------------------------------------------------
-# row reduction primitives
+# row reduction: one forward-elimination core per row format
 
-def _pack_row(row, n):
+def vector_index(row, q):
+    """Index of a vector: its base-q digits, most significant first (for
+    q = 2, the bit-packed row)."""
     v = 0
-    for j, e in enumerate(row):
-        if e:
-            v |= 1 << (n - 1 - j)
+    for e in row:
+        v = v * q + e
     return v
 
 
@@ -39,25 +42,8 @@ def _unpack_row(v, n):
     return tuple((v >> (n - 1 - j)) & 1 for j in range(n))
 
 
-def _rref_bits(vecs):
-    """Full RREF over GF(2) on bit-packed rows; returns rows sorted by pivot."""
-    piv = {}
-    for v in vecs:
-        for h, r in piv.items():
-            if (v >> h) & 1:
-                v ^= r
-        if not v:
-            continue
-        h = v.bit_length() - 1
-        for hb in list(piv):
-            if (piv[hb] >> h) & 1:
-                piv[hb] ^= v
-        piv[h] = v
-    return [piv[h] for h in sorted(piv, reverse=True)]
-
-
-def _rank_bits(vecs):
-    """Rank of bit-packed rows (forward elimination only)."""
+def _echelon_bits(vecs):
+    """Forward elimination of bit-packed rows: {leading bit: row}."""
     piv = {}
     for v in vecs:
         while v:
@@ -67,49 +53,30 @@ def _rank_bits(vecs):
                 piv[h] = v
                 break
             v ^= r
-    return len(piv)
+    return piv
 
 
-def _rref_table(field, n, rows):
-    """Full RREF over GF(q) via table arithmetic; returns (rows, pivots)."""
+def _rref_bits(vecs):
+    """Full RREF over GF(2) on bit-packed rows; returns rows sorted by pivot."""
+    rows = []
+    for h, v in sorted(_echelon_bits(vecs).items()):
+        # each kept row is zero at every pivot but its own, so one pass
+        # clears v at all lower pivots
+        for hb, r in rows:
+            if (v >> hb) & 1:
+                v ^= r
+        rows.append((h, v))
+    return [v for _, v in reversed(rows)]
+
+
+def _echelon_table(field, n, rows):
+    """Forward elimination over GF(q) on copies of the rows; returns the
+    echelon rows (leading entries not normalised) and their pivots."""
     mat = [list(r) for r in rows]
     mul = field.mul_table
     sub = field.sub_table
     inv = field.inv_table
     pivots = []
-    rank = 0
-    for col in range(n):
-        sel = None
-        for i in range(rank, len(mat)):
-            if mat[i][col]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        mat[rank], mat[sel] = mat[sel], mat[rank]
-        row = mat[rank]
-        c = row[col]
-        if c != 1:
-            mrow = mul[inv[c]]
-            for j in range(col, n):
-                row[j] = mrow[row[j]]
-        for i in range(len(mat)):
-            ri = mat[i]
-            if i != rank and ri[col]:
-                mrow = mul[ri[col]]
-                for j in range(col, n):
-                    ri[j] = sub[ri[j]][mrow[row[j]]]
-        pivots.append(col)
-        rank += 1
-    return [tuple(r) for r in mat[:rank]], pivots
-
-
-def _rank_table(field, n, rows):
-    """Rank over GF(q) by forward elimination on copies of the rows."""
-    mat = [list(r) for r in rows]
-    mul = field.mul_table
-    sub = field.sub_table
-    inv = field.inv_table
     rank = 0
     nrows = len(mat)
     for col in range(n):
@@ -129,10 +96,34 @@ def _rank_table(field, n, rows):
                 mrow = mul[mul[ri[col]][ic]]
                 for j in range(col, n):
                     ri[j] = sub[ri[j]][mrow[row[j]]]
+        pivots.append(col)
         rank += 1
         if rank == nrows:
             break
-    return rank
+    return mat[:rank], pivots
+
+
+def _rref_table(field, n, rows):
+    """Full RREF over GF(q) via table arithmetic; returns (rows, pivots)."""
+    mat, pivots = _echelon_table(field, n, rows)
+    mul = field.mul_table
+    sub = field.sub_table
+    inv = field.inv_table
+    for i in range(len(mat) - 1, -1, -1):
+        row = mat[i]
+        col = pivots[i]
+        c = row[col]
+        if c != 1:
+            mrow = mul[inv[c]]
+            for j in range(col, n):
+                row[j] = mrow[row[j]]
+        # row i is clear at every later pivot, so those columns stay clear
+        for ri in mat[:i]:
+            if ri[col]:
+                mrow = mul[ri[col]]
+                for j in range(col, n):
+                    ri[j] = sub[ri[j]][mrow[row[j]]]
+    return [tuple(r) for r in mat], pivots
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +148,7 @@ class Subspace:
 
     @classmethod
     def _from_rref(cls, field, n, rows, pivots):
-        bits = tuple(_pack_row(r, n) for r in rows) if field.q == 2 else None
+        bits = tuple(vector_index(r, 2) for r in rows) if field.q == 2 else None
         return cls(field, n, rows, pivots, bits)
 
     @classmethod
@@ -180,7 +171,7 @@ class Subspace:
                     raise ValueError(f"entry {e} out of range for GF({q})")
             vecs.append(row)
         if q == 2:
-            packed = tuple(_rref_bits(_pack_row(v, n) for v in vecs))
+            packed = tuple(_rref_bits(vector_index(v, 2) for v in vecs))
             rows = tuple(_unpack_row(v, n) for v in packed)
             pivots = tuple(n - v.bit_length() for v in packed)
             return cls(field, n, rows, pivots, packed)
@@ -234,8 +225,8 @@ class Subspace:
     def rank_with(self, other: "Subspace") -> int:
         """dim(self + other) without building the canonical sum."""
         if self.bits is not None:
-            return _rank_bits(self.bits + other.bits)
-        return _rank_table(self.field, self.n, self.rows + other.rows)
+            return len(_echelon_bits(self.bits + other.bits))
+        return len(_echelon_table(self.field, self.n, self.rows + other.rows)[1])
 
     def distance(self, other: "Subspace") -> int:
         """The subspace metric dim(U+W) - dim(U∩W) = dimU + dimW - 2dim(U∩W)."""
@@ -269,7 +260,7 @@ class Subspace:
 
     def vector_mask(self) -> int:
         """Bitmask of the vectors of the subspace: bit i is set iff the vector
-        whose base-q digits, most significant first, spell i lies in it.
+        with ``vector_index`` i lies in it.
 
         For q = 2 the index of a vector is its packed row.  For q > 2 the
         indices of all q^dim vectors are built a column at a time: column j

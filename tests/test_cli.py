@@ -190,6 +190,33 @@ def test_oracle_timeout_exit_two(capsys):
     assert doc["proven_optimal"] is False
 
 
+@pytest.mark.parametrize("args, message", [
+    (("--n", "3", "--d", "-1"), "d must be >= 0, got -1"),
+    (("--n", "3", "--d", "-1", "--class", "B_odd"), "d must be >= 0, got -1"),
+    (("--n", "3", "--d", "-2", "--class", "A_even"), "d must be >= 0, got -2"),
+    (("--n", "-1", "--d", "2"), "n must be >= 0, got -1"),
+    (("--n", "3", "--d", "2", "--witness-cap", "-1", "--all"),
+     "witness cap must be >= 0, got -1"),
+])
+def test_oracle_negative_parameter_is_usage_error(capsys, args, message):
+    code, out, err = run_cli(capsys, "oracle", "max", "--q", "2", *args)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("var", ["QDIAM_MAX_LATTICE", "QDIAM_TIMEOUT_SECS"])
+def test_oracle_malformed_env_number_is_usage_error(capsys, monkeypatch, var):
+    monkeypatch.setenv(var, "abc")
+    code, out, err = run_cli(capsys, "oracle", "max", "--q", "2", "--n", "3",
+                             "--d", "2")
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and var in lines[0]
+
+
 REPORT_SCHEMA = json.loads(
     (Path(__file__).parent.parent / "docs" / "search_report.schema.json").read_text())
 

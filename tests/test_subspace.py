@@ -5,7 +5,8 @@ import pytest
 from qdiam.errors import AmbientMismatch, DimensionMismatch, ParseError
 from qdiam.gfq import SUPPORTED_ORDERS, field_new
 from qdiam.grassmann import build_index
-from qdiam.subspace import Subspace, _rref_table
+from qdiam.subspace import (Subspace, _echelon_bits, _echelon_table, _rref_bits,
+                            _rref_table, vector_index)
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -241,6 +242,33 @@ def test_intersect_matches_kernel_route():
             assert a.intersect(b) == _intersect_by_kernel(a, b)
 
 
+# -- elimination cores ---------------------------------------------------------
+
+def _assert_bit_core_matches_table_core(rows, n):
+    packed = [vector_index(r, 2) for r in rows]
+    table_rows, pivots = _rref_table(F2, n, rows)
+    rank = len(_echelon_bits(packed))
+    assert rank == len(_echelon_table(F2, n, rows)[1]) == len(pivots)
+    assert _rref_bits(packed) == [vector_index(r, 2) for r in table_rows]
+
+
+def test_bit_core_matches_table_core_on_stacked_pairs():
+    for n in range(1, 5):
+        subs = build_index(F2, n, budget=None).subspaces
+        for a in subs:
+            for b in subs:
+                _assert_bit_core_matches_table_core(a.rows + b.rows, n)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_bit_core_matches_table_core_on_random_stacks(n):
+    rng = random.Random(n)
+    for _ in range(2000):
+        rows = [tuple(rng.randrange(2) for _ in range(n))
+                for _ in range(rng.randint(1, 2 * n))]
+        _assert_bit_core_matches_table_core(rows, n)
+
+
 # -- order, vectors, serialization -------------------------------------------
 
 def test_total_order_sorts_by_dim_pivots_rows():
@@ -252,30 +280,31 @@ def test_total_order_sorts_by_dim_pivots_rows():
     assert sorted(shuffled, key=Subspace.sort_key) == subs
 
 
-def _vectors(s):
-    """Every vector of the subspace as an entry tuple (q^dim many)."""
-    add, mul = s.field.add_table, s.field.mul_table
-    combos = [tuple([0] * s.n)]
-    for row in s.rows:
+def _vectors(field, n, rows):
+    """Every combination of the rows as an entry tuple (q^len(rows) many):
+    for a basis, every vector of its span once."""
+    add, mul = field.add_table, field.mul_table
+    combos = [tuple([0] * n)]
+    for row in rows:
         combos = [tuple(add[a][mul[c][b]] for a, b in zip(base, row))
-                  for c in range(s.field.q) for base in combos]
+                  for c in range(field.q) for base in combos]
     return combos
 
 
 def test_vectors_enumeration():
     s = span(F3, 3, [1, 0, 2], [0, 1, 1])
-    vecs = _vectors(s)
+    vecs = _vectors(s.field, s.n, s.rows)
     assert len(vecs) == 9
     assert len(set(vecs)) == 9
     assert all(s.contains(span(F3, 3, v)) for v in vecs)
 
 
-def _vector_mask_by_parse(s):
-    """Reference: each vector of the subspace spelled as base-q digits and
-    parsed as a base-q integer."""
+def _mask_by_parse(field, n, rows):
+    """Reference: each vector of the span of the rows spelled as base-q
+    digits and parsed as a base-q integer."""
     mask = 0
-    for v in _vectors(s):
-        mask |= 1 << int("".join("0123456789abcdef"[e] for e in v) or "0", s.field.q)
+    for v in _vectors(field, n, rows):
+        mask |= 1 << int("".join("0123456789abcdef"[e] for e in v) or "0", field.q)
     return mask
 
 
@@ -286,8 +315,26 @@ def test_vector_mask_matches_parsed_vectors():
         n = 0
         while q ** n <= 256:
             for s in build_index(field, n, budget=None).subspaces:
-                assert s.vector_mask() == _vector_mask_by_parse(s)
+                assert s.vector_mask() == _mask_by_parse(field, n, s.rows)
             n += 1
+
+
+def test_from_generators_is_reduced_and_spans_generators():
+    rng = random.Random(41)
+    for q in SUPPORTED_ORDERS:
+        field = field_new(q)
+        for _ in range(40):
+            n = rng.randint(1, 4 if q <= 4 else 3)
+            gens = [[rng.randrange(q) for _ in range(n)]
+                    for _ in range(rng.randint(0, n + 1 if q <= 4 else n))]
+            s = Subspace.from_generators(field, n, gens)
+            assert list(s.pivots) == sorted(set(s.pivots))
+            for i, (row, p) in enumerate(zip(s.rows, s.pivots)):
+                assert not any(row[:p]) and row[p] == 1
+                assert all(r[p] == 0 for j, r in enumerate(s.rows) if j != i)
+            if q == 2:
+                assert s.bits == tuple(vector_index(r, 2) for r in s.rows)
+            assert s.vector_mask() == _mask_by_parse(field, n, gens)
 
 
 def test_token_round_trip():
@@ -334,7 +381,7 @@ def test_token_uses_hex_digits_for_large_fields():
 def test_vectors_count_gf4():
     f4 = field_new(4)
     s = span(f4, 3, [1, 2, 0], [0, 0, 1])
-    vecs = _vectors(s)
+    vecs = _vectors(s.field, s.n, s.rows)
     assert len(vecs) == 16 and len(set(vecs)) == 16
 
 
