@@ -10,14 +10,16 @@ oracle     : exhaustive maximum-family search (optionally with witnesses)
 sweep      : exact inequality sweeps over parameter grids
 
 All counts are printed as exact decimals (never floats, never truncated).
-Budgets can be preset via QDIAM_MAX_LATTICE and QDIAM_TIMEOUT_SECS; explicit
-flags take precedence.  Every subcommand is deterministic given its flags
-and, where randomness is involved, the --seed value.
+Every subcommand writes its result to --output when given, else to stdout,
+and accepts only the flags it reads.  Budgets can be preset via
+QDIAM_MAX_LATTICE and QDIAM_TIMEOUT_SECS; explicit flags take precedence.
+Every subcommand is deterministic given its flags.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -30,10 +32,11 @@ from .families import (ADMISSIBILITY_CLASSES, ball, canonical_double_ball,
                        hilton_milner_triple, is_admissible, min_supp_norm,
                        read_family, star, write_family)
 from .gfq import field_new
-from .grassmann import build_index, enumerate_layer, write_subspaces
-from .oracle import (DEFAULT_TIMEOUT_SECS, DEFAULT_WITNESS_CAP,
-                     max_admissible_family, max_diameter_family, run_sweep,
-                     verify_characterization)
+from .grassmann import (DEFAULT_ENUM_BUDGET, build_index, enumerate_layer,
+                        write_subspaces)
+from .oracle import (DEFAULT_SEARCH_LATTICE_BUDGET, DEFAULT_TIMEOUT_SECS,
+                     DEFAULT_WITNESS_CAP, max_admissible_family,
+                     max_diameter_family, run_sweep, verify_characterization)
 from .qcount import (complementary_pair_bound, count_profile, ekr_bound,
                      gauss_binom, hilton_milner_bound, kleitman_bound,
                      kleitman_in_range, nontrivial_intersecting_bound,
@@ -56,30 +59,56 @@ def _env_number(name, convert):
             f"{name}={text!r} is not a valid {convert.__name__}") from None
 
 
-def _resolve_budget(args):
-    if getattr(args, "budget", None) is not None:
-        return args.budget
-    return _env_number(_ENV_LATTICE, int)
+def _resolve_budget(args, default):
+    """The lattice budget: --budget, else QDIAM_MAX_LATTICE, else default."""
+    budget = args.budget
+    if budget is None:
+        budget = _env_number(_ENV_LATTICE, int)
+    if budget is None:
+        return default
+    if budget < 0:
+        raise QdiamError(f"budget must be >= 0, got {budget}")
+    return budget
 
 
 def _resolve_timeout(args):
-    if getattr(args, "timeout", None) is not None:
+    if args.timeout is not None:
         return float(args.timeout)
     env = _env_number(_ENV_TIMEOUT, float)
     return DEFAULT_TIMEOUT_SECS if env is None else env
 
 
-def _emit(args, payload_text, payload_json):
-    """Write the subcommand result in the selected format."""
-    out = sys.stdout
-    if args.format == "json":
-        out.write(json.dumps(payload_json, indent=2, sort_keys=True) + "\n")
+def _emit(args, text, doc=None, stream=None):
+    """Write a subcommand's result: doc as JSON when there is no text or
+    --format json asks for it, text otherwise; to stream when given, else
+    to --output when set, else to stdout."""
+    if text is None or (doc is not None and args.format == "json"):
+        text = json.dumps(doc, indent=2, sort_keys=True)
+    if text and not text.endswith("\n"):
+        text += "\n"
+    if stream is None and args.output:
+        with open(args.output, "w") as fh:
+            fh.write(text)
     else:
-        out.write(payload_text if payload_text.endswith("\n") else payload_text + "\n")
+        (stream or sys.stdout).write(text)
+
+
+def _check_flags(args, what, required, optional, flags):
+    """Require every flag in required; refuse each other flag in flags that
+    is set but not in optional, since what would ignore it."""
+    missing = [f"--{p}" for p in required if getattr(args, p) is None]
+    if missing:
+        raise QdiamError(f"{what} requires {', '.join(missing)}")
+    unread = [f"--{p}" for p in flags if getattr(args, p) is not None
+              and p not in required and p not in optional]
+    if unread:
+        raise QdiamError(f"{what} does not read {', '.join(unread)}")
 
 
 # ---------------------------------------------------------------------------
 # bound
+
+_BOUND_FLAGS = ("n", "k", "l", "j", "d", "t", "s")
 
 _BOUNDS = {
     "gauss": (("n", "k"), lambda a: gauss_binom(a.n, a.k, a.q), None),
@@ -105,9 +134,7 @@ _BOUNDS = {
 
 def cmd_bound(args) -> int:
     needed, func, range_func = _BOUNDS[args.name]
-    for p in needed:
-        if getattr(args, p, None) is None:
-            raise QdiamError(f"bound {args.name} requires --{p}")
+    _check_flags(args, f"bound {args.name}", needed, (), _BOUND_FLAGS)
     value = func(args)
     in_range = None if range_func is None else range_func(args)
     params = {p: getattr(args, p) for p in ("q",) + needed}
@@ -123,82 +150,65 @@ def cmd_bound(args) -> int:
 # ---------------------------------------------------------------------------
 # construct
 
-def _parse_subspace_arg(token, what):
-    try:
-        return Subspace.from_token(token)
-    except ParseError as exc:
-        raise QdiamError(f"bad --{what} subspace token: {exc}") from None
+_CONSTRUCT_INT_FLAGS = ("q", "n", "t", "k", "r")
+_TOKEN_FLAGS = ("x", "y", "center", "center2")
 
 
-def _cross_check(args, field, n, t=None):
-    if args.q is not None and args.q != field.q:
-        raise QdiamError(f"--q {args.q} conflicts with token field GF({field.q})")
-    if args.n is not None and args.n != n:
-        raise QdiamError(f"--n {args.n} conflicts with token ambient dim {n}")
-    if t is not None and args.t is not None and args.t != t:
+def _canonical(args, budget):
+    return canonical_family(field_new(args.q), args.n, args.t, args.family,
+                            budget=budget)
+
+
+def _extremal_odd(args, budget, x, y):
+    t = y.dim - 1
+    if args.t is not None and args.t != t:
         raise QdiamError(f"--t {args.t} conflicts with derived t = {t}")
+    return extremal_odd_family(x, y, budget=budget)
+
+
+# family -> (required flags, optional flags, builder).  The builder takes
+# the parsed args, the budget and the subspaces of the required token flags
+# in order; optional --q and --n must agree with every token.
+_FAMILIES = {
+    "L": (("q", "n", "t"), (), _canonical),
+    "U": (("q", "n", "t"), (), _canonical),
+    "D": (("x", "t"), ("q", "n"),
+          lambda a, b, x: canonical_double_ball(x, a.t, budget=b)),
+    "ball": (("center", "r"), ("q", "n"),
+             lambda a, b, c: ball(c, a.r, budget=b)),
+    "double-ball": (("center", "center2", "r"), ("q", "n"),
+                    lambda a, b, c1, c2: double_ball(c1, c2, a.r, budget=b)),
+    "star": (("x", "k"), ("q", "n"), lambda a, b, x: star(x, a.k, budget=b)),
+    "HM": (("x", "y"), ("q", "n"),
+           lambda a, b, x, y: hilton_milner_family(x, y, budget=b)),
+    "HM3": (("y",), ("q", "n"),
+            lambda a, b, y: hilton_milner_triple(y, budget=b)),
+    "K": (("x", "y"), ("q", "n", "t"), _extremal_odd),
+    "K3": (("y",), ("q", "n"),
+           lambda a, b, y: extremal_odd_triple(y, budget=b)),
+}
+
+
+def _parse_token(args, flag):
+    """The subspace of a token flag, checked against --q and --n."""
+    try:
+        s = Subspace.from_token(getattr(args, flag))
+    except ParseError as exc:
+        raise QdiamError(f"bad --{flag} subspace token: {exc}") from None
+    if args.q is not None and args.q != s.field.q:
+        raise QdiamError(f"--q {args.q} conflicts with token field GF({s.field.q})")
+    if args.n is not None and args.n != s.n:
+        raise QdiamError(f"--n {args.n} conflicts with token ambient dim {s.n}")
+    return s
 
 
 def cmd_construct(args) -> int:
-    budget = _resolve_budget(args)
-    kwargs = {} if budget is None else {"budget": budget}
     which = args.family
-    if which in ("L", "U"):
-        if args.q is None or args.n is None or args.t is None:
-            raise QdiamError(f"construct {which} requires --q, --n, --t")
-        fam = canonical_family(field_new(args.q), args.n, args.t, which, **kwargs)
-    elif which == "D":
-        if args.x is None or args.t is None:
-            raise QdiamError("construct D requires --x and --t")
-        x = _parse_subspace_arg(args.x, "x")
-        _cross_check(args, x.field, x.n)
-        fam = canonical_double_ball(x, args.t, **kwargs)
-    elif which == "ball":
-        if args.center is None or args.r is None:
-            raise QdiamError("construct ball requires --center and --r")
-        c = _parse_subspace_arg(args.center, "center")
-        fam = ball(c, args.r, **kwargs)
-    elif which == "double-ball":
-        if args.center is None or args.center2 is None or args.r is None:
-            raise QdiamError(
-                "construct double-ball requires --center, --center2 and --r")
-        c1 = _parse_subspace_arg(args.center, "center")
-        c2 = _parse_subspace_arg(args.center2, "center2")
-        fam = double_ball(c1, c2, args.r, **kwargs)
-    elif which == "star":
-        if args.x is None or args.k is None:
-            raise QdiamError("construct star requires --x and --k")
-        x = _parse_subspace_arg(args.x, "x")
-        _cross_check(args, x.field, x.n)
-        fam = star(x, args.k, **kwargs)
-    elif which == "HM":
-        if args.x is None or args.y is None:
-            raise QdiamError("construct HM requires --x and --y")
-        x = _parse_subspace_arg(args.x, "x")
-        y = _parse_subspace_arg(args.y, "y")
-        _cross_check(args, x.field, x.n)
-        fam = hilton_milner_family(x, y, **kwargs)
-    elif which == "HM3":
-        if args.y is None:
-            raise QdiamError("construct HM3 requires --y")
-        y = _parse_subspace_arg(args.y, "y")
-        _cross_check(args, y.field, y.n)
-        fam = hilton_milner_triple(y, **kwargs)
-    elif which == "K":
-        if args.x is None or args.y is None:
-            raise QdiamError("construct K requires --x and --y")
-        x = _parse_subspace_arg(args.x, "x")
-        y = _parse_subspace_arg(args.y, "y")
-        _cross_check(args, x.field, x.n, t=y.dim - 1)
-        fam = extremal_odd_family(x, y, **kwargs)
-    elif which == "K3":
-        if args.y is None:
-            raise QdiamError("construct K3 requires --y")
-        y = _parse_subspace_arg(args.y, "y")
-        _cross_check(args, y.field, y.n)
-        fam = extremal_odd_triple(y, **kwargs)
-    else:
-        raise QdiamError(f"unknown family {which!r}")
+    required, optional, build = _FAMILIES[which]
+    _check_flags(args, f"construct {which}", required, optional,
+                 _CONSTRUCT_INT_FLAGS + _TOKEN_FLAGS)
+    tokens = [_parse_token(args, p) for p in required if p in _TOKEN_FLAGS]
+    fam = build(args, _resolve_budget(args, DEFAULT_ENUM_BUDGET), *tokens)
 
     diam = diameter(fam) if fam.members else None
     summary_json = {
@@ -212,14 +222,15 @@ def cmd_construct(args) -> int:
     }
     summary_text = (f"size {len(fam)}\ndiameter {diam}\n"
                     f"support {' '.join(map(str, fam.support))}")
+    buf = io.StringIO()
+    write_family(fam, buf)
+    _emit(args, buf.getvalue())
+    # The family alone reaches stdout: with --output the summary takes its
+    # place there, without it the summary goes to stderr.
     if args.output:
-        with open(args.output, "w") as fh:
-            write_family(fam, fh)
         summary_json["output"] = args.output
-        _emit(args, summary_text, summary_json)
-    else:
-        write_family(fam, sys.stdout)
-        sys.stderr.write(summary_text + "\n")
+    _emit(args, summary_text, summary_json,
+          stream=sys.stdout if args.output else sys.stderr)
     return 0
 
 
@@ -256,9 +267,8 @@ def cmd_check(args) -> int:
     if args.family_class is not None:
         if args.t is None:
             raise QdiamError("--class requires --t")
-        budget = _resolve_budget(args)
         rep = is_admissible(fam, args.family_class, args.t,
-                            **({} if budget is None else {"budget": budget}))
+                            budget=_resolve_budget(args, DEFAULT_ENUM_BUDGET))
         verdict_json["admissibility"] = {
             "class": args.family_class,
             "t": args.t,
@@ -284,17 +294,14 @@ def cmd_check(args) -> int:
 
 def cmd_enumerate(args) -> int:
     field = field_new(args.q)
-    budget = _resolve_budget(args)
-    kwargs = {} if budget is None else {"budget": budget}
+    budget = _resolve_budget(args, DEFAULT_ENUM_BUDGET)
     if args.k is not None:
-        subs = enumerate_layer(field, args.n, args.k, **kwargs)
+        subs = enumerate_layer(field, args.n, args.k, budget=budget)
     else:
-        subs = build_index(field, args.n, **kwargs).subspaces
-    if args.output:
-        with open(args.output, "w") as fh:
-            count = write_subspaces(subs, fh)
-    else:
-        count = write_subspaces(subs, sys.stdout)
+        subs = build_index(field, args.n, budget=budget).subspaces
+    buf = io.StringIO()
+    count = write_subspaces(subs, buf)
+    _emit(args, buf.getvalue())
     sys.stderr.write(f"{count} subspaces\n")
     return 0
 
@@ -303,36 +310,24 @@ def cmd_enumerate(args) -> int:
 # oracle
 
 def cmd_oracle(args) -> int:
-    budget = _resolve_budget(args)
-    timeout = _resolve_timeout(args)
-    common = dict(lattice_budget=budget, timeout_secs=timeout,
-                  witness_cap=args.witness_cap)
-    try:
-        if args.family_class is None:
-            report = max_diameter_family(args.q, args.n, args.d,
-                                         enumerate_all=args.all, **common)
-            if args.all and not report.timed_out and report.bound_match:
-                ok, diagnostics = verify_characterization(report)
-                report.characterization_match = ok
-            else:
-                diagnostics = []
-        else:
-            report = max_admissible_family(args.q, args.n, args.d,
-                                           args.family_class,
-                                           enumerate_all=args.all, **common)
-            diagnostics = []
-    except BudgetExceeded as exc:
-        sys.stderr.write(f"budget exceeded: {exc}\n")
-        return 2
+    common = dict(
+        lattice_budget=_resolve_budget(args, DEFAULT_SEARCH_LATTICE_BUDGET),
+        timeout_secs=_resolve_timeout(args), witness_cap=args.witness_cap)
+    diagnostics = []
+    if args.family_class is None:
+        report = max_diameter_family(args.q, args.n, args.d,
+                                     enumerate_all=args.all, **common)
+        if args.all and not report.timed_out and report.bound_match:
+            report.characterization_match, diagnostics = \
+                verify_characterization(report)
+    else:
+        report = max_admissible_family(args.q, args.n, args.d,
+                                       args.family_class,
+                                       enumerate_all=args.all, **common)
     doc = report.to_json_dict()
     if diagnostics:
         doc["characterization_diagnostics"] = diagnostics
-    payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    _emit(args, None, doc)
     if report.timed_out:
         return 2
     if report.bound_match is False or report.characterization_match is False:
@@ -357,31 +352,26 @@ def cmd_sweep(args) -> int:
         kwargs["q_values"] = tuple(q for q in (2, 3) if q <= args.qmax)
         kwargs["t_values"] = tuple(t for t in (2, 3) if t <= args.tmax)
     report = run_sweep(args.name, **kwargs)
-    header_params = [p for p, _ in report.rows[0].params] if report.rows else []
     if args.format == "csv":
-        lines = [",".join(header_params + ["lhs", "rhs", "margin", "pass"])]
+        header = [p for p, _ in report.rows[0].params] if report.rows else []
+        lines = [",".join(header + ["lhs", "rhs", "margin", "pass"])]
         for row in report.rows:
             lines.append(",".join(
                 [str(v) for _, v in row.params]
                 + [str(row.lhs), str(row.rhs), str(row.margin),
                    "true" if row.passed else "false"]))
         text = "\n".join(lines)
-        out = open(args.output, "w") if args.output else sys.stdout
-        out.write(text + "\n")
-        if args.output:
-            out.close()
     else:
-        payload_json = {
-            "sweep": report.name,
-            "tuples": report.tuple_count,
-            "all_pass": report.all_pass,
-            "failures": [
-                {"params": dict(r.params), "lhs": str(r.lhs), "rhs": str(r.rhs)}
-                for r in report.failures()],
-        }
         text = (f"sweep {report.name}: {report.tuple_count} tuples, "
                 f"{'all pass' if report.all_pass else 'FAILURES'}")
-        _emit(args, text, payload_json)
+    _emit(args, text, {
+        "sweep": report.name,
+        "tuples": report.tuple_count,
+        "all_pass": report.all_pass,
+        "failures": [
+            {"params": dict(r.params), "lhs": str(r.lhs), "rhs": str(r.rhs)}
+            for r in report.failures()],
+    })
     return 0 if report.all_pass else 1
 
 
@@ -394,57 +384,48 @@ def build_parser() -> argparse.ArgumentParser:
                     "subspaces of F_q^n")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--format", choices=("text", "json", "csv"),
-                       default="text")
-        p.add_argument("--output", "-o", metavar="PATH")
-        p.add_argument("--budget", type=int, metavar="N",
-                       help=f"lattice size budget (env {_ENV_LATTICE})")
+    def add(name, func, summary, formats=None, budget=False):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        p.add_argument("--output", "-o", metavar="PATH",
+                       help="write the result here instead of to stdout")
+        if formats:
+            p.add_argument("--format", choices=formats, default=formats[0])
+        if budget:
+            p.add_argument("--budget", type=int, metavar="N",
+                           help=f"lattice size budget (env {_ENV_LATTICE})")
+        return p
 
-    p = sub.add_parser("bound", help="evaluate a closed-form bound")
+    p = add("bound", cmd_bound, "evaluate a closed-form bound",
+            formats=("text", "json"))
     p.add_argument("name", choices=sorted(_BOUNDS))
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--l", type=int)
-    p.add_argument("--j", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--t", type=int)
-    p.add_argument("--s", type=int)
-    add_common(p)
-    p.set_defaults(func=cmd_bound)
+    for flag in _BOUND_FLAGS:
+        p.add_argument(f"--{flag}", type=int)
 
-    p = sub.add_parser("construct", help="build a named family")
-    p.add_argument("family", choices=("L", "U", "D", "ball", "double-ball",
-                                      "star", "HM", "HM3", "K", "K3"))
-    p.add_argument("--q", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--t", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--x", metavar="TOKEN")
-    p.add_argument("--y", metavar="TOKEN")
-    p.add_argument("--center", metavar="TOKEN")
-    p.add_argument("--center2", metavar="TOKEN")
-    add_common(p)
-    p.set_defaults(func=cmd_construct)
+    p = add("construct", cmd_construct, "build a named family",
+            formats=("text", "json"), budget=True)
+    p.add_argument("family", choices=tuple(_FAMILIES))
+    for flag in _CONSTRUCT_INT_FLAGS:
+        p.add_argument(f"--{flag}", type=int)
+    for flag in _TOKEN_FLAGS:
+        p.add_argument(f"--{flag}", metavar="TOKEN")
 
-    p = sub.add_parser("check", help="verify a family file")
+    p = add("check", cmd_check, "verify a family file",
+            formats=("text", "json"), budget=True)
     p.add_argument("family_file")
     p.add_argument("--class", dest="family_class",
                    choices=ADMISSIBILITY_CLASSES)
     p.add_argument("--t", type=int)
-    add_common(p)
-    p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("enumerate", help="dump a layer or the lattice")
+    p = add("enumerate", cmd_enumerate, "dump a layer or the lattice",
+            budget=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int)
-    add_common(p)
-    p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("oracle", help="exhaustive searches")
+    p = add("oracle", cmd_oracle, "exhaustive searches (JSON report)",
+            budget=True)
     p.add_argument("mode", choices=("max",))
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
@@ -456,18 +437,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeout", type=float, metavar="SECS",
                    help=f"wall-clock cap (env {_ENV_TIMEOUT})")
     p.add_argument("--witness-cap", type=int, default=DEFAULT_WITNESS_CAP)
-    add_common(p)
-    p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("sweep", help="exact inequality sweeps")
+    p = add("sweep", cmd_sweep, "exact inequality sweeps",
+            formats=("text", "json", "csv"))
     p.add_argument("name", choices=("lemma26", "hm-positive", "type-compare",
                                     "type-ratio"))
     p.add_argument("--qmax", type=int, default=4)
     p.add_argument("--nmax", type=int, default=40)
     p.add_argument("--kmax", type=int, default=12)
     p.add_argument("--tmax", type=int, default=4)
-    add_common(p)
-    p.set_defaults(func=cmd_sweep)
 
     return parser
 

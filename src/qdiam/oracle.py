@@ -201,7 +201,8 @@ class _CliqueEngine:
             centres = [(0,), (top,)]
         elif family_class == "A_odd":
             centres = []
-            for x in range(*index.layer_range(1)):
+            lines = index.layer_range(1) if index.n else (0, 0)  # F_q^0 has none
+            for x in range(*lines):
                 perp = index.position(index.subspaces[x].perp())
                 centres += [(0, x), (top, perp)]
         else:

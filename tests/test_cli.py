@@ -1,4 +1,5 @@
 import json
+import shlex
 from pathlib import Path
 
 import jsonschema
@@ -102,6 +103,36 @@ def test_construct_conflicting_params(capsys):
     assert "conflicts" in err
 
 
+@pytest.mark.parametrize("command, message", [
+    (("construct", "ball", "--center", "2:4:1:1000", "--r", "1", "--q", "3"),
+     "--q 3 conflicts with token field GF(2)"),
+    (("construct", "double-ball", "--center", "2:4:1:1000",
+      "--center2", "2:5:1:10000", "--r", "1", "--n", "4"),
+     "--n 4 conflicts with token ambient dim 5"),
+    (("construct", "K", "--x", "2:7:1:1000000",
+      "--y", "2:7:3:0100000,0010000,0001000", "--t", "3"),
+     "--t 3 conflicts with derived t = 2"),
+    (("bound", "gauss", "--q", "2", "--n", "4", "--k", "2", "--d", "9"),
+     "bound gauss does not read --d"),
+    (("bound", "kleitman", "--q", "2", "--n", "4", "--d", "3", "--t", "1",
+      "--s", "1"), "bound kleitman does not read --t, --s"),
+    (("construct", "ball", "--center", "2:4:0:", "--r", "0", "--t", "1"),
+     "construct ball does not read --t"),
+    (("construct", "L", "--q", "2", "--n", "4", "--t", "1", "--x", "2:4:1:1000"),
+     "construct L does not read --x"),
+    (("construct", "K3", "--y", "2:5:3:10000,01000,00100", "--t", "2"),
+     "construct K3 does not read --t"),
+    (("construct", "D", "--x", "2:4:1:1000"), "construct D requires --t"),
+    (("construct", "double-ball", "--r", "1"),
+     "construct double-ball requires --center, --center2"),
+])
+def test_parameter_flag_usage_error(capsys, command, message):
+    code, out, err = run_cli(capsys, *command)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: {message}"]
+
+
 def test_check_admissibility_verdict(tmp_path, capsys):
     fam_path = tmp_path / "l.fam"
     run_cli(capsys, "construct", "L", "--q", "2", "--n", "4", "--t", "1",
@@ -131,6 +162,23 @@ def test_enumerate_layer(capsys):
     lines = out.strip().split("\n")
     assert len(lines) == 7
     assert "7 subspaces" in err
+
+
+@pytest.mark.parametrize("command", [
+    ("construct", "ball", "--center", "2:4:0:", "--r", "0"),
+    ("enumerate", "--q", "2", "--n", "3"),
+    ("oracle", "max", "--q", "2", "--n", "3", "--d", "2"),
+])
+@pytest.mark.parametrize("via_env", [False, True])
+def test_negative_budget_is_usage_error(capsys, monkeypatch, command, via_env):
+    if via_env:
+        monkeypatch.setenv("QDIAM_MAX_LATTICE", "-5")
+    else:
+        command += ("--budget", "-5")
+    code, out, err = run_cli(capsys, *command)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: budget must be >= 0, got -5"]
 
 
 def test_enumerate_budget(capsys, monkeypatch):
@@ -275,3 +323,104 @@ def test_check_class_requires_t(tmp_path, capsys):
     code, _, err = run_cli(capsys, "check", str(fam_path), "--class", "A_even")
     assert code == 2
     assert "--t" in err
+
+
+# -- the output path ---------------------------------------------------------------
+
+def _stdout_and_file(capsys, tmp_path, *argv):
+    """(stdout of argv, stdout and file of argv with -o); the two exit codes agree."""
+    code, out, _ = run_cli(capsys, *argv)
+    path = tmp_path / "result"
+    code_o, out_o, _ = run_cli(capsys, *argv, "-o", str(path))
+    assert code_o == code
+    return out, out_o, path.read_text()
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv", [
+    ("bound", "kleitman", "--q", "2", "--n", "4", "--d", "3"),
+    ("bound", "ekr", "--q", "2", "--n", "7", "--k", "3", "--s", "1"),
+])
+def test_bound_output_file_matches_stdout(capsys, tmp_path, argv, fmt):
+    out, out_o, written = _stdout_and_file(capsys, tmp_path, *argv,
+                                           "--format", fmt)
+    assert out_o == ""
+    assert written == out
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("extra", [(), ("--class", "A_even", "--t", "1")])
+def test_check_output_file_matches_stdout(capsys, tmp_path, fmt, extra):
+    fam_path = tmp_path / "l.fam"
+    run_cli(capsys, "construct", "L", "--q", "2", "--n", "4", "--t", "1",
+            "-o", str(fam_path))
+    out, out_o, written = _stdout_and_file(capsys, tmp_path, "check",
+                                           str(fam_path), *extra,
+                                           "--format", fmt)
+    assert out_o == ""
+    assert written == out
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_sweep_output_file_matches_stdout(capsys, tmp_path, fmt):
+    out, out_o, written = _stdout_and_file(
+        capsys, tmp_path, "sweep", "hm-positive", "--qmax", "2", "--nmax", "12",
+        "--format", fmt)
+    assert out_o == ""
+    assert written == out
+
+
+@pytest.mark.parametrize("extra", [(), ("--all",), ("--class", "B_even")])
+def test_oracle_output_file_matches_stdout(capsys, tmp_path, extra):
+    out, out_o, written = _stdout_and_file(capsys, tmp_path, "oracle", "max",
+                                           "--q", "2", "--n", "3", "--d", "2",
+                                           *extra)
+    assert out_o == ""
+    doc, doc_o = json.loads(out), json.loads(written)
+    del doc["elapsed_ms"], doc_o["elapsed_ms"]
+    assert doc_o == doc
+    assert written == json.dumps(json.loads(written), indent=2,
+                                 sort_keys=True) + "\n"
+
+
+def test_enumerate_output_file_matches_stdout(capsys, tmp_path):
+    out, out_o, written = _stdout_and_file(capsys, tmp_path, "enumerate",
+                                           "--q", "2", "--n", "3")
+    assert out_o == ""
+    assert written == out
+    assert len(out.splitlines()) == 16
+
+
+@pytest.mark.parametrize("argv", [
+    ("bound", "gauss", "--q", "2", "--n", "4", "--k", "2", "--budget", "9"),
+    ("bound", "gauss", "--q", "2", "--n", "4", "--k", "2", "--format", "csv"),
+    ("sweep", "type-ratio", "--budget", "9"),
+    ("enumerate", "--q", "2", "--n", "3", "--format", "json"),
+    ("oracle", "max", "--q", "2", "--n", "3", "--d", "2", "--format", "text"),
+    ("oracle", "max", "--q", "2", "--n", "3", "--d", "2", "--format", "json"),
+    ("construct", "ball", "--center", "2:4:0:", "--r", "0", "--format", "csv"),
+])
+def test_removed_flag_is_argparse_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
+def _readme_cli_examples():
+    """Each `qdiam ...` example of README's CLI section, continuations joined."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    examples = []
+    for line in section.replace("\\\n", " ").splitlines():
+        if line.startswith("    qdiam "):
+            examples.append(shlex.split(line)[1:])
+    return examples
+
+
+def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    examples = _readme_cli_examples()
+    assert len(examples) >= 12
+    for argv in examples:
+        assert main(argv) == 0, argv

@@ -193,6 +193,20 @@ def test_admissible_infeasible_class():
     assert rep.infeasible
 
 
+@pytest.mark.parametrize("d,family_class,optimum",
+                         [(1, "A_odd", 1), (1, "B_odd", 1),
+                          (2, "A_even", 0), (2, "B_even", 0)])
+def test_admissible_zero_ambient_dimension(d, family_class, optimum):
+    # F_q^0 is the zero space alone: without lines or cover pairs A_odd and
+    # B_odd forbid nothing, while {0} lies in the radius-1 ball around 0
+    # that A_even and B_even forbid.
+    rep = max_admissible_family(2, 0, d, family_class)
+    assert rep.optimum == optimum
+    assert rep.infeasible == (optimum == 0)
+    for fam in rep.witnesses:
+        assert is_admissible(fam, family_class, d // 2).admissible
+
+
 def test_admissible_class_parity_checked():
     with pytest.raises(Exception):
         max_admissible_family(2, 4, 3, "A_even")
