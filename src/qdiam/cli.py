@@ -19,6 +19,7 @@ Every subcommand is deterministic given its flags.
 from __future__ import annotations
 
 import argparse
+import inspect
 import io
 import json
 import os
@@ -35,8 +36,8 @@ from .gfq import field_new
 from .grassmann import (DEFAULT_ENUM_BUDGET, build_index, enumerate_layer,
                         write_subspaces)
 from .oracle import (DEFAULT_SEARCH_LATTICE_BUDGET, DEFAULT_TIMEOUT_SECS,
-                     DEFAULT_WITNESS_CAP, max_admissible_family,
-                     max_diameter_family, run_sweep, verify_characterization)
+                     DEFAULT_WITNESS_CAP, SWEEPS, max_admissible_family,
+                     max_diameter_family, verify_characterization)
 from .qcount import (complementary_pair_bound, count_profile, ekr_bound,
                      gauss_binom, hilton_milner_bound, kleitman_bound,
                      kleitman_in_range, nontrivial_intersecting_bound,
@@ -238,6 +239,11 @@ def cmd_construct(args) -> int:
 # check
 
 def cmd_check(args) -> int:
+    if args.family_class is None:
+        _check_flags(args, "check without --class", (), (), ("t", "budget"))
+    else:
+        _check_flags(args, f"check --class {args.family_class}", ("t",),
+                     ("budget",), ("t", "budget"))
     with open(args.family_file) as fh:
         fam = read_family(fh)
     if not fam.members:
@@ -265,8 +271,6 @@ def cmd_check(args) -> int:
                      f"[{'ok' if ok else 'VIOLATION'}]")
     exit_code = 0
     if args.family_class is not None:
-        if args.t is None:
-            raise QdiamError("--class requires --t")
         rep = is_admissible(fam, args.family_class, args.t,
                             budget=_resolve_budget(args, DEFAULT_ENUM_BUDGET))
         verdict_json["admissibility"] = {
@@ -338,20 +342,26 @@ def cmd_oracle(args) -> int:
 # ---------------------------------------------------------------------------
 # sweep
 
+# grid flag -> the sweep keyword it sets: a cap on a tuple of values cuts
+# the sweep's own default tuple, a max is passed as it is.
+_SWEEP_FLAGS = {"qmax": "q_values", "nmax": "n_max", "kmax": "k_max",
+                "tmax": "t_values"}
+
+
 def cmd_sweep(args) -> int:
+    sweep = SWEEPS[args.name]
+    params = inspect.signature(sweep).parameters
+    _check_flags(args, f"sweep {args.name}", (),
+                 [f for f, kw in _SWEEP_FLAGS.items() if kw in params],
+                 _SWEEP_FLAGS)
     kwargs = {}
-    if args.name == "lemma26":
-        kwargs["q_values"] = tuple(q for q in (2, 3, 4) if q <= args.qmax)
-        kwargs["k_max"] = args.kmax
-        kwargs["n_max"] = args.nmax
-    elif args.name == "hm-positive":
-        kwargs["q_values"] = tuple(q for q in (2, 3) if q <= args.qmax)
-        kwargs["t_values"] = tuple(t for t in (2, 3, 4) if t <= args.tmax)
-        kwargs["n_max"] = args.nmax
-    else:  # type-compare / type-ratio
-        kwargs["q_values"] = tuple(q for q in (2, 3) if q <= args.qmax)
-        kwargs["t_values"] = tuple(t for t in (2, 3) if t <= args.tmax)
-    report = run_sweep(args.name, **kwargs)
+    for flag, kw in _SWEEP_FLAGS.items():
+        cap = getattr(args, flag)
+        if cap is not None:
+            default = params[kw].default
+            kwargs[kw] = (tuple(v for v in default if v <= cap)
+                          if isinstance(default, tuple) else cap)
+    report = sweep(**kwargs)
     if args.format == "csv":
         header = [p for p, _ in report.rows[0].params] if report.rows else []
         lines = [",".join(header + ["lhs", "rhs", "margin", "pass"])]
@@ -440,12 +450,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("sweep", cmd_sweep, "exact inequality sweeps",
             formats=("text", "json", "csv"))
-    p.add_argument("name", choices=("lemma26", "hm-positive", "type-compare",
-                                    "type-ratio"))
-    p.add_argument("--qmax", type=int, default=4)
-    p.add_argument("--nmax", type=int, default=40)
-    p.add_argument("--kmax", type=int, default=12)
-    p.add_argument("--tmax", type=int, default=4)
+    p.add_argument("name", choices=tuple(SWEEPS))
+    for flag in _SWEEP_FLAGS:
+        p.add_argument(f"--{flag}", type=int)
 
     return parser
 

@@ -6,11 +6,17 @@ distance at most d.  Each adjacency row is a ball mask of the lattice
 index, and the degeneracy order peels vertices by bit-sliced degree
 counters, so neither loops over vertex pairs in Python.  The engine
 branches in degeneracy order at the root with canonical tie-breaking, uses
-greedy-coloring upper bounds inside, and adds a domain cap: a partial
+greedy-coloring upper bounds inside, and adds domain caps: a partial
 solution together with its candidates can never place more than [n k]
 members on a complementary layer pair (k, n-k), so branches violating that
-die early.  The cap is what keeps the 374-vertex lattice of F_2^5
-tractable; generic coloring alone stalls there.
+die early.  Two j-spaces at distance at most d = 2t or 2t+1 meet in at
+least j-t dimensions, so for j > t and n >= j+t a layer holds at most the
+Frankl-Wilson EKR bound ekr_bound(n, j, j-t) members; a pair is capped by
+the smaller of [n k] and the sum of its two layers' caps.  The caps are
+what keep the 374-vertex lattice of F_2^5 tractable, and the EKR cap on the
+middle layer is what proves the boundary n = d+1 at (2, 6, 5); generic
+coloring alone stalls there.  structural_cap=False drops every cap: that
+search uses no theorem and is the reference the caps are tested against.
 
 Admissibility ("not contained in any forbidden configuration") is not
 hereditary, so it cannot be folded into the graph.  Every class is instead
@@ -52,14 +58,14 @@ from .families import (SubspaceFamily, _contained_canonical_double_ball,
 from .gfq import field_new
 from .grassmann import (DEFAULT_DISTANCE_CELL_BUDGET, build_index,
                         enumerate_layer, lattice_size, ripple_add)
-from .qcount import (gauss_binom, hilton_milner_bound, kleitman_bound,
-                     kleitman_in_range, odd_stability_bound,
+from .qcount import (ekr_bound, gauss_binom, hilton_milner_bound,
+                     kleitman_bound, kleitman_in_range, odd_stability_bound,
                      odd_stability_in_range, small_s_nontrivial_bound,
                      type_a_even_bound, type_a_even_in_range,
                      type_b_even_bound, type_b_even_in_range)
 from .subspace import Subspace
 
-DEFAULT_SEARCH_LATTICE_BUDGET = 400
+DEFAULT_SEARCH_LATTICE_BUDGET = 3000
 DEFAULT_TIMEOUT_SECS = 600.0
 DEFAULT_WITNESS_CAP = 1000
 
@@ -153,18 +159,27 @@ class _CliqueEngine:
         for i, k in enumerate(self.layer_of):
             layer_mask[k] |= 1 << i
         self.layer_mask = layer_mask
-        # Complementary-pair caps: |F(k)| + |F(n-k)| <= [n k] whenever the
-        # whole family has diameter <= d < n.  Layers are grouped so every
-        # vertex belongs to exactly one group.
+        # Layer-pair caps, valid whenever the whole family has diameter
+        # <= d < n.  Complementary pairs: |F(k)| + |F(n-k)| <= [n k].  EKR:
+        # two j-spaces at distance <= d meet in >= j-t dimensions, so layer
+        # j is (j-t)-intersecting and, for j > t and n >= j+t, holds at most
+        # ekr_bound(n, j, j-t) members (Frankl-Wilson); e(j) is that, or
+        # [n j] outside the hypothesis.  A pair is capped by the smaller of
+        # [n k] and e(k) + e(n-k), the middle layer by e(k).  Layers are
+        # grouped so every vertex belongs to exactly one group.
         self.groups = []
         self.group_of_layer = [0] * (n + 1)
         if structural_cap and n >= d + 1:
+            t = d // 2
+            e = [ekr_bound(n, j, j - t, q) if t < j <= n - t
+                 else gauss_binom(n, j, q) for j in range(n + 1)]
             for k in range(n // 2 + 1):
                 if k != n - k:
                     mask = layer_mask[k] | layer_mask[n - k]
+                    cap = min(gauss_binom(n, k, q), e[k] + e[n - k])
                 else:
                     mask = layer_mask[k]
-                cap = gauss_binom(n, k, q)
+                    cap = e[k]
                 self.group_of_layer[k] = len(self.groups)
                 self.group_of_layer[n - k] = len(self.groups)
                 self.groups.append((mask, cap))

@@ -83,6 +83,24 @@ def test_criterion1_stretch_n5():
                    f"{elapsed:.2f}s")
 
 
+# The frontier: every (2, 6, d) and (3, 5, d) with 2 <= d <= n-1, inside the
+# default search budget and criterion 1's per-tuple time cap.
+FRONTIER_TUPLES = [(2, 6, d) for d in range(2, 6)] + [(3, 5, d) for d in range(2, 5)]
+
+
+@pytest.mark.parametrize("q,n,d", FRONTIER_TUPLES)
+def test_criterion1_frontier_proven(q, n, d):
+    start = time.monotonic()
+    rep = max_diameter_family(q, n, d, timeout_secs=60.0)
+    elapsed = time.monotonic() - start
+    assert not rep.timed_out and rep.proven_optimal
+    assert rep.optimum == kleitman_bound(n, d, q)
+    assert rep.bound_match is True
+    assert elapsed < 60.0
+    _report(1, f"frontier oracle (q={q}, n={n}, d={d}) optimum {rep.optimum} "
+               f"= formula, {elapsed:.2f}s")
+
+
 # -- criterion 2: equality characterization ------------------------------------
 
 @pytest.mark.parametrize("q,n,d,expected_count", [

@@ -316,6 +316,63 @@ def test_sweep_deterministic(capsys):
     assert out1 == out2
 
 
+# Each sweep's default summary, and the grid flags it reads with the values
+# they defaulted to when every sweep shared one set of flag defaults.
+_SWEEP_DEFAULTS = {
+    "lemma26": ("sweep lemma26: 3015 tuples, all pass",
+                ("--qmax", "4", "--nmax", "40", "--kmax", "12")),
+    "hm-positive": ("sweep hm_positive: 138 tuples, all pass",
+                    ("--qmax", "4", "--nmax", "40", "--tmax", "4")),
+    "type-compare": ("sweep type_compare: 64 tuples, FAILURES",
+                     ("--qmax", "4", "--tmax", "4")),
+    "type-ratio": ("sweep type_ratio: 64 tuples, all pass",
+                   ("--qmax", "4", "--tmax", "4")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SWEEP_DEFAULTS))
+def test_sweep_default_output_unchanged(capsys, name):
+    summary, old_defaults = _SWEEP_DEFAULTS[name]
+    code, out, _ = run_cli(capsys, "sweep", name)
+    assert out == summary + "\n"
+    assert code == (1 if name == "type-compare" else 0)
+    for fmt in ("text", "json", "csv"):
+        default = run_cli(capsys, "sweep", name, "--format", fmt)
+        spelled = run_cli(capsys, "sweep", name, *old_defaults, "--format", fmt)
+        assert default == spelled
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("type-ratio", "--nmax", "5", "--kmax", "1"),
+     "sweep type-ratio does not read --nmax, --kmax"),
+    (("type-compare", "--kmax", "3"), "sweep type-compare does not read --kmax"),
+    (("hm-positive", "--kmax", "3"), "sweep hm-positive does not read --kmax"),
+    (("lemma26", "--tmax", "3"), "sweep lemma26 does not read --tmax"),
+])
+def test_sweep_unread_grid_flag_is_usage_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, "sweep", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("flags, unread", [
+    (("--t", "7", "--budget", "0"), "--t, --budget"),
+    (("--t", "7"), "--t"),
+    (("--budget", "0"), "--budget"),
+])
+def test_check_without_class_refuses_t_and_budget(tmp_path, capsys, flags,
+                                                  unread):
+    fam_path = tmp_path / "l.fam"
+    run_cli(capsys, "construct", "L", "--q", "2", "--n", "3", "--t", "1",
+            "-o", str(fam_path))
+    code, out, err = run_cli(capsys, "check", str(fam_path), *flags)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: check without --class does not read "
+                                f"{unread}"]
+
+
 def test_check_class_requires_t(tmp_path, capsys):
     fam_path = tmp_path / "l.fam"
     run_cli(capsys, "construct", "L", "--q", "2", "--n", "3", "--t", "1",

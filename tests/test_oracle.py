@@ -73,13 +73,55 @@ def test_budget_exceeded():
         max_diameter_family(2, 5, 2, lattice_budget=100)
 
 
+# Every (q, n, d) with n <= 4 and d < n in every class, and plain (2, 5, d);
+# at d >= n the graph is complete and no cap applies.
+CAP_CASES = [(q, n, d, cls) for q in (2, 3) for n in range(1, 5)
+             for d in range(n)
+             for cls in ((None, "A_even", "B_even") if d % 2 == 0
+                         else (None, "A_odd", "B_odd"))] + [
+    (2, 5, d, None) for d in range(5)]
+
+
 def test_structural_cap_off_same_answer():
-    for (q, n, d) in [(2, 3, 2), (2, 4, 3)]:
-        with_cap = max_diameter_family(q, n, d, enumerate_all=True)
-        without = max_diameter_family(q, n, d, enumerate_all=True,
-                                      structural_cap=False)
-        assert with_cap.optimum == without.optimum
-        assert with_cap.witnesses == without.witnesses
+    # structural_cap=False is the reference that uses no theorem: one group
+    # capped by the vertex count.  The layer-pair caps must find the same
+    # optimum and witnesses, and never explore more nodes.
+    for q, n, d, family_class in CAP_CASES:
+        enumerate_all = (q, n, d, family_class) not in _COSTLY_ALL
+        with_cap, without = (
+            max_diameter_family(q, n, d, enumerate_all, structural_cap=cap)
+            if family_class is None else
+            max_admissible_family(q, n, d, family_class, enumerate_all,
+                                  structural_cap=cap)
+            for cap in (True, False))
+        case = (q, n, d, family_class)
+        assert with_cap.optimum == without.optimum, case
+        assert with_cap.witness_count == without.witness_count, case
+        assert with_cap.witnesses == without.witnesses, case
+        assert with_cap.nodes_explored <= without.nodes_explored, case
+
+
+@pytest.mark.parametrize("q,n,d,caps", [
+    (3, 4, 3, [1, 40, 13]),        # middle: ekr_bound(4, 2, 1, 3), not 130
+    (2, 6, 3, [1, 63, 62, 15]),    # (2, 4): 31 + 31; middle: ekr_bound(6, 3, 2, 2)
+    (2, 6, 5, [1, 63, 651, 155]),  # middle: ekr_bound(6, 3, 1, 2), not 1395
+])
+def test_group_caps_use_ekr_bound(q, n, d, caps):
+    index = build_index(field_new(q), n, budget=None)
+    engine = _CliqueEngine(index, d)
+    assert [cap for _, cap in engine.groups] == caps
+    assert sum(mask.bit_count() for mask, _ in engine.groups) == index.size
+    reference = _CliqueEngine(index, d, structural_cap=False)
+    assert reference.groups == [((1 << index.size) - 1, index.size)]
+
+
+def test_ekr_caps_prove_the_boundary_at_the_root():
+    # (2, 6, 5): the root bound 1 + 63 + 651 + 155 is the seed's 870, so
+    # every root branch dies at its first node.
+    rep = max_diameter_family(2, 6, 5)
+    assert rep.optimum == rep.greedy_seed_size == 870
+    assert rep.proven_optimal and rep.bound_match
+    assert rep.nodes_explored == 2825
 
 
 def test_timeout_counts_setup(monkeypatch):
@@ -373,6 +415,7 @@ def test_oracle_q3_n4_within_default_budget():
 
     rep = max_diameter_family(3, 4, 3, enumerate_all=True)
     assert rep.optimum == kleitman_bound(4, 3, 3) == 54
+    assert rep.nodes_explored < 10_000  # 61,826 without the EKR middle cap 13
     ok, _ = verify_characterization(rep)
     assert ok
     # boundary census: 4 complementary splits x 80 maximum 1-intersecting
