@@ -37,7 +37,7 @@ from .grassmann import (DEFAULT_ENUM_BUDGET, build_index, enumerate_layer,
                         write_subspaces)
 from .oracle import (DEFAULT_SEARCH_LATTICE_BUDGET, DEFAULT_TIMEOUT_SECS,
                      DEFAULT_WITNESS_CAP, SWEEPS, max_admissible_family,
-                     max_diameter_family, verify_characterization)
+                     verify_characterization)
 from .qcount import (complementary_pair_bound, count_profile, ekr_bound,
                      gauss_binom, hilton_milner_bound, kleitman_bound,
                      kleitman_in_range, nontrivial_intersecting_bound,
@@ -314,22 +314,22 @@ def cmd_enumerate(args) -> int:
 # oracle
 
 def cmd_oracle(args) -> int:
-    common = dict(
+    report = max_admissible_family(
+        args.q, args.n, args.d, args.family_class, enumerate_all=args.all,
         lattice_budget=_resolve_budget(args, DEFAULT_SEARCH_LATTICE_BUDGET),
         timeout_secs=_resolve_timeout(args), witness_cap=args.witness_cap)
-    diagnostics = []
-    if args.family_class is None:
-        report = max_diameter_family(args.q, args.n, args.d,
-                                     enumerate_all=args.all, **common)
-        if args.all and not report.timed_out and report.bound_match:
+    diagnostics = None
+    if args.family_class is None and report.exhaustive and report.bound_match:
+        kept = len(report.witnesses)
+        if report.witness_count == kept:
             report.characterization_match, diagnostics = \
                 verify_characterization(report)
-    else:
-        report = max_admissible_family(args.q, args.n, args.d,
-                                       args.family_class,
-                                       enumerate_all=args.all, **common)
+        else:
+            diagnostics = [
+                f"not characterized: witness cap {report.witness_cap} kept "
+                f"{kept} of {report.witness_count} witnesses"]
     doc = report.to_json_dict()
-    if diagnostics:
+    if diagnostics is not None:
         doc["characterization_diagnostics"] = diagnostics
     _emit(args, None, doc)
     if report.timed_out:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import (AmbientMismatch, BudgetExceeded, EmptyFamily,
-                     InvalidConfiguration, ParseError)
+                     InvalidConfiguration, ParameterOutOfRange, ParseError)
 from .gfq import field_new
 from .grassmann import (DEFAULT_DISTANCE_CELL_BUDGET, DEFAULT_ENUM_BUDGET,
                         enumerate_layer)
@@ -110,7 +110,7 @@ def ball(center: Subspace, radius: int, budget=DEFAULT_ENUM_BUDGET) -> SubspaceF
     enumeration is restricted to that window.
     """
     if radius < 0 or radius > center.n:
-        raise ValueError(f"radius {radius} out of range for n={center.n}")
+        raise ParameterOutOfRange(f"radius {radius} out of range for n={center.n}")
     field, n = center.field, center.n
     members = []
     lo = max(0, center.dim - radius)
@@ -149,7 +149,8 @@ def star(x: Subspace, k: int, budget=DEFAULT_ENUM_BUDGET) -> SubspaceFamily:
     """All k-subspaces containing x; for dim(x)=1 its size is [n-1 k-1]."""
     field, n = x.field, x.n
     if not x.dim <= k <= n:
-        raise ValueError(f"star needs dim(x) <= k <= n, got k={k}, dim={x.dim}")
+        raise ParameterOutOfRange(
+            f"star needs dim(x) <= k <= n, got k={k}, dim={x.dim}")
     members = [s for s in enumerate_layer(field, n, k, budget=budget)
                if s.contains(x)]
     return SubspaceFamily(field, n, members)
@@ -161,7 +162,7 @@ def canonical_double_ball(x: Subspace, t: int,
     if x.dim != 1:
         raise InvalidConfiguration(f"center must be a line, got dim {x.dim}")
     if t + 1 > x.n:
-        raise ValueError(f"t={t} too large for n={x.n}")
+        raise ParameterOutOfRange(f"t={t} too large for n={x.n}")
     return lower_layers(x.field, x.n, t, budget).union(star(x, t + 1, budget))
 
 

@@ -32,11 +32,18 @@ the ball relation is symmetric, so a vertex lies in a clause exactly when
 one of the clause's centres lies in the vertex's ball: the index is built
 from the centres' balls, and B_even's clause list is its own index.
 
+One driver, max_admissible_family, runs every search: index, seed,
+engine, search, witness re-verification, formula and report.  Class None
+is the plain search against the Kleitman bound; max_diameter_family is
+that call.  A class adds only data and checks: its parity of d, its
+clauses, its seed, the is_admissible re-check of its witnesses and its
+row of _FORMULAS.
+
 Recorded witnesses are always re-verified by row elimination
 (``Subspace.distance``), a code path independent of the line incidence
 the adjacency came from; each distinct member pair is met once across all
-witnesses.  The timeout runs from the entry of the search functions, so
-the index, the seed and the adjacency count against it.
+witnesses.  The timeout runs from the entry of the driver, so the index,
+the seed and the adjacency count against it.
 
 Everything is deterministic: vertex order, branching, tie-breaks, and the
 final canonical sort of witnesses.
@@ -45,6 +52,7 @@ final canonical sort of witnesses.
 from __future__ import annotations
 
 import io
+import operator
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -186,7 +194,6 @@ class _CliqueEngine:
         else:
             self.groups.append(((1 << nv) - 1, nv))
         self.forbidden, self.clause_of = self._clauses(family_class, d // 2)
-        self.reset_counters()
 
     def _clauses(self, family_class, t):
         """Vertex masks of the forbidden configurations of family_class, and
@@ -243,15 +250,6 @@ class _CliqueEngine:
                 clause_of[b.bit_length() - 1] |= mask
                 rest ^= b
         return clauses, clause_of
-
-    def reset_counters(self):
-        self.nodes = 0
-        self.best = 0
-        self.collected: list[list[int]] = []
-        self.collected_count = 0
-        self.collect_all = False
-        self.witness_cap = DEFAULT_WITNESS_CAP
-        self.deadline = None
 
     def _degeneracy_order(self):
         """Peel minimum-degree vertices, canonical index as tie-break.
@@ -322,12 +320,11 @@ class _CliqueEngine:
             return
         if size > self.best:
             self.best = size
-            self.collected = [list(plist)]
-            self.collected_count = 1
-        elif self.collect_all:
-            self.collected_count += 1
-            if len(self.collected) < self.witness_cap:
-                self.collected.append(list(plist))
+            self.collected = []
+            self.collected_count = 0
+        self.collected_count += 1
+        if len(self.collected) < (self.witness_cap if self.collect_all else 1):
+            self.collected.append(list(plist))
 
     def _expand(self, plist, cand, used, alive):
         """Search below the partial clique plist.
@@ -379,15 +376,16 @@ class _CliqueEngine:
         deadline is a time.monotonic() value, checked at the first node and
         at every 1024th after it.
         """
-        self.reset_counters()
         self.collect_all = collect_all
         self.witness_cap = witness_cap
         self.deadline = deadline
-        if seed_vertices:
-            self.best = len(seed_vertices)
-            if not collect_all:
-                self.collected = [list(seed_vertices)]
-                self.collected_count = 1
+        self.nodes = 0
+        self.best = len(seed_vertices) if seed_vertices else 0
+        # Without collect_all the seed is the witness until a larger clique
+        # is found; with it, only the cliques the search reaches count.
+        self.collected = ([list(seed_vertices)]
+                          if seed_vertices and not collect_all else [])
+        self.collected_count = len(self.collected)
         timed_out = False
         order = self._degeneracy_order()
         later = (1 << self.nv) - 1
@@ -402,10 +400,10 @@ class _CliqueEngine:
                 self._expand([v], self.adj[v] & later, used, alive)
         except _Timeout:
             timed_out = True
-        if collect_all and seed_vertices and not self.collected:
+        if collect_all and seed_vertices and not self.collected_count:
             # Nothing at the seed size was enumerated (timeout before any
             # leaf); fall back to the seed itself.
-            self.collected = [list(seed_vertices)]
+            self.collected = [list(seed_vertices)][:witness_cap]
             self.collected_count = 1
         return self.best, self.collected, self.collected_count, self.nodes, timed_out
 
@@ -437,45 +435,6 @@ def _search_index(q, n, d, witness_cap, lattice_budget):
             f"lattice (q={q}, n={n}) has {total} subspaces, search budget is "
             f"{budget}", would_be_count=total)
     return build_index(field_new(q), n, budget=budget)
-
-
-def max_diameter_family(q, n, d, enumerate_all=False, *, lattice_budget=None,
-                        timeout_secs=DEFAULT_TIMEOUT_SECS,
-                        witness_cap=DEFAULT_WITNESS_CAP,
-                        structural_cap=True) -> SearchReport:
-    """Exact maximum size of a diameter-<= d family, by exhaustive search.
-
-    With enumerate_all, every maximum family is collected (up to the witness
-    cap; the true count is always reported).  The search is sequential and
-    deterministic.  timeout_secs runs from this call's entry, so building
-    the index, the seed and the adjacency count against it.
-    """
-    start = time.monotonic()
-    deadline = None if timeout_secs is None else start + timeout_secs
-    index = _search_index(q, n, d, witness_cap, lattice_budget)
-    field = index.field
-    seed = _seed_family(field, n, d, budget=None)
-    seed_vertices = sorted(index.position(s) for s in seed)
-    engine = _CliqueEngine(index, d, structural_cap=structural_cap)
-    best, collected, count, nodes, timed_out = engine.search(
-        seed_vertices=seed_vertices, collect_all=enumerate_all,
-        witness_cap=witness_cap, deadline=deadline)
-    elapsed_ms = int((time.monotonic() - start) * 1000)
-
-    witnesses = _materialize_witnesses(index, collected, d)
-    formula = None
-    in_range = kleitman_in_range(n, d)
-    if in_range:
-        formula = kleitman_bound(n, d, q)
-    bound_match = None if (formula is None or timed_out) else best == formula
-    return SearchReport(
-        q=q, n=n, d=d, family_class=None, optimum=best,
-        witness_count=count, witnesses=witnesses, nodes_explored=nodes,
-        elapsed_ms=elapsed_ms, proven_optimal=not timed_out,
-        exhaustive=enumerate_all and not timed_out, timed_out=timed_out,
-        bound_match=bound_match, formula_value=formula,
-        in_hypothesis_range=in_range, greedy_seed_size=len(seed),
-        witness_cap=witness_cap)
 
 
 def _materialize_witnesses(index, collected, d):
@@ -517,7 +476,7 @@ def _materialize_witnesses(index, collected, d):
 
 
 # ---------------------------------------------------------------------------
-# admissible search
+# the search driver
 
 def _admissible_seed(field, n, d, family_class, budget):
     """Best known-by-construction admissible family, if any."""
@@ -560,68 +519,78 @@ def _admissible_seed(field, n, d, family_class, budget):
     return best
 
 
+# family class -> (bound formula, its hypothesis range, the relation the
+# optimum must bear to the formula).  The plain search (class None) meets
+# the exact Kleitman bound in (n, d); a class stays within its stability
+# bound in (n, t).  Each formula raises ParameterOutOfRange where it is
+# undefined, which is never inside its hypothesis range.
+_FORMULAS = {
+    None: (kleitman_bound, kleitman_in_range, operator.eq),
+    "A_even": (type_a_even_bound, type_a_even_in_range, operator.le),
+    "B_even": (type_b_even_bound, type_b_even_in_range, operator.le),
+    "A_odd": (odd_stability_bound, odd_stability_in_range, operator.le),
+    "B_odd": (odd_stability_bound, odd_stability_in_range, operator.le),
+}
+
+
 def max_admissible_family(q, n, d, family_class, enumerate_all=False, *,
                           lattice_budget=None,
                           timeout_secs=DEFAULT_TIMEOUT_SECS,
                           witness_cap=DEFAULT_WITNESS_CAP,
                           structural_cap=True) -> SearchReport:
-    """Exact maximum size of an admissible diameter-bounded family.
+    """Exact maximum size of an admissible diameter-<= d family, by
+    exhaustive search; the one driver of every oracle search.
 
-    family_class is one of A_even, B_even (even d) or A_odd, B_odd (odd d).
-    Every forbidden configuration of the class is an exclusion clause of
-    the search; each witness is re-verified by is_admissible.  Below the
-    stability theorems' hypothesis thresholds the result is reported as an
-    observation, never asserted against the formulas.  timeout_secs runs
-    from this call's entry, as in max_diameter_family.
+    family_class None is the plain search, checked against the Kleitman
+    bound.  A_even, B_even (even d) and A_odd, B_odd (odd d) make every
+    forbidden configuration of the class an exclusion clause of the search,
+    and each witness is re-verified by is_admissible.  Below a theorem's
+    hypothesis threshold the optimum is reported as an observation, never
+    asserted against the formula.
+
+    With enumerate_all, every maximum family is collected (up to the witness
+    cap; the true count is always reported).  The search is sequential and
+    deterministic.  timeout_secs runs from this call's entry, so building
+    the index, the seed and the adjacency count against it.
     """
     start = time.monotonic()
     deadline = None if timeout_secs is None else start + timeout_secs
-    even_class = family_class.endswith("even")
-    if even_class != (d % 2 == 0):
-        raise ParameterOutOfRange(
-            f"class {family_class} needs {'even' if even_class else 'odd'} d, got {d}")
+    if family_class not in _FORMULAS:
+        raise ValueError(f"unknown admissibility class {family_class!r}")
     t = d // 2
+    if family_class is not None and family_class.endswith("even") != (d % 2 == 0):
+        raise ParameterOutOfRange(
+            f"class {family_class} needs {'odd' if d % 2 == 0 else 'even'} d, "
+            f"got {d}")
     index = _search_index(q, n, d, witness_cap, lattice_budget)
-    field = index.field
+    if family_class is None:
+        seed = _seed_family(index.field, n, d, budget=None)
+    else:
+        seed = _admissible_seed(index.field, n, d, family_class, budget=None)
+    seed_vertices = (None if seed is None
+                     else sorted(index.position(s) for s in seed))
     engine = _CliqueEngine(index, d, family_class,
                            structural_cap=structural_cap)
-
-    seed = _admissible_seed(field, n, d, family_class, budget=None)
-    seed_vertices = None
-    if seed is not None:
-        seed_vertices = sorted(index.position(s) for s in seed)
     best, collected, count, nodes, timed_out = engine.search(
         seed_vertices=seed_vertices, collect_all=enumerate_all,
         witness_cap=witness_cap, deadline=deadline)
     elapsed_ms = int((time.monotonic() - start) * 1000)
 
     witnesses = _materialize_witnesses(index, collected, d)
-    for fam in witnesses:
-        rep = is_admissible(fam, family_class, t, budget=None)
-        if not rep.admissible:
-            raise AssertionError("search returned an inadmissible witness")
+    if family_class is not None:
+        for fam in witnesses:
+            if not is_admissible(fam, family_class, t, budget=None).admissible:
+                raise AssertionError("search returned an inadmissible witness")
 
-    formula = None
-    in_range = None
+    bound, in_range_of, relation = _FORMULAS[family_class]
+    arg = d if family_class is None else t
     try:
-        if family_class == "A_even":
-            formula = type_a_even_bound(n, t, q)
-            in_range = type_a_even_in_range(n, t)
-        elif family_class == "B_even":
-            formula = type_b_even_bound(n, t, q)
-            in_range = type_b_even_in_range(n, t)
-        else:
-            formula = odd_stability_bound(n, t, q)
-            in_range = odd_stability_in_range(n, t)
+        formula, in_range = bound(n, arg, q), in_range_of(n, arg)
     except ParameterOutOfRange:
-        formula = None
-        in_range = False
-    # Below the hypothesis threshold the optimum may legitimately exceed the
-    # formula, so bound_match stays unset there; it is only recorded when
-    # the tuple satisfies the theorem hypotheses.
-    bound_match = None
-    if formula is not None and in_range and not timed_out:
-        bound_match = best <= formula
+        formula, in_range = None, False
+    bound_match = (relation(best, formula)
+                   if formula is not None and in_range and not timed_out
+                   else None)
     return SearchReport(
         q=q, n=n, d=d, family_class=family_class, optimum=best,
         witness_count=count, witnesses=witnesses, nodes_explored=nodes,
@@ -631,6 +600,18 @@ def max_admissible_family(q, n, d, family_class, enumerate_all=False, *,
         formula_value=formula, in_hypothesis_range=in_range,
         greedy_seed_size=0 if seed is None else len(seed),
         witness_cap=witness_cap)
+
+
+def max_diameter_family(q, n, d, enumerate_all=False, *, lattice_budget=None,
+                        timeout_secs=DEFAULT_TIMEOUT_SECS,
+                        witness_cap=DEFAULT_WITNESS_CAP,
+                        structural_cap=True) -> SearchReport:
+    """Exact maximum size of a diameter-<= d family: max_admissible_family
+    with no class."""
+    return max_admissible_family(
+        q, n, d, None, enumerate_all, lattice_budget=lattice_budget,
+        timeout_secs=timeout_secs, witness_cap=witness_cap,
+        structural_cap=structural_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -739,7 +720,6 @@ class SweepRow:
     lhs: int
     rhs: int
     relation: str
-    passed: bool
 
     @property
     def margin(self) -> int:
@@ -749,6 +729,10 @@ class SweepRow:
         if self.relation == "<":
             return self.rhs - self.lhs - 1
         return self.lhs - self.rhs - 1  # ">"
+
+    @property
+    def passed(self) -> bool:
+        return self.margin >= 0
 
 
 @dataclass
@@ -768,14 +752,6 @@ class SweepReport:
         return [r for r in self.rows if not r.passed]
 
 
-def _compare(relation, lhs, rhs):
-    if relation == "<=":
-        return lhs <= rhs
-    if relation == "<":
-        return lhs < rhs
-    return lhs > rhs
-
-
 def sweep_lemma26(q_values=(2, 3, 4), k_max=12, n_max=40) -> SweepReport:
     """Small-s nontrivial bound <= [k-s+1 1][n-s-1 k-s-1] on the full grid."""
     rows = []
@@ -787,8 +763,7 @@ def sweep_lemma26(q_values=(2, 3, 4), k_max=12, n_max=40) -> SweepReport:
                     rhs = (gauss_binom(k - s + 1, 1, q)
                            * gauss_binom(n - s - 1, k - s - 1, q))
                     params = (("q", q), ("k", k), ("s", s), ("n", n))
-                    rows.append(SweepRow(params, lhs, rhs, "<=",
-                                         _compare("<=", lhs, rhs)))
+                    rows.append(SweepRow(params, lhs, rhs, "<="))
     return SweepReport("lemma26", rows)
 
 
@@ -800,8 +775,7 @@ def sweep_hm_positive(q_values=(2, 3), t_values=(2, 3, 4), n_max=40) -> SweepRep
             for n in range(5 * t + 3, n_max + 1):
                 lhs = hilton_milner_bound(n, t + 1, q)
                 params = (("q", q), ("t", t), ("n", n))
-                rows.append(SweepRow(params, lhs, 0, ">",
-                                     _compare(">", lhs, 0)))
+                rows.append(SweepRow(params, lhs, 0, ">"))
     return SweepReport("hm_positive", rows)
 
 
@@ -820,8 +794,7 @@ def sweep_type_compare(q_values=(2, 3), t_values=(2, 3)) -> SweepReport:
                 lhs = type_b_even_bound(n, t, q)
                 rhs = type_a_even_bound(n, t, q)
                 params = (("q", q), ("t", t), ("n", n))
-                rows.append(SweepRow(params, lhs, rhs, "<",
-                                     _compare("<", lhs, rhs)))
+                rows.append(SweepRow(params, lhs, rhs, "<"))
     return SweepReport("type_compare", rows)
 
 
@@ -843,8 +816,7 @@ def sweep_type_ratio(q_values=(2, 3), t_values=(2, 3)) -> SweepReport:
                 rhs = ((gauss_binom(n - 1, t - 1, q) + gauss_binom(n - 1, t, q))
                        * (q**n - 1) * (q**t - 1))
                 params = (("q", q), ("t", t), ("n", n))
-                rows.append(SweepRow(params, lhs, rhs, "<=",
-                                     _compare("<=", lhs, rhs)))
+                rows.append(SweepRow(params, lhs, rhs, "<="))
     return SweepReport("type_ratio", rows)
 
 

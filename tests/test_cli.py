@@ -125,6 +125,12 @@ def test_construct_conflicting_params(capsys):
     (("construct", "D", "--x", "2:4:1:1000"), "construct D requires --t"),
     (("construct", "double-ball", "--r", "1"),
      "construct double-ball requires --center, --center2"),
+    (("construct", "ball", "--center", "2:4:1:1000", "--r", "-1"),
+     "radius -1 out of range for n=4"),
+    (("construct", "star", "--x", "2:4:1:1000", "--k", "0"),
+     "star needs dim(x) <= k <= n, got k=0, dim=1"),
+    (("construct", "D", "--x", "2:4:1:1000", "--t", "9"),
+     "t=9 too large for n=4"),
 ])
 def test_parameter_flag_usage_error(capsys, command, message):
     code, out, err = run_cli(capsys, *command)
@@ -238,6 +244,21 @@ def test_oracle_timeout_exit_two(capsys):
     assert doc["proven_optimal"] is False
 
 
+@pytest.mark.parametrize("cap, kept", [(0, 0), (61, 61)])
+def test_oracle_capped_enumeration_keeps_its_report(capsys, cap, kept):
+    # The 62 maximum families of (2, 5, 3) outnumber the cap: the report
+    # still comes out, with the true count and no characterization.
+    code, out, err = run_cli(capsys, "oracle", "max", "--q", "2", "--n", "5",
+                             "--d", "3", "--all", "--witness-cap", str(cap))
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["witness_count"] == 62 and len(doc["witnesses"]) == kept
+    assert doc["bound_match"] is True
+    assert doc["characterization_match"] is None
+    assert doc["characterization_diagnostics"] == [
+        f"not characterized: witness cap {cap} kept {kept} of 62 witnesses"]
+
+
 @pytest.mark.parametrize("args, message", [
     (("--n", "3", "--d", "-1"), "d must be >= 0, got -1"),
     (("--n", "3", "--d", "-1", "--class", "B_odd"), "d must be >= 0, got -1"),
@@ -274,6 +295,8 @@ REPORT_SCHEMA = json.loads(
     ("--all",),
     ("--class", "B_odd"),
     ("--class", "A_odd", "--all"),
+    ("--all", "--witness-cap", "0"),
+    ("--all", "--witness-cap", "5"),
 ])
 def test_oracle_report_matches_schema(capsys, extra):
     code, out, _ = run_cli(capsys, "oracle", "max", "--q", "2", "--n", "4",
@@ -281,7 +304,8 @@ def test_oracle_report_matches_schema(capsys, extra):
     assert code == 0
     doc = json.loads(out)
     jsonschema.validate(doc, REPORT_SCHEMA)
-    assert ("characterization_diagnostics" in doc) == (extra == ("--all",))
+    assert ("characterization_diagnostics" in doc) == (
+        "--all" in extra and "--class" not in extra)
     doc["optimum"] = int(doc["optimum"])
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(doc, REPORT_SCHEMA)

@@ -200,6 +200,26 @@ def test_characterization_witness_cap_truncation_detected():
         verify_characterization(rep)
 
 
+@pytest.mark.parametrize("q,n,d,family_class,count", [
+    (2, 4, 3, None, 120),     # the seed is a maximum family
+    (2, 5, 3, None, 62),
+    (2, 4, 2, "B_even", 60),  # no seed: the search finds the first maximum
+])
+def test_witness_cap_zero_reports_true_count(q, n, d, family_class, count):
+    rep = max_admissible_family(q, n, d, family_class, enumerate_all=True,
+                                witness_cap=0)
+    assert rep.exhaustive and rep.bound_match is not False
+    assert rep.witness_count == count
+    assert rep.witnesses == []
+
+
+def test_witness_cap_zero_on_timeout_keeps_no_seed():
+    rep = max_diameter_family(2, 5, 3, enumerate_all=True, timeout_secs=0.0,
+                              witness_cap=0)
+    assert rep.timed_out and rep.optimum == rep.greedy_seed_size
+    assert rep.witness_count == 1 and rep.witnesses == []
+
+
 # -- admissible searches -------------------------------------------------------------
 
 def test_admissible_a_odd_below_threshold():
