@@ -297,6 +297,8 @@ def cmd_check(args) -> int:
 # enumerate
 
 def cmd_enumerate(args) -> int:
+    if args.n < 0:
+        raise QdiamError(f"n must be >= 0, got {args.n}")
     field = field_new(args.q)
     budget = _resolve_budget(args, DEFAULT_ENUM_BUDGET)
     if args.k is not None:

@@ -129,8 +129,15 @@ def double_ball(c1: Subspace, c2: Subspace, radius: int,
     return ball(c1, radius, budget).union(ball(c2, radius, budget))
 
 
+def _check_layers(n, t):
+    for name, value in (("n", n), ("t", t)):
+        if value < 0:
+            raise ParameterOutOfRange(f"{name} must be >= 0, got {value}")
+
+
 def lower_layers(field, n, t, budget=DEFAULT_ENUM_BUDGET) -> SubspaceFamily:
     """All subspaces of dimension at most t (the ball of radius t around 0)."""
+    _check_layers(n, t)
     members = []
     for k in range(min(t, n) + 1):
         members.extend(enumerate_layer(field, n, k, budget=budget))
@@ -139,6 +146,7 @@ def lower_layers(field, n, t, budget=DEFAULT_ENUM_BUDGET) -> SubspaceFamily:
 
 def upper_layers(field, n, t, budget=DEFAULT_ENUM_BUDGET) -> SubspaceFamily:
     """All subspaces of dimension at least n-t (the perp of lower_layers)."""
+    _check_layers(n, t)
     members = []
     for k in range(max(0, n - t), n + 1):
         members.extend(enumerate_layer(field, n, k, budget=budget))

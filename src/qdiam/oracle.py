@@ -2,11 +2,15 @@
 
 The maximum bounded-diameter family problem is a maximum clique problem on
 the graph whose vertices are all subspaces and whose edges join pairs at
-distance at most d.  Each adjacency row is a ball mask of the lattice
-index, and the degeneracy order peels vertices by bit-sliced degree
-counters, so neither loops over vertex pairs in Python.  The engine
-branches in degeneracy order at the root with canonical tie-breaking, uses
-greedy-coloring upper bounds inside, and adds domain caps: a partial
+distance at most d.  The engine keeps one non-neighbour mask per vertex,
+the complement of its radius-d ball mask in the lattice index, and the
+degeneracy order peels vertices by bit-sliced non-degree counters, so
+neither loops over vertex pairs in Python.  The engine branches in
+degeneracy order at the root with canonical tie-breaking and uses
+greedy-coloring upper bounds inside (San Segundo et al. 2011): coloring a
+vertex is one AND with its non-neighbour mask, and only the vertices whose
+color reaches k_min = need - |clique| are returned for branching, since the
+others are cut anyway (Konc and Janezic 2007).  It adds domain caps: a partial
 solution together with its candidates can never place more than [n k]
 members on a complementary layer pair (k, n-k), so branches violating that
 die early.  Two j-spaces at distance at most d = 2t or 2t+1 meet in at
@@ -39,11 +43,18 @@ that call.  A class adds only data and checks: its parity of d, its
 clauses, its seed, the is_admissible re-check of its witnesses and its
 row of _FORMULAS.
 
+A root branch the caps kill is expanded without its clauses, so it dies
+at the caps without a clause scan; below the root the clause scan comes
+first, because there it usually prunes after a clause or two.
+
 Recorded witnesses are always re-verified by row elimination
 (``Subspace.distance``), a code path independent of the line incidence
-the adjacency came from; each distinct member pair is met once across all
-witnesses.  The timeout runs from the entry of the driver, so the index,
-the seed and the adjacency count against it.
+the masks came from: the pairs are walked once over the union of the
+witnesses, and a pair is checked only when some witness holds both.  The
+characterization builds the census families once and classifies a
+witness by lookup, falling back to the per-witness case analysis.  The
+timeout runs from the entry of the driver, so the index, the seed and the
+masks count against it.
 
 Everything is deterministic: vertex order, branching, tie-breaks, and the
 final canonical sort of witnesses.
@@ -153,7 +164,7 @@ class _CliqueEngine:
         clauses = {"A_even": 2, "A_odd": 2 * gauss_binom(n, 1, q), "B_even": nv,
                    "B_odd": sum(gauss_binom(n, k, q) * gauss_binom(n - k, 1, q)
                                 for k in range(n))}.get(family_class, 0)
-        # Adjacency bitsets, the index's vector masks and line incidence
+        # Non-neighbour bitsets, the index's vector masks and line incidence
         # columns, and the clauses with their per-vertex index, in bytes.
         need = (nv * nv + nv * q ** n + gauss_binom(n, 1, q) * nv
                 + 2 * clauses * nv + 7) // 8
@@ -161,7 +172,9 @@ class _CliqueEngine:
             raise BudgetExceeded(
                 f"adjacency of (q={q}, n={n}) needs {need} bytes, budget is "
                 f"{DEFAULT_DISTANCE_CELL_BUDGET}", would_be_count=need)
-        self.adj = [index.ball(i, d) ^ (1 << i) for i in range(nv)]
+        # Non-neighbour masks: vertices farther than d, v itself excluded.
+        full = (1 << nv) - 1
+        self.non = [full ^ index.ball(i, d) for i in range(nv)]
         self.layer_of = [s.dim for s in index.subspaces]
         layer_mask = [0] * (n + 1)
         for i, k in enumerate(self.layer_of):
@@ -254,30 +267,32 @@ class _CliqueEngine:
     def _degeneracy_order(self):
         """Peel minimum-degree vertices, canonical index as tie-break.
 
-        The degrees are bit-sliced: plane j holds bit j of every vertex's
-        degree, built by ripple-adding the adjacency rows.  A top-down scan
-        of the planes keeps, at each plane, the alive vertices with a 0 bit
-        whenever there are any, which leaves those of minimum degree; the
-        next vertex is the lowest of them.  Removing it ripple-borrows one
-        from the degree of each alive neighbour.
+        An alive vertex's degree is |alive| - 1 minus its alive non-degree,
+        so the minimum degree is the maximum non-degree.  The non-degrees
+        are bit-sliced: plane j holds bit j of every vertex's count, built
+        by ripple-adding the non-neighbour rows.  A top-down scan of the
+        planes keeps, at each plane, the alive vertices with a 1 bit
+        whenever there are any, which leaves those of maximum non-degree;
+        the next vertex is the lowest of them.  Removing it ripple-borrows
+        one from the count of each alive non-neighbour.
         """
-        adj = self.adj
+        non = self.non
         planes = []
-        for row in adj:
+        for row in non:
             ripple_add(planes, row)
         alive = (1 << self.nv) - 1
         order = []
         for _ in range(self.nv):
-            low = alive
+            high = alive
             for p in reversed(planes):
-                zero = low & ~p
-                if zero:
-                    low = zero
-            b = low & -low
+                one = high & p
+                if one:
+                    high = one
+            b = high & -high
             v = b.bit_length() - 1
             order.append(v)
             alive ^= b
-            borrow = adj[v] & alive
+            borrow = non[v] & alive
             j = 0
             while borrow:
                 p = planes[j]
@@ -286,9 +301,16 @@ class _CliqueEngine:
                 j += 1
         return order
 
-    def _color_order(self, cand):
-        """Greedy coloring; returns vertices with ascending color bounds."""
-        adj = self.adj
+    def _color_order(self, cand, kmin):
+        """Greedy coloring of cand; returns the vertices whose color is at
+        least kmin, with their ascending color bounds.
+
+        A vertex with a lower color cannot lead to a clique of the size the
+        caller needs, so it is colored but not returned.  Coloring a vertex
+        v keeps, of the vertices still free for its class, only its
+        non-neighbours: one AND with non[v], which also drops v.
+        """
+        non = self.non
         order = []
         bounds = []
         color = 0
@@ -296,11 +318,16 @@ class _CliqueEngine:
         while uncolored:
             color += 1
             avail = uncolored
+            if color < kmin:
+                while avail:
+                    b = avail & -avail
+                    avail &= non[b.bit_length() - 1]
+                    uncolored ^= b
+                continue
             while avail:
                 b = avail & -avail
                 v = b.bit_length() - 1
-                avail &= ~adj[v]
-                avail ^= b
+                avail &= non[v]
                 uncolored ^= b
                 order.append(v)
                 bounds.append(color)
@@ -349,9 +376,12 @@ class _CliqueEngine:
         if not cand:
             self._record(plist)
             return
-        order, bounds = self._color_order(cand)
-        cur = cand
         psize = len(plist)
+        # need only rises below, so a vertex colored under need - psize now
+        # would be cut at its turn anyway.
+        order, bounds = self._color_order(cand, need - psize)
+        cur = cand
+        non = self.non
         group_of_layer = self.group_of_layer
         layer_of = self.layer_of
         clause_of = self.clause_of
@@ -363,7 +393,7 @@ class _CliqueEngine:
             gi = group_of_layer[layer_of[v]]
             plist.append(v)
             used[gi] += 1
-            self._expand(plist, cur & self.adj[v], used,
+            self._expand(plist, cur ^ (cur & non[v]) ^ (1 << v), used,
                          alive and alive & clause_of[v])
             used[gi] -= 1
             plist.pop()
@@ -388,16 +418,23 @@ class _CliqueEngine:
         self.collected_count = len(self.collected)
         timed_out = False
         order = self._degeneracy_order()
+        non = self.non
         later = (1 << self.nv) - 1
         try:
             for v in order:
-                bv = 1 << v
-                later ^= bv
+                later ^= 1 << v
+                cand = later ^ (later & non[v])
                 gi = self.group_of_layer[self.layer_of[v]]
                 used = [0] * len(self.groups)
                 used[gi] = 1
                 alive = self.clause_of[v] if self.clause_of else 0
-                self._expand([v], self.adj[v] & later, used, alive)
+                if alive and self._group_bound(1, used, cand) < (
+                        self.best if collect_all else self.best + 1):
+                    # The group bound kills this root whatever its clauses
+                    # say; without them it still counts as one node but
+                    # skips the clause scan.
+                    alive = 0
+                self._expand([v], cand, used, alive)
         except _Timeout:
             timed_out = True
         if collect_all and seed_vertices and not self.collected_count:
@@ -441,36 +478,35 @@ def _materialize_witnesses(index, collected, d):
     """Vertex lists -> families, each member pair re-verified by row elimination.
 
     Subspace.distance does not use the vector masks the search adjacency
-    came from.  Witnesses share most of their pairs, so each distinct pair
-    is met once; pairs whose dimension sum is at most d cannot be farther
+    came from.  Witnesses share most of their pairs, so the pairs are walked
+    once over the union of the witnesses' vertices: bit w of holds[v] is set
+    when witness w holds v, and a pair is checked only when some witness
+    holds both.  Pairs whose dimension sum is at most d cannot be farther
     apart than d and are skipped.
     """
     field, n = index.field, index.n
     subspaces = index.subspaces
-    slot = {v: i for i, v in enumerate(sorted(set().union(*collected)))}
-    m = len(slot)
-    verified = bytearray(m * m)
-    witnesses = []
-    for vertices in collected:
-        # Index positions run layer by layer, so in descending order the
-        # dimension sum only falls along each row of pairs.
-        vertices = sorted(vertices, reverse=True)
-        members = [subspaces[v] for v in vertices]
-        slots = [slot[v] for v in vertices]
-        for i, a in enumerate(members):
-            row = slots[i] * m
-            for b, col in zip(members[i + 1:], slots[i + 1:]):
-                if a.dim + b.dim <= d:
-                    break
-                key = row + col
-                if verified[key]:
-                    continue
-                if a.distance(b) > d:
-                    raise AssertionError(
-                        "search produced a witness violating the diameter "
-                        f"bound: {(a, b)}")
-                verified[key] = 1
-        witnesses.append(SubspaceFamily(field, n, members))
+    holds = {}
+    for w, vertices in enumerate(collected):
+        bit = 1 << w
+        for v in vertices:
+            holds[v] = holds.get(v, 0) | bit
+    # Index positions run layer by layer, so in descending order the
+    # dimension sum only falls along each row of pairs.
+    union = sorted(holds, reverse=True)
+    members = [subspaces[v] for v in union]
+    masks = [holds[v] for v in union]
+    for i, a in enumerate(members):
+        mask = masks[i]
+        for b, shared in zip(members[i + 1:], masks[i + 1:]):
+            if a.dim + b.dim <= d:
+                break
+            if mask & shared and a.distance(b) > d:
+                raise AssertionError(
+                    "search produced a witness violating the diameter "
+                    f"bound: {(a, b)}")
+    witnesses = [SubspaceFamily(field, n, [subspaces[v] for v in vertices])
+                 for vertices in collected]
     witnesses.sort(key=lambda f: tuple(s.sort_key() for s in f.members))
     return witnesses
 
@@ -673,11 +709,28 @@ def verify_characterization(report: SearchReport):
     q, n, d = report.q, report.n, report.d
     field = field_new(q)
     t = d // 2
+    # The canonical extremal families of the closed case n >= d+2, each
+    # with the (label, reason) _classify_witness gives it; a double ball's
+    # own label comes first, as there.  The boundary n = d+1 has no census.
+    census = {}
+    if n >= d + 2 and d % 2 == 0:
+        census = {lower_layers(field, n, t, budget=None):
+                  ("full_lower_layers", "union of layers 0..t"),
+                  upper_layers(field, n, t, budget=None):
+                  ("full_upper_layers", "union of layers n-t..n")}
+    elif n >= d + 2:
+        for x in enumerate_layer(field, n, 1, budget=None):
+            fam = canonical_double_ball(x, t, budget=None)
+            reason = f"double ball at {x.to_token()}"
+            census[fam] = ("canonical_double_ball", reason)
+            census.setdefault(perp_family(fam),
+                              ("canonical_double_ball_perp", reason))
     ok = True
     diagnostics = []
     labels = []
     for i, fam in enumerate(report.witnesses):
-        label, reason = _classify_witness(fam, q, n, d, field)
+        label, reason = (census.get(fam)
+                         or _classify_witness(fam, q, n, d, field))
         labels.append(label)
         if label is None:
             ok = False
@@ -686,15 +739,7 @@ def verify_characterization(report: SearchReport):
             diagnostics.append(f"witness {i}: {label} ({reason})")
     # census of the closed cases
     if n >= d + 2:
-        if d % 2 == 0:
-            expected = {lower_layers(field, n, t, budget=None),
-                        upper_layers(field, n, t, budget=None)}
-        else:
-            expected = set()
-            for x in enumerate_layer(field, n, 1, budget=None):
-                fam = canonical_double_ball(x, t, budget=None)
-                expected.add(fam)
-                expected.add(perp_family(fam))
+        expected = set(census)
         found = set(report.witnesses)
         if found != expected:
             ok = False

@@ -131,6 +131,11 @@ def test_construct_conflicting_params(capsys):
      "star needs dim(x) <= k <= n, got k=0, dim=1"),
     (("construct", "D", "--x", "2:4:1:1000", "--t", "9"),
      "t=9 too large for n=4"),
+    (("construct", "L", "--q", "2", "--n", "-1", "--t", "1"),
+     "n must be >= 0, got -1"),
+    (("construct", "U", "--q", "2", "--n", "3", "--t", "-2"),
+     "t must be >= 0, got -2"),
+    (("enumerate", "--q", "2", "--n", "-1"), "n must be >= 0, got -1"),
 ])
 def test_parameter_flag_usage_error(capsys, command, message):
     code, out, err = run_cli(capsys, *command)

@@ -5,7 +5,8 @@ from itertools import combinations, product
 import pytest
 
 from qdiam.errors import (AmbientMismatch, BudgetExceeded, EmptyFamily,
-                          InvalidConfiguration, ParseError)
+                          InvalidConfiguration, ParameterOutOfRange,
+                          ParseError)
 from qdiam import families
 from qdiam.families import (SubspaceFamily, _covers_of, _min_meet, ball,
                             canonical_double_ball, canonical_family,
@@ -112,6 +113,13 @@ def test_lower_upper_layer_sizes():
     assert upper_layers(F2, 5, 2) == perp_family(lower_layers(F2, 5, 2))
     assert canonical_family(F2, 5, 2, "L") == lower_layers(F2, 5, 2)
     assert canonical_family(F2, 5, 2, "U") == upper_layers(F2, 5, 2)
+
+
+@pytest.mark.parametrize("n,t", [(-1, 1), (3, -2), (-1, -1)])
+def test_lower_upper_layers_refuse_negative_parameters(n, t):
+    for build in (lower_layers, upper_layers):
+        with pytest.raises(ParameterOutOfRange):
+            build(F2, n, t)
 
 
 def test_lower_upper_disjoint_when_room():

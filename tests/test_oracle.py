@@ -1,12 +1,15 @@
 import json
+import random
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
 
 import qdiam.oracle as oracle
 from qdiam.errors import BudgetExceeded, NotExhaustive
-from qdiam.families import (SubspaceFamily, diameter_at_most,
-                            is_admissible, lower_layers, upper_layers)
+from qdiam.families import (SubspaceFamily, canonical_double_ball,
+                            diameter_at_most, is_admissible, lower_layers,
+                            perp_family, upper_layers)
 from qdiam.gfq import SUPPORTED_ORDERS, field_new
 from qdiam.grassmann import build_index, enumerate_layer
 from qdiam.oracle import (_CliqueEngine, max_admissible_family,
@@ -269,6 +272,21 @@ def test_admissible_zero_ambient_dimension(d, family_class, optimum):
         assert is_admissible(fam, family_class, d // 2).admissible
 
 
+@pytest.mark.parametrize("d,family_class,optimum,nodes",
+                         [(5, "A_odd", 870, 2825), (5, "B_odd", 870, 2825),
+                          (2, "A_even", 33, None)])
+def test_admissible_boundary_proven(d, family_class, optimum, nodes):
+    # n = d+1 at (2, 6): the EKR caps prove the admissible optimum; at d = 5
+    # every root branch dies at its first node, as in the plain search.
+    rep = max_admissible_family(2, 6, d, family_class)
+    assert rep.optimum == optimum
+    assert rep.proven_optimal and not rep.timed_out
+    if nodes is not None:
+        assert rep.nodes_explored == nodes
+    for fam in rep.witnesses:
+        assert is_admissible(fam, family_class, d // 2).admissible
+
+
 def test_admissible_class_parity_checked():
     with pytest.raises(Exception):
         max_admissible_family(2, 4, 3, "A_even")
@@ -476,6 +494,33 @@ def _table_ball(table, nv, i, radius):
     return int(table[i * nv:(i + 1) * nv].translate(digits)[::-1], 2)
 
 
+def _adjacency(engine):
+    """Adjacency rows of an engine, from its non-neighbour masks."""
+    full = (1 << engine.nv) - 1
+    return [full ^ m ^ (1 << i) for i, m in enumerate(engine.non)]
+
+
+def _color_order_by_scan(adj, cand):
+    """Greedy coloring of every candidate over adjacency rows, the kernel the
+    non-neighbour masks and the kmin cut replaced; kept as reference."""
+    order = []
+    bounds = []
+    color = 0
+    uncolored = cand
+    while uncolored:
+        color += 1
+        avail = uncolored
+        while avail:
+            b = avail & -avail
+            v = b.bit_length() - 1
+            avail &= ~adj[v]
+            avail ^= b
+            uncolored ^= b
+            order.append(v)
+            bounds.append(color)
+    return order, bounds
+
+
 def _degeneracy_order_by_scan(adj, nv):
     """The full alive-set scan the bucket queue replaced, kept as reference."""
     alive = (1 << nv) - 1
@@ -568,7 +613,8 @@ def test_degeneracy_order_matches_bucket_queue(q, n):
     index = build_index(field_new(q), n, budget=None)
     for d in range(n + 1):
         engine = _CliqueEngine(index, d)
-        assert engine._degeneracy_order() == _degeneracy_order_by_buckets(engine.adj, index.size)
+        assert engine._degeneracy_order() == _degeneracy_order_by_buckets(
+            _adjacency(engine), index.size)
 
 
 def _clause_index_by_bits(clauses, nv):
@@ -603,7 +649,7 @@ def test_engine_adjacency_matches_distance_table(q, n):
     table = index.distance_table()
     for d in range(n + 1):
         expected = [_table_ball(table, nv, i, d) ^ (1 << i) for i in range(nv)]
-        assert _CliqueEngine(index, d).adj == expected
+        assert _adjacency(_CliqueEngine(index, d)) == expected
 
 
 @pytest.mark.parametrize("q,n", DESK_LATTICES)
@@ -611,7 +657,29 @@ def test_degeneracy_order_matches_full_scan(q, n):
     index = build_index(field_new(q), n)
     for d in range(n + 1):
         engine = _CliqueEngine(index, d)
-        assert engine._degeneracy_order() == _degeneracy_order_by_scan(engine.adj, index.size)
+        assert engine._degeneracy_order() == _degeneracy_order_by_scan(
+            _adjacency(engine), index.size)
+
+
+@pytest.mark.parametrize("q,n", DESK_LATTICES)
+def test_color_order_matches_full_coloring(q, n):
+    # The kernel returns exactly the reference's entries colored kmin or
+    # more, for every kmin up to one past the last color.
+    index = build_index(field_new(q), n)
+    nv = index.size
+    full = (1 << nv) - 1
+    rng = random.Random(f"color:{q}:{n}")
+    for d in range(n + 1):
+        engine = _CliqueEngine(index, d)
+        adj = _adjacency(engine)
+        cands = [0, full] + [rng.getrandbits(nv) for _ in range(4)] + [
+            rng.getrandbits(nv) & rng.getrandbits(nv) for _ in range(4)]
+        for cand in cands:
+            order, bounds = _color_order_by_scan(adj, cand)
+            for kmin in range(1, max(bounds, default=0) + 2):
+                kept = [(v, k) for v, k in zip(order, bounds) if k >= kmin]
+                expected = ([v for v, _ in kept], [k for _, k in kept])
+                assert engine._color_order(cand, kmin) == expected, (d, kmin)
 
 
 @pytest.mark.parametrize("q,n", DESK_LATTICES)
@@ -633,7 +701,7 @@ def test_engine_memory_budget_checked_before_allocation(monkeypatch):
     assert exc.value.would_be_count == need
     assert index._masks is None and index._incidence is None
     monkeypatch.setattr(oracle, "DEFAULT_DISTANCE_CELL_BUDGET", need)
-    assert len(_CliqueEngine(index, 2).adj) == 16
+    assert len(_CliqueEngine(index, 2).non) == 16
 
 
 # Clauses of each class on F_2^3: the two canonical balls; two per line;
@@ -658,7 +726,12 @@ def test_clause_memory_budget_checked_before_allocation(monkeypatch, family_clas
 # -- per-vertex clause index against the full clause scan --------------------------
 
 class _FullScanEngine(_CliqueEngine):
-    """The engine with every node testing every clause, kept as reference."""
+    """The engine with every node testing every clause and coloring every
+    candidate over adjacency rows, kept as reference."""
+
+    def __init__(self, index, d, family_class=None, structural_cap=True):
+        super().__init__(index, d, family_class, structural_cap=structural_cap)
+        self.adj = _adjacency(self)
 
     def _expand(self, plist, cand, used, alive=0):
         self.nodes += 1
@@ -674,7 +747,7 @@ class _FullScanEngine(_CliqueEngine):
         if not cand:
             self._record(plist)
             return
-        order, bounds = self._color_order(cand)
+        order, bounds = _color_order_by_scan(self.adj, cand)
         cur = cand
         psize = len(plist)
         for i in range(len(order) - 1, -1, -1):
@@ -865,3 +938,96 @@ def test_materialize_skips_pairs_within_dimension_sum(monkeypatch):
     (fam,) = oracle._materialize_witnesses(index, [list(range(hi))], 2)
     assert fam == lower_layers(F2, 4, 1)
     assert calls == []
+
+
+@pytest.mark.parametrize("q,n,d", [(2, 4, 3), (2, 5, 3), (3, 4, 3)])
+def test_materialize_meets_each_shared_pair_once(monkeypatch, q, n, d):
+    rep = max_diameter_family(q, n, d, enumerate_all=True)
+    index = build_index(field_new(q), n)
+    collected = [[index.position(s) for s in fam] for fam in rep.witnesses]
+    shared = set()
+    for fam in rep.witnesses:
+        members = fam.members
+        for i, a in enumerate(members):
+            for b in members[i + 1:]:
+                if a.dim + b.dim > d:
+                    shared.add(frozenset((a, b)))
+    calls = []
+    distance = Subspace.distance
+
+    def counted(self, other):
+        calls.append(other)
+        return distance(self, other)
+    monkeypatch.setattr(Subspace, "distance", counted)
+    assert oracle._materialize_witnesses(index, collected, d) == rep.witnesses
+    assert len(calls) == len(shared)
+
+
+# -- characterization against per-witness classification -------------------------
+
+def _characterization_by_classify(report):
+    """verify_characterization's diagnostics with every witness classified
+    by _classify_witness and the census rebuilt per call, kept as reference."""
+    q, n, d = report.q, report.n, report.d
+    field = field_new(q)
+    t = d // 2
+    ok = True
+    diagnostics = []
+    labels = []
+    for i, fam in enumerate(report.witnesses):
+        label, reason = oracle._classify_witness(fam, q, n, d, field)
+        labels.append(label)
+        if label is None:
+            ok = False
+            diagnostics.append(f"witness {i}: VIOLATION: {reason}")
+        else:
+            diagnostics.append(f"witness {i}: {label} ({reason})")
+    if n >= d + 2:
+        if d % 2 == 0:
+            expected = {lower_layers(field, n, t, budget=None),
+                        upper_layers(field, n, t, budget=None)}
+        else:
+            expected = set()
+            for x in enumerate_layer(field, n, 1, budget=None):
+                fam = canonical_double_ball(x, t, budget=None)
+                expected |= {fam, perp_family(fam)}
+        found = set(report.witnesses)
+        if found != expected:
+            ok = False
+            diagnostics.append(
+                f"census mismatch: expected {len(expected)} canonical extremal "
+                f"families, witness set has {len(found)}")
+        else:
+            diagnostics.append(
+                f"census: all {len(expected)} canonical extremal families found")
+    else:
+        counts = Counter(label for label in labels if label)
+        diagnostics.append("census at n = d+1: " + ", ".join(
+            f"{k}={v}" for k, v in sorted(counts.items())))
+    return ok, diagnostics
+
+
+# Plain --all tuples with 2 <= d < n, where the optimum is checked against
+# the Kleitman bound: q <= 3 and n <= 4 outside _COSTLY_ALL, and (2, 5, d).
+CHARACTERIZED = [(q, n, d) for q in (2, 3) for n in range(3, 5)
+                 for d in range(2, n) if (q, n, d, None) not in _COSTLY_ALL] + [
+    (2, 5, d) for d in range(2, 5)]
+
+
+@pytest.mark.parametrize("q,n,d", CHARACTERIZED)
+def test_characterization_matches_per_witness_classification(q, n, d):
+    rep = max_diameter_family(q, n, d, enumerate_all=True)
+    assert rep.bound_match
+    assert verify_characterization(rep) == _characterization_by_classify(rep)
+
+
+@pytest.mark.parametrize("n,d", [(4, 2), (5, 3)])
+def test_characterization_matches_per_witness_classification_when_corrupted(n, d):
+    # the negative control: one member swapped for an outsider
+    rep = max_diameter_family(2, n, d, enumerate_all=True)
+    fam = rep.witnesses[0]
+    outsider = next(s for s in enumerate_layer(F2, n, 2) if s not in fam)
+    rep.witnesses[0] = SubspaceFamily(F2, n, list(fam.members[:-1]) + [outsider])
+    ok, diag = verify_characterization(rep)
+    assert not ok and "VIOLATION" in diag[0]
+    assert (ok, diag) == _characterization_by_classify(rep)
