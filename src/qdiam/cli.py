@@ -22,17 +22,19 @@ import argparse
 import inspect
 import io
 import json
+import math
 import os
 import sys
 
-from .errors import BudgetExceeded, ParseError, QdiamError
+from .errors import (BudgetExceeded, NonPrimePower, ParseError,
+                     QdiamError)
 from .families import (ADMISSIBILITY_CLASSES, ball, canonical_double_ball,
                        canonical_family, cross_intersection_profile, diameter,
                        dim_spread, double_ball, extremal_odd_family,
                        extremal_odd_triple, hilton_milner_family,
                        hilton_milner_triple, is_admissible, min_supp_norm,
                        read_family, star, write_family)
-from .gfq import field_new
+from .gfq import _prime_power, field_new
 from .grassmann import (DEFAULT_ENUM_BUDGET, build_index, enumerate_layer,
                         write_subspaces)
 from .oracle import (DEFAULT_SEARCH_LATTICE_BUDGET, DEFAULT_TIMEOUT_SECS,
@@ -73,10 +75,16 @@ def _resolve_budget(args, default):
 
 
 def _resolve_timeout(args):
-    if args.timeout is not None:
-        return float(args.timeout)
-    env = _env_number(_ENV_TIMEOUT, float)
-    return DEFAULT_TIMEOUT_SECS if env is None else env
+    """The timeout: --timeout, else QDIAM_TIMEOUT_SECS, else the default.
+    NaN is refused: no clock time is ever past start + nan."""
+    timeout, source = args.timeout, "--timeout"
+    if timeout is None:
+        timeout, source = _env_number(_ENV_TIMEOUT, float), _ENV_TIMEOUT
+    if timeout is None:
+        return DEFAULT_TIMEOUT_SECS
+    if math.isnan(timeout):
+        raise QdiamError(f"{source} must be a number of seconds, got nan")
+    return timeout
 
 
 def _emit(args, text, doc=None, stream=None):
@@ -136,6 +144,9 @@ _BOUNDS = {
 def cmd_bound(args) -> int:
     needed, func, range_func = _BOUNDS[args.name]
     _check_flags(args, f"bound {args.name}", needed, (), _BOUND_FLAGS)
+    # Bounds need no field tables, so any prime power is fine, even above 16.
+    if _prime_power(args.q) is None:
+        raise NonPrimePower(f"{args.q} is not a prime power")
     value = func(args)
     in_range = None if range_func is None else range_func(args)
     params = {p: getattr(args, p) for p in ("q",) + needed}

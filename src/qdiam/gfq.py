@@ -13,6 +13,7 @@ only relabel elements, never any count computed by this package.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import isqrt
 
 from .errors import NonPrimePower, ZeroInverse
 
@@ -31,15 +32,15 @@ def _prime_power(q):
     """Return (p, e) with q = p^e and p prime, or None."""
     if q < 2:
         return None
-    for p in range(2, q + 1):
-        if q % p == 0:
-            e = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                e += 1
-            return (p, e) if m == 1 else None
-    return None
+    # The least divisor of q above 1 is its least prime factor; q is prime
+    # when it has none up to isqrt(q).
+    p = next((p for p in range(2, isqrt(q) + 1) if q % p == 0), q)
+    e = 0
+    m = q
+    while m % p == 0:
+        m //= p
+        e += 1
+    return (p, e) if m == 1 else None
 
 
 def _to_digits(x, p, e):

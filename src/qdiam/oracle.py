@@ -43,8 +43,13 @@ that call.  A class adds only data and checks: its parity of d, its
 clauses, its seed, the is_admissible re-check of its witnesses and its
 row of _FORMULAS.
 
-A root branch the caps kill is expanded without its clauses, so it dies
-at the caps without a clause scan; below the root the clause scan comes
+The search is one loop over an explicit stack of frames, with no
+recursion, so its depth (the clique size, 1332 at (3, 5, 4)) is not
+bounded by Python's recursion limit.  A frame holds the vertices still to
+try, their color bounds, the next position, the untried candidates and the
+live clauses.  The root is the first frame: it branches over the whole
+degeneracy order with no bound.  A root branch the caps kill skips its
+clause scan and dies at the caps; below the root the clause scan comes
 first, because there it usually prunes after a clause or two.
 
 Recorded witnesses are always re-verified by row elimination
@@ -76,7 +81,7 @@ from .families import (SubspaceFamily, _contained_canonical_double_ball,
                        write_family)
 from .gfq import field_new
 from .grassmann import (DEFAULT_DISTANCE_CELL_BUDGET, build_index,
-                        enumerate_layer, lattice_size, ripple_add)
+                        enumerate_layer, ripple_add)
 from .qcount import (ekr_bound, gauss_binom, hilton_milner_bound,
                      kleitman_bound, kleitman_in_range, odd_stability_bound,
                      odd_stability_in_range, small_s_nontrivial_bound,
@@ -141,10 +146,6 @@ class SearchReport:
             "greedy_seed_size": self.greedy_seed_size,
             "witness_cap": self.witness_cap,
         }
-
-
-class _Timeout(Exception):
-    pass
 
 
 class _CliqueEngine:
@@ -353,96 +354,93 @@ class _CliqueEngine:
         if len(self.collected) < (self.witness_cap if self.collect_all else 1):
             self.collected.append(list(plist))
 
-    def _expand(self, plist, cand, used, alive):
-        """Search below the partial clique plist.
-
-        alive holds the clauses that contain the partial clique; one that
-        also contains every candidate prunes the node.
-        """
-        if self.deadline is not None and self.nodes & 1023 == 0:
-            if time.monotonic() > self.deadline:
-                raise _Timeout
-        self.nodes += 1
-        forbidden = self.forbidden
-        rest = alive
-        while rest:
-            b = rest & -rest
-            if cand & ~forbidden[b.bit_length() - 1] == 0:
-                return
-            rest ^= b
-        need = self.best if self.collect_all else self.best + 1
-        if self._group_bound(len(plist), used, cand) < need:
-            return
-        if not cand:
-            self._record(plist)
-            return
-        psize = len(plist)
-        # need only rises below, so a vertex colored under need - psize now
-        # would be cut at its turn anyway.
-        order, bounds = self._color_order(cand, need - psize)
-        cur = cand
-        non = self.non
-        group_of_layer = self.group_of_layer
-        layer_of = self.layer_of
-        clause_of = self.clause_of
-        for i in range(len(order) - 1, -1, -1):
-            need = self.best if self.collect_all else self.best + 1
-            if psize + bounds[i] < need:
-                return
-            v = order[i]
-            gi = group_of_layer[layer_of[v]]
-            plist.append(v)
-            used[gi] += 1
-            self._expand(plist, cur ^ (cur & non[v]) ^ (1 << v), used,
-                         alive and alive & clause_of[v])
-            used[gi] -= 1
-            plist.pop()
-            cur ^= 1 << v
-
     def search(self, *, seed_vertices=None, collect_all=False,
                witness_cap=DEFAULT_WITNESS_CAP, deadline=None):
         """Run the search; returns (best, collected, count, nodes, timed_out).
 
-        deadline is a time.monotonic() value, checked at the first node and
-        at every 1024th after it.
+        A frame is [vertices still to try, their color bounds (None at the
+        root), next position, untried candidates, live clauses], the live
+        clauses being those that contain the partial clique plist.  deadline
+        is a time.monotonic() value, checked at the first node and at every
+        1024th after it.
         """
         self.collect_all = collect_all
         self.witness_cap = witness_cap
-        self.deadline = deadline
-        self.nodes = 0
         self.best = len(seed_vertices) if seed_vertices else 0
         # Without collect_all the seed is the witness until a larger clique
         # is found; with it, only the cliques the search reaches count.
         self.collected = ([list(seed_vertices)]
                           if seed_vertices and not collect_all else [])
         self.collected_count = len(self.collected)
-        timed_out = False
-        order = self._degeneracy_order()
+        slack = 0 if collect_all else 1  # a clique must reach best + slack
         non = self.non
-        later = (1 << self.nv) - 1
-        try:
-            for v in order:
-                later ^= 1 << v
-                cand = later ^ (later & non[v])
-                gi = self.group_of_layer[self.layer_of[v]]
-                used = [0] * len(self.groups)
-                used[gi] = 1
-                alive = self.clause_of[v] if self.clause_of else 0
-                if alive and self._group_bound(1, used, cand) < (
-                        self.best if collect_all else self.best + 1):
-                    # The group bound kills this root whatever its clauses
-                    # say; without them it still counts as one node but
-                    # skips the clause scan.
-                    alive = 0
-                self._expand([v], cand, used, alive)
-        except _Timeout:
-            timed_out = True
+        forbidden = self.forbidden
+        clause_of = self.clause_of
+        group_of_layer = self.group_of_layer
+        layer_of = self.layer_of
+        plist = []
+        used = [0] * len(self.groups)
+        root = self._degeneracy_order()
+        root.reverse()  # frames try their vertices from the end
+        stack = [[root, None, len(root), (1 << self.nv) - 1,
+                  (1 << len(forbidden)) - 1]]
+        nodes = 0
+        timed_out = False
+        while stack:
+            frame = stack[-1]
+            order, bounds, i, cur, alive = frame
+            i -= 1
+            if i < 0 or (bounds is not None
+                         and len(plist) + bounds[i] < self.best + slack):
+                stack.pop()
+                if stack:
+                    used[group_of_layer[layer_of[plist.pop()]]] -= 1
+                continue
+            v = order[i]
+            cur ^= 1 << v
+            frame[2] = i
+            frame[3] = cur
+            # The child node: plist plus v, over the untried neighbours of v.
+            if nodes & 1023 == 0 and deadline is not None:
+                if time.monotonic() > deadline:
+                    timed_out = True
+                    break
+            nodes += 1
+            cand = cur ^ (cur & non[v])
+            alive = alive and alive & clause_of[v]
+            plist.append(v)
+            g = group_of_layer[layer_of[v]]
+            used[g] += 1
+            psize = len(plist)
+            need = self.best + slack
+            if bounds is None and alive and self._group_bound(
+                    psize, used, cand) < need:
+                # The group bound kills this root branch whatever its
+                # clauses say, so it skips the clause scan.
+                alive = 0
+            # A live clause that also holds every candidate prunes the node.
+            rest = alive
+            while rest:
+                b = rest & -rest
+                if cand & ~forbidden[b.bit_length() - 1] == 0:
+                    break
+                rest ^= b
+            if not rest and self._group_bound(psize, used, cand) >= need:
+                if cand:
+                    # need only rises below, so a vertex colored under
+                    # need - psize now would be cut at its turn anyway.
+                    order, bounds = self._color_order(cand, need - psize)
+                    stack.append([order, bounds, len(order), cand, alive])
+                    continue
+                self._record(plist)
+            plist.pop()
+            used[g] -= 1
         if collect_all and seed_vertices and not self.collected_count:
             # Nothing at the seed size was enumerated (timeout before any
             # leaf); fall back to the seed itself.
             self.collected = [list(seed_vertices)][:witness_cap]
             self.collected_count = 1
-        return self.best, self.collected, self.collected_count, self.nodes, timed_out
+        return self.best, self.collected, self.collected_count, nodes, timed_out
 
 
 def _seed_family(field, n, d, budget):
@@ -460,17 +458,12 @@ def _seed_family(field, n, d, budget):
 
 def _search_index(q, n, d, witness_cap, lattice_budget):
     """The lattice index of a search, after refusing negative n, d or
-    witness cap and a lattice larger than the budget."""
+    witness cap; build_index refuses a lattice larger than the budget."""
     for name, value in (("n", n), ("d", d), ("witness cap", witness_cap)):
         if value < 0:
             raise ParameterOutOfRange(f"{name} must be >= 0, got {value}")
     budget = (DEFAULT_SEARCH_LATTICE_BUDGET if lattice_budget is None
               else lattice_budget)
-    total = lattice_size(q, n)
-    if total > budget:
-        raise BudgetExceeded(
-            f"lattice (q={q}, n={n}) has {total} subspaces, search budget is "
-            f"{budget}", would_be_count=total)
     return build_index(field_new(q), n, budget=budget)
 
 
@@ -546,9 +539,7 @@ def _admissible_seed(field, n, d, family_class, budget):
                               .union(top).union(star(x, t + 1, budget=None)))
     best = None
     for fam in candidates:
-        ok, _ = diameter_at_most(fam, d)
-        if not ok:
-            continue
+        # is_admissible checks the diameter first.
         rep = is_admissible(fam, family_class, t, budget=budget)
         if rep.admissible and (best is None or len(fam) > len(best)):
             best = fam

@@ -55,6 +55,26 @@ def test_bound_values_are_decimal_strings(capsys):
     assert out.strip() == str(gauss_binom(40, 20, 3))
 
 
+@pytest.mark.parametrize("argv", [
+    ("gauss", "--q", "6", "--n", "3", "--k", "1"),
+    ("kleitman", "--q", "6", "--n", "5", "--d", "3"),
+    ("gauss", "--q", "1", "--n", "3", "--k", "1"),
+])
+def test_bound_refuses_non_prime_power(capsys, argv):
+    code, out, err = run_cli(capsys, "bound", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {argv[2]} is not a prime power\n"
+
+
+def test_bound_accepts_prime_power_beyond_field_tables(capsys):
+    # bounds need no GF(q) tables: [3 1]_25 = 1 + 25 + 625
+    code, out, _ = run_cli(capsys, "bound", "gauss", "--q", "25", "--n", "3",
+                           "--k", "1")
+    assert code == 0
+    assert out == "651\n"
+
+
 # -- construct / check ----------------------------------------------------------
 
 def test_construct_and_check_round_trip(tmp_path, capsys):
@@ -289,6 +309,25 @@ def test_oracle_malformed_env_number_is_usage_error(capsys, monkeypatch, var):
     lines = err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: ") and var in lines[0]
+
+
+def test_oracle_nan_timeout_flag_is_usage_error(capsys):
+    # start + nan is never passed, so a NaN timeout would switch it off.
+    code, out, err = run_cli(capsys, "oracle", "max", "--q", "2", "--n", "3",
+                             "--d", "2", "--timeout", "nan")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --timeout must be a number of seconds, got nan\n"
+
+
+def test_oracle_nan_timeout_env_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("QDIAM_TIMEOUT_SECS", "nan")
+    code, out, err = run_cli(capsys, "oracle", "max", "--q", "2", "--n", "3",
+                             "--d", "2")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: QDIAM_TIMEOUT_SECS must be a number of seconds, "
+                   "got nan\n")
 
 
 REPORT_SCHEMA = json.loads(

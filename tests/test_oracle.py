@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from collections import Counter
 from types import SimpleNamespace
 
@@ -125,6 +126,18 @@ def test_ekr_caps_prove_the_boundary_at_the_root():
     assert rep.optimum == rep.greedy_seed_size == 870
     assert rep.proven_optimal and rep.bound_match
     assert rep.nodes_explored == 2825
+
+
+def test_search_deeper_than_the_recursion_limit():
+    # (3, 5, 4) --all: each of the 8 maximum families has 1332 members,
+    # more than Python's recursion limit, and the search goes that deep.
+    index = build_index(field_new(3), 5)
+    seed = sorted(index.position(s)
+                  for s in oracle._seed_family(index.field, 5, 4, budget=None))
+    best, collected, count, _, timed_out = _CliqueEngine(index, 4).search(
+        seed_vertices=seed, collect_all=True)
+    assert best == 1332 > sys.getrecursionlimit()
+    assert count == len(collected) == 8 and not timed_out
 
 
 def test_timeout_counts_setup(monkeypatch):
@@ -727,13 +740,32 @@ def test_clause_memory_budget_checked_before_allocation(monkeypatch, family_clas
 
 class _FullScanEngine(_CliqueEngine):
     """The engine with every node testing every clause and coloring every
-    candidate over adjacency rows, kept as reference."""
+    candidate over adjacency rows, kept as reference.  Its search is its
+    own: a root loop over the degeneracy order and a recursive expansion,
+    sharing no loop with the production search."""
 
     def __init__(self, index, d, family_class=None, structural_cap=True):
         super().__init__(index, d, family_class, structural_cap=structural_cap)
         self.adj = _adjacency(self)
 
-    def _expand(self, plist, cand, used, alive=0):
+    def search(self, *, seed_vertices=None, collect_all=False,
+               witness_cap=oracle.DEFAULT_WITNESS_CAP, deadline=None):
+        self.collect_all = collect_all
+        self.witness_cap = witness_cap
+        self.nodes = 0
+        self.best = len(seed_vertices) if seed_vertices else 0
+        self.collected = ([list(seed_vertices)]
+                          if seed_vertices and not collect_all else [])
+        self.collected_count = len(self.collected)
+        later = (1 << self.nv) - 1
+        for v in self._degeneracy_order():
+            later ^= 1 << v
+            used = [0] * len(self.groups)
+            used[self.group_of_layer[self.layer_of[v]]] = 1
+            self._expand([v], later & self.adj[v], used)
+        return self.best, self.collected, self.collected_count, self.nodes, False
+
+    def _expand(self, plist, cand, used):
         self.nodes += 1
         union = cand
         for v in plist:
