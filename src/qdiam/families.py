@@ -15,13 +15,17 @@ minimum meets it reports, so a check scans each layer pair once.
 One-off subspaces (the candidate centers and their covers) meet the
 members by row elimination, `Subspace.distance`.
 
-Admissibility scans for the ball classes enumerate candidate centers but
-prune by dimension windows and by probing a few extreme members first;
-pruning is by provably necessary conditions only, so verdicts never depend
-on it.  The adjacent center pairs of B_odd are a center c1 and each of its
-covers c2, built directly from c1's row echelon form rather than by a scan
-of F_q^n.  A cover moves every distance by exactly one, so a center with a
-probe farther than t + 1 has its covers skipped unbuilt.
+Every admissibility class is its list of forbidden configurations, each
+the union of two radius-t balls around centres c1 and c2 (c1 = c2 for a
+single ball): A_even the balls around 0 and F_q^n, A_odd the pairs
+(0, x) and (F_q^n, x⊥) over the lines x, B_even every ball and B_odd
+every cover pair c1 ⊂ c2.  One scan tests each pair on a few extreme
+members (the probes) and then on every member.  The ball classes list
+only the centres of a dimension window and B_odd skips, unbuilt, the
+covers of a c1 with a probe farther than t + 1 (a cover moves every
+distance by exactly one); both prunings are by provably necessary
+conditions only, so verdicts never depend on them.  The covers of c1 are
+built directly from its row echelon form rather than by a scan of F_q^n.
 """
 
 from __future__ import annotations
@@ -433,20 +437,6 @@ class AdmissibilityReport:
     detail: str = ""
 
 
-def _family_in_ball(members_desc, center, t):
-    for m in members_desc:
-        if center.distance(m) > t:
-            return False
-    return True
-
-
-def _family_in_double_ball(members_desc, c1, c2, t):
-    for m in members_desc:
-        if c1.distance(m) > t and c2.distance(m) > t:
-            return False
-    return True
-
-
 def _probe_members(fam):
     """A few extreme members per layer; violations usually show up here."""
     probes = []
@@ -459,41 +449,9 @@ def _probe_members(fam):
     return probes
 
 
-def _common_subspace(members):
-    """Intersection of all given subspaces (early exit at dimension 0)."""
-    it = iter(members)
-    common = next(it)
-    for m in it:
-        common = common.intersect(m)
-        if common.dim == 0:
-            break
-    return common
-
-
-def _line_inside(s: Subspace) -> Subspace:
-    return Subspace.from_generators(s.field, s.n, [s.rows[0]])
-
-
 def _first_line(field, n) -> Subspace:
     """The first line of F_q^n in canonical order."""
     return next(enumerate_layer(field, n, 1, budget=None))
-
-
-def _contained_canonical_double_ball(fam, t):
-    """A line x with fam inside the canonical double ball of x, if any."""
-    supp = fam.support
-    if supp[-1] > t + 1:
-        return None
-    field, n = fam.field, fam.n
-    if n < 1:
-        return None
-    top = fam.layer(t + 1)
-    if not top:
-        return _first_line(field, n)
-    common = _common_subspace(top)
-    if common.dim >= 1:
-        return _line_inside(common)
-    return None
 
 
 def _covers_of(s: Subspace):
@@ -536,6 +494,68 @@ def _probes_left_to_cover(c1, probes, t):
     return left
 
 
+# Each witness kind's detail, formatted with the tokens of its reported
+# centres and the radius t.
+_WITNESS_DETAIL = {
+    "lower_layers": "contained in the union of layers 0..t",
+    "upper_layers": "contained in the union of layers n-t..n",
+    "canonical_double_ball": "contained in the canonical double ball of {0}",
+    "canonical_double_ball_perp":
+        "perp contained in the canonical double ball of {0}",
+    "ball": "contained in the radius-{t} ball around {0}",
+    "double_ball": "contained in the double ball around {0} and {1}",
+}
+
+
+def _centre_pairs(fam, family_class, t, probes, budget):
+    """The forbidden configurations of the class, in scan order, each the
+    union ball(c1, t) ∪ ball(c2, t): yields (c1, c2, the probes still to
+    check, witness kind, reported centres).
+
+    - A_even: (0, 0), then (F_q^n, F_q^n): the two canonical layer unions.
+    - A_odd: (0, x) for every line x, then (F_q^n, x⊥) for every line x:
+      the canonical double ball of x and its perp.
+    - B_even: (c, c) for every c with M - t <= dim c <= m + t, where m and
+      M are the lowest and highest member dimension.
+    - B_odd: every cover pair c1 ⊂ c2 with M - t - 1 <= dim c1 <= m + t,
+      the covers of c1 built only when _probes_left_to_cover allows, which
+      also hands over just the probes c1 leaves to c2.
+    """
+    field, n = fam.field, fam.n
+    supp = fam.support
+    m, big_m = supp[0], supp[-1]
+    zero, full = Subspace.zero(field, n), Subspace.full(field, n)
+    if family_class == "A_even":
+        yield zero, zero, probes, "lower_layers", ()
+        yield full, full, probes, "upper_layers", ()
+    elif family_class == "A_odd":
+        lines = list(enumerate_layer(field, n, 1, budget=budget))
+        for x in lines:
+            yield zero, x, probes, "canonical_double_ball", (x,)
+        for x in lines:
+            yield full, x.perp(), probes, "canonical_double_ball_perp", (x,)
+    elif family_class == "B_even":
+        for k in range(max(0, big_m - t), min(n, m + t) + 1):
+            for c in enumerate_layer(field, n, k, budget=budget):
+                yield c, c, probes, "ball", (c,)
+    else:
+        for k in range(max(0, big_m - t - 1), min(n - 1, m + t) + 1):
+            for c1 in enumerate_layer(field, n, k, budget=budget):
+                left = _probes_left_to_cover(c1, probes, t)
+                if left is not None:
+                    for c2 in _covers_of(c1):
+                        yield c1, c2, left, "double_ball", (c1, c2)
+
+
+def _inside(members, c1, c2, t):
+    """True iff every member lies within t of c1 or of c2.  c2 is tried
+    first: the probes a B_odd pair checks are all farther than t from c1."""
+    for s in members:
+        if c2.distance(s) > t and (c1 is c2 or c1.distance(s) > t):
+            return False
+    return True
+
+
 def is_admissible(fam: SubspaceFamily, family_class: str, t: int,
                   budget=DEFAULT_ENUM_BUDGET) -> AdmissibilityReport:
     """Decide whether fam has the right diameter and escapes every forbidden
@@ -544,7 +564,9 @@ def is_admissible(fam: SubspaceFamily, family_class: str, t: int,
 
     Classes: A_even forbids the two canonical layer unions; B_even forbids
     every radius-t ball; A_odd forbids every canonical double ball and its
-    perp; B_odd forbids every union of two adjacent radius-t balls.
+    perp; B_odd forbids every union of two adjacent radius-t balls.  Each
+    configuration is a pair of radius-t balls (_centre_pairs), and one scan
+    tests each pair on the probes, then on every member, by row elimination.
     """
     if family_class not in ADMISSIBILITY_CLASSES:
         raise ValueError(f"unknown admissibility class {family_class!r}")
@@ -557,75 +579,15 @@ def is_admissible(fam: SubspaceFamily, family_class: str, t: int,
             False, family_class, t, d, diameter_ok=False,
             detail=f"diameter exceeds {d}: distance({pair[0].to_token()}, "
                    f"{pair[1].to_token()}) > {d}")
-
-    field, n = fam.field, fam.n
-    supp = fam.support
-    m, big_m = supp[0], supp[-1]
-
-    if family_class == "A_even":
-        if big_m <= t:
-            return AdmissibilityReport(
-                False, family_class, t, d, True, "lower_layers", (),
-                "contained in the union of layers 0..t")
-        if m >= n - t:
-            return AdmissibilityReport(
-                False, family_class, t, d, True, "upper_layers", (),
-                "contained in the union of layers n-t..n")
-        return AdmissibilityReport(True, family_class, t, d, True)
-
-    if family_class == "A_odd":
-        x = _contained_canonical_double_ball(fam, t)
-        if x is not None:
-            return AdmissibilityReport(
-                False, family_class, t, d, True, "canonical_double_ball", (x,),
-                f"contained in the canonical double ball of {x.to_token()}")
-        xp = _contained_canonical_double_ball(perp_family(fam), t)
-        if xp is not None:
-            return AdmissibilityReport(
-                False, family_class, t, d, True, "canonical_double_ball_perp",
-                (xp,),
-                f"perp contained in the canonical double ball of {xp.to_token()}")
-        return AdmissibilityReport(True, family_class, t, d, True)
-
     members_desc = tuple(reversed(fam.members))
     probes = _probe_members(fam)
-
-    if family_class == "B_even":
-        lo = max(0, big_m - t)
-        hi = min(n, m + t)
-        for k in range(lo, hi + 1):
-            for center in enumerate_layer(field, n, k, budget=budget):
-                if not _family_in_ball(probes, center, t):
-                    continue
-                if _family_in_ball(members_desc, center, t):
-                    return AdmissibilityReport(
-                        False, family_class, t, d, True, "ball", (center,),
-                        f"contained in the radius-{t} ball around "
-                        f"{center.to_token()}")
-        return AdmissibilityReport(True, family_class, t, d, True)
-
-    # B_odd: adjacent center pairs, enumerated as covering pairs c1 < c2.
-    lo = max(0, big_m - t - 1)
-    hi = min(n - 1, m + t)
-    for k in range(lo, hi + 1):
-        for c1 in enumerate_layer(field, n, k, budget=budget):
-            must_cover = _probes_left_to_cover(c1, probes, t)
-            if must_cover is None:
-                continue
-            for c2 in _covers_of(c1):
-                covered = True
-                for p in must_cover:
-                    if c2.distance(p) > t:
-                        covered = False
-                        break
-                if not covered:
-                    continue
-                if _family_in_double_ball(members_desc, c1, c2, t):
-                    return AdmissibilityReport(
-                        False, family_class, t, d, True, "double_ball",
-                        (c1, c2),
-                        f"contained in the double ball around "
-                        f"{c1.to_token()} and {c2.to_token()}")
+    for c1, c2, left, kind, shown in _centre_pairs(fam, family_class, t,
+                                                   probes, budget):
+        if _inside(left, c1, c2, t) and _inside(members_desc, c1, c2, t):
+            tokens = [c.to_token() for c in shown]
+            return AdmissibilityReport(
+                False, family_class, t, d, True, kind, shown,
+                _WITNESS_DETAIL[kind].format(*tokens, t=t))
     return AdmissibilityReport(True, family_class, t, d, True)
 
 

@@ -70,12 +70,13 @@ from __future__ import annotations
 import io
 import operator
 import time
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, NotExhaustive, ParameterOutOfRange
-from .families import (SubspaceFamily, _contained_canonical_double_ball,
-                       _first_line, canonical_double_ball, diameter_at_most,
+from .families import (SubspaceFamily, _first_line, ball,
+                       canonical_double_ball, diameter_at_most,
                        extremal_odd_family, is_admissible, is_s_intersecting,
                        lower_layers, perp_family, star, upper_layers,
                        write_family)
@@ -446,8 +447,11 @@ class _CliqueEngine:
 def _seed_family(field, n, d, budget):
     """Largest known-by-construction family of diameter <= d (verified)."""
     t = d // 2
-    if d % 2 == 0 or t + 1 > n or n < 1:
-        fam = lower_layers(field, n, min(t, n), budget=budget)
+    if d >= n:
+        # no two subspaces are farther apart than n: the whole lattice
+        fam = lower_layers(field, n, n, budget=budget)
+    elif d % 2 == 0:
+        fam = lower_layers(field, n, t, budget=budget)
     else:
         fam = canonical_double_ball(_first_line(field, n), t, budget=budget)
     ok, _ = diameter_at_most(fam, d)
@@ -474,8 +478,9 @@ def _materialize_witnesses(index, collected, d):
     came from.  Witnesses share most of their pairs, so the pairs are walked
     once over the union of the witnesses' vertices: bit w of holds[v] is set
     when witness w holds v, and a pair is checked only when some witness
-    holds both.  Pairs whose dimension sum is at most d cannot be farther
-    apart than d and are skipped.
+    holds both.  An a-space and a b-space meet in at least a + b - n
+    dimensions, so they are at most min(a + b, 2n - a - b) apart, and pairs
+    where that is at most d are skipped.
     """
     field, n = index.field, index.n
     subspaces = index.subspaces
@@ -485,16 +490,19 @@ def _materialize_witnesses(index, collected, d):
         for v in vertices:
             holds[v] = holds.get(v, 0) | bit
     # Index positions run layer by layer, so in descending order the
-    # dimension sum only falls along each row of pairs.
+    # dimension sum only falls along each row of pairs, and the pairs to
+    # check are one slice of it: d - a < b < 2n - d - a.
     union = sorted(holds, reverse=True)
     members = [subspaces[v] for v in union]
     masks = [holds[v] for v in union]
+    neg_dims = [-s.dim for s in members]
     for i, a in enumerate(members):
         mask = masks[i]
-        for b, shared in zip(members[i + 1:], masks[i + 1:]):
-            if a.dim + b.dim <= d:
-                break
-            if mask & shared and a.distance(b) > d:
+        lo = max(i + 1, bisect_right(neg_dims, a.dim + d - 2 * n))
+        hi = bisect_left(neg_dims, a.dim - d)
+        for j in range(lo, hi):
+            b = members[j]
+            if mask & masks[j] and a.distance(b) > d:
                 raise AssertionError(
                     "search produced a witness violating the diameter "
                     f"bound: {(a, b)}")
@@ -514,29 +522,22 @@ def _admissible_seed(field, n, d, family_class, budget):
         return None
     x = _first_line(field, n)
     candidates = []
-    if d % 2 == 0:
-        if 1 <= t and t + 1 <= n:
-            # radius-t ball around the line x
-            candidates.append(
-                lower_layers(field, n, t - 1, budget=None)
-                .union(star(x, t, budget=None))
-                .union(star(x, t + 1, budget=None)))
-        if n == d + 1 and t >= 1:
-            # mixed complementary split: lower layers below t, top layer n-t
-            top = SubspaceFamily(field, n,
-                                 list(enumerate_layer(field, n, n - t, budget=None)))
-            candidates.append(lower_layers(field, n, t - 1, budget=None).union(top))
-    else:
-        if t + 2 <= n:
-            gens = [[1 if j == i else 0 for j in range(n)]
-                    for i in range(1, t + 2)]
-            y = Subspace.from_generators(field, n, gens)
-            candidates.append(extremal_odd_family(x, y, budget=None))
-        if n == d + 1 and t >= 1:
-            top = SubspaceFamily(field, n,
-                                 list(enumerate_layer(field, n, n - t, budget=None)))
-            candidates.append(lower_layers(field, n, t - 1, budget=None)
-                              .union(top).union(star(x, t + 1, budget=None)))
+    if d % 2 == 0 and 1 <= t and t + 1 <= n:
+        candidates.append(ball(x, t, budget=None))
+    if d % 2 == 1 and t + 2 <= n:
+        gens = [[1 if j == i else 0 for j in range(n)]
+                for i in range(1, t + 2)]
+        y = Subspace.from_generators(field, n, gens)
+        candidates.append(extremal_odd_family(x, y, budget=None))
+    if n == d + 1 and t >= 1:
+        # mixed complementary split: lower layers below t, top layer n-t,
+        # and for odd d the (t+1)-spaces through x
+        split = lower_layers(field, n, t - 1, budget=None).union(
+            SubspaceFamily(field, n,
+                           list(enumerate_layer(field, n, n - t, budget=None))))
+        if d % 2 == 1:
+            split = split.union(star(x, t + 1, budget=None))
+        candidates.append(split)
     best = None
     for fam in candidates:
         # is_admissible checks the diameter first.
@@ -655,10 +656,14 @@ def _classify_witness(fam, q, n, d, field):
             if fam == upper_layers(field, n, t, budget=None):
                 return "full_upper_layers", "union of layers n-t..n"
             return None, "not a full lower/upper layer union"
-        for label, probe in (("canonical_double_ball", fam),
-                             ("canonical_double_ball_perp", perp_family(fam))):
-            x = _contained_canonical_double_ball(probe, t)
-            if x is not None and probe == canonical_double_ball(x, t, budget=None):
+        # A family inside a canonical double ball (or its perp) that is not
+        # that ball is smaller than every canonical double ball.
+        rep = is_admissible(fam, "A_odd", t, budget=None)
+        if rep.witness_centers:
+            (x,) = rep.witness_centers
+            label = rep.witness_kind
+            probe = fam if label == "canonical_double_ball" else perp_family(fam)
+            if probe == canonical_double_ball(x, t, budget=None):
                 return label, f"double ball at {x.to_token()}"
         return None, "not a canonical double ball or its perp"
     # boundary n = d + 1
@@ -862,9 +867,3 @@ SWEEPS = {
     "type-compare": sweep_type_compare,
     "type-ratio": sweep_type_ratio,
 }
-
-
-def run_sweep(name, **kwargs) -> SweepReport:
-    if name not in SWEEPS:
-        raise ValueError(f"unknown sweep {name!r}; choose from {sorted(SWEEPS)}")
-    return SWEEPS[name](**kwargs)

@@ -376,6 +376,13 @@ def test_sweep_exit_codes(capsys):
     assert any(f["params"] == {"q": 2, "t": 2, "n": 12} for f in doc["failures"])
 
 
+def test_sweep_unknown_name_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "unknown-sweep"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'unknown-sweep'" in capsys.readouterr().err
+
+
 def test_sweep_deterministic(capsys):
     _, out1, _ = run_cli(capsys, "sweep", "hm-positive", "--qmax", "2",
                          "--nmax", "30", "--format", "csv")

@@ -8,7 +8,8 @@ from qdiam.errors import (AmbientMismatch, BudgetExceeded, EmptyFamily,
                           InvalidConfiguration, ParameterOutOfRange,
                           ParseError)
 from qdiam import families
-from qdiam.families import (SubspaceFamily, _covers_of, _min_meet, ball,
+from qdiam.families import (ADMISSIBILITY_CLASSES, SubspaceFamily,
+                            _covers_of, _min_meet, ball,
                             canonical_double_ball, canonical_family,
                             cross_intersection_profile, diameter,
                             diameter_at_most, dim_spread, double_ball,
@@ -560,6 +561,71 @@ def test_b_odd_scan_expands_no_centre_with_a_far_probe(monkeypatch):
     near = [c1 for c1 in window if all(c1.distance(p) <= t + 1 for p in probes)]
     assert expanded == near
     assert 0 < len(near) < len(window)
+
+
+def _centre_pairs_by_brute_force(field, n, family_class):
+    """Reference: every centre pair of the class over the whole lattice, in
+    the documented order, with its witness kind and reported centres; no
+    dimension window, no probes, and covers from the q^n vector scan."""
+    zero, full = Subspace.zero(field, n), Subspace.full(field, n)
+    lattice = [s for k in range(n + 1) for s in enumerate_layer(field, n, k)]
+    lines = list(enumerate_layer(field, n, 1))
+    if family_class == "A_even":
+        return [(zero, zero, "lower_layers", ()),
+                (full, full, "upper_layers", ())]
+    if family_class == "A_odd":
+        return ([(zero, x, "canonical_double_ball", (x,)) for x in lines]
+                + [(full, x.perp(), "canonical_double_ball_perp", (x,))
+                   for x in lines])
+    if family_class == "B_even":
+        return [(c, c, "ball", (c,)) for c in lattice]
+    return [(c1, c2, "double_ball", (c1, c2))
+            for c1 in lattice for c2 in _covers_by_scan(c1)]
+
+
+def _admissibility_by_brute_force(fam, family_class, t, pairs):
+    d = 2 * t if family_class.endswith("even") else 2 * t + 1
+    if max(a.distance(b) for a in fam for b in fam) > d:
+        return False, None, ()
+    for c1, c2, kind, shown in pairs:
+        if all(min(c1.distance(s), c2.distance(s)) <= t for s in fam):
+            return False, kind, shown
+    return True, None, ()
+
+
+def _admissibility_cases(field, n, rng):
+    """Random families, and for each t <= 2 a random ball, the canonical
+    double ball of a random line and its perp, the layer unions, a double
+    ball around a random cover pair, and a random half of each."""
+    lattice = [s for k in range(n + 1) for s in enumerate_layer(field, n, k)]
+    fams = [random_family(field, n, rng, size) for size in (1, 2, 3, 5, 8)]
+    for t in range(3):
+        fams += [ball(rng.choice(lattice), min(t, n)),
+                 lower_layers(field, n, t), upper_layers(field, n, t)]
+        if t + 1 <= n:
+            cdb = canonical_double_ball(
+                rng.choice(list(enumerate_layer(field, n, 1))), t)
+            fams += [cdb, perp_family(cdb)]
+        c1 = rng.choice([s for s in lattice if s.dim < n])
+        fams.append(double_ball(c1, rng.choice(_covers_by_scan(c1)), min(t, n)))
+    halves = [SubspaceFamily(field, n, rng.sample(f.members, (len(f) + 1) // 2))
+              for f in fams if len(f) > 1]
+    return fams + halves
+
+
+@pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1),
+                                 (3, 2), (3, 3), (4, 1), (4, 2)])
+def test_admissibility_matches_brute_force_centre_scan(q, n):
+    field = field_new(q)
+    fams = _admissibility_cases(field, n, random.Random(10 * q + n))
+    for family_class in ADMISSIBILITY_CLASSES:
+        pairs = _centre_pairs_by_brute_force(field, n, family_class)
+        for fam in fams:
+            for t in range(3):
+                rep = is_admissible(fam, family_class, t)
+                assert (rep.admissible, rep.witness_kind, rep.witness_centers) \
+                    == _admissibility_by_brute_force(fam, family_class, t,
+                                                     pairs), (fam, family_class, t)
 
 
 def test_is_admissible_validates_class():

@@ -12,9 +12,9 @@ from qdiam.families import (SubspaceFamily, canonical_double_ball,
                             diameter_at_most, is_admissible, lower_layers,
                             perp_family, upper_layers)
 from qdiam.gfq import SUPPORTED_ORDERS, field_new
-from qdiam.grassmann import build_index, enumerate_layer
+from qdiam.grassmann import build_index, enumerate_layer, lattice_size
 from qdiam.oracle import (_CliqueEngine, max_admissible_family,
-                          max_diameter_family, run_sweep, sweep_hm_positive,
+                          max_diameter_family, sweep_hm_positive,
                           sweep_lemma26, sweep_type_compare, sweep_type_ratio,
                           verify_characterization)
 from qdiam.qcount import kleitman_bound, type_a_even_bound
@@ -126,6 +126,15 @@ def test_ekr_caps_prove_the_boundary_at_the_root():
     assert rep.optimum == rep.greedy_seed_size == 870
     assert rep.proven_optimal and rep.bound_match
     assert rep.nodes_explored == 2825
+
+
+@pytest.mark.parametrize("q,n,d", [(2, 6, 6), (3, 5, 5)])
+def test_whole_lattice_seed_at_d_at_least_n(q, n, d):
+    # at d >= n every pair is within d, so the seed is the whole lattice
+    # and the search proves it at once
+    rep = max_diameter_family(q, n, d)
+    assert rep.optimum == rep.greedy_seed_size == lattice_size(q, n)
+    assert rep.proven_optimal
 
 
 def test_search_deeper_than_the_recursion_limit():
@@ -369,13 +378,6 @@ def test_sweep_empty_grid_vacuous_pass():
     rep = sweep_lemma26(q_values=(), k_max=8, n_max=24)
     assert rep.all_pass
     assert rep.tuple_count == 0
-
-
-def test_run_sweep_dispatch():
-    assert run_sweep("hm-positive", q_values=(2,), t_values=(2,),
-                     n_max=20).all_pass
-    with pytest.raises(ValueError):
-        run_sweep("unknown-sweep")
 
 
 # -- independent brute-force cross-check of the engine -----------------------------
@@ -982,7 +984,7 @@ def test_materialize_meets_each_shared_pair_once(monkeypatch, q, n, d):
         members = fam.members
         for i, a in enumerate(members):
             for b in members[i + 1:]:
-                if a.dim + b.dim > d:
+                if min(a.dim + b.dim, 2 * n - a.dim - b.dim) > d:
                     shared.add(frozenset((a, b)))
     calls = []
     distance = Subspace.distance
