@@ -21,11 +21,12 @@ single ball): A_even the balls around 0 and F_q^n, A_odd the pairs
 (0, x) and (F_q^n, x⊥) over the lines x, B_even every ball and B_odd
 every cover pair c1 ⊂ c2.  One scan tests each pair on a few extreme
 members (the probes) and then on every member.  The ball classes list
-only the centres of a dimension window and B_odd skips, unbuilt, the
-covers of a c1 with a probe farther than t + 1 (a cover moves every
-distance by exactly one); both prunings are by provably necessary
-conditions only, so verdicts never depend on them.  The covers of c1 are
-built directly from its row echelon form rather than by a scan of F_q^n.
+only the centres of a dimension window, A_odd only the lines common to
+one layer, or to its perps, and B_odd skips, unbuilt, the covers
+of a c1 with a probe farther than t + 1 (a cover moves every distance by
+exactly one); every pruning is by a provably necessary condition only,
+so verdicts never depend on it.  The covers of c1 are built directly
+from its row echelon form rather than by a scan of F_q^n.
 """
 
 from __future__ import annotations
@@ -507,49 +508,83 @@ _WITNESS_DETAIL = {
 }
 
 
+def _lines_in(w: Subspace):
+    """The lines of w in canonical order, built one at a time.
+
+    The line through sum_i y_i w_i, for y a line of F_q^dim(w) led by a 1,
+    is led by that 1 at the pivot of w's row i, and two such lines first
+    differ at the pivot of the first row where their y differ; so as y runs
+    over the lines of F_q^dim(w) in canonical order, so do the images.
+    """
+    field, n = w.field, w.n
+    for y in enumerate_layer(field, w.dim, 1, budget=None):
+        v = [0] * n
+        for c, row in zip(y.rows[0], w.rows):
+            if c:
+                v = [field.add(a, field.mul(c, b)) for a, b in zip(v, row)]
+        yield Subspace.from_generators(field, n, [v])
+
+
 def _centre_pairs(fam, family_class, t, probes, budget):
     """The forbidden configurations of the class, in scan order, each the
-    union ball(c1, t) ∪ ball(c2, t): yields (c1, c2, the probes still to
-    check, witness kind, reported centres).
+    union ball(c1, t) ∪ ball(c2, t): yields (c1, c2, p1, the probes still
+    to check, witness kind, reported centres), where the probes need only
+    be tested against p1 and c2.
 
     - A_even: (0, 0), then (F_q^n, F_q^n): the two canonical layer unions.
-    - A_odd: (0, x) for every line x, then (F_q^n, x⊥) for every line x:
-      the canonical double ball of x and its perp.
+    - A_odd: (0, x), then (F_q^n, x⊥), over the lines x: the canonical
+      double ball of x and its perp.  Listed are only the lines inside
+      every (t + 1)-member (none if a member is larger), then only those
+      inside the perp of the span of the (n - t - 1)-members (none if a
+      member is smaller).
     - B_even: (c, c) for every c with M - t <= dim c <= m + t, where m and
       M are the lowest and highest member dimension.
     - B_odd: every cover pair c1 ⊂ c2 with M - t - 1 <= dim c1 <= m + t,
       the covers of c1 built only when _probes_left_to_cover allows, which
-      also hands over just the probes c1 leaves to c2.
+      also hands over just the probes c1 leaves to c2 (so p1 = c2).
     """
     field, n = fam.field, fam.n
     supp = fam.support
     m, big_m = supp[0], supp[-1]
     zero, full = Subspace.zero(field, n), Subspace.full(field, n)
     if family_class == "A_even":
-        yield zero, zero, probes, "lower_layers", ()
-        yield full, full, probes, "upper_layers", ()
+        yield zero, zero, zero, probes, "lower_layers", ()
+        yield full, full, full, probes, "upper_layers", ()
     elif family_class == "A_odd":
-        lines = list(enumerate_layer(field, n, 1, budget=budget))
-        for x in lines:
-            yield zero, x, probes, "canonical_double_ball", (x,)
-        for x in lines:
-            yield full, x.perp(), probes, "canonical_double_ball_perp", (x,)
+        if big_m <= t + 1:
+            common = full
+            for s in fam.layer(t + 1):
+                if not s.contains(common):
+                    common = common.intersect(s)
+                    if common.dim == 0:
+                        break
+            for x in _lines_in(common):
+                yield zero, x, zero, probes, "canonical_double_ball", (x,)
+        if m >= n - t - 1:
+            span = zero
+            for s in fam.layer(n - t - 1):
+                if not span.contains(s):
+                    span = span.sum(s)
+                    if span.dim == n:
+                        break
+            for x in _lines_in(span.perp()):
+                yield (full, x.perp(), full, probes,
+                       "canonical_double_ball_perp", (x,))
     elif family_class == "B_even":
         for k in range(max(0, big_m - t), min(n, m + t) + 1):
             for c in enumerate_layer(field, n, k, budget=budget):
-                yield c, c, probes, "ball", (c,)
+                yield c, c, c, probes, "ball", (c,)
     else:
         for k in range(max(0, big_m - t - 1), min(n - 1, m + t) + 1):
             for c1 in enumerate_layer(field, n, k, budget=budget):
                 left = _probes_left_to_cover(c1, probes, t)
                 if left is not None:
                     for c2 in _covers_of(c1):
-                        yield c1, c2, left, "double_ball", (c1, c2)
+                        yield c1, c2, c2, left, "double_ball", (c1, c2)
 
 
 def _inside(members, c1, c2, t):
-    """True iff every member lies within t of c1 or of c2.  c2 is tried
-    first: the probes a B_odd pair checks are all farther than t from c1."""
+    """True iff every member lies within t of c1 or of c2 (c2 tried first)."""
     for s in members:
         if c2.distance(s) > t and (c1 is c2 or c1.distance(s) > t):
             return False
@@ -581,9 +616,9 @@ def is_admissible(fam: SubspaceFamily, family_class: str, t: int,
                    f"{pair[1].to_token()}) > {d}")
     members_desc = tuple(reversed(fam.members))
     probes = _probe_members(fam)
-    for c1, c2, left, kind, shown in _centre_pairs(fam, family_class, t,
-                                                   probes, budget):
-        if _inside(left, c1, c2, t) and _inside(members_desc, c1, c2, t):
+    for c1, c2, p1, left, kind, shown in _centre_pairs(fam, family_class, t,
+                                                       probes, budget):
+        if _inside(left, p1, c2, t) and _inside(members_desc, c1, c2, t):
             tokens = [c.to_token() for c in shown]
             return AdmissibilityReport(
                 False, family_class, t, d, True, kind, shown,

@@ -411,6 +411,22 @@ def test_canonical_double_ball_not_a_odd_admissible():
     assert rep.witness_kind == "canonical_double_ball_perp"
 
 
+def test_a_odd_answers_beyond_the_line_budget():
+    # F_2^24 has [24 1]_2 > DEFAULT_ENUM_BUDGET lines; A_odd lists only the
+    # lines its members allow, so a small family is decided at once.
+    n = 24
+    planes = [axis_subspace(F2, n, ij) for ij in ((1, 2), (1, 3), (2, 3))]
+    fam = SubspaceFamily(F2, n, planes[:2])
+    x = axis_subspace(F2, n, [1])
+    rep = is_admissible(fam, "A_odd", 1)
+    assert rep.witness_kind == "canonical_double_ball"
+    assert rep.witness_centers == (x,)
+    assert is_admissible(SubspaceFamily(F2, n, planes), "A_odd", 1).admissible
+    lines = SubspaceFamily(F2, n, [axis_subspace(F2, n, [3])])
+    rep = is_admissible(lines, "A_odd", 1)
+    assert rep.witness_centers == (axis_line(F2, n),)
+
+
 def test_diameter_violation_reported():
     fam = SubspaceFamily(F2, 4, [Subspace.zero(F2, 4), Subspace.full(F2, 4)])
     rep = is_admissible(fam, "A_even", 1)
