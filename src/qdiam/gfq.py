@@ -84,15 +84,13 @@ class FieldSpec:
         self.e = e
         self.reduction_poly = reduction_poly
 
-        if e == 1:
-            add = [[(x + y) % p for y in range(q)] for x in range(q)]
-            mul = [[(x * y) % p for y in range(q)] for x in range(q)]
-        else:
-            digits = [_to_digits(x, p, e) for x in range(q)]
-            add = [[_from_digits([(a + b) % p for a, b in zip(digits[x], digits[y])], p)
-                    for y in range(q)] for x in range(q)]
-            mul = [[_from_digits(_poly_mul_mod(digits[x], digits[y], p, reduction_poly, e), p)
-                    for y in range(q)] for x in range(q)]
+        # For prime q (e = 1) the digits are the residue itself and the
+        # reduction polynomial is empty, so this is arithmetic mod p.
+        digits = [_to_digits(x, p, e) for x in range(q)]
+        add = [[_from_digits([(a + b) % p for a, b in zip(digits[x], digits[y])], p)
+                for y in range(q)] for x in range(q)]
+        mul = [[_from_digits(_poly_mul_mod(digits[x], digits[y], p, reduction_poly, e), p)
+                for y in range(q)] for x in range(q)]
 
         neg = [0] * q
         for x in range(q):

@@ -56,10 +56,11 @@ Recorded witnesses are always re-verified by row elimination
 (``Subspace.distance``), a code path independent of the line incidence
 the masks came from: the pairs are walked once over the union of the
 witnesses, and a pair is checked only when some witness holds both.  The
-characterization builds the census families once and classifies a
-witness by lookup, falling back to the per-witness case analysis.  The
-timeout runs from the entry of the driver, so the index, the seed and the
-masks count against it.
+characterization builds the census families once and classifies every
+witness by one lookup; at the boundary n = d+1 the key is the witness's
+middle layer, after a full/empty test of each complementary layer pair.
+The timeout runs from the entry of the driver, so the index, the seed and
+the masks count against it.
 
 Everything is deterministic: vertex order, branching, tie-breaks, and the
 final canonical sort of witnesses.
@@ -71,15 +72,13 @@ import io
 import operator
 import time
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, NotExhaustive, ParameterOutOfRange
 from .families import (SubspaceFamily, _first_line, ball,
                        canonical_double_ball, diameter_at_most,
-                       extremal_odd_family, is_admissible, is_s_intersecting,
-                       lower_layers, perp_family, star, upper_layers,
-                       write_family)
+                       extremal_odd_family, is_admissible, lower_layers,
+                       perp_family, star, upper_layers, write_family)
 from .gfq import field_new
 from .grassmann import (DEFAULT_DISTANCE_CELL_BUDGET, build_index,
                         enumerate_layer, ripple_add)
@@ -444,16 +443,16 @@ class _CliqueEngine:
         return self.best, self.collected, self.collected_count, nodes, timed_out
 
 
-def _seed_family(field, n, d, budget):
+def _seed_family(field, n, d):
     """Largest known-by-construction family of diameter <= d (verified)."""
     t = d // 2
     if d >= n:
         # no two subspaces are farther apart than n: the whole lattice
-        fam = lower_layers(field, n, n, budget=budget)
+        fam = lower_layers(field, n, n, budget=None)
     elif d % 2 == 0:
-        fam = lower_layers(field, n, t, budget=budget)
+        fam = lower_layers(field, n, t, budget=None)
     else:
-        fam = canonical_double_ball(_first_line(field, n), t, budget=budget)
+        fam = canonical_double_ball(_first_line(field, n), t, budget=None)
     ok, _ = diameter_at_most(fam, d)
     if not ok:
         raise AssertionError("seed construction violates the diameter bound")
@@ -515,7 +514,7 @@ def _materialize_witnesses(index, collected, d):
 # ---------------------------------------------------------------------------
 # the search driver
 
-def _admissible_seed(field, n, d, family_class, budget):
+def _admissible_seed(field, n, d, family_class):
     """Best known-by-construction admissible family, if any."""
     t = d // 2
     if n < 1:
@@ -541,7 +540,7 @@ def _admissible_seed(field, n, d, family_class, budget):
     best = None
     for fam in candidates:
         # is_admissible checks the diameter first.
-        rep = is_admissible(fam, family_class, t, budget=budget)
+        rep = is_admissible(fam, family_class, t, budget=None)
         if rep.admissible and (best is None or len(fam) > len(best)):
             best = fam
     return best
@@ -592,9 +591,9 @@ def max_admissible_family(q, n, d, family_class, enumerate_all=False, *,
             f"got {d}")
     index = _search_index(q, n, d, witness_cap, lattice_budget)
     if family_class is None:
-        seed = _seed_family(index.field, n, d, budget=None)
+        seed = _seed_family(index.field, n, d)
     else:
-        seed = _admissible_seed(index.field, n, d, family_class, budget=None)
+        seed = _admissible_seed(index.field, n, d, family_class)
     seed_vertices = (None if seed is None
                      else sorted(index.position(s) for s in seed))
     engine = _CliqueEngine(index, d, family_class,
@@ -645,54 +644,37 @@ def max_diameter_family(q, n, d, enumerate_all=False, *, lattice_budget=None,
 # ---------------------------------------------------------------------------
 # characterization of equality families
 
-def _classify_witness(fam, q, n, d, field):
-    """Match one maximum family against the equality cases; None + reason
-    when no case fits."""
-    t = d // 2
-    if n >= d + 2:
-        if d % 2 == 0:
-            if fam == lower_layers(field, n, t, budget=None):
-                return "full_lower_layers", "union of layers 0..t"
-            if fam == upper_layers(field, n, t, budget=None):
-                return "full_upper_layers", "union of layers n-t..n"
-            return None, "not a full lower/upper layer union"
-        # A family inside a canonical double ball (or its perp) that is not
-        # that ball is smaller than every canonical double ball.
-        rep = is_admissible(fam, "A_odd", t, budget=None)
-        if rep.witness_centers:
-            (x,) = rep.witness_centers
-            label = rep.witness_kind
-            probe = fam if label == "canonical_double_ball" else perp_family(fam)
-            if probe == canonical_double_ball(x, t, budget=None):
-                return label, f"double ball at {x.to_token()}"
-        return None, "not a canonical double ball or its perp"
-    # boundary n = d + 1
+def _split_violation(fam, q, n, t):
+    """At the boundary n = 2t+1 or 2t+2: why fam is not full on one side and
+    empty on the other of every complementary layer pair (k, n-k), k <= t,
+    or None when it is."""
     for k in range(t + 1):
         full_size = gauss_binom(n, k, q)
         a = len(fam.layer(k))
         b = len(fam.layer(n - k))
         if not ((a == full_size and b == 0) or (a == 0 and b == full_size)):
-            return None, (f"layer pair ({k},{n - k}): sizes ({a},{b}) are not "
-                          f"a full/empty split of {full_size}")
-    if d % 2 == 1:
-        mid = fam.layer(t + 1)
-        expected = gauss_binom(n - 1, t, q)
-        if len(mid) != expected:
-            return None, (f"middle layer {t + 1} has size {len(mid)}, "
-                          f"expected {expected}")
-        if not is_s_intersecting(mid, 1):
-            return None, f"middle layer {t + 1} is not 1-intersecting"
-        return "boundary_split_odd", "complementary split + intersecting middle"
-    return "boundary_split_even", "complementary split"
+            return (f"layer pair ({k},{n - k}): sizes ({a},{b}) are not "
+                    f"a full/empty split of {full_size}")
+    return None
 
 
 def verify_characterization(report: SearchReport):
-    """Check that the witness set matches the equality characterization.
+    """Check that the witness set is exactly the census of maximum families.
 
     Requires a complete enumeration whose optimum matched the bound formula.
     Returns (ok, diagnostics); diagnostics name the violated clause for any
     witness that fits no case, and the census mismatch if one side lost a
     family.
+
+    Each witness is classified by one lookup in a census built once.  For
+    n >= d+2 the census holds the canonical extremal families: the unions
+    of layers 0..t and n-t..n for even d, every canonical double ball and
+    its perp for odd d, a ball's own label first.  At the boundary n = d+1
+    a witness must first split every complementary layer pair full/empty;
+    its middle layer t+1 (none for odd n) is then looked up.  For odd d the
+    maximum intersecting families of (t+1)-spaces in F_q^(2t+2) are the
+    point-stars and the hyperplane duals, their perps (Newman 2004; Tanaka
+    2006), so the boundary census holds 2^(t+1) witnesses per middle layer.
     """
     if not report.exhaustive:
         raise NotExhaustive("characterization needs an enumerate_all run")
@@ -705,50 +687,61 @@ def verify_characterization(report: SearchReport):
     q, n, d = report.q, report.n, report.d
     field = field_new(q)
     t = d // 2
-    # The canonical extremal families of the closed case n >= d+2, each
-    # with the (label, reason) _classify_witness gives it; a double ball's
-    # own label comes first, as there.  The boundary n = d+1 has no census.
+    boundary = n == d + 1
     census = {}
-    if n >= d + 2 and d % 2 == 0:
+    if not boundary and d % 2 == 0:
         census = {lower_layers(field, n, t, budget=None):
                   ("full_lower_layers", "union of layers 0..t"),
                   upper_layers(field, n, t, budget=None):
                   ("full_upper_layers", "union of layers n-t..n")}
-    elif n >= d + 2:
+        miss = "not a full lower/upper layer union"
+    elif not boundary:
         for x in enumerate_layer(field, n, 1, budget=None):
             fam = canonical_double_ball(x, t, budget=None)
             reason = f"double ball at {x.to_token()}"
             census[fam] = ("canonical_double_ball", reason)
             census.setdefault(perp_family(fam),
                               ("canonical_double_ball_perp", reason))
+        miss = "not a canonical double ball or its perp"
+    elif d % 2 == 0:
+        # n is odd: there is no middle layer, so every key is empty
+        census = {SubspaceFamily(field, n, []):
+                  ("boundary_split_even", "complementary split")}
+        miss = None  # never used: the empty key is always found
+    else:
+        case = ("boundary_split_odd",
+                "complementary split + intersecting middle")
+        for x in enumerate_layer(field, n, 1, budget=None):
+            fam = star(x, t + 1, budget=None)
+            census[fam] = census[perp_family(fam)] = case
+        miss = f"middle layer {t + 1} is not a point-star or a hyperplane dual"
+    expected = len(census) * 2 ** (t + 1) if boundary else len(census)
     ok = True
     diagnostics = []
-    labels = []
     for i, fam in enumerate(report.witnesses):
-        label, reason = (census.get(fam)
-                         or _classify_witness(fam, q, n, d, field))
-        labels.append(label)
+        key, split = fam, None
+        if boundary:
+            split = _split_violation(fam, q, n, t)
+            # a full/empty split leaves the middle layer n/2 (none for odd n)
+            key = SubspaceFamily(field, n, [s for s in fam if 2 * s.dim == n])
+        label, reason = (None, split) if split else census.get(key, (None, miss))
         if label is None:
             ok = False
             diagnostics.append(f"witness {i}: VIOLATION: {reason}")
         else:
             diagnostics.append(f"witness {i}: {label} ({reason})")
-    # census of the closed cases
-    if n >= d + 2:
-        expected = set(census)
-        found = set(report.witnesses)
-        if found != expected:
-            ok = False
-            diagnostics.append(
-                f"census mismatch: expected {len(expected)} canonical extremal "
-                f"families, witness set has {len(found)}")
-        else:
-            diagnostics.append(
-                f"census: all {len(expected)} canonical extremal families found")
+    found = len(set(report.witnesses))
+    if not ok or found != expected:
+        ok = False
+        diagnostics.append(
+            f"census mismatch: expected {expected} canonical extremal "
+            f"families, witness set has {found}")
+    elif boundary:
+        # every witness carries the one boundary label
+        diagnostics.append(f"census at n = d+1: {label}={found}")
     else:
-        counts = Counter(label for label in labels if label)
-        diagnostics.append("census at n = d+1: " + ", ".join(
-            f"{k}={v}" for k, v in sorted(counts.items())))
+        diagnostics.append(
+            f"census: all {expected} canonical extremal families found")
     return ok, diagnostics
 
 

@@ -268,6 +268,10 @@ class Subspace:
         for every c in one fixed order, and each index takes the Horner step
         index * q + digit.  Two masks meet in q^dim(U ∩ W) bits, so
         |U ∩ W| = popcount(mask(U) & mask(W)).
+
+        The mask is written out as a binary numeral of q^n digits, vector i
+        setting the i-th digit from the right, and parsed once: OR-ing the
+        bits into an int one at a time would copy the q^n-bit int per vector.
         """
         if self.bits is not None:
             vecs = [0]
@@ -286,10 +290,11 @@ class Subspace:
                     else:
                         digits *= q
                 vecs = [v * q + x for v, x in zip(vecs, digits)]
-        mask = 0
+        top = self.field.q ** self.n - 1
+        numeral = bytearray(b"0") * (top + 1)
         for v in vecs:
-            mask |= 1 << v
-        return mask
+            numeral[top - v] = 49  # ord("1")
+        return int(numeral, 2)
 
     # -- serialization -------------------------------------------------------
 

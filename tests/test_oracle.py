@@ -9,15 +9,16 @@ import pytest
 import qdiam.oracle as oracle
 from qdiam.errors import BudgetExceeded, NotExhaustive
 from qdiam.families import (SubspaceFamily, canonical_double_ball,
-                            diameter_at_most, is_admissible, lower_layers,
-                            perp_family, upper_layers)
+                            diameter_at_most, is_admissible,
+                            is_s_intersecting, lower_layers, perp_family,
+                            upper_layers)
 from qdiam.gfq import SUPPORTED_ORDERS, field_new
 from qdiam.grassmann import build_index, enumerate_layer, lattice_size
 from qdiam.oracle import (_CliqueEngine, max_admissible_family,
                           max_diameter_family, sweep_hm_positive,
                           sweep_lemma26, sweep_type_compare, sweep_type_ratio,
                           verify_characterization)
-from qdiam.qcount import kleitman_bound, type_a_even_bound
+from qdiam.qcount import gauss_binom, kleitman_bound, type_a_even_bound
 from qdiam.subspace import Subspace
 
 F2 = field_new(2)
@@ -142,7 +143,7 @@ def test_search_deeper_than_the_recursion_limit():
     # more than Python's recursion limit, and the search goes that deep.
     index = build_index(field_new(3), 5)
     seed = sorted(index.position(s)
-                  for s in oracle._seed_family(index.field, 5, 4, budget=None))
+                  for s in oracle._seed_family(index.field, 5, 4))
     best, collected, count, _, timed_out = _CliqueEngine(index, 4).search(
         seed_vertices=seed, collect_all=True)
     assert best == 1332 > sys.getrecursionlimit()
@@ -448,7 +449,6 @@ def test_enumerate_all_census_n5_d4_boundary_splits():
     assert rep.witness_count == 8
     ok, _ = verify_characterization(rep)
     assert ok
-    from qdiam.qcount import gauss_binom
     for fam in rep.witnesses:
         for k in range(3):
             sizes = (len(fam.layer(k)), len(fam.layer(5 - k)))
@@ -999,9 +999,51 @@ def test_materialize_meets_each_shared_pair_once(monkeypatch, q, n, d):
 
 # -- characterization against per-witness classification -------------------------
 
+def _classify_witness(fam, q, n, d, field):
+    """Match one maximum family against the equality cases by case analysis;
+    None + reason when no case fits.  At the boundary the middle layer is
+    checked by its size and a pairwise intersection scan, not a census."""
+    t = d // 2
+    if n >= d + 2:
+        if d % 2 == 0:
+            if fam == lower_layers(field, n, t, budget=None):
+                return "full_lower_layers", "union of layers 0..t"
+            if fam == upper_layers(field, n, t, budget=None):
+                return "full_upper_layers", "union of layers n-t..n"
+            return None, "not a full lower/upper layer union"
+        # A family inside a canonical double ball (or its perp) that is not
+        # that ball is smaller than every canonical double ball.
+        rep = is_admissible(fam, "A_odd", t, budget=None)
+        if rep.witness_centers:
+            (x,) = rep.witness_centers
+            label = rep.witness_kind
+            probe = fam if label == "canonical_double_ball" else perp_family(fam)
+            if probe == canonical_double_ball(x, t, budget=None):
+                return label, f"double ball at {x.to_token()}"
+        return None, "not a canonical double ball or its perp"
+    for k in range(t + 1):
+        full_size = gauss_binom(n, k, q)
+        a = len(fam.layer(k))
+        b = len(fam.layer(n - k))
+        if not ((a == full_size and b == 0) or (a == 0 and b == full_size)):
+            return None, (f"layer pair ({k},{n - k}): sizes ({a},{b}) are not "
+                          f"a full/empty split of {full_size}")
+    if d % 2 == 1:
+        mid = fam.layer(t + 1)
+        expected = gauss_binom(n - 1, t, q)
+        if len(mid) != expected:
+            return None, (f"middle layer {t + 1} has size {len(mid)}, "
+                          f"expected {expected}")
+        if not is_s_intersecting(mid, 1):
+            return None, f"middle layer {t + 1} is not 1-intersecting"
+        return "boundary_split_odd", "complementary split + intersecting middle"
+    return "boundary_split_even", "complementary split"
+
+
 def _characterization_by_classify(report):
     """verify_characterization's diagnostics with every witness classified
-    by _classify_witness and the census rebuilt per call, kept as reference."""
+    by _classify_witness and the census rebuilt per call, kept as reference.
+    The boundary census is not counted here."""
     q, n, d = report.q, report.n, report.d
     field = field_new(q)
     t = d // 2
@@ -1009,7 +1051,7 @@ def _characterization_by_classify(report):
     diagnostics = []
     labels = []
     for i, fam in enumerate(report.witnesses):
-        label, reason = oracle._classify_witness(fam, q, n, d, field)
+        label, reason = _classify_witness(fam, q, n, d, field)
         labels.append(label)
         if label is None:
             ok = False
@@ -1065,3 +1107,37 @@ def test_characterization_matches_per_witness_classification_when_corrupted(n, d
     ok, diag = verify_characterization(rep)
     assert not ok and "VIOLATION" in diag[0]
     assert (ok, diag) == _characterization_by_classify(rep)
+
+
+@pytest.mark.parametrize("q,n,d", [(2, 4, 3), (3, 5, 4)])
+def test_boundary_census_counts_the_witnesses(q, n, d):
+    # every witness left still fits a boundary case, but the witness set
+    # has one family fewer than the 2^(t+1) splits times the middle census
+    rep = max_diameter_family(q, n, d, enumerate_all=True)
+    ok, diag = verify_characterization(rep)
+    assert ok and diag[-1].startswith("census at n = d+1: ")
+    rep.witnesses = rep.witnesses[:-1]
+    rep.witness_count -= 1
+    ok, diag = verify_characterization(rep)
+    assert not ok
+    assert not any("VIOLATION" in line for line in diag)
+    assert diag[-1] == (f"census mismatch: expected {rep.witness_count + 1} "
+                        f"canonical extremal families, witness set has "
+                        f"{rep.witness_count}")
+
+
+def test_boundary_middle_layer_outside_the_census_is_a_violation():
+    # (2, 4, 3): one plane of a witness's point-star or hyperplane-dual
+    # middle layer swapped for a plane outside it; the split still holds
+    rep = max_diameter_family(2, 4, 3, enumerate_all=True)
+    fam = rep.witnesses[0]
+    middle = fam.layer(2)
+    outsider = next(s for s in enumerate_layer(F2, 4, 2) if s not in fam)
+    rep.witnesses[0] = SubspaceFamily(
+        F2, 4, [s for s in fam if s != middle[-1]] + [outsider])
+    ok, diag = verify_characterization(rep)
+    assert not ok
+    assert diag[0] == ("witness 0: VIOLATION: middle layer 2 is not a "
+                       "point-star or a hyperplane dual")
+    assert not any("VIOLATION" in line for line in diag[1:-1])
+    assert diag[-1].startswith("census mismatch")

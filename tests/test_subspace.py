@@ -319,6 +319,20 @@ def test_vector_mask_matches_parsed_vectors():
             n += 1
 
 
+@pytest.mark.parametrize("q,n,k", [(2, 22, 11), (2, 24, 3), (2, 13, 13),
+                                   (3, 12, 6), (4, 8, 4), (5, 7, 3),
+                                   (16, 4, 2)])
+def test_vector_mask_bits_are_the_vectors_at_large_n(q, n, k):
+    # the set bits of the mask, read off its binary numeral, are exactly
+    # the parsed vectors of the span, both row formats, up to q^n = 2^24
+    field = field_new(q)
+    s = random_subspace(field, n, random.Random(q * 100 + n), rows=k)
+    bits = bin(s.vector_mask())[:1:-1]
+    assert {i for i, c in enumerate(bits) if c == "1"} == {
+        int("".join("0123456789abcdef"[e] for e in v), q)
+        for v in _vectors(field, n, s.rows)}
+
+
 def test_from_generators_is_reduced_and_spans_generators():
     rng = random.Random(41)
     for q in SUPPORTED_ORDERS:
