@@ -48,9 +48,11 @@ recursion, so its depth (the clique size, 1332 at (3, 5, 4)) is not
 bounded by Python's recursion limit.  A frame holds the vertices still to
 try, their color bounds, the next position, the untried candidates and the
 live clauses.  The root is the first frame: it branches over the whole
-degeneracy order with no bound.  A root branch the caps kill skips its
-clause scan and dies at the caps; below the root the clause scan comes
-first, because there it usually prunes after a clause or two.
+degeneracy order with no bound, and each of its vertices comes with a
+settle mask that leaves the untried set once its branch is done.  A root
+branch the caps kill skips its clause scan and dies at the caps; below
+the root the clause scan comes first, because there it usually prunes
+after a clause or two.
 
 Recorded witnesses are always re-verified by row elimination
 (``Subspace.distance``), a code path independent of the line incidence
@@ -302,6 +304,14 @@ class _CliqueEngine:
                 j += 1
         return order
 
+    def _roots(self, collect_all):
+        """The root frame's vertices, tried from the end, and for each the
+        settle mask that leaves the untried set once its branch is done:
+        the reversed degeneracy order, each vertex settling itself."""
+        order = self._degeneracy_order()
+        order.reverse()
+        return order, [1 << v for v in order]
+
     def _color_order(self, cand, kmin):
         """Greedy coloring of cand; returns the vertices whose color is at
         least kmin, with their ascending color bounds.
@@ -360,9 +370,10 @@ class _CliqueEngine:
 
         A frame is [vertices still to try, their color bounds (None at the
         root), next position, untried candidates, live clauses], the live
-        clauses being those that contain the partial clique plist.  deadline
-        is a time.monotonic() value, checked at the first node and at every
-        1024th after it.
+        clauses being those that contain the partial clique plist.  A tried
+        vertex leaves the untried candidates; at the root its settle mask
+        (see _roots) leaves with it.  deadline is a time.monotonic() value,
+        checked at the first node and at every 1024th after it.
         """
         self.collect_all = collect_all
         self.witness_cap = witness_cap
@@ -380,8 +391,7 @@ class _CliqueEngine:
         layer_of = self.layer_of
         plist = []
         used = [0] * len(self.groups)
-        root = self._degeneracy_order()
-        root.reverse()  # frames try their vertices from the end
+        root, settle = self._roots(collect_all)
         stack = [[root, None, len(root), (1 << self.nv) - 1,
                   (1 << len(forbidden)) - 1]]
         nodes = 0
@@ -397,16 +407,18 @@ class _CliqueEngine:
                     used[group_of_layer[layer_of[plist.pop()]]] -= 1
                 continue
             v = order[i]
+            # The child node: plist plus v, over the untried neighbours of v.
             cur ^= 1 << v
+            cand = cur ^ (cur & non[v])
+            if bounds is None:
+                cur &= ~settle[i]
             frame[2] = i
             frame[3] = cur
-            # The child node: plist plus v, over the untried neighbours of v.
             if nodes & 1023 == 0 and deadline is not None:
                 if time.monotonic() > deadline:
                     timed_out = True
                     break
             nodes += 1
-            cand = cur ^ (cur & non[v])
             alive = alive and alive & clause_of[v]
             plist.append(v)
             g = group_of_layer[layer_of[v]]

@@ -743,7 +743,7 @@ def test_clause_memory_budget_checked_before_allocation(monkeypatch, family_clas
 class _FullScanEngine(_CliqueEngine):
     """The engine with every node testing every clause and coloring every
     candidate over adjacency rows, kept as reference.  Its search is its
-    own: a root loop over the degeneracy order and a recursive expansion,
+    own: a root loop over the engine's roots and a recursive expansion,
     sharing no loop with the production search."""
 
     def __init__(self, index, d, family_class=None, structural_cap=True):
@@ -760,11 +760,12 @@ class _FullScanEngine(_CliqueEngine):
                           if seed_vertices and not collect_all else [])
         self.collected_count = len(self.collected)
         later = (1 << self.nv) - 1
-        for v in self._degeneracy_order():
-            later ^= 1 << v
+        roots, settle = self._roots(collect_all)
+        for v, done in zip(reversed(roots), reversed(settle)):
             used = [0] * len(self.groups)
             used[self.group_of_layer[self.layer_of[v]]] = 1
             self._expand([v], later & self.adj[v], used)
+            later &= ~done
         return self.best, self.collected, self.collected_count, self.nodes, False
 
     def _expand(self, plist, cand, used):
