@@ -5,8 +5,9 @@ the graph whose vertices are all subspaces and whose edges join pairs at
 distance at most d.  The engine keeps one non-neighbour mask per vertex,
 the complement of its radius-d ball mask in the lattice index, and the
 degeneracy order peels vertices by bit-sliced non-degree counters, so
-neither loops over vertex pairs in Python.  The engine branches in
-degeneracy order at the root with canonical tie-breaking and uses
+neither loops over vertex pairs in Python.  The engine branches over
+one representative per layer pair at the root (the degeneracy order with
+canonical tie-breaking when every maximum family is wanted) and uses
 greedy-coloring upper bounds inside (San Segundo et al. 2011): coloring a
 vertex is one AND with its non-neighbour mask, and only the vertices whose
 color reaches k_min = need - |clique| are returned for branching, since the
@@ -47,12 +48,17 @@ The search is one loop over an explicit stack of frames, with no
 recursion, so its depth (the clique size, 1332 at (3, 5, 4)) is not
 bounded by Python's recursion limit.  A frame holds the vertices still to
 try, their color bounds, the next position, the untried candidates and the
-live clauses.  The root is the first frame: it branches over the whole
-degeneracy order with no bound, and each of its vertices comes with a
-settle mask that leaves the untried set once its branch is done.  A root
+live clauses.  The root is the first frame, branched with no bound; each
+root vertex has a settle mask that leaves the untried set once its branch
+is done.  An optimum search roots the first k-space of each layer pair
+(k, n-k), middle pair first, and settles the whole pair: GL(n, q) and perp
+preserve distance, the caps and every class's clauses, so some maximum
+family holds the representative of the first pair it meets (orbital
+branching, Ostrowski et al. 2011; docs/decisions.md).  With enumerate_all
+the root is the degeneracy order, each vertex settling itself.  A root
 branch the caps kill skips its clause scan and dies at the caps; below
-the root the clause scan comes first, because there it usually prunes
-after a clause or two.
+the root the clause scan comes first, as there it usually prunes after a
+clause or two.
 
 Recorded witnesses are always re-verified by row elimination
 (``Subspace.distance``), a code path independent of the line incidence
@@ -305,12 +311,17 @@ class _CliqueEngine:
         return order
 
     def _roots(self, collect_all):
-        """The root frame's vertices, tried from the end, and for each the
-        settle mask that leaves the untried set once its branch is done:
-        the reversed degeneracy order, each vertex settling itself."""
-        order = self._degeneracy_order()
-        order.reverse()
-        return order, [1 << v for v in order]
+        """The root's vertices, tried from the end, and their settle masks:
+        with collect_all the degeneracy order, each vertex settling itself;
+        else the first k-space for k = n//2 down to 0, settling (k, n-k)."""
+        if collect_all:
+            order = self._degeneracy_order()
+            order.reverse()
+            return order, [1 << v for v in order]
+        n = self.index.n
+        pairs = range(n // 2 + 1)
+        return ([self.index.layer_range(k)[0] for k in pairs],
+                [self.layer_mask[k] | self.layer_mask[n - k] for k in pairs])
 
     def _color_order(self, cand, kmin):
         """Greedy coloring of cand; returns the vertices whose color is at
@@ -549,11 +560,18 @@ def _admissible_seed(field, n, d, family_class):
         if d % 2 == 1:
             split = split.union(star(x, t + 1, budget=None))
         candidates.append(split)
+    if d % 2 == 0 and 2 * t < n <= 3 * t:
+        # a t-space is n-t <= 2t from F_q^n, so layer t with F_q^n has
+        # diameter <= d; so does its perp, layer n-t with 0
+        layer_top = SubspaceFamily(field, n, list(enumerate_layer(
+            field, n, t, budget=None)) + [Subspace.full(field, n)])
+        candidates += [layer_top, perp_family(layer_top)]
     best = None
     for fam in candidates:
-        # is_admissible checks the diameter first.
-        rep = is_admissible(fam, family_class, t, budget=None)
-        if rep.admissible and (best is None or len(fam) > len(best)):
+        # is_admissible checks the diameter first; a candidate no larger
+        # than the best so far needs no check.
+        if (best is None or len(fam) > len(best)) and is_admissible(
+                fam, family_class, t, budget=None).admissible:
             best = fam
     return best
 

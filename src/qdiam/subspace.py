@@ -24,6 +24,7 @@ from .gfq import FieldSpec, field_new
 
 _DIGITS = "0123456789abcdef"
 _DIGIT_VALUE = {c: i for i, c in enumerate(_DIGITS)}
+_MASK_CHUNK_BITS = 12  # vector_mask lists at most 2^12 indices at a time
 
 
 # ---------------------------------------------------------------------------
@@ -263,38 +264,70 @@ class Subspace:
         with ``vector_index`` i lies in it.
 
         For q = 2 the index of a vector is its packed row.  For q > 2 the
-        indices of all q^dim vectors are built a column at a time: column j
-        of the combination with coefficients c holds sum_i c_i r_ij, listed
-        for every c in one fixed order, and each index takes the Horner step
-        index * q + digit.  Two masks meet in q^dim(U ∩ W) bits, so
+        indices are built a column at a time: column j of the combination
+        with coefficients c holds sum_i c_i r_ij, listed for every c in one
+        fixed order, and each index takes the Horner step index * q + digit.
+        Two masks meet in q^dim(U ∩ W) bits, so
         |U ∩ W| = popcount(mask(U) & mask(W)).
 
         The mask is written out as a binary numeral of q^n digits, vector i
         setting the i-th digit from the right, and parsed once: OR-ing the
         bits into an int one at a time would copy the q^n-bit int per vector.
+        The indices are listed at most 2^_MASK_CHUNK_BITS at a time, so the
+        numeral is the only transient of size q^n: the span of the first m
+        rows is listed once per vector h of the span of the others, starting
+        from h (each column from h's entry for q > 2) instead of 0.
         """
-        if self.bits is not None:
-            vecs = [0]
-            for r in self.bits:
-                vecs += [v ^ r for v in vecs]
-        else:
-            q = self.field.q
-            add, mul = self.field.add_table, self.field.mul_table
-            vecs = [0] * q ** len(self.rows)
-            for col in zip(*self.rows):
-                digits = [0]
-                for e in col:
-                    if e:
-                        digits += [add[mul[c][e]][x]
-                                   for c in range(1, q) for x in digits]
-                    else:
-                        digits *= q
-                vecs = [v * q + x for v, x in zip(vecs, digits)]
         top = self.field.q ** self.n - 1
         numeral = bytearray(b"0") * (top + 1)
-        for v in vecs:
-            numeral[top - v] = 49  # ord("1")
+        bits = self.bits
+        if bits is None:
+            self._mark_table_vectors(numeral)
+            return int(numeral, 2)
+        # the digit of vector v is numeral[top - v], and top - v = top ^ v
+        offsets = [top]
+        low = bits
+        if len(bits) > _MASK_CHUNK_BITS:
+            low = bits[:_MASK_CHUNK_BITS]
+            for r in bits[_MASK_CHUNK_BITS:]:
+                offsets += [h ^ r for h in offsets]
+        for h in offsets:
+            vecs = [h]
+            for r in low:
+                vecs += [v ^ r for v in vecs]
+            for v in vecs:
+                numeral[v] = 49  # ord("1")
         return int(numeral, 2)
+
+    def _mark_table_vectors(self, numeral):
+        """vector_mask's digits for q > 2: the Horner columns of the span of
+        the first m rows, once per vector h of the span of the others."""
+        q = self.field.q
+        top = len(numeral) - 1
+        add, mul = self.field.add_table, self.field.mul_table
+        m = _MASK_CHUNK_BITS // (q - 1).bit_length()  # so q^m <= 2^12
+        offsets = [(0,) * self.n]
+        low = self.rows
+        if len(low) > m:
+            low = self.rows[:m]
+            for r in self.rows[m:]:
+                offsets += [tuple(add[x][mul[c][e]] for x, e in zip(h, r))
+                            for c in range(1, q) for h in offsets]
+        for h in offsets:
+            vecs = None
+            # low is empty only for the zero space, whose one vector is 0
+            for x, col in zip(h, zip(*low)):
+                digits = [x]
+                for e in col:
+                    if e:
+                        digits += [add[mul[c][e]][y]
+                                   for c in range(1, q) for y in digits]
+                    else:
+                        digits *= q
+                vecs = (digits if vecs is None else
+                        [v * q + y for v, y in zip(vecs, digits)])
+            for v in vecs or (0,):
+                numeral[top - v] = 49
 
     # -- serialization -------------------------------------------------------
 

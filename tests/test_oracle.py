@@ -122,11 +122,11 @@ def test_group_caps_use_ekr_bound(q, n, d, caps):
 
 def test_ekr_caps_prove_the_boundary_at_the_root():
     # (2, 6, 5): the root bound 1 + 63 + 651 + 155 is the seed's 870, so
-    # every root branch dies at its first node.
+    # each of the 6//2 + 1 root subproblems dies at its first node.
     rep = max_diameter_family(2, 6, 5)
     assert rep.optimum == rep.greedy_seed_size == 870
     assert rep.proven_optimal and rep.bound_match
-    assert rep.nodes_explored == 2825
+    assert rep.nodes_explored == 4
 
 
 @pytest.mark.parametrize("q,n,d", [(2, 6, 6), (3, 5, 5)])
@@ -296,11 +296,11 @@ def test_admissible_zero_ambient_dimension(d, family_class, optimum):
 
 
 @pytest.mark.parametrize("d,family_class,optimum,nodes",
-                         [(5, "A_odd", 870, 2825), (5, "B_odd", 870, 2825),
+                         [(5, "A_odd", 870, 4), (5, "B_odd", 870, 4),
                           (2, "A_even", 33, None)])
 def test_admissible_boundary_proven(d, family_class, optimum, nodes):
     # n = d+1 at (2, 6): the EKR caps prove the admissible optimum; at d = 5
-    # every root branch dies at its first node, as in the plain search.
+    # every root subproblem dies at its first node, as in the plain search.
     rep = max_admissible_family(2, 6, d, family_class)
     assert rep.optimum == optimum
     assert rep.proven_optimal and not rep.timed_out
@@ -308,6 +308,20 @@ def test_admissible_boundary_proven(d, family_class, optimum, nodes):
         assert rep.nodes_explored == nodes
     for fam in rep.witnesses:
         assert is_admissible(fam, family_class, d // 2).admissible
+
+
+@pytest.mark.parametrize("family_class", ["A_even", "B_even"])
+def test_admissible_seed_takes_a_layer_with_the_whole_space(family_class):
+    # 2t < n <= 3t: a t-space is n-t <= 2t from F_q^n, so layer t with
+    # F_q^n has diameter <= 2t; at (2, 6, 4) it has 651 + 1 members, where
+    # the one candidate before, the radius-2 ball around a line, has 250
+    # and is not B_even-admissible
+    seed = oracle._admissible_seed(F2, 6, 4, family_class)
+    assert len(seed) == 652
+    assert seed == SubspaceFamily(
+        F2, 6, list(enumerate_layer(F2, 6, 2)) + [Subspace.full(F2, 6)])
+    assert is_admissible(seed, family_class, 2).admissible
+    assert is_admissible(perp_family(seed), family_class, 2).admissible
 
 
 def test_admissible_class_parity_checked():
@@ -905,6 +919,73 @@ def test_static_clauses_match_lazy_learning(monkeypatch, q, n, d, family_class):
     assert rep.witness_count == ref.witness_count
     assert rep.witnesses == ref.witnesses
     assert rep.nodes_explored <= ref.nodes_explored
+
+
+# -- orbit-representative root against the full root --------------------------------
+
+class _FullRootEngine(_CliqueEngine):
+    """The production engine with the root every search had before the
+    orbit representatives: each subspace in reversed degeneracy order,
+    settling itself alone; kept as reference for the optimum."""
+
+    def _roots(self, collect_all):
+        return super()._roots(True)
+
+
+# Every (q, n, d) with 1 <= d < n, n <= 5 for q = 2 and n <= 4 for q = 3,
+# plain and in each class of the parity of d: 46 searches.  The full root
+# stalls for minutes at (2, 5, 3) in A_odd and B_odd; those two are proven
+# by test_orbit_root_proves_admissible_optimum alone.
+ORBIT_CASES = [(q, n, d, cls) for q, top in ((2, 5), (3, 4))
+               for n in range(2, top + 1) for d in range(1, n)
+               for cls in ((None, "A_even", "B_even") if d % 2 == 0
+                           else (None, "A_odd", "B_odd"))
+               if (q, n, d, cls) not in {(2, 5, 3, "A_odd"), (2, 5, 3, "B_odd")}]
+
+
+@pytest.mark.parametrize("q,n,d,family_class", ORBIT_CASES)
+def test_orbit_root_matches_full_root(monkeypatch, q, n, d, family_class):
+    ref, _ = _search_with(monkeypatch, _FullRootEngine, q, n, d, family_class,
+                          False)
+    rep, _ = _search_with(monkeypatch, _CliqueEngine, q, n, d, family_class,
+                          False)
+    assert ref.proven_optimal and rep.proven_optimal
+    assert rep.optimum == ref.optimum
+    assert rep.witness_count == ref.witness_count
+    assert rep.bound_match == ref.bound_match
+    assert rep.nodes_explored <= ref.nodes_explored
+
+
+@pytest.mark.parametrize("q,n,d,family_class,optimum", [
+    (2, 5, 3, "A_odd", 39), (2, 5, 3, "B_odd", 39), (2, 6, 2, "B_even", 8)])
+def test_orbit_root_proves_admissible_optimum(q, n, d, family_class, optimum):
+    # Out of reach of the full root: (2, 5, 3) stalls for minutes in both
+    # odd classes, and (2, 6, 2) B_even took 6.2M nodes.
+    rep = max_admissible_family(q, n, d, family_class)
+    assert rep.optimum == optimum
+    assert rep.proven_optimal and not rep.timed_out
+    assert len(rep.witnesses) == 1
+    for fam in rep.witnesses:
+        assert len(fam) == optimum
+        assert is_admissible(fam, family_class, d // 2).admissible
+
+
+@pytest.mark.parametrize("q,n", [(2, 5), (2, 6), (3, 4)])
+def test_orbit_root_holds_one_representative_per_layer_pair(monkeypatch, q, n):
+    def no_order(self):
+        raise AssertionError("the optimum search computed a degeneracy order")
+
+    index = build_index(field_new(q), n)
+    engine = _CliqueEngine(index, 2)
+    roots, settle = engine._roots(False)
+    # the first k-space for k = 0 .. n//2, tried from the end, each
+    # settling the pair (k, n-k); the pairs partition the lattice
+    layer = engine.layer_mask
+    assert roots == [index.layer_range(k)[0] for k in range(n // 2 + 1)]
+    assert settle == [layer[k] | layer[n - k] for k in range(n // 2 + 1)]
+    assert sum(settle) == (1 << index.size) - 1
+    monkeypatch.setattr(_CliqueEngine, "_degeneracy_order", no_order)
+    assert max_diameter_family(q, n, 2).optimum == kleitman_bound(n, 2, q)
 
 
 @pytest.mark.parametrize("q,n,d,family_class",

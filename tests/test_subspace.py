@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -320,17 +321,37 @@ def test_vector_mask_matches_parsed_vectors():
 
 
 @pytest.mark.parametrize("q,n,k", [(2, 22, 11), (2, 24, 3), (2, 13, 13),
-                                   (3, 12, 6), (4, 8, 4), (5, 7, 3),
+                                   (2, 16, 14), (3, 12, 6), (3, 9, 8),
+                                   (4, 8, 4), (4, 7, 7), (5, 7, 3),
                                    (16, 4, 2)])
 def test_vector_mask_bits_are_the_vectors_at_large_n(q, n, k):
     # the set bits of the mask, read off its binary numeral, are exactly
-    # the parsed vectors of the span, both row formats, up to q^n = 2^24
+    # the parsed vectors of the span, both row formats, up to q^n = 2^24;
+    # spans above 4096 vectors are listed in translated chunks
     field = field_new(q)
     s = random_subspace(field, n, random.Random(q * 100 + n), rows=k)
     bits = bin(s.vector_mask())[:1:-1]
     assert {i for i, c in enumerate(bits) if c == "1"} == {
         int("".join("0123456789abcdef"[e] for e in v), q)
         for v in _vectors(field, n, s.rows)}
+
+
+def test_vector_mask_transient_is_bounded_by_the_numeral():
+    # 2^18 vectors in F_2^20: the indices are listed 4096 at a time, so the
+    # peak stays near the numeral's q^n bytes (about 11 q^n when the whole
+    # index list was built first)
+    rng = random.Random(18)
+    s = span(F2, 20, *([int(i == j) for j in range(18)]
+                       + [rng.randrange(2) for _ in range(2)]
+                       for i in range(18)))
+    tracemalloc.start()
+    try:
+        mask = s.vector_mask()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert s.dim == 18 and mask.bit_count() == 2 ** 18
+    assert peak < 2 * 2 ** 20
 
 
 def test_from_generators_is_reduced_and_spans_generators():
