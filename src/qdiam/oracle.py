@@ -3,10 +3,11 @@
 The maximum bounded-diameter family problem is a maximum clique problem on
 the graph whose vertices are all subspaces and whose edges join pairs at
 distance at most d.  The engine keeps one non-neighbour mask per vertex,
-the complement of its radius-d ball mask in the lattice index, and the
-degeneracy order peels vertices by bit-sliced non-degree counters, so
-neither loops over vertex pairs in Python.  The engine branches over
-one representative per layer pair at the root (the degeneracy order with
+the complement of its radius-d ball mask in the lattice index, built when
+the search first reads it, and the degeneracy order peels vertices by
+bit-sliced non-degree counters, so neither loops over vertex pairs in
+Python.  The engine branches over one representative per layer pair at
+the root (the degeneracy order with
 canonical tie-breaking when every maximum family is wanted) and uses
 greedy-coloring upper bounds inside (San Segundo et al. 2011): coloring a
 vertex is one AND with its non-neighbour mask, and only the vertices whose
@@ -181,9 +182,10 @@ class _CliqueEngine:
             raise BudgetExceeded(
                 f"adjacency of (q={q}, n={n}) needs {need} bytes, budget is "
                 f"{DEFAULT_DISTANCE_CELL_BUDGET}", would_be_count=need)
-        # Non-neighbour masks: vertices farther than d, v itself excluded.
-        full = (1 << nv) - 1
-        self.non = [full ^ index.ball(i, d) for i in range(nv)]
+        # Non-neighbour masks, vertices farther than d with v itself
+        # excluded; row v is built on first use (_build), bit v of built.
+        self.non = [0] * nv
+        self.built = 0
         self.layer_of = [s.dim for s in index.subspaces]
         layer_mask = [0] * (n + 1)
         for i, k in enumerate(self.layer_of):
@@ -273,6 +275,17 @@ class _CliqueEngine:
                 rest ^= b
         return clauses, clause_of
 
+    def _build(self, mask):
+        """Fill the non-neighbour rows of the vertices in mask not built yet."""
+        rest = mask & ~self.built
+        self.built |= rest
+        full = (1 << self.nv) - 1
+        while rest:
+            b = rest & -rest
+            v = b.bit_length() - 1
+            self.non[v] = full ^ self.index.ball(v, self.d)
+            rest ^= b
+
     def _degeneracy_order(self):
         """Peel minimum-degree vertices, canonical index as tie-break.
 
@@ -285,6 +298,7 @@ class _CliqueEngine:
         the next vertex is the lowest of them.  Removing it ripple-borrows
         one from the count of each alive non-neighbour.
         """
+        self._build((1 << self.nv) - 1)
         non = self.non
         planes = []
         for row in non:
@@ -330,8 +344,11 @@ class _CliqueEngine:
         A vertex with a lower color cannot lead to a clique of the size the
         caller needs, so it is colored but not returned.  Coloring a vertex
         v keeps, of the vertices still free for its class, only its
-        non-neighbours: one AND with non[v], which also drops v.
+        non-neighbours: one AND with non[v], which also drops v.  The rows
+        of cand are built first; when they all are, that is one AND.
         """
+        if cand & self.built != cand:
+            self._build(cand)
         non = self.non
         order = []
         bounds = []
@@ -383,8 +400,10 @@ class _CliqueEngine:
         root), next position, untried candidates, live clauses], the live
         clauses being those that contain the partial clique plist.  A tried
         vertex leaves the untried candidates; at the root its settle mask
-        (see _roots) leaves with it.  deadline is a time.monotonic() value,
-        checked at the first node and at every 1024th after it.
+        (see _roots) leaves with it.  A root vertex builds its own row; below
+        the root every vertex came out of a coloring, which built its row.
+        deadline is a time.monotonic() value, checked at every root node, at
+        every 1024th node and after every coloring that built rows.
         """
         self.collect_all = collect_all
         self.witness_cap = witness_cap
@@ -418,6 +437,8 @@ class _CliqueEngine:
                     used[group_of_layer[layer_of[plist.pop()]]] -= 1
                 continue
             v = order[i]
+            if bounds is None:
+                self._build(1 << v)
             # The child node: plist plus v, over the untried neighbours of v.
             cur ^= 1 << v
             cand = cur ^ (cur & non[v])
@@ -425,7 +446,7 @@ class _CliqueEngine:
                 cur &= ~settle[i]
             frame[2] = i
             frame[3] = cur
-            if nodes & 1023 == 0 and deadline is not None:
+            if (nodes & 1023 == 0 or bounds is None) and deadline is not None:
                 if time.monotonic() > deadline:
                     timed_out = True
                     break
@@ -452,7 +473,12 @@ class _CliqueEngine:
                 if cand:
                     # need only rises below, so a vertex colored under
                     # need - psize now would be cut at its turn anyway.
+                    built = self.built
                     order, bounds = self._color_order(cand, need - psize)
+                    if (self.built != built and deadline is not None
+                            and time.monotonic() > deadline):
+                        timed_out = True
+                        break
                     stack.append([order, bounds, len(order), cand, alive])
                     continue
                 self._record(plist)

@@ -523,8 +523,17 @@ def _table_ball(table, nv, i, radius):
     return int(table[i * nv:(i + 1) * nv].translate(digits)[::-1], 2)
 
 
+def _build_every_row(engine):
+    """Build every non-neighbour row of an engine, as its search may not."""
+    full = (1 << engine.nv) - 1
+    engine._build(full)
+    assert engine.built == full
+
+
 def _adjacency(engine):
-    """Adjacency rows of an engine, from its non-neighbour masks."""
+    """Adjacency rows of an engine, from its non-neighbour masks, every row
+    built first."""
+    _build_every_row(engine)
     full = (1 << engine.nv) - 1
     return [full ^ m ^ (1 << i) for i, m in enumerate(engine.non)]
 
@@ -923,7 +932,16 @@ def test_static_clauses_match_lazy_learning(monkeypatch, q, n, d, family_class):
 
 # -- orbit-representative root against the full root --------------------------------
 
-class _FullRootEngine(_CliqueEngine):
+class _EagerEngine(_CliqueEngine):
+    """The production engine with every non-neighbour row built before the
+    search, as before rows were built on first use; kept as reference."""
+
+    def __init__(self, index, d, family_class=None, structural_cap=True):
+        super().__init__(index, d, family_class, structural_cap=structural_cap)
+        _build_every_row(self)
+
+
+class _FullRootEngine(_EagerEngine):
     """The production engine with the root every search had before the
     orbit representatives: each subspace in reversed degeneracy order,
     settling itself alone; kept as reference for the optimum."""
@@ -954,6 +972,75 @@ def test_orbit_root_matches_full_root(monkeypatch, q, n, d, family_class):
     assert rep.witness_count == ref.witness_count
     assert rep.bound_match == ref.bound_match
     assert rep.nodes_explored <= ref.nodes_explored
+
+
+# -- non-neighbour rows built on first use against rows built up front -------------
+
+# The orbit-root grid, and the --all jobs of the clique-search benchmark.
+LAZY_ROW_CASES = ([case + (False,) for case in ORBIT_CASES]
+                  + [(3, 4, 3, None, True), (2, 5, 3, None, True)])
+
+
+@pytest.mark.parametrize("q,n,d,family_class,enumerate_all", LAZY_ROW_CASES)
+def test_lazy_rows_match_eager_rows(monkeypatch, q, n, d, family_class,
+                                    enumerate_all):
+    ref, _ = _search_with(monkeypatch, _EagerEngine, q, n, d, family_class,
+                          enumerate_all)
+    rep, engine = _search_with(monkeypatch, _CliqueEngine, q, n, d,
+                               family_class, enumerate_all)
+    assert rep.optimum == ref.optimum
+    assert rep.nodes_explored == ref.nodes_explored
+    assert rep.witness_count == ref.witness_count
+    assert rep.witnesses == ref.witnesses
+    full = (1 << engine.nv) - 1
+    for v in range(engine.nv):
+        built = engine.built >> v & 1
+        assert engine.non[v] == (full ^ engine.index.ball(v, d) if built else 0)
+
+
+@pytest.mark.parametrize("q,n,d,enumerate_all,rows", [
+    (3, 5, 2, False, 3), (2, 6, 3, False, 206), (2, 6, 5, False, 4),
+    (2, 4, 3, True, 67)])
+def test_search_builds_only_the_rows_it_reads(monkeypatch, q, n, d,
+                                              enumerate_all, rows):
+    # An optimum search on the frontier reads a few rows of thousands;
+    # --all computes the degeneracy order, which reads every row.
+    rep, engine = _search_with(monkeypatch, _CliqueEngine, q, n, d, None,
+                               enumerate_all)
+    assert rep.proven_optimal and rep.optimum == kleitman_bound(n, d, q)
+    assert engine.built.bit_count() == rows
+    if enumerate_all:
+        assert rows == engine.nv
+
+
+@pytest.mark.parametrize("steps,enumerate_all,nodes", [
+    ([5.0], False, 0), ([0.0, 0.0, 5.0], False, 2), ([5.0], True, 0)])
+def test_timeout_counts_row_building(monkeypatch, steps, enumerate_all, nodes):
+    # The fake clock moves only while rows are built: the i-th build call
+    # takes steps[i] seconds.  A deadline that passes during the first
+    # build (the root vertex's row, or every row for the degeneracy order)
+    # stops the search at its first node.  At (2, 6, 3) the third build is
+    # the coloring of the second root node, whose children would not reach
+    # a 1024th node: a deadline that passes there stops the search at once.
+    now = [0.0]
+    monkeypatch.setattr(oracle, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    build = _CliqueEngine._build
+    calls = []
+
+    def slow_build(self, mask):
+        now[0] += steps[len(calls)] if len(calls) < len(steps) else 0.0
+        calls.append(mask)
+        build(self, mask)
+
+    monkeypatch.setattr(_CliqueEngine, "_build", slow_build)
+    n, d = (4, 3) if enumerate_all else (6, 3)
+    rep = max_diameter_family(2, n, d, enumerate_all, timeout_secs=4.0)
+    assert rep.timed_out and not rep.proven_optimal
+    assert rep.nodes_explored == nodes
+    assert rep.optimum == rep.greedy_seed_size
+    monkeypatch.setattr(_CliqueEngine, "_build", build)
+    rep = max_diameter_family(2, n, d, enumerate_all, timeout_secs=4.0)
+    assert not rep.timed_out and rep.nodes_explored > 1
 
 
 @pytest.mark.parametrize("q,n,d,family_class,optimum", [
