@@ -179,17 +179,13 @@ def canonical_double_ball(x: Subspace, t: int,
     return lower_layers(x.field, x.n, t, budget).union(star(x, t + 1, budget))
 
 
-def canonical_family(field, n, t, which, x=None,
+def canonical_family(field, n, t, which,
                      budget=DEFAULT_ENUM_BUDGET) -> SubspaceFamily:
-    """Dispatch for the canonical families: 'L', 'U', or 'D' (needs x)."""
+    """Dispatch for the canonical layer unions: 'L' or 'U'."""
     if which == "L":
         return lower_layers(field, n, t, budget)
     if which == "U":
         return upper_layers(field, n, t, budget)
-    if which == "D":
-        if x is None:
-            raise InvalidConfiguration("canonical double ball needs a line x")
-        return canonical_double_ball(x, t, budget)
     raise ValueError(f"unknown canonical family {which!r}")
 
 
@@ -340,7 +336,9 @@ def diameter_at_most(fam: SubspaceFamily, d: int):
 
     A pair of an a-space and a b-space is farther apart than d exactly when
     it meets in at most (a + b - d - 1) // 2 dimensions.  Pairs whose
-    dimension sum is at most d are skipped outright.
+    dimension sum is at most d are skipped outright, and so are pairs whose
+    meets cannot go that low: no pair meets in fewer than a + b - n
+    dimensions, so none is farther apart than 2n - a - b.
     """
     if not fam.members:
         raise EmptyFamily("diameter of an empty family")
@@ -351,6 +349,8 @@ def diameter_at_most(fam: SubspaceFamily, d: int):
         if dimsum <= d:
             break
         stop = (dimsum - d - 1) // 2
+        if stop < dimsum - fam.n:
+            continue
         m, pair = _layer_pair_min_meet(fam, a, b, stop)
         if m is not None and m <= stop:
             return False, pair
@@ -605,6 +605,8 @@ def is_admissible(fam: SubspaceFamily, family_class: str, t: int,
     """
     if family_class not in ADMISSIBILITY_CLASSES:
         raise ValueError(f"unknown admissibility class {family_class!r}")
+    if t < 0:
+        raise ParameterOutOfRange(f"t must be >= 0, got {t}")
     if not fam.members:
         raise EmptyFamily("admissibility of an empty family")
     d = 2 * t if family_class.endswith("even") else 2 * t + 1

@@ -12,17 +12,17 @@ canonical tie-breaking when every maximum family is wanted) and uses
 greedy-coloring upper bounds inside (San Segundo et al. 2011): coloring a
 vertex is one AND with its non-neighbour mask, and only the vertices whose
 color reaches k_min = need - |clique| are returned for branching, since the
-others are cut anyway (Konc and Janezic 2007).  It adds domain caps: a partial
-solution together with its candidates can never place more than [n k]
-members on a complementary layer pair (k, n-k), so branches violating that
-die early.  Two j-spaces at distance at most d = 2t or 2t+1 meet in at
-least j-t dimensions, so for j > t and n >= j+t a layer holds at most the
-Frankl-Wilson EKR bound ekr_bound(n, j, j-t) members; a pair is capped by
-the smaller of [n k] and the sum of its two layers' caps.  The caps are
-what keep the 374-vertex lattice of F_2^5 tractable, and the EKR cap on the
-middle layer is what proves the boundary n = d+1 at (2, 6, 5); generic
-coloring alone stalls there.  structural_cap=False drops every cap: that
-search uses no theorem and is the reference the caps are tested against.
+others are cut anyway (Konc and Janezic 2007).  It adds domain caps, one
+per complementary layer pair (k, n-k): when d < n a partial solution
+together with its candidates can never place more than [n k] members on a
+pair, so branches violating that die early.  Two j-spaces at distance at
+most d = 2t or 2t+1 meet in at least j-t dimensions, so for j > t and
+n >= j+t a layer holds at most the Frankl-Wilson EKR bound
+ekr_bound(n, j, j-t) members; a pair is capped by the smaller of [n k] and
+the sum of its two layers' caps.  When d >= n the graph is complete and a
+pair's cap is its size.  The caps are what keep the 374-vertex lattice of
+F_2^5 tractable, and the EKR cap on the middle layer is what proves the
+boundary n = d+1 at (2, 6, 5); generic coloring alone stalls there.
 
 Admissibility ("not contained in any forbidden configuration") is not
 hereditary, so it cannot be folded into the graph.  Every class is instead
@@ -52,14 +52,14 @@ try, their color bounds, the next position, the untried candidates and the
 live clauses.  The root is the first frame, branched with no bound; each
 root vertex has a settle mask that leaves the untried set once its branch
 is done.  An optimum search roots the first k-space of each layer pair
-(k, n-k), middle pair first, and settles the whole pair: GL(n, q) and perp
-preserve distance, the caps and every class's clauses, so some maximum
-family holds the representative of the first pair it meets (orbital
-branching, Ostrowski et al. 2011; docs/decisions.md).  With enumerate_all
-the root is the degeneracy order, each vertex settling itself.  A root
-branch the caps kill skips its clause scan and dies at the caps; below
-the root the clause scan comes first, as there it usually prunes after a
-clause or two.
+(k, n-k), middle pair first, and settles the whole pair, its mask in the
+cap table: GL(n, q) and perp preserve distance, the caps and every class's
+clauses, so some maximum family holds the representative of the first
+pair it meets (orbital branching, Ostrowski et al. 2011;
+docs/decisions.md).  With enumerate_all the root is the degeneracy order,
+each vertex settling itself.  A root branch the caps kill skips its clause
+scan and dies at the caps; below the root the clause scan comes first, as
+there it usually prunes after a clause or two.
 
 Recorded witnesses are always re-verified by row elimination
 (``Subspace.distance``), a code path independent of the line incidence
@@ -164,7 +164,7 @@ class _CliqueEngine:
     class become exclusion clauses.
     """
 
-    def __init__(self, index, d, family_class=None, structural_cap=True):
+    def __init__(self, index, d, family_class=None):
         self.index = index
         self.d = d
         nv = index.size
@@ -191,33 +191,24 @@ class _CliqueEngine:
         for i, k in enumerate(self.layer_of):
             layer_mask[k] |= 1 << i
         self.layer_mask = layer_mask
-        # Layer-pair caps, valid whenever the whole family has diameter
-        # <= d < n.  Complementary pairs: |F(k)| + |F(n-k)| <= [n k].  EKR:
-        # two j-spaces at distance <= d meet in >= j-t dimensions, so layer
-        # j is (j-t)-intersecting and, for j > t and n >= j+t, holds at most
-        # ekr_bound(n, j, j-t) members (Frankl-Wilson); e(j) is that, or
-        # [n j] outside the hypothesis.  A pair is capped by the smaller of
-        # [n k] and e(k) + e(n-k), the middle layer by e(k).  Layers are
-        # grouped so every vertex belongs to exactly one group.
+        # One entry per complementary layer pair (k, n-k), k = 0..n//2: its
+        # vertex mask and its cap; vertex v lies in pair group_of[v].  Two
+        # j-spaces at distance <= d meet in >= j-t dimensions, so for j > t
+        # and n >= j+t layer j is (j-t)-intersecting and holds at most e[j] =
+        # ekr_bound(n, j, j-t) members (Frankl-Wilson); elsewhere, and when
+        # d >= n, e[j] = [n j].  A pair holds at most e[k] + e[n-k], and
+        # when d < n at most [n k].
+        t = d // 2
+        e = [ekr_bound(n, j, j - t, q) if t < j <= n - t and d < n
+             else gauss_binom(n, j, q) for j in range(n + 1)]
         self.groups = []
-        self.group_of_layer = [0] * (n + 1)
-        if structural_cap and n >= d + 1:
-            t = d // 2
-            e = [ekr_bound(n, j, j - t, q) if t < j <= n - t
-                 else gauss_binom(n, j, q) for j in range(n + 1)]
-            for k in range(n // 2 + 1):
-                if k != n - k:
-                    mask = layer_mask[k] | layer_mask[n - k]
-                    cap = min(gauss_binom(n, k, q), e[k] + e[n - k])
-                else:
-                    mask = layer_mask[k]
-                    cap = e[k]
-                self.group_of_layer[k] = len(self.groups)
-                self.group_of_layer[n - k] = len(self.groups)
-                self.groups.append((mask, cap))
-        else:
-            self.groups.append(((1 << nv) - 1, nv))
-        self.forbidden, self.clause_of = self._clauses(family_class, d // 2)
+        for k in range(n // 2 + 1):
+            cap = e[k] if 2 * k == n else e[k] + e[n - k]
+            if d < n:
+                cap = min(cap, gauss_binom(n, k, q))
+            self.groups.append((layer_mask[k] | layer_mask[n - k], cap))
+        self.group_of = [min(k, n - k) for k in self.layer_of]
+        self.forbidden, self.clause_of = self._clauses(family_class, t)
 
     def _clauses(self, family_class, t):
         """Vertex masks of the forbidden configurations of family_class, and
@@ -332,10 +323,9 @@ class _CliqueEngine:
             order = self._degeneracy_order()
             order.reverse()
             return order, [1 << v for v in order]
-        n = self.index.n
-        pairs = range(n // 2 + 1)
-        return ([self.index.layer_range(k)[0] for k in pairs],
-                [self.layer_mask[k] | self.layer_mask[n - k] for k in pairs])
+        return ([self.index.layer_range(k)[0]
+                 for k in range(len(self.groups))],
+                [mask for mask, _ in self.groups])
 
     def _color_order(self, cand, kmin):
         """Greedy coloring of cand; returns the vertices whose color is at
@@ -417,8 +407,7 @@ class _CliqueEngine:
         non = self.non
         forbidden = self.forbidden
         clause_of = self.clause_of
-        group_of_layer = self.group_of_layer
-        layer_of = self.layer_of
+        group_of = self.group_of
         plist = []
         used = [0] * len(self.groups)
         root, settle = self._roots(collect_all)
@@ -434,7 +423,7 @@ class _CliqueEngine:
                          and len(plist) + bounds[i] < self.best + slack):
                 stack.pop()
                 if stack:
-                    used[group_of_layer[layer_of[plist.pop()]]] -= 1
+                    used[group_of[plist.pop()]] -= 1
                 continue
             v = order[i]
             if bounds is None:
@@ -453,7 +442,7 @@ class _CliqueEngine:
             nodes += 1
             alive = alive and alive & clause_of[v]
             plist.append(v)
-            g = group_of_layer[layer_of[v]]
+            g = group_of[v]
             used[g] += 1
             psize = len(plist)
             need = self.best + slack
@@ -619,8 +608,7 @@ _FORMULAS = {
 def max_admissible_family(q, n, d, family_class, enumerate_all=False, *,
                           lattice_budget=None,
                           timeout_secs=DEFAULT_TIMEOUT_SECS,
-                          witness_cap=DEFAULT_WITNESS_CAP,
-                          structural_cap=True) -> SearchReport:
+                          witness_cap=DEFAULT_WITNESS_CAP) -> SearchReport:
     """Exact maximum size of an admissible diameter-<= d family, by
     exhaustive search; the one driver of every oracle search.
 
@@ -652,8 +640,7 @@ def max_admissible_family(q, n, d, family_class, enumerate_all=False, *,
         seed = _admissible_seed(index.field, n, d, family_class)
     seed_vertices = (None if seed is None
                      else sorted(index.position(s) for s in seed))
-    engine = _CliqueEngine(index, d, family_class,
-                           structural_cap=structural_cap)
+    engine = _CliqueEngine(index, d, family_class)
     best, collected, count, nodes, timed_out = engine.search(
         seed_vertices=seed_vertices, collect_all=enumerate_all,
         witness_cap=witness_cap, deadline=deadline)
@@ -687,14 +674,12 @@ def max_admissible_family(q, n, d, family_class, enumerate_all=False, *,
 
 def max_diameter_family(q, n, d, enumerate_all=False, *, lattice_budget=None,
                         timeout_secs=DEFAULT_TIMEOUT_SECS,
-                        witness_cap=DEFAULT_WITNESS_CAP,
-                        structural_cap=True) -> SearchReport:
+                        witness_cap=DEFAULT_WITNESS_CAP) -> SearchReport:
     """Exact maximum size of a diameter-<= d family: max_admissible_family
     with no class."""
     return max_admissible_family(
         q, n, d, None, enumerate_all, lattice_budget=lattice_budget,
-        timeout_secs=timeout_secs, witness_cap=witness_cap,
-        structural_cap=structural_cap)
+        timeout_secs=timeout_secs, witness_cap=witness_cap)
 
 
 # ---------------------------------------------------------------------------

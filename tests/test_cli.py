@@ -176,6 +176,19 @@ def test_check_admissibility_verdict(tmp_path, capsys):
     assert doc["admissibility"]["witness_kind"] == "lower_layers"
 
 
+@pytest.mark.parametrize("family_class", ["A_even", "A_odd", "B_even",
+                                          "B_odd"])
+def test_check_refuses_negative_t(tmp_path, capsys, family_class):
+    fam_path = tmp_path / "l.fam"
+    run_cli(capsys, "construct", "L", "--q", "2", "--n", "4", "--t", "1",
+            "-o", str(fam_path))
+    code, out, err = run_cli(capsys, "check", str(fam_path),
+                             "--class", family_class, "--t", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: t must be >= 0, got -1"]
+
+
 def test_check_parse_error_has_line(tmp_path, capsys):
     bad = tmp_path / "bad.fam"
     bad.write_text("family 2 4 1\n2:4:2:1100,1100\n")

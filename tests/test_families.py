@@ -257,6 +257,61 @@ def test_diameter_matches_bruteforce():
                     a.intersect(b).dim >= s for a in xs for b in ys)
 
 
+def _diameter_at_most_every_pair(fam, d):
+    """diameter_at_most scanning every layer pair whose dimension sum
+    exceeds d, however high the meets' floor; kept as reference."""
+    for dimsum, a, b in families._layer_pairs_by_dimsum(fam):
+        if dimsum <= d:
+            break
+        stop = (dimsum - d - 1) // 2
+        m, pair = families._layer_pair_min_meet(fam, a, b, stop)
+        if m is not None and m <= stop:
+            return False, pair
+    return True, None
+
+
+def test_diameter_at_most_skips_pairs_that_cannot_exceed_d(monkeypatch):
+    # An a-space and a b-space are at most 2n - a - b apart, so upper
+    # layers, the perp of lower layers, need no member-pair scan either.
+    rng = random.Random(47)
+    cases = []
+    for field, top in ((F2, 5), (F3, 4)):
+        for n in range(1, top + 1):
+            for t in range(n + 1):
+                lower = lower_layers(field, n, t)
+                cases += [lower, upper_layers(field, n, t)]
+                cases.append(perp_family(
+                    lower.union(random_family(field, n, rng, 4))))
+            if n >= 2:
+                dball = canonical_double_ball(axis_line(field, n), n // 2 - 1)
+                cases += [dball, perp_family(dball)]
+    for fam in cases:
+        for d in range(fam.n + 1):
+            assert (diameter_at_most(fam, d)
+                    == _diameter_at_most_every_pair(fam, d)), (fam, d)
+    calls = []
+    min_meet = families._min_meet
+
+    def counted(xs, ys, stop):
+        calls.append(stop)
+        return min_meet(xs, ys, stop)
+
+    monkeypatch.setattr(families, "_min_meet", counted)
+    for t in range(3):
+        assert diameter_at_most(upper_layers(F2, 7, t), 2 * t) == (True, None)
+    assert calls == []
+    fam = upper_layers(F2, 7, 2)
+    assert is_admissible(fam, "A_even", 2).witness_kind == "upper_layers"
+    assert calls == []
+
+
+@pytest.mark.parametrize("family_class", ADMISSIBILITY_CLASSES)
+def test_is_admissible_refuses_negative_t(family_class):
+    fam = lower_layers(F2, 3, 1)
+    with pytest.raises(ParameterOutOfRange, match="t must be >= 0, got -1"):
+        is_admissible(fam, family_class, -1)
+
+
 def _min_meet_by_rows(xs, ys, stop):
     """Reference: the member-pair scan meeting each pair by row elimination."""
     best, pair = None, None

@@ -87,18 +87,25 @@ CAP_CASES = [(q, n, d, cls) for q in (2, 3) for n in range(1, 5)
     (2, 5, d, None) for d in range(5)]
 
 
-def test_structural_cap_off_same_answer():
-    # structural_cap=False is the reference that uses no theorem: one group
-    # capped by the vertex count.  The layer-pair caps must find the same
-    # optimum and witnesses, and never explore more nodes.
+class _NoCapEngine(_CliqueEngine):
+    """The engine with every layer pair capped by its own size, so the
+    group bound is |plist| + |cand| and the search uses no theorem; kept as
+    the reference the caps are tested against."""
+
+    def __init__(self, index, d, family_class=None):
+        super().__init__(index, d, family_class)
+        self.groups = [(mask, mask.bit_count()) for mask, _ in self.groups]
+
+
+def test_structural_cap_off_same_answer(monkeypatch):
+    # The layer-pair caps must find the same optimum and witnesses as the
+    # reference without caps, and never explore more nodes.
     for q, n, d, family_class in CAP_CASES:
         enumerate_all = (q, n, d, family_class) not in _COSTLY_ALL
         with_cap, without = (
-            max_diameter_family(q, n, d, enumerate_all, structural_cap=cap)
-            if family_class is None else
-            max_admissible_family(q, n, d, family_class, enumerate_all,
-                                  structural_cap=cap)
-            for cap in (True, False))
+            _search_with(monkeypatch, engine_cls, q, n, d, family_class,
+                         enumerate_all)[0]
+            for engine_cls in (_CliqueEngine, _NoCapEngine))
         case = (q, n, d, family_class)
         assert with_cap.optimum == without.optimum, case
         assert with_cap.witness_count == without.witness_count, case
@@ -110,14 +117,21 @@ def test_structural_cap_off_same_answer():
     (3, 4, 3, [1, 40, 13]),        # middle: ekr_bound(4, 2, 1, 3), not 130
     (2, 6, 3, [1, 63, 62, 15]),    # (2, 4): 31 + 31; middle: ekr_bound(6, 3, 2, 2)
     (2, 6, 5, [1, 63, 651, 155]),  # middle: ekr_bound(6, 3, 1, 2), not 1395
+    (2, 4, 4, [2, 30, 35]),        # d >= n: no cap holds, each is its size
+    (3, 3, 5, [2, 26]),
 ])
 def test_group_caps_use_ekr_bound(q, n, d, caps):
     index = build_index(field_new(q), n, budget=None)
     engine = _CliqueEngine(index, d)
     assert [cap for _, cap in engine.groups] == caps
     assert sum(mask.bit_count() for mask, _ in engine.groups) == index.size
-    reference = _CliqueEngine(index, d, structural_cap=False)
-    assert reference.groups == [((1 << index.size) - 1, index.size)]
+    for v, s in enumerate(index.subspaces):
+        mask, _ = engine.groups[engine.group_of[v]]
+        assert mask >> v & 1 and engine.group_of[v] == min(s.dim, n - s.dim)
+    reference = _NoCapEngine(index, d)
+    assert ([mask for mask, _ in reference.groups]
+            == [mask for mask, _ in engine.groups])
+    assert all(cap == mask.bit_count() for mask, cap in reference.groups)
 
 
 def test_ekr_caps_prove_the_boundary_at_the_root():
@@ -769,8 +783,8 @@ class _FullScanEngine(_CliqueEngine):
     own: a root loop over the engine's roots and a recursive expansion,
     sharing no loop with the production search."""
 
-    def __init__(self, index, d, family_class=None, structural_cap=True):
-        super().__init__(index, d, family_class, structural_cap=structural_cap)
+    def __init__(self, index, d, family_class=None):
+        super().__init__(index, d, family_class)
         self.adj = _adjacency(self)
 
     def search(self, *, seed_vertices=None, collect_all=False,
@@ -786,7 +800,7 @@ class _FullScanEngine(_CliqueEngine):
         roots, settle = self._roots(collect_all)
         for v, done in zip(reversed(roots), reversed(settle)):
             used = [0] * len(self.groups)
-            used[self.group_of_layer[self.layer_of[v]]] = 1
+            used[self.group_of[v]] = 1
             self._expand([v], later & self.adj[v], used)
             later &= ~done
         return self.best, self.collected, self.collected_count, self.nodes, False
@@ -813,7 +827,7 @@ class _FullScanEngine(_CliqueEngine):
             if psize + bounds[i] < need:
                 return
             v = order[i]
-            gi = self.group_of_layer[self.layer_of[v]]
+            gi = self.group_of[v]
             plist.append(v)
             used[gi] += 1
             self._expand(plist, cur & self.adj[v], used)
@@ -900,9 +914,9 @@ class _LazyEngine(_FullScanEngine):
     becomes a new clause.
     """
 
-    def __init__(self, index, d, family_class=None, structural_cap=True):
+    def __init__(self, index, d, family_class=None):
         static = family_class if family_class in ("A_even", "A_odd") else None
-        super().__init__(index, d, static, structural_cap=structural_cap)
+        super().__init__(index, d, static)
         self.family_class = family_class
 
     def _record(self, plist):
@@ -936,8 +950,8 @@ class _EagerEngine(_CliqueEngine):
     """The production engine with every non-neighbour row built before the
     search, as before rows were built on first use; kept as reference."""
 
-    def __init__(self, index, d, family_class=None, structural_cap=True):
-        super().__init__(index, d, family_class, structural_cap=structural_cap)
+    def __init__(self, index, d, family_class=None):
+        super().__init__(index, d, family_class)
         _build_every_row(self)
 
 
