@@ -99,16 +99,14 @@ class LatticeIndex:
     """All subspaces of F_q^n in canonical order, with layer offsets.
 
     Distances come from line incidence: U ∩ W holds [dim(U ∩ W) 1]_q
-    lines, and those are the lines U and W share.  Each subspace carries a
-    bitmask of its q^dim vectors (``Subspace.vector_mask``); the lines a
-    mask holds give, per line, the vertex mask of the subspaces through it.
-    Both are built once, on first use.  The full pairwise byte table of
-    row-elimination distances is kept as the reference the masks are
-    tested against.
+    lines, and those are the lines U and W share.  The incidence is read
+    off each subspace's vector mask (``Subspace.vector_mask``) once, on
+    first use.  The full pairwise byte table of row-elimination distances
+    is kept as the reference the incidence is tested against.
     """
 
     __slots__ = ("field", "n", "subspaces", "layer_bounds", "_pos", "_dist",
-                 "_masks", "_incidence")
+                 "_incidence")
 
     def __init__(self, field, n, subspaces, layer_bounds):
         self.field = field
@@ -117,7 +115,6 @@ class LatticeIndex:
         self.layer_bounds = layer_bounds
         self._pos = {s: i for i, s in enumerate(subspaces)}
         self._dist = None
-        self._masks = None
         self._incidence = None
 
     @property
@@ -138,24 +135,18 @@ class LatticeIndex:
     def __contains__(self, s):
         return s in self._pos
 
-    def vector_masks(self) -> list:
-        """Materialize (once) the vector-set bitmask of every subspace."""
-        if self._masks is None:
-            self._masks = [s.vector_mask() for s in self.subspaces]
-        return self._masks
-
     def line_incidence(self):
         """Materialize (once) the lines of every vertex and, per line, the
         vertex mask of the subspaces that contain it.
 
         A line's RREF row is its one vector with leading entry 1, so the
         vector indices of those rows pick the lines out of any vector mask.
-        The columns are the transpose of the per-vertex line lists, written
-        as one digit string per line.
+        Each vertex's mask is built, read and dropped in turn; none is
+        kept.  The columns are the transpose of the per-vertex line lists,
+        written as one digit string per line.
         """
         if self._incidence is None:
             q = self.field.q
-            masks = self.vector_masks()
             lo, hi = self.layer_bounds[1]
             line_at = {vector_index(self.subspaces[x].rows[0], q): x - lo
                        for x in range(lo, hi)}
@@ -163,8 +154,8 @@ class LatticeIndex:
             nv = len(self.subspaces)
             digits = [bytearray(b"0" * nv) for _ in line_at]
             lines_of = []
-            for w, m in enumerate(masks):
-                m &= reps
+            for w, s in enumerate(self.subspaces):
+                m = s.vector_mask() & reps
                 lines = []
                 while m:
                     b = m & -m

@@ -57,9 +57,7 @@ cap table: GL(n, q) and perp preserve distance, the caps and every class's
 clauses, so some maximum family holds the representative of the first
 pair it meets (orbital branching, Ostrowski et al. 2011;
 docs/decisions.md).  With enumerate_all the root is the degeneracy order,
-each vertex settling itself.  A root branch the caps kill skips its clause
-scan and dies at the caps; below the root the clause scan comes first, as
-there it usually prunes after a clause or two.
+each vertex settling itself.
 
 Recorded witnesses are always re-verified by row elimination
 (``Subspace.distance``), a code path independent of the line incidence
@@ -84,10 +82,10 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, NotExhaustive, ParameterOutOfRange
-from .families import (SubspaceFamily, _first_line, ball,
-                       canonical_double_ball, diameter_at_most,
-                       extremal_odd_family, is_admissible, lower_layers,
-                       perp_family, star, upper_layers, write_family)
+from .families import (SubspaceFamily, _first_line, _lines_in, ball,
+                       canonical_double_ball, extremal_odd_family,
+                       is_admissible, lower_layers, perp_family, star,
+                       upper_layers, write_family)
 from .gfq import field_new
 from .grassmann import (DEFAULT_DISTANCE_CELL_BUDGET, build_index,
                         enumerate_layer, ripple_add)
@@ -174,8 +172,9 @@ class _CliqueEngine:
         clauses = {"A_even": 2, "A_odd": 2 * gauss_binom(n, 1, q), "B_even": nv,
                    "B_odd": sum(gauss_binom(n, k, q) * gauss_binom(n - k, 1, q)
                                 for k in range(n))}.get(family_class, 0)
-        # Non-neighbour bitsets, the index's vector masks and line incidence
-        # columns, and the clauses with their per-vertex index, in bytes.
+        # Non-neighbour bitsets, the vector masks allocated while the line
+        # incidence is built, its columns, and the clauses with their
+        # per-vertex index, in bytes.
         need = (nv * nv + nv * q ** n + gauss_binom(n, 1, q) * nv
                 + 2 * clauses * nv + 7) // 8
         if need > DEFAULT_DISTANCE_CELL_BUDGET:
@@ -186,11 +185,9 @@ class _CliqueEngine:
         # excluded; row v is built on first use (_build), bit v of built.
         self.non = [0] * nv
         self.built = 0
-        self.layer_of = [s.dim for s in index.subspaces]
-        layer_mask = [0] * (n + 1)
-        for i, k in enumerate(self.layer_of):
-            layer_mask[k] |= 1 << i
-        self.layer_mask = layer_mask
+        # Layer k's vertex mask: its index range [lo, hi) as bits.
+        self.layer_mask = [(1 << hi) - (1 << lo)
+                           for lo, hi in index.layer_bounds.values()]
         # One entry per complementary layer pair (k, n-k), k = 0..n//2: its
         # vertex mask and its cap; vertex v lies in pair group_of[v].  Two
         # j-spaces at distance <= d meet in >= j-t dimensions, so for j > t
@@ -206,8 +203,10 @@ class _CliqueEngine:
             cap = e[k] if 2 * k == n else e[k] + e[n - k]
             if d < n:
                 cap = min(cap, gauss_binom(n, k, q))
-            self.groups.append((layer_mask[k] | layer_mask[n - k], cap))
-        self.group_of = [min(k, n - k) for k in self.layer_of]
+            self.groups.append((self.layer_mask[k] | self.layer_mask[n - k],
+                                cap))
+        self.group_of = [min(k, n - k) for k, (lo, hi)
+                         in index.layer_bounds.items() for _ in range(lo, hi)]
         self.forbidden, self.clause_of = self._clauses(family_class, t)
 
     def _clauses(self, family_class, t):
@@ -244,12 +243,13 @@ class _CliqueEngine:
                 centres += [(0, x), (top, perp)]
         else:
             centres = []
-            for c1, k in enumerate(self.layer_of[:top]):  # F_q^n has no cover
-                covers = index.ball(c1, 1) & self.layer_mask[k + 1]
-                while covers:
-                    b = covers & -covers
-                    centres.append((c1, b.bit_length() - 1))
-                    covers ^= b
+            for k in range(index.n):  # F_q^n has no cover
+                for c1 in range(*index.layer_range(k)):
+                    covers = index.ball(c1, 1) & self.layer_mask[k + 1]
+                    while covers:
+                        b = covers & -covers
+                        centres.append((c1, b.bit_length() - 1))
+                        covers ^= b
         ends = {}  # centre -> the indices of the clauses centred there
         for j, cs in enumerate(centres):
             for u in cs:
@@ -446,11 +446,6 @@ class _CliqueEngine:
             used[g] += 1
             psize = len(plist)
             need = self.best + slack
-            if bounds is None and alive and self._group_bound(
-                    psize, used, cand) < need:
-                # The group bound kills this root branch whatever its
-                # clauses say, so it skips the clause scan.
-                alive = 0
             # A live clause that also holds every candidate prunes the node.
             rest = alive
             while rest:
@@ -482,19 +477,16 @@ class _CliqueEngine:
 
 
 def _seed_family(field, n, d):
-    """Largest known-by-construction family of diameter <= d (verified)."""
+    """Largest known-by-construction family of diameter <= d.  It is
+    reported only when the search does not beat it, and every reported
+    family is re-verified, so it is not checked here."""
     t = d // 2
     if d >= n:
         # no two subspaces are farther apart than n: the whole lattice
-        fam = lower_layers(field, n, n, budget=None)
-    elif d % 2 == 0:
-        fam = lower_layers(field, n, t, budget=None)
-    else:
-        fam = canonical_double_ball(_first_line(field, n), t, budget=None)
-    ok, _ = diameter_at_most(fam, d)
-    if not ok:
-        raise AssertionError("seed construction violates the diameter bound")
-    return fam
+        return lower_layers(field, n, n, budget=None)
+    if d % 2 == 0:
+        return lower_layers(field, n, t, budget=None)
+    return canonical_double_ball(_first_line(field, n), t, budget=None)
 
 
 def _search_index(q, n, d, witness_cap, lattice_budget):
@@ -716,6 +708,8 @@ def verify_characterization(report: SearchReport):
     maximum intersecting families of (t+1)-spaces in F_q^(2t+2) are the
     point-stars and the hyperplane duals, their perps (Newman 2004; Tanaka
     2006), so the boundary census holds 2^(t+1) witnesses per middle layer.
+    For odd d the stars come from one pass over layer t+1, each (t+1)-space
+    filed under its lines by row elimination.
     """
     if not report.exhaustive:
         raise NotExhaustive("characterization needs an enumerate_all run")
@@ -730,32 +724,44 @@ def verify_characterization(report: SearchReport):
     t = d // 2
     boundary = n == d + 1
     census = {}
-    if not boundary and d % 2 == 0:
+    if d % 2 == 0 and not boundary:
         census = {lower_layers(field, n, t, budget=None):
                   ("full_lower_layers", "union of layers 0..t"),
                   upper_layers(field, n, t, budget=None):
                   ("full_upper_layers", "union of layers n-t..n")}
         miss = "not a full lower/upper layer union"
-    elif not boundary:
-        for x in enumerate_layer(field, n, 1, budget=None):
-            fam = canonical_double_ball(x, t, budget=None)
-            reason = f"double ball at {x.to_token()}"
-            census[fam] = ("canonical_double_ball", reason)
-            census.setdefault(perp_family(fam),
-                              ("canonical_double_ball_perp", reason))
-        miss = "not a canonical double ball or its perp"
     elif d % 2 == 0:
         # n is odd: there is no middle layer, so every key is empty
         census = {SubspaceFamily(field, n, []):
                   ("boundary_split_even", "complementary split")}
         miss = None  # never used: the empty key is always found
     else:
-        case = ("boundary_split_odd",
-                "complementary split + intersecting middle")
-        for x in enumerate_layer(field, n, 1, budget=None):
-            fam = star(x, t + 1, budget=None)
-            census[fam] = census[perp_family(fam)] = case
-        miss = f"middle layer {t + 1} is not a point-star or a hyperplane dual"
+        # the star of each line, its (t+1)-spaces, grouped in one pass
+        stars = {x: [] for x in enumerate_layer(field, n, 1, budget=None)}
+        for w in enumerate_layer(field, n, t + 1, budget=None):
+            for x in _lines_in(w):
+                stars[x].append(w)
+        if boundary:
+            case = ("boundary_split_odd",
+                    "complementary split + intersecting middle")
+            for through in stars.values():
+                fam = SubspaceFamily(field, n, through)
+                census[fam] = census[perp_family(fam)] = case
+            miss = (f"middle layer {t + 1} is not a point-star or a "
+                    f"hyperplane dual")
+        else:
+            # a double ball's perp: the upper layers and its star's perps
+            lower = list(lower_layers(field, n, t, budget=None))
+            upper = list(upper_layers(field, n, t, budget=None))
+            for x, through in stars.items():
+                reason = f"double ball at {x.to_token()}"
+                census[SubspaceFamily(field, n, lower + through)] = (
+                    "canonical_double_ball", reason)
+                census.setdefault(
+                    SubspaceFamily(field, n,
+                                   upper + [w.perp() for w in through]),
+                    ("canonical_double_ball_perp", reason))
+            miss = "not a canonical double ball or its perp"
     expected = len(census) * 2 ** (t + 1) if boundary else len(census)
     ok = True
     diagnostics = []

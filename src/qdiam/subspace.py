@@ -4,9 +4,11 @@ A subspace is stored as its reduced row echelon basis (RREF), which is the
 unique canonical representative, so structural equality of the stored rows
 is equality of subspaces and hashing is cheap.  Rows are tuples of field
 elements; for q = 2 a bit-packed copy of each row (column j <-> bit n-1-j)
-is kept alongside.  Each row format has one forward-elimination core: a
-rank is the length of its output, and the RREF is that output normalised
-and back-substituted.
+is kept alongside.  Each row format has one forward-elimination core, a
+dict from leading column to a row led by 1, each generator reduced
+against it and inserted at its first free leading column: a rank is the
+size of the dict, and the RREF is the dict back-substituted in pivot
+order.
 
 The distance between subspaces U, W is
 
@@ -71,53 +73,41 @@ def _rref_bits(vecs):
 
 
 def _echelon_table(field, n, rows):
-    """Forward elimination over GF(q) on copies of the rows; returns the
-    echelon rows (leading entries not normalised) and their pivots."""
-    mat = [list(r) for r in rows]
+    """Forward elimination over GF(q): {leading column: row led by 1}."""
     mul = field.mul_table
     sub = field.sub_table
     inv = field.inv_table
-    pivots = []
-    rank = 0
-    nrows = len(mat)
-    for col in range(n):
-        sel = None
-        for i in range(rank, nrows):
-            if mat[i][col]:
-                sel = i
+    piv = {}
+    for v in rows:
+        col = 0
+        while col < n:
+            c = v[col]
+            if not c:
+                col += 1
+                continue
+            r = piv.get(col)
+            if r is None:
+                if c != 1:
+                    m = mul[inv[c]]
+                    v = [m[e] for e in v]
+                piv[col] = v
                 break
-        if sel is None:
-            continue
-        mat[rank], mat[sel] = mat[sel], mat[rank]
-        row = mat[rank]
-        ic = inv[row[col]]
-        for i in range(rank + 1, nrows):
-            ri = mat[i]
-            if ri[col]:
-                mrow = mul[mul[ri[col]][ic]]
-                for j in range(col, n):
-                    ri[j] = sub[ri[j]][mrow[row[j]]]
-        pivots.append(col)
-        rank += 1
-        if rank == nrows:
-            break
-    return mat[:rank], pivots
+            m = mul[c]
+            v = [sub[e][m[f]] for e, f in zip(v, r)]
+            col += 1
+    return piv
 
 
 def _rref_table(field, n, rows):
     """Full RREF over GF(q) via table arithmetic; returns (rows, pivots)."""
-    mat, pivots = _echelon_table(field, n, rows)
     mul = field.mul_table
     sub = field.sub_table
-    inv = field.inv_table
-    for i in range(len(mat) - 1, -1, -1):
+    piv = _echelon_table(field, n, rows)
+    pivots = sorted(piv)
+    mat = [list(piv[col]) for col in pivots]
+    for i in range(len(mat) - 1, 0, -1):
         row = mat[i]
         col = pivots[i]
-        c = row[col]
-        if c != 1:
-            mrow = mul[inv[c]]
-            for j in range(col, n):
-                row[j] = mrow[row[j]]
         # row i is clear at every later pivot, so those columns stay clear
         for ri in mat[:i]:
             if ri[col]:
@@ -227,7 +217,7 @@ class Subspace:
         """dim(self + other) without building the canonical sum."""
         if self.bits is not None:
             return len(_echelon_bits(self.bits + other.bits))
-        return len(_echelon_table(self.field, self.n, self.rows + other.rows)[1])
+        return len(_echelon_table(self.field, self.n, self.rows + other.rows))
 
     def distance(self, other: "Subspace") -> int:
         """The subspace metric dim(U+W) - dim(U∩W) = dimU + dimW - 2dim(U∩W)."""

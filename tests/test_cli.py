@@ -1,5 +1,8 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -569,3 +572,17 @@ def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
     assert len(examples) >= 12
     for argv in examples:
         assert main(argv) == 0, argv
+
+
+def test_benchmark_tracer_installs():
+    # perfbench/spans.py wraps qdiam functions it looks up by name, so a
+    # renamed or deleted one fails this install in a fresh interpreter;
+    # no bytecode is written into perfbench/
+    root = Path(__file__).parent.parent
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join([str(root / "src"),
+                                           str(root / "perfbench")]))
+    code = "from spans import Tracer; t = Tracer(); t.install_field_new(); t.install()"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

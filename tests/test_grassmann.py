@@ -113,7 +113,7 @@ def test_vector_mask_meet_matches_row_elimination(q):
     for n in range(4):
         idx = build_index(field, n)
         subs = idx.subspaces
-        masks = idx.vector_masks()
+        masks = [s.vector_mask() for s in subs]
         for a, ma in zip(subs, masks):
             assert ma.bit_count() == q ** a.dim
             for b, mb in zip(subs, masks):

@@ -600,9 +600,9 @@ def _degeneracy_order_by_scan(adj, nv):
     return order
 
 
-def _popcount_ball(index, i, radius):
-    """The per-pair vector-mask popcount ball the line counters replaced."""
-    masks = index.vector_masks()
+def _popcount_ball(index, masks, i, radius):
+    """The per-pair vector-mask popcount ball the line counters replaced;
+    masks[v] is the vector mask of vertex v."""
     n = index.n
     q = index.field.q
     a = index.subspaces[i].dim
@@ -655,9 +655,11 @@ def _degeneracy_order_by_buckets(adj, nv):
 @pytest.mark.parametrize("q,n", SMALL_LATTICES + [(2, 6)])
 def test_ball_matches_popcount_reference(q, n):
     index = build_index(field_new(q), n, budget=None)
+    masks = [s.vector_mask() for s in index.subspaces]
     for radius in range(-1, n + 2):
         for i in range(index.size):
-            assert index.ball(i, radius) == _popcount_ball(index, i, radius)
+            assert index.ball(i, radius) == _popcount_ball(index, masks, i,
+                                                           radius)
 
 
 @pytest.mark.parametrize("q,n", [(2, 6), (3, 5)])
@@ -751,7 +753,7 @@ def test_engine_memory_budget_checked_before_allocation(monkeypatch):
     with pytest.raises(BudgetExceeded) as exc:
         _CliqueEngine(index, 2)
     assert exc.value.would_be_count == need
-    assert index._masks is None and index._incidence is None
+    assert index._incidence is None
     monkeypatch.setattr(oracle, "DEFAULT_DISTANCE_CELL_BUDGET", need)
     assert len(_CliqueEngine(index, 2).non) == 16
 
@@ -770,7 +772,7 @@ def test_clause_memory_budget_checked_before_allocation(monkeypatch, family_clas
     with pytest.raises(BudgetExceeded) as exc:
         _CliqueEngine(index, d, family_class)
     assert exc.value.would_be_count == need
-    assert index._masks is None and index._incidence is None
+    assert index._incidence is None
     monkeypatch.setattr(oracle, "DEFAULT_DISTANCE_CELL_BUDGET", need)
     assert len(_CliqueEngine(index, d, family_class).forbidden) == clauses
 
@@ -1081,7 +1083,8 @@ def test_orbit_root_holds_one_representative_per_layer_pair(monkeypatch, q, n):
     roots, settle = engine._roots(False)
     # the first k-space for k = 0 .. n//2, tried from the end, each
     # settling the pair (k, n-k); the pairs partition the lattice
-    layer = engine.layer_mask
+    layer = [sum(1 << v for v in range(*index.layer_range(k)))
+             for k in range(n + 1)]
     assert roots == [index.layer_range(k)[0] for k in range(n // 2 + 1)]
     assert settle == [layer[k] | layer[n - k] for k in range(n // 2 + 1)]
     assert sum(settle) == (1 << index.size) - 1
@@ -1144,6 +1147,18 @@ def test_materialize_rejects_planted_far_pair():
         if v not in first:
             with pytest.raises(AssertionError, match="violating the diameter bound"):
                 oracle._materialize_witnesses(index, collected + [first + [v]], 3)
+
+
+@pytest.mark.parametrize("enumerate_all", [False, True])
+def test_oversized_seed_breaking_the_diameter_bound_raises(monkeypatch,
+                                                           enumerate_all):
+    # The seed is not checked on its own.  Layers 0..2 of F_2^4 (51
+    # members, diameter 4) outgrow the optimum 16 at d = 2, so no search
+    # beats them; they are reported, and the re-verification rejects them.
+    monkeypatch.setattr(oracle, "_seed_family",
+                        lambda field, n, d: lower_layers(field, n, 2))
+    with pytest.raises(AssertionError, match="violating the diameter bound"):
+        max_diameter_family(2, 4, 2, enumerate_all=enumerate_all)
 
 
 def test_materialize_skips_pairs_within_dimension_sum(monkeypatch):

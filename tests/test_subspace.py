@@ -245,11 +245,111 @@ def test_intersect_matches_kernel_route():
 
 # -- elimination cores ---------------------------------------------------------
 
+def _sweep_echelon(field, n, rows):
+    """Forward elimination by a column sweep with row swaps, kept as the
+    reference for the pivot-dict core: the echelon rows (leading entries not
+    normalised) and their pivots."""
+    mat = [list(r) for r in rows]
+    mul = field.mul_table
+    sub = field.sub_table
+    inv = field.inv_table
+    pivots = []
+    rank = 0
+    nrows = len(mat)
+    for col in range(n):
+        sel = None
+        for i in range(rank, nrows):
+            if mat[i][col]:
+                sel = i
+                break
+        if sel is None:
+            continue
+        mat[rank], mat[sel] = mat[sel], mat[rank]
+        row = mat[rank]
+        ic = inv[row[col]]
+        for i in range(rank + 1, nrows):
+            ri = mat[i]
+            if ri[col]:
+                mrow = mul[mul[ri[col]][ic]]
+                for j in range(col, n):
+                    ri[j] = sub[ri[j]][mrow[row[j]]]
+        pivots.append(col)
+        rank += 1
+        if rank == nrows:
+            break
+    return mat[:rank], pivots
+
+
+def _sweep_rref(field, n, rows):
+    """The sweep's RREF: every row rescaled, then cleared above its pivot."""
+    mat, pivots = _sweep_echelon(field, n, rows)
+    mul = field.mul_table
+    sub = field.sub_table
+    inv = field.inv_table
+    for i in range(len(mat) - 1, -1, -1):
+        row = mat[i]
+        col = pivots[i]
+        c = row[col]
+        if c != 1:
+            mrow = mul[inv[c]]
+            for j in range(col, n):
+                row[j] = mrow[row[j]]
+        for ri in mat[:i]:
+            if ri[col]:
+                mrow = mul[ri[col]]
+                for j in range(col, n):
+                    ri[j] = sub[ri[j]][mrow[row[j]]]
+    return [tuple(r) for r in mat], pivots
+
+
+def _assert_table_core_matches_sweep(field, n, rows):
+    piv = _echelon_table(field, n, rows)
+    for col, r in piv.items():
+        assert r[col] == 1 and not any(r[:col])
+    assert len(piv) == len(_sweep_echelon(field, n, rows)[1])
+    assert _rref_table(field, n, rows) == _sweep_rref(field, n, rows)
+
+
+@pytest.mark.parametrize("q,n", [(3, 4), (4, 3)])
+def test_table_core_matches_sweep_on_stacked_pairs(q, n):
+    field = field_new(q)
+    subs = build_index(field, n, budget=None).subspaces
+    for a in subs:
+        for b in subs:
+            _assert_table_core_matches_sweep(field, n, a.rows + b.rows)
+            assert a.rank_with(b) == len(_sweep_echelon(field, n, a.rows + b.rows)[1])
+
+
+@pytest.mark.parametrize("q", [q for q in SUPPORTED_ORDERS if q > 2])
+def test_table_core_matches_sweep_on_random_generators(q):
+    # 5,600 lists per order, 50,400 over the nine orders above 2: random,
+    # zero and dependent rows (combinations of the rows drawn before)
+    field = field_new(q)
+    add, mul = field.add_table, field.mul_table
+    rng = random.Random(q)
+    for _ in range(5600):
+        n = rng.randint(0, 6)
+        rows = []
+        for _ in range(rng.randint(0, n + 2)):
+            kind = rng.randrange(6)
+            if kind == 0:
+                row = [0] * n
+            elif kind < 3 and rows:
+                row = [0] * n
+                for r in rng.sample(rows, rng.randint(1, len(rows))):
+                    m = mul[rng.randrange(q)]
+                    row = [add[x][m[y]] for x, y in zip(row, r)]
+            else:
+                row = [rng.randrange(q) for _ in range(n)]
+            rows.append(tuple(row))
+        _assert_table_core_matches_sweep(field, n, rows)
+
+
 def _assert_bit_core_matches_table_core(rows, n):
     packed = [vector_index(r, 2) for r in rows]
     table_rows, pivots = _rref_table(F2, n, rows)
     rank = len(_echelon_bits(packed))
-    assert rank == len(_echelon_table(F2, n, rows)[1]) == len(pivots)
+    assert rank == len(_echelon_table(F2, n, rows)) == len(pivots)
     assert _rref_bits(packed) == [vector_index(r, 2) for r in table_rows]
 
 
