@@ -19,9 +19,9 @@ from .subspace import Subspace, vector_index
 
 DEFAULT_ENUM_BUDGET = 10**7
 # Bytes: the distance table takes one per lattice pair; clique adjacency takes
-# n_v^2 / 8 for its bitsets, n_v q^n / 8 for the vector masks and
-# n_v [n 1]_q / 8 for the line incidence columns.  A member-pair scan takes
-# q^n / 8 for each member's vector mask.
+# n_v^2 / 8 for its bitsets, n_v [n 1]_q / 8 for the line incidence columns
+# and about 40 an entry for the lookup lists the incidence is built with.  A
+# member-pair scan takes q^n / 8 for each member's vector mask.
 DEFAULT_DISTANCE_CELL_BUDGET = 2 * 1024**3
 
 
@@ -95,14 +95,70 @@ def enumerate_layer(field: FieldSpec, n: int, k: int, budget: int | None = DEFAU
             yield Subspace._from_rref(field, n, rows, pivots)
 
 
+def _bit_lines(s):
+    """Vector indices of the lines of s, for q = 2: every nonzero vector of
+    the span, which grows by XOR from the last packed row to the first."""
+    span = [0]
+    for r in reversed(s.bits):
+        span += [r ^ v for v in span]
+    return span[1:]
+
+
+def _table_lines(field, n):
+    """The line lister of F_q^n for q > 2: s -> the vector indices of the
+    RREF rows of the lines of s.
+
+    The lines led by RREF row r_i are r_i + span(r_{i+1..k}), read off r_i's
+    addition row (r_i + v for each v over the columns after its pivot, built
+    on first use).  Walking the rows from last to first, the span grows by
+    those lines and their multiples from one scale table per c not in
+    {0, 1}, over the q^(n-1) vectors below r_1, whose column 0 is clear.
+    """
+    q = field.q
+    add = field.add_table
+    scales = []
+    for c in range(2, q):
+        mul = field.mul_table[c]
+        table = [0]
+        for _ in range(n - 1):
+            table = [x * q + mul[y] for x in table for y in range(q)]
+        scales.append(table)
+    add_rows = {}
+
+    def lines(s):
+        rows = s.rows
+        if not rows:
+            return []
+        led = [vector_index(rows[-1], q)]
+        out = led[:]
+        span = [0]
+        for i in range(len(rows) - 2, -1, -1):
+            span += led
+            for table in scales:
+                span += [table[x] for x in led]
+            r = rows[i]
+            a = add_rows.get(r)
+            if a is None:
+                a = [1]
+                for e in r[s.pivots[i] + 1:]:
+                    plus = add[e]
+                    a = [x * q + y for x in a for y in plus]
+                add_rows[r] = a
+            led = [a[v] for v in span]
+            out += led
+        return out
+
+    return lines
+
+
 class LatticeIndex:
     """All subspaces of F_q^n in canonical order, with layer offsets.
 
     Distances come from line incidence: U ∩ W holds [dim(U ∩ W) 1]_q
-    lines, and those are the lines U and W share.  The incidence is read
-    off each subspace's vector mask (``Subspace.vector_mask``) once, on
-    first use.  The full pairwise byte table of row-elimination distances
-    is kept as the reference the incidence is tested against.
+    lines, and those are the lines U and W share.  The incidence is listed
+    from each subspace's RREF rows once, on first use.  The full pairwise
+    byte table of row-elimination distances is kept as the reference the
+    incidence is tested against.
     """
 
     __slots__ = ("field", "n", "subspaces", "layer_bounds", "_pos", "_dist",
@@ -139,29 +195,25 @@ class LatticeIndex:
         """Materialize (once) the lines of every vertex and, per line, the
         vertex mask of the subspaces that contain it.
 
-        A line's RREF row is its one vector with leading entry 1, so the
-        vector indices of those rows pick the lines out of any vector mask.
-        Each vertex's mask is built, read and dropped in turn; none is
-        kept.  The columns are the transpose of the per-vertex line lists,
-        written as one digit string per line.
+        A line's RREF row is its one vector with leading entry 1.  Each
+        vertex lists the vector indices of its lines' rows from its own RREF
+        rows (``_bit_lines``, ``_table_lines``), and a list of q^n entries
+        maps each index to its line number.  The columns are the transpose
+        of the per-vertex line lists, written as one digit string per line.
         """
         if self._incidence is None:
             q = self.field.q
-            lo, hi = self.layer_bounds[1]
-            line_at = {vector_index(self.subspaces[x].rows[0], q): x - lo
-                       for x in range(lo, hi)}
-            reps = sum(1 << v for v in line_at)
+            lo, hi = self.layer_bounds.get(1, (0, 0))  # F_q^0 has no lines
+            line_at = [None] * q ** self.n
+            for x in range(lo, hi):
+                line_at[vector_index(self.subspaces[x].rows[0], q)] = x - lo
+            lines_in = _bit_lines if q == 2 else _table_lines(self.field, self.n)
             nv = len(self.subspaces)
-            digits = [bytearray(b"0" * nv) for _ in line_at]
+            digits = [bytearray(b"0" * nv) for _ in range(hi - lo)]
             lines_of = []
             for w, s in enumerate(self.subspaces):
-                m = s.vector_mask() & reps
-                lines = []
-                while m:
-                    b = m & -m
-                    m ^= b
-                    x = line_at[b.bit_length() - 1]
-                    lines.append(x)
+                lines = [line_at[v] for v in lines_in(s)]
+                for x in lines:
                     digits[x][nv - 1 - w] = 49  # ord("1")
                 lines_of.append(lines)
             self._incidence = (lines_of, [int(col, 2) for col in digits])

@@ -172,11 +172,17 @@ class _CliqueEngine:
         clauses = {"A_even": 2, "A_odd": 2 * gauss_binom(n, 1, q), "B_even": nv,
                    "B_odd": sum(gauss_binom(n, k, q) * gauss_binom(n - k, 1, q)
                                 for k in range(n))}.get(family_class, 0)
-        # Non-neighbour bitsets, the vector masks allocated while the line
-        # incidence is built, its columns, and the clauses with their
-        # per-vertex index, in bytes.
-        need = (nv * nv + nv * q ** n + gauss_binom(n, 1, q) * nv
-                + 2 * clauses * nv + 7) // 8
+        # Non-neighbour bitsets, the line incidence columns, and the clauses
+        # with their per-vertex index, in bits; then the lookup lists the
+        # incidence is built with, 40 bytes an entry (a list slot and an
+        # int): the q^n line map, q - 2 scale tables of q^(n-1) entries, and
+        # for q > 2 an addition row of q^m entries for each of the
+        # q^m - (q-1)^m rows led at column n-1-m with a zero after it.
+        lookups = q ** n + (q - 2) * q ** n // q
+        if q > 2:
+            lookups += sum((q ** m - (q - 1) ** m) * q ** m for m in range(n))
+        need = ((nv * nv + gauss_binom(n, 1, q) * nv + 2 * clauses * nv + 7)
+                // 8 + 40 * lookups)
         if need > DEFAULT_DISTANCE_CELL_BUDGET:
             raise BudgetExceeded(
                 f"adjacency of (q={q}, n={n}) needs {need} bytes, budget is "

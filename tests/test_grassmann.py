@@ -9,7 +9,7 @@ from qdiam.gfq import SUPPORTED_ORDERS, field_new
 from qdiam.grassmann import (build_index, enumerate_layer, lattice_size,
                              write_subspaces)
 from qdiam.qcount import count_profile, gauss_binom
-from qdiam.subspace import Subspace
+from qdiam.subspace import Subspace, vector_index
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -131,6 +131,62 @@ def test_vector_mask_meet_random_pairs_n6(data, q):
     b = Subspace.from_generators(field, 6, data.draw(gens))
     meet = a.dim + b.dim - a.rank_with(b)
     assert (a.vector_mask() & b.vector_mask()).bit_count() == q ** meet
+
+
+# Every lattice with q^n <= 243 and n <= 5, as the oracle tests' small
+# lattices, (3, 5) among them; with (2, 6), every q in SUPPORTED_ORDERS.
+INCIDENCE_LATTICES = [(q, n) for q in SUPPORTED_ORDERS for n in range(6)
+                      if q ** n <= 243] + [(2, 6)]
+
+
+def _line_incidence_by_masks(index):
+    """The line incidence read off vector masks, lines as sets: a line's
+    RREF row is its one vector with leading entry 1, so the vector indices
+    of those rows pick the lines out of any vector mask."""
+    q = index.field.q
+    lo, hi = index.layer_bounds.get(1, (0, 0))
+    line_at = {vector_index(index.subspaces[x].rows[0], q): x - lo
+               for x in range(lo, hi)}
+    reps = sum(1 << v for v in line_at)
+    nv = index.size
+    digits = [bytearray(b"0" * nv) for _ in line_at]
+    lines_of = []
+    for w, s in enumerate(index.subspaces):
+        m = s.vector_mask() & reps
+        lines = set()
+        while m:
+            b = m & -m
+            m ^= b
+            x = line_at[b.bit_length() - 1]
+            lines.add(x)
+            digits[x][nv - 1 - w] = 49  # ord("1")
+        lines_of.append(lines)
+    return lines_of, [int(col, 2) for col in digits]
+
+
+def _incidence_as_sets(index):
+    lines_of, columns = index.line_incidence()
+    return [set(lines) for lines in lines_of], columns
+
+
+@pytest.mark.parametrize("q,n", INCIDENCE_LATTICES)
+def test_line_incidence_matches_vector_masks(q, n):
+    index = build_index(field_new(q), n)
+    assert all(len(lines) == len(set(lines))
+               for lines in index.line_incidence()[0])
+    assert _incidence_as_sets(index) == _line_incidence_by_masks(index)
+
+
+@pytest.mark.parametrize("q,n", [(3, 4), (2, 5)])
+def test_line_incidence_builds_no_vector_mask(monkeypatch, q, n):
+    index = build_index(field_new(q), n)
+    expected = _line_incidence_by_masks(index)
+
+    def no_mask(self):
+        raise AssertionError("built a vector mask")
+
+    monkeypatch.setattr(Subspace, "vector_mask", no_mask)
+    assert _incidence_as_sets(index) == expected
 
 
 def test_write_subspaces_round_trip():

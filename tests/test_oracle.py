@@ -748,7 +748,7 @@ def test_ball_mask_matches_distance_table_rows(q, n):
 
 def test_engine_memory_budget_checked_before_allocation(monkeypatch):
     index = build_index(F2, 3)
-    need = (16 * 16 + 16 * 2 ** 3 + 7 * 16 + 7) // 8
+    need = (16 * 16 + 7 * 16 + 7) // 8 + 40 * 2 ** 3
     monkeypatch.setattr(oracle, "DEFAULT_DISTANCE_CELL_BUDGET", need - 1)
     with pytest.raises(BudgetExceeded) as exc:
         _CliqueEngine(index, 2)
@@ -756,6 +756,20 @@ def test_engine_memory_budget_checked_before_allocation(monkeypatch):
     assert index._incidence is None
     monkeypatch.setattr(oracle, "DEFAULT_DISTANCE_CELL_BUDGET", need)
     assert len(_CliqueEngine(index, 2).non) == 16
+
+
+def test_engine_memory_budget_counts_the_incidence_lookups(monkeypatch):
+    # F_3^3: 28 subspaces, 13 lines; the lookups are the 27-entry line map,
+    # one 9-entry scale table, and the addition rows of the one row led at
+    # column 1 and the five led at column 0 that have a zero after the pivot.
+    index = build_index(field_new(3), 3)
+    need = (28 * 28 + 13 * 28 + 7) // 8 + 40 * (27 + 9 + 1 * 3 + 5 * 9)
+    monkeypatch.setattr(oracle, "DEFAULT_DISTANCE_CELL_BUDGET", need - 1)
+    with pytest.raises(BudgetExceeded) as exc:
+        _CliqueEngine(index, 2)
+    assert exc.value.would_be_count == need
+    monkeypatch.setattr(oracle, "DEFAULT_DISTANCE_CELL_BUDGET", need)
+    assert len(_CliqueEngine(index, 2).non) == 28
 
 
 # Clauses of each class on F_2^3: the two canonical balls; two per line;
@@ -767,7 +781,7 @@ def test_engine_memory_budget_checked_before_allocation(monkeypatch):
 def test_clause_memory_budget_checked_before_allocation(monkeypatch, family_class,
                                                         d, clauses):
     index = build_index(F2, 3)
-    need = (16 * 16 + 16 * 2 ** 3 + 7 * 16 + 2 * clauses * 16 + 7) // 8
+    need = (16 * 16 + 7 * 16 + 2 * clauses * 16 + 7) // 8 + 40 * 2 ** 3
     monkeypatch.setattr(oracle, "DEFAULT_DISTANCE_CELL_BUDGET", need - 1)
     with pytest.raises(BudgetExceeded) as exc:
         _CliqueEngine(index, d, family_class)
