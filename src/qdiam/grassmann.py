@@ -19,9 +19,8 @@ from .subspace import Subspace, vector_index
 
 DEFAULT_ENUM_BUDGET = 10**7
 # Bytes: the distance table takes one per lattice pair; clique adjacency takes
-# n_v^2 / 8 for its bitsets, n_v [n 1]_q / 8 for the line incidence columns
-# and about 40 an entry for the lookup lists the incidence is built with.  A
-# member-pair scan takes q^n / 8 for each member's vector mask.
+# n_v^2 / 8 for its bitsets and oracle._incidence_bytes for the line
+# incidence.  A member-pair scan takes q^n / 8 for each member's vector mask.
 DEFAULT_DISTANCE_CELL_BUDGET = 2 * 1024**3
 
 

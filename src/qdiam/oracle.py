@@ -6,23 +6,19 @@ distance at most d.  The engine keeps one non-neighbour mask per vertex,
 the complement of its radius-d ball mask in the lattice index, built when
 the search first reads it, and the degeneracy order peels vertices by
 bit-sliced non-degree counters, so neither loops over vertex pairs in
-Python.  The engine branches over one representative per layer pair at
-the root (the degeneracy order with
-canonical tie-breaking when every maximum family is wanted) and uses
-greedy-coloring upper bounds inside (San Segundo et al. 2011): coloring a
-vertex is one AND with its non-neighbour mask, and only the vertices whose
-color reaches k_min = need - |clique| are returned for branching, since the
-others are cut anyway (Konc and Janezic 2007).  It adds domain caps, one
-per complementary layer pair (k, n-k): when d < n a partial solution
-together with its candidates can never place more than [n k] members on a
-pair, so branches violating that die early.  Two j-spaces at distance at
-most d = 2t or 2t+1 meet in at least j-t dimensions, so for j > t and
-n >= j+t a layer holds at most the Frankl-Wilson EKR bound
-ekr_bound(n, j, j-t) members; a pair is capped by the smaller of [n k] and
-the sum of its two layers' caps.  When d >= n the graph is complete and a
-pair's cap is its size.  The caps are what keep the 374-vertex lattice of
-F_2^5 tractable, and the EKR cap on the middle layer is what proves the
-boundary n = d+1 at (2, 6, 5); generic coloring alone stalls there.
+Python.  The engine branches over one representative per layer pair at the
+root (the degeneracy order with canonical tie-breaking when every maximum
+family is wanted) and uses greedy-coloring upper bounds inside (San
+Segundo et al. 2011): coloring a vertex is one AND with its non-neighbour
+mask, and only the vertices whose color reaches k_min = need - |clique|
+are returned for branching, since the others are cut anyway (Konc and
+Janezic 2007).  It adds domain caps, one per complementary layer pair
+(k, n-k): when d < n a partial solution together with its candidates can
+never place more than [n k] members on a pair, and a layer holds at most
+the Frankl-Wilson EKR bound (see __init__).  The caps keep the 374-vertex
+lattice of F_2^5 tractable, and the EKR cap on the middle layer is what
+proves the boundary n = d+1 at (2, 6, 5); generic coloring alone stalls
+there.
 
 Admissibility ("not contained in any forbidden configuration") is not
 hereditary, so it cannot be folded into the graph.  Every class is instead
@@ -33,10 +29,7 @@ while the partial clique lies inside it, and the partial clique only grows
 on the way down, so the engine keeps a per-vertex index of the clauses
 containing each vertex: a node inherits its parent's live clauses narrowed
 by the vertex it adds and checks its candidates against the live ones
-alone.  Every clause is a union of radius-t balls around its centres, and
-the ball relation is symmetric, so a vertex lies in a clause exactly when
-one of the clause's centres lies in the vertex's ball: the index is built
-from the centres' balls, and B_even's clause list is its own index.
+alone.
 
 One driver, max_admissible_family, runs every search: index, seed,
 engine, search, witness re-verification, formula and report.  Class None
@@ -45,17 +38,22 @@ that call.  A class adds only data and checks: its parity of d, its
 clauses, its seed, the is_admissible re-check of its witnesses and its
 row of _FORMULAS.
 
-The search is one loop over an explicit stack of frames, with no
-recursion, so its depth (the clique size, 1332 at (3, 5, 4)) is not
-bounded by Python's recursion limit.  A frame holds the vertices still to
-try, their color bounds, the next position, the untried candidates and the
-live clauses.  The root is the first frame, branched with no bound; each
-root vertex has a settle mask that leaves the untried set once its branch
-is done.  An optimum search roots the first k-space of each layer pair
-(k, n-k), middle pair first, and settles the whole pair, its mask in the
-cap table: GL(n, q) and perp preserve distance, the caps and every class's
-clauses, so some maximum family holds the representative of the first
-pair it meets (orbital branching, Ostrowski et al. 2011;
+A node that passes the clause check and the group bound moves its
+universal candidates, those adjacent to every other candidate, into the
+clique at once: every maximum family below it holds them all
+(docs/decisions.md).  Forced vertices are not counted in nodes_explored.
+
+The search is one loop over an explicit stack of frames, so a clique of
+1332 members at (3, 5, 4) is not bounded by Python's recursion limit.  A
+frame holds the vertices still to try, their color bounds, the next
+position, the untried candidates, the live clauses and the clique size
+before its branch vertex.  The root is the first frame, branched with no
+bound; each root vertex has a settle mask that leaves the untried set once
+its branch is done.  An optimum search roots the first k-space of each
+layer pair (k, n-k), middle pair first, and settles the whole pair, its
+mask in the cap table: GL(n, q) and perp preserve distance, the caps and
+every class's clauses, so some maximum family holds the representative of
+the first pair it meets (orbital branching, Ostrowski et al. 2011;
 docs/decisions.md).  With enumerate_all the root is the degeneracy order,
 each vertex settling itself.
 
@@ -155,6 +153,22 @@ class SearchReport:
         }
 
 
+def _incidence_bytes(index):
+    """Upper estimate of index.line_incidence()'s peak bytes, known before
+    it runs: per line an n_v-byte digit string and an n_v-bit column; per
+    vertex a list, 16 bytes per line in it; 40 per entry of the line map
+    and of _table_lines's scale tables and addition rows (q^m entries for
+    each of the q^m - (q-1)^m rows led at column n-1-m with a zero after
+    it); and the object headers."""
+    q, n, nv = index.field.q, index.n, index.size
+    held = sum(gauss_binom(n, k, q) * gauss_binom(k, 1, q)
+               for k in range(n + 1))
+    lookups = q ** n + (q - 2) * q ** n // q + (sum(
+        (q ** m - (q - 1) ** m) * q ** m for m in range(n)) if q > 2 else 0)
+    return (gauss_binom(n, 1, q) * (nv + (nv + 7) // 8 + 100)
+            + 96 * nv + 16 * held + 40 * lookups + 1024)
+
+
 class _CliqueEngine:
     """Branch-and-bound maximum clique over a lattice distance graph.
 
@@ -172,17 +186,10 @@ class _CliqueEngine:
         clauses = {"A_even": 2, "A_odd": 2 * gauss_binom(n, 1, q), "B_even": nv,
                    "B_odd": sum(gauss_binom(n, k, q) * gauss_binom(n - k, 1, q)
                                 for k in range(n))}.get(family_class, 0)
-        # Non-neighbour bitsets, the line incidence columns, and the clauses
-        # with their per-vertex index, in bits; then the lookup lists the
-        # incidence is built with, 40 bytes an entry (a list slot and an
-        # int): the q^n line map, q - 2 scale tables of q^(n-1) entries, and
-        # for q > 2 an addition row of q^m entries for each of the
-        # q^m - (q-1)^m rows led at column n-1-m with a zero after it.
-        lookups = q ** n + (q - 2) * q ** n // q
-        if q > 2:
-            lookups += sum((q ** m - (q - 1) ** m) * q ** m for m in range(n))
-        need = ((nv * nv + gauss_binom(n, 1, q) * nv + 2 * clauses * nv + 7)
-                // 8 + 40 * lookups)
+        # Non-neighbour bitsets and the clauses with their per-vertex index,
+        # in bits, and the line incidence the rows are built from.
+        need = ((nv * nv + 2 * clauses * nv + 7) // 8
+                + _incidence_bytes(index))
         if need > DEFAULT_DISTANCE_CELL_BUDGET:
             raise BudgetExceeded(
                 f"adjacency of (q={q}, n={n}) needs {need} bytes, budget is "
@@ -341,10 +348,8 @@ class _CliqueEngine:
         caller needs, so it is colored but not returned.  Coloring a vertex
         v keeps, of the vertices still free for its class, only its
         non-neighbours: one AND with non[v], which also drops v.  The rows
-        of cand are built first; when they all are, that is one AND.
+        of cand must be built.
         """
-        if cand & self.built != cand:
-            self._build(cand)
         non = self.non
         order = []
         bounds = []
@@ -367,6 +372,19 @@ class _CliqueEngine:
                 order.append(v)
                 bounds.append(color)
         return order, bounds
+
+    def _universal(self, cand):
+        """The mask of the candidates adjacent to every other candidate;
+        the rows of cand must be built."""
+        non = self.non
+        forced = 0
+        rest = cand
+        while rest:
+            b = rest & -rest
+            if not non[b.bit_length() - 1] & cand:
+                forced |= b
+            rest ^= b
+        return forced
 
     def _group_bound(self, psize, used, cand):
         total = psize
@@ -393,13 +411,15 @@ class _CliqueEngine:
         """Run the search; returns (best, collected, count, nodes, timed_out).
 
         A frame is [vertices still to try, their color bounds (None at the
-        root), next position, untried candidates, live clauses], the live
-        clauses being those that contain the partial clique plist.  A tried
+        root), next position, untried candidates, live clauses, keep], the
+        live clauses being those that contain the partial clique plist and
+        keep the length of plist before the frame's branch vertex.  A tried
         vertex leaves the untried candidates; at the root its settle mask
-        (see _roots) leaves with it.  A root vertex builds its own row; below
-        the root every vertex came out of a coloring, which built its row.
+        (see _roots) leaves with it.  A node that passes both checks builds
+        its candidates' rows and forces the universal ones into plist;
+        backtracking pops plist down to keep.
         deadline is a time.monotonic() value, checked at every root node, at
-        every 1024th node and after every coloring that built rows.
+        every 1024th node and after every node that built rows.
         """
         self.collect_all = collect_all
         self.witness_cap = witness_cap
@@ -418,17 +438,17 @@ class _CliqueEngine:
         used = [0] * len(self.groups)
         root, settle = self._roots(collect_all)
         stack = [[root, None, len(root), (1 << self.nv) - 1,
-                  (1 << len(forbidden)) - 1]]
+                  (1 << len(forbidden)) - 1, 0]]
         nodes = 0
         timed_out = False
         while stack:
             frame = stack[-1]
-            order, bounds, i, cur, alive = frame
+            order, bounds, i, cur, alive, keep = frame
             i -= 1
             if i < 0 or (bounds is not None
                          and len(plist) + bounds[i] < self.best + slack):
                 stack.pop()
-                if stack:
+                while len(plist) > keep:
                     used[group_of[plist.pop()]] -= 1
                 continue
             v = order[i]
@@ -447,10 +467,9 @@ class _CliqueEngine:
                     break
             nodes += 1
             alive = alive and alive & clause_of[v]
+            keep = len(plist)
             plist.append(v)
-            g = group_of[v]
-            used[g] += 1
-            psize = len(plist)
+            used[group_of[v]] += 1
             need = self.best + slack
             # A live clause that also holds every candidate prunes the node.
             rest = alive
@@ -459,21 +478,31 @@ class _CliqueEngine:
                 if cand & ~forbidden[b.bit_length() - 1] == 0:
                     break
                 rest ^= b
-            if not rest and self._group_bound(psize, used, cand) >= need:
-                if cand:
-                    # need only rises below, so a vertex colored under
-                    # need - psize now would be cut at its turn anyway.
-                    built = self.built
-                    order, bounds = self._color_order(cand, need - psize)
-                    if (self.built != built and deadline is not None
-                            and time.monotonic() > deadline):
+            if not rest and self._group_bound(len(plist), used, cand) >= need:
+                if cand & self.built != cand:
+                    self._build(cand)
+                    if deadline is not None and time.monotonic() > deadline:
                         timed_out = True
                         break
-                    stack.append([order, bounds, len(order), cand, alive])
+                forced = self._universal(cand)
+                cand ^= forced
+                while forced:
+                    b = forced & -forced
+                    u = b.bit_length() - 1
+                    plist.append(u)
+                    used[group_of[u]] += 1
+                    alive = alive and alive & clause_of[u]
+                    forced ^= b
+                if cand:
+                    # need only rises below, so a vertex colored under
+                    # need - |plist| now would be cut at its turn anyway.
+                    order, bounds = self._color_order(cand, need - len(plist))
+                    stack.append([order, bounds, len(order), cand, alive,
+                                  keep])
                     continue
                 self._record(plist)
-            plist.pop()
-            used[g] -= 1
+            while len(plist) > keep:
+                used[group_of[plist.pop()]] -= 1
         if collect_all and seed_vertices and not self.collected_count:
             # Nothing at the seed size was enumerated (timeout before any
             # leaf); fall back to the seed itself.

@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+import tracemalloc
 from collections import Counter
 from types import SimpleNamespace
 
@@ -153,15 +154,29 @@ def test_whole_lattice_seed_at_d_at_least_n(q, n, d):
 
 
 def test_search_deeper_than_the_recursion_limit():
-    # (3, 5, 4) --all: each of the 8 maximum families has 1332 members,
-    # more than Python's recursion limit, and the search goes that deep.
+    # (3, 5, 4) --all: each of the 8 maximum families has 1332 members, more
+    # than Python's recursion limit.  The explicit stack holds one frame per
+    # branching level: at every recorded clique the vertex each frame is
+    # trying is a distinct member, and the forced members have no frame, so
+    # the stack is at most 16 frames deep.
     index = build_index(field_new(3), 5)
     seed = sorted(index.position(s)
                   for s in oracle._seed_family(index.field, 5, 4))
-    best, collected, count, _, timed_out = _CliqueEngine(index, 4).search(
+    depths = []
+
+    class StackEngine(_CliqueEngine):
+        def _record(self, plist):
+            stack = sys._getframe(1).f_locals["stack"]  # the search's own
+            branched = {order[i] for order, _, i, *_ in stack}
+            assert len(branched) == len(stack) and branched <= set(plist)
+            depths.append(len(stack))
+            super()._record(plist)
+
+    best, collected, count, _, timed_out = StackEngine(index, 4).search(
         seed_vertices=seed, collect_all=True)
     assert best == 1332 > sys.getrecursionlimit()
     assert count == len(collected) == 8 and not timed_out
+    assert max(depths) == 16
 
 
 def test_timeout_counts_setup(monkeypatch):
@@ -746,9 +761,15 @@ def test_ball_mask_matches_distance_table_rows(q, n):
             assert _ball_mask(index, center, radius) == _table_ball(table, nv, i, radius)
 
 
+# The line incidence of F_2^3: 7 lines of 16 digits, 16 bits and 100 bytes
+# of headers each; 16 line lists, 35 entries in all (7 lines, 7 planes of 3,
+# F_2^3 with 7); the 8-entry line map; 1 KB.
+_F2_3_INCIDENCE = 7 * (16 + 2 + 100) + 96 * 16 + 16 * 35 + 40 * 2 ** 3 + 1024
+
+
 def test_engine_memory_budget_checked_before_allocation(monkeypatch):
     index = build_index(F2, 3)
-    need = (16 * 16 + 7 * 16 + 7) // 8 + 40 * 2 ** 3
+    need = (16 * 16 + 7) // 8 + _F2_3_INCIDENCE
     monkeypatch.setattr(oracle, "DEFAULT_DISTANCE_CELL_BUDGET", need - 1)
     with pytest.raises(BudgetExceeded) as exc:
         _CliqueEngine(index, 2)
@@ -759,17 +780,34 @@ def test_engine_memory_budget_checked_before_allocation(monkeypatch):
 
 
 def test_engine_memory_budget_counts_the_incidence_lookups(monkeypatch):
-    # F_3^3: 28 subspaces, 13 lines; the lookups are the 27-entry line map,
+    # F_3^3: 28 subspaces, 13 lines, 78 line-list entries (13 lines, 13
+    # planes of 4, F_3^3 with 13); the lookups are the 27-entry line map,
     # one 9-entry scale table, and the addition rows of the one row led at
     # column 1 and the five led at column 0 that have a zero after the pivot.
     index = build_index(field_new(3), 3)
-    need = (28 * 28 + 13 * 28 + 7) // 8 + 40 * (27 + 9 + 1 * 3 + 5 * 9)
+    need = ((28 * 28 + 7) // 8 + 13 * (28 + 4 + 100) + 96 * 28 + 16 * 78
+            + 40 * (27 + 9 + 1 * 3 + 5 * 9) + 1024)
     monkeypatch.setattr(oracle, "DEFAULT_DISTANCE_CELL_BUDGET", need - 1)
     with pytest.raises(BudgetExceeded) as exc:
         _CliqueEngine(index, 2)
     assert exc.value.would_be_count == need
     monkeypatch.setattr(oracle, "DEFAULT_DISTANCE_CELL_BUDGET", need)
     assert len(_CliqueEngine(index, 2).non) == 28
+
+
+@pytest.mark.parametrize("q,n", [(2, 6), (3, 5)])
+def test_incidence_estimate_covers_its_peak(q, n):
+    # The budget charges the incidence's digit strings, columns, per-vertex
+    # line lists and lookups; what it allocates stays under that, and not
+    # far under it.
+    index = build_index(field_new(q), n)
+    tracemalloc.start()
+    try:
+        index.line_incidence()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= oracle._incidence_bytes(index) <= 2 * peak
 
 
 # Clauses of each class on F_2^3: the two canonical balls; two per line;
@@ -781,7 +819,7 @@ def test_engine_memory_budget_counts_the_incidence_lookups(monkeypatch):
 def test_clause_memory_budget_checked_before_allocation(monkeypatch, family_class,
                                                         d, clauses):
     index = build_index(F2, 3)
-    need = (16 * 16 + 7 * 16 + 2 * clauses * 16 + 7) // 8 + 40 * 2 ** 3
+    need = (16 * 16 + 2 * clauses * 16 + 7) // 8 + _F2_3_INCIDENCE
     monkeypatch.setattr(oracle, "DEFAULT_DISTANCE_CELL_BUDGET", need - 1)
     with pytest.raises(BudgetExceeded) as exc:
         _CliqueEngine(index, d, family_class)
@@ -797,7 +835,9 @@ class _FullScanEngine(_CliqueEngine):
     """The engine with every node testing every clause and coloring every
     candidate over adjacency rows, kept as reference.  Its search is its
     own: a root loop over the engine's roots and a recursive expansion,
-    sharing no loop with the production search."""
+    sharing no loop with the production search.  A node that passes both
+    checks takes every candidate adjacent to all the others, as the
+    production search does, so the two explore the same nodes."""
 
     def __init__(self, index, d, family_class=None):
         super().__init__(index, d, family_class)
@@ -832,6 +872,16 @@ class _FullScanEngine(_CliqueEngine):
         need = self.best if self.collect_all else self.best + 1
         if self._group_bound(len(plist), used, cand) < need:
             return
+        forced = [u for u in range(self.nv)
+                  if cand >> u & 1 and cand & ~self.adj[u] == 1 << u]
+        for u in forced:
+            used[self.group_of[u]] += 1
+            cand ^= 1 << u
+        self._branch(plist + forced, cand, used)
+        for u in forced:
+            used[self.group_of[u]] -= 1
+
+    def _branch(self, plist, cand, used):
         if not cand:
             self._record(plist)
             return
@@ -893,6 +943,36 @@ def test_clause_index_matches_full_scan(monkeypatch, q, n, d, family_class):
     assert engine.forbidden == ref_engine.forbidden
     if family_class is None:
         assert engine.clause_of is None  # no clauses, no index
+
+
+# -- forced candidates against one node per vertex ----------------------------------
+
+class _UnforcedEngine(_CliqueEngine):
+    """The production engine with no candidate forced, so every member of
+    a clique is a node of its own, as before forcing; kept as reference."""
+
+    def _universal(self, cand):
+        return 0
+
+
+# The clause grid, and the five jobs of the clique-search benchmark.
+FORCING_CASES = ([case + ((case not in _COSTLY_ALL),) for case in CLAUSE_CASES]
+                 + [(3, 4, 3, None, True), (2, 5, 3, None, True),
+                    (2, 5, 2, "B_even", False), (3, 4, 2, "B_even", False),
+                    (3, 4, 2, "A_even", False)])
+
+
+@pytest.mark.parametrize("q,n,d,family_class,enumerate_all", FORCING_CASES)
+def test_forcing_matches_unforced_search(monkeypatch, q, n, d, family_class,
+                                         enumerate_all):
+    ref, _ = _search_with(monkeypatch, _UnforcedEngine, q, n, d, family_class,
+                          enumerate_all)
+    rep, _ = _search_with(monkeypatch, _CliqueEngine, q, n, d, family_class,
+                          enumerate_all)
+    assert rep.optimum == ref.optimum
+    assert rep.witness_count == ref.witness_count
+    assert rep.witnesses == ref.witnesses
+    assert rep.nodes_explored <= ref.nodes_explored
 
 
 # -- static clauses against clauses learned at the leaves ---------------------------
@@ -982,8 +1062,8 @@ class _FullRootEngine(_EagerEngine):
 
 # Every (q, n, d) with 1 <= d < n, n <= 5 for q = 2 and n <= 4 for q = 3,
 # plain and in each class of the parity of d: 46 searches.  The full root
-# stalls for minutes at (2, 5, 3) in A_odd and B_odd; those two are proven
-# by test_orbit_root_proves_admissible_optimum alone.
+# takes about 6 s at (2, 5, 3) in A_odd and B_odd (410,296 nodes); those
+# two are proven by test_orbit_root_proves_admissible_optimum alone.
 ORBIT_CASES = [(q, n, d, cls) for q, top in ((2, 5), (3, 4))
                for n in range(2, top + 1) for d in range(1, n)
                for cls in ((None, "A_even", "B_even") if d % 2 == 0
@@ -1076,8 +1156,8 @@ def test_timeout_counts_row_building(monkeypatch, steps, enumerate_all, nodes):
 @pytest.mark.parametrize("q,n,d,family_class,optimum", [
     (2, 5, 3, "A_odd", 39), (2, 5, 3, "B_odd", 39), (2, 6, 2, "B_even", 8)])
 def test_orbit_root_proves_admissible_optimum(q, n, d, family_class, optimum):
-    # Out of reach of the full root: (2, 5, 3) stalls for minutes in both
-    # odd classes, and (2, 6, 2) B_even took 6.2M nodes.
+    # Costly for the full root: 410,296 nodes at (2, 5, 3) in both odd
+    # classes, and 3.2M nodes at (2, 6, 2) B_even.
     rep = max_admissible_family(q, n, d, family_class)
     assert rep.optimum == optimum
     assert rep.proven_optimal and not rep.timed_out
