@@ -9,7 +9,7 @@ of a given class.
 
 All member-pair statistics share one scan, `_min_meet`, which meets a
 pair by the popcount of its two vector masks (|U ∩ W| = q^dim(U ∩ W)) and
-masks each member once per scan, on first use;
+masks each member on first use, once per scan or per shared mask dict;
 `cross_intersection_profile` takes the diameter from the same per-layer-pair
 minimum meets it reports, so a check scans each layer pair once.
 One-off subspaces (the candidate centers and their covers) meet the
@@ -250,7 +250,7 @@ def _meet_dim(a: Subspace, b: Subspace) -> int:
     return a.dim + b.dim - a.rank_with(b)
 
 
-def _min_meet(xs, ys, stop):
+def _min_meet(xs, ys, stop, masks=None):
     """Smallest dim(a ∩ b) over the pairs a in xs, b in ys, and a pair that
     reaches it; ys=None means the pairs of distinct positions of xs.
 
@@ -262,7 +262,8 @@ def _min_meet(xs, ys, stop):
     the two vector masks share, so the scan compares counts and looks the
     dimension up at the end.  Each member's mask is built on its first
     meet and dropped when the scan returns, so a scan that stops early
-    masks only the members it reached.  A mask is q^n bits; the scan
+    masks only the members it reached; a `masks` dict (subspace -> mask)
+    keeps them for the scans that share it.  A mask is q^n bits; the scan
     raises BudgetExceeded when the masks of ys would take more than
     DEFAULT_DISTANCE_CELL_BUDGET bytes.
     """
@@ -276,6 +277,11 @@ def _min_meet(xs, ys, stop):
         raise BudgetExceeded(
             f"vector masks of {len(ys)} members of GF({q})^{n} exceed the "
             f"byte budget", would_be_count=len(ys) * q ** n // 8)
+    if masks is None:
+        mask_of = Subspace.vector_mask
+    else:
+        def mask_of(s):  # a mask holds the zero vector, so it is never 0
+            return masks.get(s) or masks.setdefault(s, s.vector_mask())
     dim_of = {q ** m: m for m in range(n + 1)}
     limit = q ** stop if stop >= 0 else 0  # a count <= limit stops the scan
     best, pair = q ** n + 1, None
@@ -283,11 +289,11 @@ def _min_meet(xs, ys, stop):
     for i, a in enumerate(xs):
         ma = ymasks[i] if same else None
         if ma is None:
-            ma = a.vector_mask()
+            ma = mask_of(a)
         for j in range(i + 1 if same else 0, len(ys)):
             mb = ymasks[j]
             if mb is None:
-                mb = ymasks[j] = ys[j].vector_mask()
+                mb = ymasks[j] = mask_of(ys[j])
             c = (ma & mb).bit_count()
             if c < best:
                 best, pair = c, (a, ys[j])
@@ -306,8 +312,9 @@ def _layer_pairs_by_dimsum(fam):
     return pairs
 
 
-def _layer_pair_min_meet(fam, a, b, stop):
-    return _min_meet(fam.layer(a), None if a == b else fam.layer(b), stop)
+def _layer_pair_min_meet(fam, a, b, stop, masks=None):
+    return _min_meet(fam.layer(a), None if a == b else fam.layer(b), stop,
+                     masks)
 
 
 def diameter(fam: SubspaceFamily) -> int:
@@ -331,14 +338,15 @@ def diameter(fam: SubspaceFamily) -> int:
     return best
 
 
-def diameter_at_most(fam: SubspaceFamily, d: int):
+def diameter_at_most(fam: SubspaceFamily, d: int, masks=None):
     """(True, None) if every pairwise distance is <= d, else (False, pair).
 
     A pair of an a-space and a b-space is farther apart than d exactly when
     it meets in at most (a + b - d - 1) // 2 dimensions.  Pairs whose
     dimension sum is at most d are skipped outright, and so are pairs whose
     meets cannot go that low: no pair meets in fewer than a + b - n
-    dimensions, so none is farther apart than 2n - a - b.
+    dimensions, so none is farther apart than 2n - a - b.  For `masks`
+    see _min_meet.
     """
     if not fam.members:
         raise EmptyFamily("diameter of an empty family")
@@ -351,7 +359,7 @@ def diameter_at_most(fam: SubspaceFamily, d: int):
         stop = (dimsum - d - 1) // 2
         if stop < dimsum - fam.n:
             continue
-        m, pair = _layer_pair_min_meet(fam, a, b, stop)
+        m, pair = _layer_pair_min_meet(fam, a, b, stop, masks)
         if m is not None and m <= stop:
             return False, pair
     return True, None

@@ -19,8 +19,10 @@ from .subspace import Subspace, vector_index
 
 DEFAULT_ENUM_BUDGET = 10**7
 # Bytes: the distance table takes one per lattice pair; clique adjacency takes
-# n_v^2 / 8 for its bitsets and oracle._incidence_bytes for the line
+# n_v^2 / 8 for its bitsets and LatticeIndex.incidence_bytes for the line
 # incidence.  A member-pair scan takes q^n / 8 for each member's vector mask.
+# The oracle's witness check keeps one per witness member, at most
+# n_v q^n / 8: below n_v^2 / 8 for n >= 4, and about 280 KB for n <= 3.
 DEFAULT_DISTANCE_CELL_BUDGET = 2 * 1024**3
 
 
@@ -217,6 +219,21 @@ class LatticeIndex:
                 lines_of.append(lines)
             self._incidence = (lines_of, [int(col, 2) for col in digits])
         return self._incidence
+
+    def incidence_bytes(self):
+        """Upper estimate of line_incidence()'s peak bytes, known before it
+        runs: per line an n_v-byte digit string and an n_v-bit column; per
+        vertex a list, 16 bytes per line in it; 40 per entry of the line map
+        and of _table_lines's scale tables and addition rows (q^m entries for
+        each of the q^m - (q-1)^m rows led at column n-1-m with a zero after
+        it); and the object headers."""
+        q, n, nv = self.field.q, self.n, self.size
+        held = sum(gauss_binom(n, k, q) * gauss_binom(k, 1, q)
+                   for k in range(n + 1))
+        lookups = q ** n + (q - 2) * q ** n // q + (sum(
+            (q ** m - (q - 1) ** m) * q ** m for m in range(n)) if q > 2 else 0)
+        return (gauss_binom(n, 1, q) * (nv + (nv + 7) // 8 + 100)
+                + 96 * nv + 16 * held + 40 * lookups + 1024)
 
     def ball(self, i: int, radius: int) -> int:
         """Vertex bitmask of the subspaces at distance <= radius from vertex i.

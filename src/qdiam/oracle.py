@@ -57,10 +57,10 @@ the first pair it meets (orbital branching, Ostrowski et al. 2011;
 docs/decisions.md).  With enumerate_all the root is the degeneracy order,
 each vertex settling itself.
 
-Recorded witnesses are always re-verified by row elimination
-(``Subspace.distance``), a code path independent of the line incidence
-the masks came from: the pairs are walked once over the union of the
-witnesses, and a pair is checked only when some witness holds both.  The
+Recorded witnesses are always re-verified by the families' own diameter
+scan, ``diameter_at_most``, which meets member pairs by vector masks, not
+by the line incidence the search adjacency came from; the witnesses share
+one mask dict, so each member is masked once.  The
 characterization builds the census families once and classifies every
 witness by one lookup; at the boundary n = d+1 the key is the witness's
 middle layer, after a full/empty test of each complementary layer pair.
@@ -76,14 +76,13 @@ from __future__ import annotations
 import io
 import operator
 import time
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, NotExhaustive, ParameterOutOfRange
 from .families import (SubspaceFamily, _first_line, _lines_in, ball,
-                       canonical_double_ball, extremal_odd_family,
-                       is_admissible, lower_layers, perp_family, star,
-                       upper_layers, write_family)
+                       canonical_double_ball, diameter_at_most,
+                       extremal_odd_family, is_admissible, lower_layers,
+                       perp_family, star, upper_layers, write_family)
 from .gfq import field_new
 from .grassmann import (DEFAULT_DISTANCE_CELL_BUDGET, build_index,
                         enumerate_layer, ripple_add)
@@ -124,7 +123,8 @@ class SearchReport:
     witness_cap: int = DEFAULT_WITNESS_CAP
 
     def to_json_dict(self) -> dict:
-        """JSON form; all counts are decimal strings, witnesses family files."""
+        """JSON form: optimum and formula_value are decimal strings, the
+        other counts integers, and witnesses family files."""
         witness_files = []
         for fam in self.witnesses:
             buf = io.StringIO()
@@ -153,22 +153,6 @@ class SearchReport:
         }
 
 
-def _incidence_bytes(index):
-    """Upper estimate of index.line_incidence()'s peak bytes, known before
-    it runs: per line an n_v-byte digit string and an n_v-bit column; per
-    vertex a list, 16 bytes per line in it; 40 per entry of the line map
-    and of _table_lines's scale tables and addition rows (q^m entries for
-    each of the q^m - (q-1)^m rows led at column n-1-m with a zero after
-    it); and the object headers."""
-    q, n, nv = index.field.q, index.n, index.size
-    held = sum(gauss_binom(n, k, q) * gauss_binom(k, 1, q)
-               for k in range(n + 1))
-    lookups = q ** n + (q - 2) * q ** n // q + (sum(
-        (q ** m - (q - 1) ** m) * q ** m for m in range(n)) if q > 2 else 0)
-    return (gauss_binom(n, 1, q) * (nv + (nv + 7) // 8 + 100)
-            + 96 * nv + 16 * held + 40 * lookups + 1024)
-
-
 class _CliqueEngine:
     """Branch-and-bound maximum clique over a lattice distance graph.
 
@@ -189,7 +173,7 @@ class _CliqueEngine:
         # Non-neighbour bitsets and the clauses with their per-vertex index,
         # in bits, and the line incidence the rows are built from.
         need = ((nv * nv + 2 * clauses * nv + 7) // 8
-                + _incidence_bytes(index))
+                + index.incidence_bytes())
         if need > DEFAULT_DISTANCE_CELL_BUDGET:
             raise BudgetExceeded(
                 f"adjacency of (q={q}, n={n}) needs {need} bytes, budget is "
@@ -536,42 +520,26 @@ def _search_index(q, n, d, witness_cap, lattice_budget):
 
 
 def _materialize_witnesses(index, collected, d):
-    """Vertex lists -> families, each member pair re-verified by row elimination.
+    """Vertex lists -> families, each re-verified by diameter_at_most.
 
-    Subspace.distance does not use the vector masks the search adjacency
-    came from.  Witnesses share most of their pairs, so the pairs are walked
-    once over the union of the witnesses' vertices: bit w of holds[v] is set
-    when witness w holds v, and a pair is checked only when some witness
-    holds both.  An a-space and a b-space meet in at least a + b - n
-    dimensions, so they are at most min(a + b, 2n - a - b) apart, and pairs
-    where that is at most d are skipped.
+    It meets pairs by vector masks, not by the line incidence the search
+    adjacency came from.  The witnesses share one mask dict, so each of their
+    members is masked once, in at most |union| * q^n / 8 bytes: for n >= 4,
+    [n 2]_q >= q^n, so below the n_v^2 / 8 the engine already charged; for
+    n <= 3, at most about 280 KB (q = 16).
     """
     field, n = index.field, index.n
     subspaces = index.subspaces
-    holds = {}
-    for w, vertices in enumerate(collected):
-        bit = 1 << w
-        for v in vertices:
-            holds[v] = holds.get(v, 0) | bit
-    # Index positions run layer by layer, so in descending order the
-    # dimension sum only falls along each row of pairs, and the pairs to
-    # check are one slice of it: d - a < b < 2n - d - a.
-    union = sorted(holds, reverse=True)
-    members = [subspaces[v] for v in union]
-    masks = [holds[v] for v in union]
-    neg_dims = [-s.dim for s in members]
-    for i, a in enumerate(members):
-        mask = masks[i]
-        lo = max(i + 1, bisect_right(neg_dims, a.dim + d - 2 * n))
-        hi = bisect_left(neg_dims, a.dim - d)
-        for j in range(lo, hi):
-            b = members[j]
-            if mask & masks[j] and a.distance(b) > d:
-                raise AssertionError(
-                    "search produced a witness violating the diameter "
-                    f"bound: {(a, b)}")
-    witnesses = [SubspaceFamily(field, n, [subspaces[v] for v in vertices])
-                 for vertices in collected]
+    masks = {}
+    witnesses = []
+    for vertices in collected:
+        fam = SubspaceFamily(field, n, [subspaces[v] for v in vertices])
+        ok, pair = diameter_at_most(fam, d, masks)
+        if not ok:
+            raise AssertionError(
+                "search produced a witness violating the diameter bound: "
+                f"{pair}")
+        witnesses.append(fam)
     witnesses.sort(key=lambda f: tuple(s.sort_key() for s in f.members))
     return witnesses
 

@@ -221,9 +221,20 @@ def test_diameter_examples():
         diameter(SubspaceFamily(F2, 3, []))
 
 
-def test_diameter_matches_bruteforce():
+def test_diameter_matches_bruteforce(monkeypatch):
     # every statistic built on the member-pair meet scan, against all pairs;
-    # meets come from intersect(), which does not go through rank_with
+    # meets come from intersect(), which does not go through rank_with.
+    # diameter_at_most gives the same answer with a mask dict, which ends
+    # up holding one mask per member the scan reached; a dict shared by
+    # later scans is read, not rebuilt.
+    vector_mask = Subspace.vector_mask
+    built = []
+
+    def counted(self):
+        built.append(self)
+        return vector_mask(self)
+
+    monkeypatch.setattr(Subspace, "vector_mask", counted)
     rng = random.Random(31)
     for field in (F2, F3, field_new(4)):
         for _ in range(60):
@@ -235,8 +246,21 @@ def test_diameter_matches_bruteforce():
             assert diameter(fam) == brute
             profile_d, rows = cross_intersection_profile(fam)
             assert profile_d == brute
+            shared = {}
             for d in range(n + 1):
+                built.clear()
                 ok, pair = diameter_at_most(fam, d)
+                scanned = set(built)
+                built.clear()
+                masks = {}
+                assert diameter_at_most(fam, d, masks) == (ok, pair)
+                assert len(built) == len(masks) and masks.keys() == scanned
+                assert all(m == vector_mask(s) for s, m in masks.items())
+                held = set(shared)
+                built.clear()
+                assert diameter_at_most(fam, d, shared) == (ok, pair)
+                assert len(built) == len(set(built))
+                assert set(built) == scanned - held
                 assert ok == (brute <= d)
                 if not ok:
                     assert pair[0] in fam and pair[1] in fam

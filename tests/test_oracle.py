@@ -2,6 +2,7 @@ import json
 import random
 import sys
 import tracemalloc
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from types import SimpleNamespace
 
@@ -807,7 +808,7 @@ def test_incidence_estimate_covers_its_peak(q, n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= oracle._incidence_bytes(index) <= 2 * peak
+    assert peak <= index.incidence_bytes() <= 2 * peak
 
 
 # Clauses of each class on F_2^3: the two canonical balls; two per line;
@@ -1229,18 +1230,67 @@ def test_search_makes_no_admissibility_check(monkeypatch, q, n, d, family_class)
 
 # -- witness re-verification ---------------------------------------------------------
 
+def _materialize_by_rows(index, collected, d):
+    """Reference: vertex lists -> families, the member pairs walked once over
+    the union of the witnesses and met by row elimination.
+
+    Bit w of holds[v] is set when witness w holds v, and a pair is met only
+    when some witness holds both.  An a-space and a b-space are at most
+    min(a + b, 2n - a - b) apart, so pairs where that is at most d are
+    skipped; in descending index order the dimension sum only falls along
+    each row of pairs, and the pairs to meet are one slice of it.
+    """
+    field, n = index.field, index.n
+    subspaces = index.subspaces
+    holds = {}
+    for w, vertices in enumerate(collected):
+        for v in vertices:
+            holds[v] = holds.get(v, 0) | 1 << w
+    union = sorted(holds, reverse=True)
+    members = [subspaces[v] for v in union]
+    neg_dims = [-s.dim for s in members]
+    for i, a in enumerate(members):
+        lo = max(i + 1, bisect_right(neg_dims, a.dim + d - 2 * n))
+        hi = bisect_left(neg_dims, a.dim - d)
+        for j in range(lo, hi):
+            b = members[j]
+            if holds[union[i]] & holds[union[j]] and a.distance(b) > d:
+                raise AssertionError(
+                    "search produced a witness violating the diameter "
+                    f"bound: {(a, b)}")
+    witnesses = [SubspaceFamily(field, n, [subspaces[v] for v in vertices])
+                 for vertices in collected]
+    witnesses.sort(key=lambda f: tuple(s.sort_key() for s in f.members))
+    return witnesses
+
+
+@pytest.mark.parametrize("q,n,d", [(q, n, d) for q, top in ((2, 5), (3, 4))
+                                   for n in range(top + 1)
+                                   for d in range(n + 1)])
+def test_materialize_matches_row_elimination(q, n, d):
+    rep = max_diameter_family(q, n, d, enumerate_all=True)
+    assert rep.exhaustive
+    index = build_index(field_new(q), n)
+    collected = [[index.position(s) for s in fam] for fam in rep.witnesses]
+    assert (oracle._materialize_witnesses(index, collected, d)
+            == _materialize_by_rows(index, collected, d) == rep.witnesses)
+
+
 def test_materialize_rejects_planted_far_pair():
     index = build_index(F2, 4)
     rep = max_diameter_family(2, 4, 3, enumerate_all=True)
     collected = [[index.position(s) for s in fam] for fam in rep.witnesses]
-    assert oracle._materialize_witnesses(index, collected, 3) == rep.witnesses
     # Every outsider of a maximum family is farther than d from one of its
-    # members; the pairs met for the 120 true witnesses must not hide that.
+    # members; the members checked for the 120 true witnesses must not
+    # hide that, in the check or in its row-elimination reference.
     first = collected[0]
-    for v in range(index.size):
-        if v not in first:
-            with pytest.raises(AssertionError, match="violating the diameter bound"):
-                oracle._materialize_witnesses(index, collected + [first + [v]], 3)
+    for materialize in (oracle._materialize_witnesses, _materialize_by_rows):
+        assert materialize(index, collected, 3) == rep.witnesses
+        for v in range(index.size):
+            if v not in first:
+                with pytest.raises(AssertionError,
+                                   match="violating the diameter bound"):
+                    materialize(index, collected + [first + [v]], 3)
 
 
 @pytest.mark.parametrize("enumerate_all", [False, True])
@@ -1258,35 +1308,37 @@ def test_oversized_seed_breaking_the_diameter_bound_raises(monkeypatch,
 def test_materialize_skips_pairs_within_dimension_sum(monkeypatch):
     index = build_index(F2, 4)
     _, hi = index.layer_range(1)
-    calls = []
-    monkeypatch.setattr(Subspace, "rank_with",
-                        lambda self, other: calls.append(other) or 0)
+
+    def no_mask(self):
+        raise AssertionError("masked a member of a pair within d")
+
+    monkeypatch.setattr(Subspace, "vector_mask", no_mask)
     (fam,) = oracle._materialize_witnesses(index, [list(range(hi))], 2)
     assert fam == lower_layers(F2, 4, 1)
-    assert calls == []
 
 
 @pytest.mark.parametrize("q,n,d", [(2, 4, 3), (2, 5, 3), (3, 4, 3)])
-def test_materialize_meets_each_shared_pair_once(monkeypatch, q, n, d):
+def test_materialize_masks_each_member_once(monkeypatch, q, n, d):
+    # The witnesses share one mask dict, so a member held by several of
+    # them is masked once, and no pair is met by row elimination.
     rep = max_diameter_family(q, n, d, enumerate_all=True)
     index = build_index(field_new(q), n)
     collected = [[index.position(s) for s in fam] for fam in rep.witnesses]
-    shared = set()
-    for fam in rep.witnesses:
-        members = fam.members
-        for i, a in enumerate(members):
-            for b in members[i + 1:]:
-                if min(a.dim + b.dim, 2 * n - a.dim - b.dim) > d:
-                    shared.add(frozenset((a, b)))
     calls = []
-    distance = Subspace.distance
+    vector_mask = Subspace.vector_mask
 
-    def counted(self, other):
-        calls.append(other)
-        return distance(self, other)
-    monkeypatch.setattr(Subspace, "distance", counted)
+    def counted(self):
+        calls.append(self)
+        return vector_mask(self)
+
+    def no_rows(self, other):
+        raise AssertionError("met a pair by row elimination")
+
+    monkeypatch.setattr(Subspace, "vector_mask", counted)
+    monkeypatch.setattr(Subspace, "distance", no_rows)
+    monkeypatch.setattr(Subspace, "rank_with", no_rows)
     assert oracle._materialize_witnesses(index, collected, d) == rep.witnesses
-    assert len(calls) == len(shared)
+    assert calls and len(calls) == len(set(calls))
 
 
 # -- characterization against per-witness classification -------------------------
