@@ -19,6 +19,7 @@ Every subcommand is deterministic given its flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import io
 import json
@@ -400,6 +401,10 @@ def cmd_sweep(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+# One parser per process: argparse builds reference cycles (a help formatter
+# per argument, the parser and its groups), so a parser per main() call
+# would leave garbage that only the cycle collector frees.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qdiam",

@@ -7,6 +7,16 @@ diameter/support statistics, intersection predicates, and the admissibility
 checkers that decide whether a family escapes every forbidden configuration
 of a given class.
 
+Constructors build their members from how they meet a centre c, scanning
+no layer: the k-spaces meeting c in exactly j dimensions, [dim c, j]_q
+[n - dim c, k - j]_q q^((k - j)(dim c - j)) of them, are each built once
+(`_meeting`).  A radius-r ball takes j >= (k + dim c - r) / 2 in each layer
+(the whole layer when every k-space qualifies), a star through x the meet
+j = dim x, the Hilton-Milner family the star of x kept where it meets y
+plus the k-spaces of x + y, and its 3-space variant j >= 2 on y.  The
+enumeration budget bounds the subspaces built per layer, checked before
+the first is built.
+
 All member-pair statistics share one scan, `_min_meet`, which meets a
 pair by the popcount of its two vector masks (|U ∩ W| = q^dim(U ∩ W)) and
 masks each member on first use, once per scan or per shared mask dict;
@@ -39,6 +49,7 @@ from .errors import (AmbientMismatch, BudgetExceeded, EmptyFamily,
 from .gfq import field_new
 from .grassmann import (DEFAULT_DISTANCE_CELL_BUDGET, DEFAULT_ENUM_BUDGET,
                         enumerate_layer)
+from .qcount import gauss_binom
 from .subspace import Subspace
 
 
@@ -77,11 +88,6 @@ class SubspaceFamily:
     def layer_sizes(self):
         return {k: len(v) for k, v in sorted(self._layers.items())}
 
-    def union(self, other: "SubspaceFamily") -> "SubspaceFamily":
-        if other.field.q != self.field.q or other.n != self.n:
-            raise AmbientMismatch("union of families over different spaces")
-        return SubspaceFamily(self.field, self.n, self.members + other.members)
-
     def __len__(self):
         return len(self.members)
 
@@ -108,65 +114,120 @@ class SubspaceFamily:
 # ---------------------------------------------------------------------------
 # constructors
 
-def ball(center: Subspace, radius: int, budget=DEFAULT_ENUM_BUDGET) -> SubspaceFamily:
-    """All subspaces within metric distance `radius` of the center.
+def _meeting(c: Subspace, k: int, j: int):
+    """The k-spaces s with dim(s ∩ c) = j, each built once.
 
-    Only layers with |dim - dim(center)| <= radius can contribute, so the
-    enumeration is restricted to that window.
+    F_q^n = c ⊕ D for D the coordinate space on the columns leading no row
+    of c.  Such an s is u + {w + φ(w) : w in W'} for exactly one j-space
+    u = s ∩ c, (k - j)-space W' of D (s projected along c) and linear map
+    φ from W' into the span of the rows of c off the pivots of u's
+    coordinates, a complement of u in c.  The u are the images of the
+    j-spaces of F_q^dim(c) under c's rows, in canonical order; two images
+    first differ where their coordinates do, so for k = j = 1 the lines
+    of c come out in canonical order.
     """
+    field, n, m = c.field, c.n, c.dim
+    add, mul = field.add_table, field.mul_table
+
+    def combine(coeffs, rows):
+        v = [0] * n
+        for e, row in zip(coeffs, rows):
+            if e:
+                v = [add[a][mul[e][b]] for a, b in zip(v, row)]
+        return v
+
+    if k == j:  # W' = 0, so s = u
+        for y in enumerate_layer(field, m, j, budget=None):
+            yield Subspace.from_generators(
+                field, n, [combine(r, c.rows) for r in y.rows])
+        return
+    unit = [[int(i == f) for i in range(n)]
+            for f in range(n) if f not in c.pivots]
+    for y in enumerate_layer(field, m, j, budget=None):
+        u = [combine(r, c.rows) for r in y.rows]
+        off = [r for i, r in enumerate(c.rows) if i not in y.pivots]
+        images = [combine(e, off) for e in product(range(field.q), repeat=m - j)]
+        for w in enumerate_layer(field, n - m, k - j, budget=None):
+            ws = [combine(r, unit) for r in w.rows]
+            for phi in product(images, repeat=k - j):
+                yield Subspace.from_generators(field, n, u + [
+                    [add[a][b] for a, b in zip(x, p)] for x, p in zip(ws, phi)])
+
+
+def _meets(c: Subspace, k: int, lo: int):
+    """(k, count, members): the k-spaces meeting c in at least lo
+    dimensions, the whole layer when every k-space does."""
+    q, n, m = c.field.q, c.n, c.dim
+    if lo <= max(0, k + m - n):
+        return k, gauss_binom(n, k, q), enumerate_layer(c.field, n, k, None)
+    js = range(lo, min(k, m) + 1)
+    count = sum(gauss_binom(m, j, q) * gauss_binom(n - m, k - j, q)
+                * q ** ((k - j) * (m - j)) for j in js)
+    return k, count, (s for j in js for s in _meeting(c, k, j))
+
+
+def _family(field, n, parts, budget) -> SubspaceFamily:
+    """One family of the parts (k, count, members), members lazy.
+
+    The budget bounds the subspaces built per layer, the counts of its
+    parts summed, and is checked before any member is built.
+    """
+    for k in {k for k, _, _ in parts}:
+        count = sum(count for layer, count, _ in parts if layer == k)
+        if budget is not None and count > budget:
+            raise BudgetExceeded(
+                f"layer (q={field.q}, n={n}, k={k}) builds {count} subspaces, "
+                f"budget is {budget}", would_be_count=count)
+    return SubspaceFamily(field, n, (s for _, _, ms in parts for s in ms))
+
+
+def _ball_parts(center, radius):
     if radius < 0 or radius > center.n:
         raise ParameterOutOfRange(f"radius {radius} out of range for n={center.n}")
-    field, n = center.field, center.n
-    members = []
-    lo = max(0, center.dim - radius)
-    hi = min(n, center.dim + radius)
-    for k in range(lo, hi + 1):
-        for s in enumerate_layer(field, n, k, budget=budget):
-            if center.distance(s) <= radius:
-                members.append(s)
-    return SubspaceFamily(field, n, members)
+    m = center.dim
+    # an s of dimension k is within radius iff m + k - 2 dim(s ∩ center)
+    # <= radius, so only |k - m| <= radius contributes
+    return [_meets(center, k, -((radius - k - m) // 2))
+            for k in range(max(0, m - radius), min(center.n, m + radius) + 1)]
+
+
+def ball(center: Subspace, radius: int, budget=DEFAULT_ENUM_BUDGET) -> SubspaceFamily:
+    """All subspaces within metric distance `radius` of the center."""
+    return _family(center.field, center.n, _ball_parts(center, radius), budget)
 
 
 def double_ball(c1: Subspace, c2: Subspace, radius: int,
                 budget=DEFAULT_ENUM_BUDGET) -> SubspaceFamily:
     """Union of the two radius-`radius` balls around c1 and c2."""
     c1._check_ambient(c2)
-    return ball(c1, radius, budget).union(ball(c2, radius, budget))
+    return _family(c1.field, c1.n, _ball_parts(c1, radius)
+                   + _ball_parts(c2, radius), budget)
 
 
-def _check_layers(n, t):
+def _lower_parts(field, n, t, centre=Subspace.zero):
+    """The ball of radius min(t, n) around 0 (or F_q^n): whole layers."""
     for name, value in (("n", n), ("t", t)):
         if value < 0:
             raise ParameterOutOfRange(f"{name} must be >= 0, got {value}")
+    return _ball_parts(centre(field, n), min(t, n))
 
 
 def lower_layers(field, n, t, budget=DEFAULT_ENUM_BUDGET) -> SubspaceFamily:
     """All subspaces of dimension at most t (the ball of radius t around 0)."""
-    _check_layers(n, t)
-    members = []
-    for k in range(min(t, n) + 1):
-        members.extend(enumerate_layer(field, n, k, budget=budget))
-    return SubspaceFamily(field, n, members)
+    return _family(field, n, _lower_parts(field, n, t), budget)
 
 
 def upper_layers(field, n, t, budget=DEFAULT_ENUM_BUDGET) -> SubspaceFamily:
     """All subspaces of dimension at least n-t (the perp of lower_layers)."""
-    _check_layers(n, t)
-    members = []
-    for k in range(max(0, n - t), n + 1):
-        members.extend(enumerate_layer(field, n, k, budget=budget))
-    return SubspaceFamily(field, n, members)
+    return _family(field, n, _lower_parts(field, n, t, Subspace.full), budget)
 
 
 def star(x: Subspace, k: int, budget=DEFAULT_ENUM_BUDGET) -> SubspaceFamily:
     """All k-subspaces containing x; for dim(x)=1 its size is [n-1 k-1]."""
-    field, n = x.field, x.n
-    if not x.dim <= k <= n:
+    if not x.dim <= k <= x.n:
         raise ParameterOutOfRange(
             f"star needs dim(x) <= k <= n, got k={k}, dim={x.dim}")
-    members = [s for s in enumerate_layer(field, n, k, budget=budget)
-               if s.contains(x)]
-    return SubspaceFamily(field, n, members)
+    return _family(x.field, x.n, [_meets(x, k, x.dim)], budget)
 
 
 def canonical_double_ball(x: Subspace, t: int,
@@ -176,7 +237,8 @@ def canonical_double_ball(x: Subspace, t: int,
         raise InvalidConfiguration(f"center must be a line, got dim {x.dim}")
     if t + 1 > x.n:
         raise ParameterOutOfRange(f"t={t} too large for n={x.n}")
-    return lower_layers(x.field, x.n, t, budget).union(star(x, t + 1, budget))
+    parts = _lower_parts(x.field, x.n, t)
+    return _family(x.field, x.n, [_meets(x, t + 1, 1)] + parts, budget)
 
 
 def canonical_family(field, n, t, which,
@@ -189,6 +251,17 @@ def canonical_family(field, n, t, which,
     raise ValueError(f"unknown canonical family {which!r}")
 
 
+def _hilton_milner_parts(x, y):
+    if x.dim != 1:
+        raise InvalidConfiguration(f"x must be a line, got dim {x.dim}")
+    if y.contains(x):
+        raise InvalidConfiguration("x must not lie inside y")
+    x._check_ambient(y)
+    k, count, through = _meets(x, y.dim, 1)
+    return [(k, count, (s for s in through if _meet_dim(s, y) >= 1)),
+            _meets(x.sum(y), k, k)]
+
+
 def hilton_milner_family(x: Subspace, y: Subspace,
                          budget=DEFAULT_ENUM_BUDGET) -> SubspaceFamily:
     """The maximum nontrivial 1-intersecting family of k-spaces, k = dim(y).
@@ -196,45 +269,32 @@ def hilton_milner_family(x: Subspace, y: Subspace,
     Members are the k-spaces through the line x that meet y, together with
     every k-space inside x + y.  Requires x a line not inside y.
     """
-    if x.dim != 1:
-        raise InvalidConfiguration(f"x must be a line, got dim {x.dim}")
-    if y.contains(x):
-        raise InvalidConfiguration("x must not lie inside y")
-    x._check_ambient(y)
-    field, n = x.field, x.n
-    k = y.dim
-    hull = x.sum(y)
-    members = []
-    for s in enumerate_layer(field, n, k, budget=budget):
-        if s.contains(x):
-            if _meet_dim(s, y) >= 1:
-                members.append(s)
-        elif hull.contains(s):
-            members.append(s)
-    return SubspaceFamily(field, n, members)
+    return _family(x.field, x.n, _hilton_milner_parts(x, y), budget)
+
+
+def _hilton_milner_triple_parts(y):
+    if y.dim != 3:
+        raise InvalidConfiguration(f"y must have dimension 3, got {y.dim}")
+    return [_meets(y, 3, 2)]
 
 
 def hilton_milner_triple(y: Subspace, budget=DEFAULT_ENUM_BUDGET) -> SubspaceFamily:
     """The 3-space variant: all 3-spaces meeting a fixed 3-space y in dim >= 2."""
-    if y.dim != 3:
-        raise InvalidConfiguration(f"y must have dimension 3, got {y.dim}")
-    field, n = y.field, y.n
-    members = [s for s in enumerate_layer(field, n, 3, budget=budget)
-               if _meet_dim(s, y) >= 2]
-    return SubspaceFamily(field, n, members)
+    return _family(y.field, y.n, _hilton_milner_triple_parts(y), budget)
 
 
 def extremal_odd_family(x: Subspace, y: Subspace,
                         budget=DEFAULT_ENUM_BUDGET) -> SubspaceFamily:
     """Lower layers below dim(y) united with the Hilton-Milner top layer."""
-    top = hilton_milner_family(x, y, budget)
-    return lower_layers(x.field, x.n, y.dim - 1, budget).union(top)
+    top = _hilton_milner_parts(x, y)
+    return _family(x.field, x.n, top + _lower_parts(x.field, x.n, y.dim - 1),
+                   budget)
 
 
 def extremal_odd_triple(y: Subspace, budget=DEFAULT_ENUM_BUDGET) -> SubspaceFamily:
     """Lower layers 0..2 united with the 3-space Hilton-Milner variant."""
-    top = hilton_milner_triple(y, budget)
-    return lower_layers(y.field, y.n, 2, budget).union(top)
+    top = _hilton_milner_triple_parts(y)
+    return _family(y.field, y.n, top + _lower_parts(y.field, y.n, 2), budget)
 
 
 def perp_family(fam: SubspaceFamily) -> SubspaceFamily:
@@ -516,23 +576,6 @@ _WITNESS_DETAIL = {
 }
 
 
-def _lines_in(w: Subspace):
-    """The lines of w in canonical order, built one at a time.
-
-    The line through sum_i y_i w_i, for y a line of F_q^dim(w) led by a 1,
-    is led by that 1 at the pivot of w's row i, and two such lines first
-    differ at the pivot of the first row where their y differ; so as y runs
-    over the lines of F_q^dim(w) in canonical order, so do the images.
-    """
-    field, n = w.field, w.n
-    for y in enumerate_layer(field, w.dim, 1, budget=None):
-        v = [0] * n
-        for c, row in zip(y.rows[0], w.rows):
-            if c:
-                v = [field.add(a, field.mul(c, b)) for a, b in zip(v, row)]
-        yield Subspace.from_generators(field, n, [v])
-
-
 def _centre_pairs(fam, family_class, t, probes, budget):
     """The forbidden configurations of the class, in scan order, each the
     union ball(c1, t) ∪ ball(c2, t): yields (c1, c2, p1, the probes still
@@ -566,7 +609,7 @@ def _centre_pairs(fam, family_class, t, probes, budget):
                     common = common.intersect(s)
                     if common.dim == 0:
                         break
-            for x in _lines_in(common):
+            for x in _meeting(common, 1, 1):
                 yield zero, x, zero, probes, "canonical_double_ball", (x,)
         if m >= n - t - 1:
             span = zero
@@ -575,7 +618,7 @@ def _centre_pairs(fam, family_class, t, probes, budget):
                     span = span.sum(s)
                     if span.dim == n:
                         break
-            for x in _lines_in(span.perp()):
+            for x in _meeting(span.perp(), 1, 1):
                 yield (full, x.perp(), full, probes,
                        "canonical_double_ball_perp", (x,))
     elif family_class == "B_even":

@@ -79,7 +79,7 @@ import time
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, NotExhaustive, ParameterOutOfRange
-from .families import (SubspaceFamily, _first_line, _lines_in, ball,
+from .families import (SubspaceFamily, _first_line, _meeting, ball,
                        canonical_double_ball, diameter_at_most,
                        extremal_odd_family, is_admissible, lower_layers,
                        perp_family, star, upper_layers, write_family)
@@ -564,12 +564,11 @@ def _admissible_seed(field, n, d, family_class):
     if n == d + 1 and t >= 1:
         # mixed complementary split: lower layers below t, top layer n-t,
         # and for odd d the (t+1)-spaces through x
-        split = lower_layers(field, n, t - 1, budget=None).union(
-            SubspaceFamily(field, n,
-                           list(enumerate_layer(field, n, n - t, budget=None))))
+        split = [*lower_layers(field, n, t - 1, budget=None),
+                 *enumerate_layer(field, n, n - t, budget=None)]
         if d % 2 == 1:
-            split = split.union(star(x, t + 1, budget=None))
-        candidates.append(split)
+            split += star(x, t + 1, budget=None)
+        candidates.append(SubspaceFamily(field, n, split))
     if d % 2 == 0 and 2 * t < n <= 3 * t:
         # a t-space is n-t <= 2t from F_q^n, so layer t with F_q^n has
         # diameter <= d; so does its perp, layer n-t with 0
@@ -742,7 +741,7 @@ def verify_characterization(report: SearchReport):
         # the star of each line, its (t+1)-spaces, grouped in one pass
         stars = {x: [] for x in enumerate_layer(field, n, 1, budget=None)}
         for w in enumerate_layer(field, n, t + 1, budget=None):
-            for x in _lines_in(w):
+            for x in _meeting(w, 1, 1):
                 stars[x].append(w)
         if boundary:
             case = ("boundary_split_odd",

@@ -235,6 +235,19 @@ def test_enumerate_budget(capsys, monkeypatch):
     assert "budget" in err.lower()
 
 
+def test_construct_budget_bounds_the_subspaces_built(tmp_path, capsys):
+    # the r=2 ball around a line of F_2^7 builds at most [6 2]_2 = 651
+    # subspaces in one layer (its 3-spaces through the line), not the
+    # 11,811 3-spaces of the whole layer
+    argv = ("construct", "ball", "--center", "2:7:1:1000000", "--r", "2",
+            "-o", str(tmp_path / "ball.fam"), "--budget")
+    code, _, _ = run_cli(capsys, *argv, "651")
+    assert code == 0
+    code, _, err = run_cli(capsys, *argv, "650")
+    assert code == 2
+    assert "budget is 650" in err
+
+
 # -- oracle ----------------------------------------------------------------------
 
 def test_oracle_exit_zero_and_report(tmp_path, capsys):

@@ -206,6 +206,171 @@ def test_q3_construction_sizes_smallest_n():
     assert len(extremal_odd_triple(y5)) == odd_stability_bound(5, 2, 3)
 
 
+# -- direct construction against the layer scan ------------------------------
+
+def _scan_ball(center, radius):
+    """Reference: every subspace of the layers within radius of dim(center),
+    kept when its distance to the center is at most radius."""
+    field, n = center.field, center.n
+    members = []
+    for k in range(max(0, center.dim - radius),
+                   min(n, center.dim + radius) + 1):
+        for s in enumerate_layer(field, n, k, budget=None):
+            if center.distance(s) <= radius:
+                members.append(s)
+    return SubspaceFamily(field, n, members)
+
+
+def _scan_star(x, k):
+    """Reference: the k-spaces of the whole layer that contain x."""
+    return SubspaceFamily(x.field, x.n, [
+        s for s in enumerate_layer(x.field, x.n, k, budget=None)
+        if s.contains(x)])
+
+
+def _scan_hilton_milner(x, y):
+    """Reference: the k-spaces (k = dim y) through x meeting y, and those
+    inside x + y, from a scan of the whole layer."""
+    hull = x.sum(y)
+    members = []
+    for s in enumerate_layer(x.field, x.n, y.dim, budget=None):
+        if s.contains(x):
+            if _meet_dim(s, y) >= 1:
+                members.append(s)
+        elif hull.contains(s):
+            members.append(s)
+    return SubspaceFamily(x.field, x.n, members)
+
+
+def _scan_hilton_milner_triple(y):
+    """Reference: the 3-spaces of the whole layer meeting y in dim >= 2."""
+    return SubspaceFamily(y.field, y.n, [
+        s for s in enumerate_layer(y.field, y.n, 3, budget=None)
+        if _meet_dim(s, y) >= 2])
+
+
+def _meet_dim(a, b):
+    return a.dim + b.dim - a.rank_with(b)
+
+
+def _meet_centres(field, n, rng):
+    """Every subspace of a lattice of at most 250; above that, random
+    subspaces, 3000 // (lattice size) of each dimension (at least one)."""
+    size = lattice_size(field.q, n)
+    if size <= 250:
+        for k in range(n + 1):
+            yield from enumerate_layer(field, n, k)
+        return
+    for k in range(n + 1):
+        picked = set()
+        want = min(max(1, 3000 // size), gauss_binom(n, k, field.q))
+        while len(picked) < want:
+            s = Subspace.from_generators(
+                field, n, [[rng.randrange(field.q) for _ in range(n)]
+                           for _ in range(k)])
+            if s.dim == k:
+                picked.add(s)
+        yield from sorted(picked)
+
+
+def test_meeting_matches_layer_scan():
+    # the k-spaces meeting c in exactly j dimensions, each once, the layer
+    # scan's set, and [m j]_q [n-m k-j]_q q^((k-j)(m-j)) of them (m = dim c),
+    # for every q and every n with q^n <= 256 whose lattice has at most
+    # 3,000 subspaces; (2,7) and (2,8), 29,212 and 417,199, take tens of
+    # seconds, and test_constructors_match_layer_scan covers (2,7)
+    rng = random.Random(47)
+    for q in SUPPORTED_ORDERS:
+        field = field_new(q)
+        n = 1
+        while q ** n <= 256 and lattice_size(q, n) <= 3000:
+            for c in _meet_centres(field, n, rng):
+                m = c.dim
+                for k in range(n + 1):
+                    by_meet = {}
+                    for s in enumerate_layer(field, n, k):
+                        by_meet.setdefault(_meet_dim(s, c), set()).add(s)
+                    for j in range(min(k, m) + 1):
+                        built = list(families._meeting(c, k, j))
+                        if k == j == 1:  # the lines of c, in canonical order
+                            assert built == sorted(built)
+                        assert len(set(built)) == len(built)
+                        assert set(built) == by_meet.get(j, set())
+                        assert len(built) == (
+                            gauss_binom(m, j, q) * gauss_binom(n - m, k - j, q)
+                            * q ** ((k - j) * (m - j)))
+            n += 1
+
+
+def _moved_axes(field, n, rng):
+    """g<e0> and g<e1, e2, e3> for a random invertible g."""
+    while True:
+        g = [[rng.randrange(field.q) for _ in range(n)] for _ in range(n)]
+        if Subspace.from_generators(field, n, g).dim == n:
+            return span(field, n, g[0]), span(field, n, *g[1:4])
+
+
+@pytest.mark.parametrize("q,n", [(2, 7), (3, 5)])
+def test_constructors_match_layer_scan(q, n):
+    field = field_new(q)
+    x, y = _moved_axes(field, n, random.Random(f"{q}:{n}"))
+    t = 2
+
+    def layers(ks):  # reference: every subspace of the layers ks
+        return [s for k in ks for s in enumerate_layer(field, n, k)]
+    assert lower_layers(field, n, t) == SubspaceFamily(field, n,
+                                                       layers(range(t + 1)))
+    assert upper_layers(field, n, t) == SubspaceFamily(
+        field, n, layers(range(n - t, n + 1)))
+    # at (2,7) the balls of radius >= 4 hold most of the lattice, and each
+    # scan takes about 0.3 s
+    for c in (x, y):
+        for r in range(n + 1 if lattice_size(q, n) <= 3000 else 4):
+            assert ball(c, r) == _scan_ball(c, r)
+    assert double_ball(x, y, t) == SubspaceFamily(
+        field, n, _scan_ball(x, t).members + _scan_ball(y, t).members)
+    for k in range(1, n + 1):
+        assert star(x, k) == _scan_star(x, k)
+    assert star(y, 4) == _scan_star(y, 4)
+    hm, hm3 = _scan_hilton_milner(x, y), _scan_hilton_milner_triple(y)
+    assert hilton_milner_family(x, y) == hm
+    assert hilton_milner_triple(y) == hm3
+    assert canonical_double_ball(x, t - 1) == SubspaceFamily(
+        field, n, layers(range(t)) + list(_scan_star(x, t)))
+    assert extremal_odd_family(x, y) == SubspaceFamily(
+        field, n, layers(range(t + 1)) + list(hm))
+    assert extremal_odd_triple(y) == SubspaceFamily(
+        field, n, layers(range(t + 1)) + list(hm3))
+
+
+def test_construction_budget_bounds_the_subspaces_built(monkeypatch):
+    # the r=2 ball around a line of F_2^7 builds 651 subspaces in its
+    # largest layer, its 3-spaces through the line; the budget is checked
+    # before any is built
+    x = axis_line(F2, 7)
+    assert len(ball(x, 2, budget=651)) == type_a_even_bound(7, 2, 2)
+
+    def refuse(*args):
+        raise AssertionError("built a subspace over the budget")
+    for build in ("from_generators", "_from_rref"):
+        monkeypatch.setattr(Subspace, build, classmethod(refuse))
+    with pytest.raises(BudgetExceeded) as exc:
+        ball(x, 2, budget=650)
+    assert exc.value.would_be_count == 651
+
+
+def test_odd_and_even_extremal_families_at_n8():
+    # K(x, y) at (2, 8, t=2) and the radius-2 ball around a line: the
+    # stability bounds, diameters 2t + 1 and 2t
+    x = axis_line(F2, 8)
+    k = extremal_odd_family(x, axis_subspace(F2, 8, [1, 2, 3]))
+    assert len(k) == odd_stability_bound(8, 2, 2)
+    assert diameter(k) == 5
+    b = ball(x, 2)
+    assert len(b) == type_a_even_bound(8, 2, 2)
+    assert diameter(b) == 4
+
+
 # -- statistics -----------------------------------------------------------------
 
 def test_diameter_examples():
@@ -304,8 +469,8 @@ def test_diameter_at_most_skips_pairs_that_cannot_exceed_d(monkeypatch):
             for t in range(n + 1):
                 lower = lower_layers(field, n, t)
                 cases += [lower, upper_layers(field, n, t)]
-                cases.append(perp_family(
-                    lower.union(random_family(field, n, rng, 4))))
+                cases.append(perp_family(SubspaceFamily(field, n, (
+                    lower.members + random_family(field, n, rng, 4).members))))
             if n >= 2:
                 dball = canonical_double_ball(axis_line(field, n), n // 2 - 1)
                 cases += [dball, perp_family(dball)]
@@ -768,7 +933,8 @@ def test_b_odd_admissibility_implies_a_odd():
         canonical_double_ball(x, 2),
         canonical_double_ball(x, 1),
         ball(x, 1),
-        lower_layers(F2, 5, 1).union(star(x, 2)),
+        SubspaceFamily(F2, 5, lower_layers(F2, 5, 1).members
+                       + star(x, 2).members),
     ]
     for fam in candidates:
         for t in (1, 2):
