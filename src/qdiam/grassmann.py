@@ -162,7 +162,7 @@ class LatticeIndex:
     incidence is tested against.
     """
 
-    __slots__ = ("field", "n", "subspaces", "layer_bounds", "_pos", "_dist",
+    __slots__ = ("field", "n", "subspaces", "layer_bounds", "_pos",
                  "_incidence")
 
     def __init__(self, field, n, subspaces, layer_bounds):
@@ -171,7 +171,6 @@ class LatticeIndex:
         self.subspaces = subspaces
         self.layer_bounds = layer_bounds
         self._pos = {s: i for i, s in enumerate(subspaces)}
-        self._dist = None
         self._incidence = None
 
     @property
@@ -269,9 +268,7 @@ class LatticeIndex:
         return out
 
     def distance_table(self, cell_budget: int = DEFAULT_DISTANCE_CELL_BUDGET) -> bytearray:
-        """Materialize (once) the full pairwise distance table."""
-        if self._dist is not None:
-            return self._dist
+        """The full pairwise distance table, built by row elimination."""
         nv = len(self.subspaces)
         if nv * nv > cell_budget:
             raise BudgetExceeded(
@@ -286,7 +283,6 @@ class LatticeIndex:
                 d = si.distance(subs[j])
                 table[row + j] = d
                 table[j * nv + i] = d
-        self._dist = table
         return table
 
 

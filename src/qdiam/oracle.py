@@ -4,21 +4,19 @@ The maximum bounded-diameter family problem is a maximum clique problem on
 the graph whose vertices are all subspaces and whose edges join pairs at
 distance at most d.  The engine keeps one non-neighbour mask per vertex,
 the complement of its radius-d ball mask in the lattice index, built when
-the search first reads it, and the degeneracy order peels vertices by
-bit-sliced non-degree counters, so neither loops over vertex pairs in
-Python.  The engine branches over one representative per layer pair at the
-root (the degeneracy order with canonical tie-breaking when every maximum
-family is wanted) and uses greedy-coloring upper bounds inside (San
-Segundo et al. 2011): coloring a vertex is one AND with its non-neighbour
-mask, and only the vertices whose color reaches k_min = need - |clique|
-are returned for branching, since the others are cut anyway (Konc and
-Janezic 2007).  It adds domain caps, one per complementary layer pair
-(k, n-k): when d < n a partial solution together with its candidates can
-never place more than [n k] members on a pair, and a layer holds at most
-the Frankl-Wilson EKR bound (see __init__).  The caps keep the 374-vertex
-lattice of F_2^5 tractable, and the EKR cap on the middle layer is what
-proves the boundary n = d+1 at (2, 6, 5); generic coloring alone stalls
-there.
+the search first reads it, so no step loops over vertex pairs in Python.
+The engine branches over one representative per layer pair at the root
+(every vertex, pair by pair, when every maximum family is wanted) and uses
+greedy-coloring upper bounds inside (San Segundo et al. 2011): coloring a
+vertex is one AND with its non-neighbour mask, and only the vertices whose
+color reaches k_min = need - |clique| are returned for branching, since
+the others are cut anyway (Konc and Janezic 2007).  It adds domain caps,
+one per complementary layer pair (k, n-k): when d < n a partial solution
+together with its candidates can never place more than [n k] members on a
+pair, and a layer holds at most the Frankl-Wilson EKR bound (see
+__init__).  The caps keep the 374-vertex lattice of F_2^5 tractable, and
+the EKR cap on the middle layer is what proves the boundary n = d+1 at
+(2, 6, 5); generic coloring alone stalls there.
 
 Admissibility ("not contained in any forbidden configuration") is not
 hereditary, so it cannot be folded into the graph.  Every class is instead
@@ -54,8 +52,9 @@ layer pair (k, n-k), middle pair first, and settles the whole pair, its
 mask in the cap table: GL(n, q) and perp preserve distance, the caps and
 every class's clauses, so some maximum family holds the representative of
 the first pair it meets (orbital branching, Ostrowski et al. 2011;
-docs/decisions.md).  With enumerate_all the root is the degeneracy order,
-each vertex settling itself.
+docs/decisions.md).  With enumerate_all every vertex is a root, pair by
+pair in the same order, each settling itself; every vertex of a pair has the
+same degree, so this is also the ascending-degree order.
 
 Recorded witnesses are always re-verified by the families' own diameter
 scan, ``diameter_at_most``, which meets member pairs by vector masks, not
@@ -85,7 +84,7 @@ from .families import (SubspaceFamily, _first_line, _meeting, ball,
                        perp_family, star, upper_layers, write_family)
 from .gfq import field_new
 from .grassmann import (DEFAULT_DISTANCE_CELL_BUDGET, build_index,
-                        enumerate_layer, ripple_add)
+                        enumerate_layer)
 from .qcount import (ekr_bound, gauss_binom, hilton_milner_bound,
                      kleitman_bound, kleitman_in_range, odd_stability_bound,
                      odd_stability_in_range, small_s_nontrivial_bound,
@@ -275,47 +274,21 @@ class _CliqueEngine:
             rest ^= b
 
     def _degeneracy_order(self):
-        """Peel minimum-degree vertices, canonical index as tie-break.
-
-        An alive vertex's degree is |alive| - 1 minus its alive non-degree,
-        so the minimum degree is the maximum non-degree.  The non-degrees
-        are bit-sliced: plane j holds bit j of every vertex's count, built
-        by ripple-adding the non-neighbour rows.  A top-down scan of the
-        planes keeps, at each plane, the alive vertices with a 1 bit
-        whenever there are any, which leaves those of maximum non-degree;
-        the next vertex is the lowest of them.  Removing it ripple-borrows
-        one from the count of each alive non-neighbour.
-        """
-        self._build((1 << self.nv) - 1)
-        non = self.non
-        planes = []
-        for row in non:
-            ripple_add(planes, row)
-        alive = (1 << self.nv) - 1
+        """Every vertex, by layer pair (k, n-k) for k = n//2 down to 0, layer
+        k first, each layer in canonical order; builds no row.  Every vertex
+        of a pair has the same degree (docs/decisions.md).  perfbench/spans.py
+        times this method by name."""
+        n = self.index.n
         order = []
-        for _ in range(self.nv):
-            high = alive
-            for p in reversed(planes):
-                one = high & p
-                if one:
-                    high = one
-            b = high & -high
-            v = b.bit_length() - 1
-            order.append(v)
-            alive ^= b
-            borrow = non[v] & alive
-            j = 0
-            while borrow:
-                p = planes[j]
-                planes[j] = p ^ borrow
-                borrow &= ~p
-                j += 1
+        for k in range(n // 2, -1, -1):
+            for j in sorted({k, n - k}):
+                order += range(*self.index.layer_range(j))
         return order
 
     def _roots(self, collect_all):
         """The root's vertices, tried from the end, and their settle masks:
-        with collect_all the degeneracy order, each vertex settling itself;
-        else the first k-space for k = n//2 down to 0, settling (k, n-k)."""
+        with collect_all every vertex in _degeneracy_order, settling itself;
+        else the first k-space of each pair, settling the pair."""
         if collect_all:
             order = self._degeneracy_order()
             order.reverse()
@@ -399,9 +372,10 @@ class _CliqueEngine:
         live clauses being those that contain the partial clique plist and
         keep the length of plist before the frame's branch vertex.  A tried
         vertex leaves the untried candidates; at the root its settle mask
-        (see _roots) leaves with it.  A node that passes both checks builds
-        its candidates' rows and forces the universal ones into plist;
-        backtracking pops plist down to keep.
+        (see _roots) leaves with it.  A root node builds its vertex's row,
+        and a node that passes both checks builds its candidates' rows and
+        forces the universal ones into plist; backtracking pops plist down
+        to keep.
         deadline is a time.monotonic() value, checked at every root node, at
         every 1024th node and after every node that built rows.
         """
@@ -532,7 +506,8 @@ def _materialize_witnesses(index, collected, d):
     subspaces = index.subspaces
     masks = {}
     witnesses = []
-    for vertices in collected:
+    # index order is canonical order, so this sorts by the member tuples
+    for vertices in sorted(sorted(c) for c in collected):
         fam = SubspaceFamily(field, n, [subspaces[v] for v in vertices])
         ok, pair = diameter_at_most(fam, d, masks)
         if not ok:
@@ -540,7 +515,6 @@ def _materialize_witnesses(index, collected, d):
                 "search produced a witness violating the diameter bound: "
                 f"{pair}")
         witnesses.append(fam)
-    witnesses.sort(key=lambda f: tuple(s.sort_key() for s in f.members))
     return witnesses
 
 

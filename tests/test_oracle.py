@@ -589,33 +589,6 @@ def _color_order_by_scan(adj, cand):
     return order, bounds
 
 
-def _degeneracy_order_by_scan(adj, nv):
-    """The full alive-set scan the bucket queue replaced, kept as reference."""
-    alive = (1 << nv) - 1
-    degree = [(adj[v] & alive).bit_count() for v in range(nv)]
-    order = []
-    for _ in range(nv):
-        bestv = -1
-        bestdeg = nv + 1
-        rest = alive
-        while rest:
-            b = rest & -rest
-            v = b.bit_length() - 1
-            rest ^= b
-            if degree[v] < bestdeg:
-                bestdeg = degree[v]
-                bestv = v
-        order.append(bestv)
-        alive ^= 1 << bestv
-        neigh = adj[bestv] & alive
-        while neigh:
-            b = neigh & -neigh
-            u = b.bit_length() - 1
-            neigh ^= b
-            degree[u] -= 1
-    return order
-
-
 def _popcount_ball(index, masks, i, radius):
     """The per-pair vector-mask popcount ball the line counters replaced;
     masks[v] is the vector mask of vertex v."""
@@ -636,38 +609,6 @@ def _popcount_ball(index, masks, i, radius):
     return out
 
 
-def _degeneracy_order_by_buckets(adj, nv):
-    """The per-degree bucket queue the bit-sliced degrees replaced."""
-    alive = (1 << nv) - 1
-    degree = [adj[v].bit_count() for v in range(nv)]
-    buckets = [0] * (nv + 1)
-    for v, k in enumerate(degree):
-        buckets[k] |= 1 << v
-    order = []
-    low = 0
-    for _ in range(nv):
-        while not buckets[low]:
-            low += 1
-        bucket = buckets[low]
-        b = bucket & -bucket
-        v = b.bit_length() - 1
-        buckets[low] = bucket ^ b
-        order.append(v)
-        alive ^= b
-        neigh = adj[v] & alive
-        while neigh:
-            b = neigh & -neigh
-            u = b.bit_length() - 1
-            neigh ^= b
-            k = degree[u]
-            buckets[k] ^= b
-            buckets[k - 1] |= b
-            degree[u] = k - 1
-        if low:
-            low -= 1
-    return order
-
-
 @pytest.mark.parametrize("q,n", SMALL_LATTICES + [(2, 6)])
 def test_ball_matches_popcount_reference(q, n):
     index = build_index(field_new(q), n, budget=None)
@@ -676,15 +617,6 @@ def test_ball_matches_popcount_reference(q, n):
         for i in range(index.size):
             assert index.ball(i, radius) == _popcount_ball(index, masks, i,
                                                            radius)
-
-
-@pytest.mark.parametrize("q,n", [(2, 6), (3, 5)])
-def test_degeneracy_order_matches_bucket_queue(q, n):
-    index = build_index(field_new(q), n, budget=None)
-    for d in range(n + 1):
-        engine = _CliqueEngine(index, d)
-        assert engine._degeneracy_order() == _degeneracy_order_by_buckets(
-            _adjacency(engine), index.size)
 
 
 def _clause_index_by_bits(clauses, nv):
@@ -720,15 +652,6 @@ def test_engine_adjacency_matches_distance_table(q, n):
     for d in range(n + 1):
         expected = [_table_ball(table, nv, i, d) ^ (1 << i) for i in range(nv)]
         assert _adjacency(_CliqueEngine(index, d)) == expected
-
-
-@pytest.mark.parametrize("q,n", DESK_LATTICES)
-def test_degeneracy_order_matches_full_scan(q, n):
-    index = build_index(field_new(q), n)
-    for d in range(n + 1):
-        engine = _CliqueEngine(index, d)
-        assert engine._degeneracy_order() == _degeneracy_order_by_scan(
-            _adjacency(engine), index.size)
 
 
 @pytest.mark.parametrize("q,n", DESK_LATTICES)
@@ -903,8 +826,10 @@ class _FullScanEngine(_CliqueEngine):
             cur ^= 1 << v
 
 
-def _search_with(monkeypatch, engine_cls, q, n, d, family_class, enumerate_all):
-    """One search on an engine of engine_cls; returns the report and engine."""
+def _search_with(monkeypatch, engine_cls, q, n, d, family_class, enumerate_all,
+                 **options):
+    """One search on an engine of engine_cls, with the driver's keyword
+    options; returns the report and engine."""
     engines = []
 
     class Recording(engine_cls):
@@ -914,9 +839,10 @@ def _search_with(monkeypatch, engine_cls, q, n, d, family_class, enumerate_all):
 
     monkeypatch.setattr(oracle, "_CliqueEngine", Recording)
     if family_class is None:
-        rep = max_diameter_family(q, n, d, enumerate_all)
+        rep = max_diameter_family(q, n, d, enumerate_all, **options)
     else:
-        rep = max_admissible_family(q, n, d, family_class, enumerate_all)
+        rep = max_admissible_family(q, n, d, family_class, enumerate_all,
+                                    **options)
     return rep, engines[0]
 
 
@@ -1054,7 +980,7 @@ class _EagerEngine(_CliqueEngine):
 
 class _FullRootEngine(_EagerEngine):
     """The production engine with the root every search had before the
-    orbit representatives: each subspace in reversed degeneracy order,
+    orbit representatives: each subspace, in the --all root order,
     settling itself alone; kept as reference for the optimum."""
 
     def _roots(self, collect_all):
@@ -1063,7 +989,7 @@ class _FullRootEngine(_EagerEngine):
 
 # Every (q, n, d) with 1 <= d < n, n <= 5 for q = 2 and n <= 4 for q = 3,
 # plain and in each class of the parity of d: 46 searches.  The full root
-# takes about 6 s at (2, 5, 3) in A_odd and B_odd (410,296 nodes); those
+# takes about 2 s at (2, 5, 3) in A_odd and B_odd (258,314 nodes); those
 # two are proven by test_orbit_root_proves_admissible_optimum alone.
 ORBIT_CASES = [(q, n, d, cls) for q, top in ((2, 5), (3, 4))
                for n in range(2, top + 1) for d in range(1, n)
@@ -1083,6 +1009,59 @@ def test_orbit_root_matches_full_root(monkeypatch, q, n, d, family_class):
     assert rep.witness_count == ref.witness_count
     assert rep.bound_match == ref.bound_match
     assert rep.nodes_explored <= ref.nodes_explored
+
+
+# -- --all rooted by layer pair against canonical order -----------------------------
+
+@pytest.mark.parametrize("q,n", [(2, 5), (3, 4), (2, 6)])
+def test_all_roots_walk_the_layer_pairs_middle_first(q, n):
+    # --all roots every vertex once, tried from the end: the pair nearest
+    # the middle first, and within a pair canonical order, which puts layer
+    # k before layer n-k.  GL(n, q) and perp preserve distance, so every
+    # vertex of a pair has one degree, and this is the order of ascending
+    # degree with canonical tie-break.
+    index = build_index(field_new(q), n, budget=None)
+    nv = index.size
+    dims = [s.dim for s in index.subspaces]
+    expected = sorted(range(nv), key=lambda v: (-min(dims[v], n - dims[v]), v))
+    for d in range(1, n):
+        engine = _CliqueEngine(index, d)
+        roots, settle = engine._roots(True)
+        assert roots[::-1] == expected, d
+        assert settle == [1 << v for v in roots]
+        assert engine.built == 0  # the order reads no row
+        degree = [index.ball(v, d).bit_count() - 1 for v in range(nv)]
+        for k in range(n + 1):
+            lo, hi = index.layer_range(k)
+            other = index.layer_range(n - k)[0]
+            assert set(degree[lo:hi]) == {degree[other]}, (d, k)
+        assert sorted(range(nv), key=lambda v: (degree[v], v)) == expected, d
+
+
+class _CanonicalRootEngine(_CliqueEngine):
+    """The production engine rooted at every subspace in canonical order,
+    each settling itself alone; kept as reference for the layer-pair root
+    order of --all."""
+
+    def _roots(self, collect_all):
+        order = list(range(self.nv - 1, -1, -1))
+        return order, [1 << v for v in order]
+
+
+@pytest.mark.parametrize("q,n,d,family_class",
+                         [case for case in ORBIT_CASES if case not in _COSTLY_ALL])
+def test_all_pair_order_matches_canonical_root(monkeypatch, q, n, d,
+                                               family_class):
+    # No witness cap, so the witness lists are compared whole.
+    ref, _ = _search_with(monkeypatch, _CanonicalRootEngine, q, n, d,
+                          family_class, True, witness_cap=10**6)
+    rep, _ = _search_with(monkeypatch, _CliqueEngine, q, n, d, family_class,
+                          True, witness_cap=10**6)
+    assert ref.exhaustive and rep.exhaustive
+    assert len(rep.witnesses) == rep.witness_count
+    assert rep.optimum == ref.optimum
+    assert rep.witness_count == ref.witness_count
+    assert rep.witnesses == ref.witnesses
 
 
 # -- non-neighbour rows built on first use against rows built up front -------------
@@ -1115,7 +1094,7 @@ def test_lazy_rows_match_eager_rows(monkeypatch, q, n, d, family_class,
 def test_search_builds_only_the_rows_it_reads(monkeypatch, q, n, d,
                                               enumerate_all, rows):
     # An optimum search on the frontier reads a few rows of thousands;
-    # --all computes the degeneracy order, which reads every row.
+    # --all roots every vertex, and each root node builds its own row.
     rep, engine = _search_with(monkeypatch, _CliqueEngine, q, n, d, None,
                                enumerate_all)
     assert rep.proven_optimal and rep.optimum == kleitman_bound(n, d, q)
@@ -1129,8 +1108,8 @@ def test_search_builds_only_the_rows_it_reads(monkeypatch, q, n, d,
 def test_timeout_counts_row_building(monkeypatch, steps, enumerate_all, nodes):
     # The fake clock moves only while rows are built: the i-th build call
     # takes steps[i] seconds.  A deadline that passes during the first
-    # build (the root vertex's row, or every row for the degeneracy order)
-    # stops the search at its first node.  At (2, 6, 3) the third build is
+    # build, the first root vertex's row, stops the search at its first
+    # node; --all builds no other row before it.  At (2, 6, 3) the third build is
     # the coloring of the second root node, whose children would not reach
     # a 1024th node: a deadline that passes there stops the search at once.
     now = [0.0]
@@ -1149,6 +1128,10 @@ def test_timeout_counts_row_building(monkeypatch, steps, enumerate_all, nodes):
     assert rep.timed_out and not rep.proven_optimal
     assert rep.nodes_explored == nodes
     assert rep.optimum == rep.greedy_seed_size
+    if enumerate_all:
+        # the first root is the first vertex of the middle layer
+        first = build_index(field_new(2), n).layer_range(n // 2)[0]
+        assert calls == [1 << first]
     monkeypatch.setattr(_CliqueEngine, "_build", build)
     rep = max_diameter_family(2, n, d, enumerate_all, timeout_secs=4.0)
     assert not rep.timed_out and rep.nodes_explored > 1
@@ -1157,7 +1140,7 @@ def test_timeout_counts_row_building(monkeypatch, steps, enumerate_all, nodes):
 @pytest.mark.parametrize("q,n,d,family_class,optimum", [
     (2, 5, 3, "A_odd", 39), (2, 5, 3, "B_odd", 39), (2, 6, 2, "B_even", 8)])
 def test_orbit_root_proves_admissible_optimum(q, n, d, family_class, optimum):
-    # Costly for the full root: 410,296 nodes at (2, 5, 3) in both odd
+    # Costly for the full root: 258,314 nodes at (2, 5, 3) in both odd
     # classes, and 3.2M nodes at (2, 6, 2) B_even.
     rep = max_admissible_family(q, n, d, family_class)
     assert rep.optimum == optimum
