@@ -48,7 +48,7 @@ from .errors import (AmbientMismatch, BudgetExceeded, EmptyFamily,
                      InvalidConfiguration, ParameterOutOfRange, ParseError)
 from .gfq import field_new
 from .grassmann import (DEFAULT_DISTANCE_CELL_BUDGET, DEFAULT_ENUM_BUDGET,
-                        enumerate_layer)
+                        enumerate_layer, write_subspaces)
 from .qcount import gauss_binom
 from .subspace import Subspace
 
@@ -685,8 +685,7 @@ def is_admissible(fam: SubspaceFamily, family_class: str, t: int,
 def write_family(fam: SubspaceFamily, fileobj) -> None:
     """Write the family file: header ``family q n count`` then one token per line."""
     fileobj.write(f"family {fam.field.q} {fam.n} {len(fam.members)}\n")
-    for s in fam.members:
-        fileobj.write(s.to_token() + "\n")
+    write_subspaces(fam.members, fileobj)
 
 
 def read_family(fileobj) -> SubspaceFamily:

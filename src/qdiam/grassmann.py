@@ -70,9 +70,6 @@ def enumerate_layer(field: FieldSpec, n: int, k: int, budget: int | None = DEFAU
         raise BudgetExceeded(
             f"layer (q={field.q}, n={n}, k={k}) has {expected} subspaces, "
             f"budget is {budget}", would_be_count=expected)
-    if k == 0:
-        yield Subspace.zero(field, n)
-        return
     q = field.q
     for pivots in combinations(range(n), k):
         pivset = set(pivots)
@@ -85,10 +82,6 @@ def enumerate_layer(field: FieldSpec, n: int, k: int, budget: int | None = DEFAU
             row = [0] * n
             row[pivots[i]] = 1
             base.append(row)
-        if not free:
-            rows = tuple(tuple(r) for r in base)
-            yield Subspace._from_rref(field, n, rows, pivots)
-            continue
         for fill in product(range(q), repeat=len(free)):
             for (i, j), v in zip(free, fill):
                 base[i][j] = v

@@ -59,10 +59,11 @@ same degree, so this is also the ascending-degree order.
 Recorded witnesses are always re-verified by the families' own diameter
 scan, ``diameter_at_most``, which meets member pairs by vector masks, not
 by the line incidence the search adjacency came from; the witnesses share
-one mask dict, so each member is masked once.  The
-characterization builds the census families once and classifies every
-witness by one lookup; at the boundary n = d+1 the key is the witness's
-middle layer, after a full/empty test of each complementary layer pair.
+one mask dict, so each member is masked once.  The characterization
+builds the census once, each family keyed by its member set, and
+classifies every witness by one lookup; at the boundary n = d+1 the key
+is the witness's middle layer, after a full/empty test of each
+complementary layer pair.
 The timeout runs from the entry of the driver, so the index, the seed and
 the masks count against it.
 
@@ -352,6 +353,10 @@ class _CliqueEngine:
         return total
 
     def _record(self, plist):
+        """Count a clique of the best size and keep it while the cap (one
+        without collect_all) allows: the kept cliques are the first the
+        search reaches, so a capped subset follows the root and branch
+        order, while collected_count stays exact."""
         size = len(plist)
         if size < self.best:
             return
@@ -701,15 +706,14 @@ def verify_characterization(report: SearchReport):
     boundary = n == d + 1
     census = {}
     if d % 2 == 0 and not boundary:
-        census = {lower_layers(field, n, t, budget=None):
+        census = {lower_layers(field, n, t, budget=None).member_set:
                   ("full_lower_layers", "union of layers 0..t"),
-                  upper_layers(field, n, t, budget=None):
+                  upper_layers(field, n, t, budget=None).member_set:
                   ("full_upper_layers", "union of layers n-t..n")}
         miss = "not a full lower/upper layer union"
     elif d % 2 == 0:
         # n is odd: there is no middle layer, so every key is empty
-        census = {SubspaceFamily(field, n, []):
-                  ("boundary_split_even", "complementary split")}
+        census = {frozenset(): ("boundary_split_even", "complementary split")}
         miss = None  # never used: the empty key is always found
     else:
         # the star of each line, its (t+1)-spaces, grouped in one pass
@@ -721,8 +725,8 @@ def verify_characterization(report: SearchReport):
             case = ("boundary_split_odd",
                     "complementary split + intersecting middle")
             for through in stars.values():
-                fam = SubspaceFamily(field, n, through)
-                census[fam] = census[perp_family(fam)] = case
+                census[frozenset(through)] = case
+                census[frozenset(w.perp() for w in through)] = case
             miss = (f"middle layer {t + 1} is not a point-star or a "
                     f"hyperplane dual")
         else:
@@ -731,22 +735,21 @@ def verify_characterization(report: SearchReport):
             upper = list(upper_layers(field, n, t, budget=None))
             for x, through in stars.items():
                 reason = f"double ball at {x.to_token()}"
-                census[SubspaceFamily(field, n, lower + through)] = (
+                census[frozenset(lower + through)] = (
                     "canonical_double_ball", reason)
                 census.setdefault(
-                    SubspaceFamily(field, n,
-                                   upper + [w.perp() for w in through]),
+                    frozenset(upper + [w.perp() for w in through]),
                     ("canonical_double_ball_perp", reason))
             miss = "not a canonical double ball or its perp"
     expected = len(census) * 2 ** (t + 1) if boundary else len(census)
     ok = True
     diagnostics = []
     for i, fam in enumerate(report.witnesses):
-        key, split = fam, None
+        key, split = fam.member_set, None
         if boundary:
             split = _split_violation(fam, q, n, t)
             # a full/empty split leaves the middle layer n/2 (none for odd n)
-            key = SubspaceFamily(field, n, [s for s in fam if 2 * s.dim == n])
+            key = frozenset(s for s in fam if 2 * s.dim == n)
         label, reason = (None, split) if split else census.get(key, (None, miss))
         if label is None:
             ok = False

@@ -21,6 +21,8 @@ counts is independent of that choice of nondegenerate form.
 
 from __future__ import annotations
 
+from functools import total_ordering
+
 from .errors import AmbientMismatch, DimensionMismatch, ParseError
 from .gfq import FieldSpec, field_new
 
@@ -119,6 +121,7 @@ def _rref_table(field, n, rows):
 
 # ---------------------------------------------------------------------------
 
+@total_ordering
 class Subspace:
     """A subspace of F_q^n in canonical reduced row echelon form.
 
@@ -209,8 +212,6 @@ class Subspace:
     def contains(self, other: "Subspace") -> bool:
         """True iff other is a subspace of self."""
         self._check_ambient(other)
-        if other.dim > self.dim:
-            return False
         return self.rank_with(other) == self.dim
 
     def rank_with(self, other: "Subspace") -> int:
@@ -232,11 +233,6 @@ class Subspace:
         """
         n = self.n
         field = self.field
-        k = self.dim
-        if k == 0:
-            return Subspace.full(field, n)
-        if k == n:
-            return Subspace.zero(field, n)
         pivset = set(self.pivots)
         free = [j for j in range(n) if j not in pivset]
         neg = field.neg_table
@@ -276,11 +272,9 @@ class Subspace:
             return int(numeral, 2)
         # the digit of vector v is numeral[top - v], and top - v = top ^ v
         offsets = [top]
-        low = bits
-        if len(bits) > _MASK_CHUNK_BITS:
-            low = bits[:_MASK_CHUNK_BITS]
-            for r in bits[_MASK_CHUNK_BITS:]:
-                offsets += [h ^ r for h in offsets]
+        low = bits[:_MASK_CHUNK_BITS]
+        for r in bits[_MASK_CHUNK_BITS:]:
+            offsets += [h ^ r for h in offsets]
         for h in offsets:
             vecs = [h]
             for r in low:
@@ -297,12 +291,10 @@ class Subspace:
         add, mul = self.field.add_table, self.field.mul_table
         m = _MASK_CHUNK_BITS // (q - 1).bit_length()  # so q^m <= 2^12
         offsets = [(0,) * self.n]
-        low = self.rows
-        if len(low) > m:
-            low = self.rows[:m]
-            for r in self.rows[m:]:
-                offsets += [tuple(add[x][mul[c][e]] for x, e in zip(h, r))
-                            for c in range(1, q) for h in offsets]
+        low = self.rows[:m]
+        for r in self.rows[m:]:
+            offsets += [tuple(add[x][mul[c][e]] for x, e in zip(h, r))
+                        for c in range(1, q) for h in offsets]
         for h in offsets:
             vecs = None
             # low is empty only for the zero space, whose one vector is 0
@@ -373,15 +365,6 @@ class Subspace:
             return NotImplemented
         self._check_ambient(other)
         return self.sort_key() < other.sort_key()
-
-    def __le__(self, other):
-        return self == other or self < other
-
-    def __gt__(self, other):
-        return not self <= other
-
-    def __ge__(self, other):
-        return not self < other
 
     def __hash__(self):
         return self._h

@@ -23,6 +23,30 @@ def test_layer_examples():
     assert len(set(layer)) == 35
 
 
+def _stored(s):
+    return s.rows, s.pivots, s.bits
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_patterns_without_free_cells(q):
+    """Layer 0 and the pivot pattern (n-k, ..., n-1) have no free cell, so
+    the pattern loop fills each once, with the empty filling."""
+    field = field_new(q)
+    for n in range(4):
+        zero = Subspace.zero(field, n)
+        layer = list(enumerate_layer(field, n, 0))
+        assert layer == [zero]
+        assert _stored(layer[0]) == _stored(zero)
+        for k in range(1, n + 1):
+            pivots = tuple(range(n - k, n))
+            found = [s for s in enumerate_layer(field, n, k)
+                     if s.pivots == pivots]
+            units = Subspace.from_generators(
+                field, n, [[int(j == p) for j in range(n)] for p in pivots])
+            assert found == [units]
+            assert _stored(found[0]) == _stored(units)
+
+
 @pytest.mark.parametrize("q,nmax", [(2, 6), (3, 6)])
 def test_layer_counts_exhaustive(q, nmax):
     field = field_new(q)

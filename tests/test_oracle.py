@@ -256,6 +256,15 @@ def test_characterization_witness_cap_truncation_detected():
         verify_characterization(rep)
 
 
+def test_capped_all_keeps_witnesses_of_the_full_set():
+    full = max_diameter_family(2, 5, 3, enumerate_all=True)
+    capped = max_diameter_family(2, 5, 3, enumerate_all=True, witness_cap=10)
+    assert full.witness_count == len(full.witnesses) == 62
+    assert capped.witness_count == 62
+    assert len(set(capped.witnesses)) == len(capped.witnesses) == 10
+    assert set(capped.witnesses) <= set(full.witnesses)
+
+
 @pytest.mark.parametrize("q,n,d,family_class,count", [
     (2, 4, 3, None, 120),     # the seed is a maximum family
     (2, 5, 3, None, 62),

@@ -1,3 +1,4 @@
+import operator
 import random
 import tracemalloc
 
@@ -101,6 +102,25 @@ def test_contains():
     assert plane.contains(line) == (plane.sum(line) == plane)
 
 
+def _layer_ends(subs):
+    """The first and last subspace of each layer of a canonical list."""
+    ends = {}
+    for s in subs:
+        ends.setdefault(s.dim, [s, s])[1] = s
+    return [s for pair in ends.values() for s in pair]
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_nothing_contains_a_larger_subspace(q):
+    field = field_new(q)
+    for n in range(4):
+        subs = build_index(field, n).subspaces
+        for a in _layer_ends(subs):
+            for b in subs:
+                if b.dim > a.dim:
+                    assert not a.contains(b)
+
+
 def test_ambient_mismatch():
     with pytest.raises(AmbientMismatch):
         span(F2, 3, [1, 0, 0]).sum(span(F2, 4, [1, 0, 0, 0]))
@@ -162,6 +182,15 @@ def test_containment_gives_dim_difference():
 def test_perp_extremes():
     assert Subspace.zero(F2, 4).perp() == Subspace.full(F2, 4)
     assert Subspace.full(F2, 4).perp() == Subspace.zero(F2, 4)
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_perp_swaps_zero_and_full(q):
+    field = field_new(q)
+    for n in range(4):
+        zero, full = Subspace.zero(field, n), Subspace.full(field, n)
+        assert zero.perp() == full
+        assert full.perp() == zero
 
 
 def test_perp_of_axis_line():
@@ -379,6 +408,25 @@ def test_total_order_sorts_by_dim_pivots_rows():
     shuffled = subs[:]
     rng.shuffle(shuffled)
     assert sorted(shuffled, key=Subspace.sort_key) == subs
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_comparisons_follow_sort_key(q):
+    field = field_new(q)
+    for n in range(4):
+        subs = build_index(field, n).subspaces
+        for a in _layer_ends(subs):
+            for b in subs:
+                ka, kb = a.sort_key(), b.sort_key()
+                assert (a < b, a <= b, a > b, a >= b) == (
+                    ka < kb, ka <= kb, ka > kb, ka >= kb)
+        other = F3 if q == 2 else F2
+        for a, b in [(Subspace.zero(field, n), Subspace.zero(field, n + 1)),
+                     (Subspace.full(field, n), Subspace.full(other, n))]:
+            for compare in (operator.lt, operator.le, operator.gt,
+                            operator.ge):
+                with pytest.raises(AmbientMismatch):
+                    compare(a, b)
 
 
 def _vectors(field, n, rows):
