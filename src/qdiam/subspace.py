@@ -7,8 +7,9 @@ elements; for q = 2 a bit-packed copy of each row (column j <-> bit n-1-j)
 is kept alongside.  Each row format has one forward-elimination core, a
 dict from leading column to a row led by 1, each generator reduced
 against it and inserted at its first free leading column: a rank is the
-size of the dict, and the RREF is the dict back-substituted in pivot
-order.
+size of the dict.  For every q the RREF is the table core's dict
+back-substituted in pivot order, and the packed copy is read off its
+rows; the bit core serves ranks only.
 
 The distance between subspaces U, W is
 
@@ -43,10 +44,6 @@ def vector_index(row, q):
     return v
 
 
-def _unpack_row(v, n):
-    return tuple((v >> (n - 1 - j)) & 1 for j in range(n))
-
-
 def _echelon_bits(vecs):
     """Forward elimination of bit-packed rows: {leading bit: row}."""
     piv = {}
@@ -59,19 +56,6 @@ def _echelon_bits(vecs):
                 break
             v ^= r
     return piv
-
-
-def _rref_bits(vecs):
-    """Full RREF over GF(2) on bit-packed rows; returns rows sorted by pivot."""
-    rows = []
-    for h, v in sorted(_echelon_bits(vecs).items()):
-        # each kept row is zero at every pivot but its own, so one pass
-        # clears v at all lower pivots
-        for hb, r in rows:
-            if (v >> hb) & 1:
-                v ^= r
-        rows.append((h, v))
-    return [v for _, v in reversed(rows)]
 
 
 def _echelon_table(field, n, rows):
@@ -150,8 +134,8 @@ class Subspace:
         """Canonical RREF of the span of the given vectors.
 
         An empty generator list yields the zero subspace.  Raises
-        DimensionMismatch on ragged input and ValueError on entries outside
-        0..q-1.
+        DimensionMismatch on ragged input and ValueError on entries that
+        are not ints in 0..q-1.
         """
         q = field.q
         vecs = []
@@ -161,16 +145,11 @@ class Subspace:
                 raise DimensionMismatch(
                     f"vector of length {len(row)} in ambient dimension {n}")
             for e in row:
-                if not 0 <= e < q:
-                    raise ValueError(f"entry {e} out of range for GF({q})")
+                if not (isinstance(e, int) and 0 <= e < q):
+                    raise ValueError(f"entry {e!r} is not an element of GF({q})")
             vecs.append(row)
-        if q == 2:
-            packed = tuple(_rref_bits(vector_index(v, 2) for v in vecs))
-            rows = tuple(_unpack_row(v, n) for v in packed)
-            pivots = tuple(n - v.bit_length() for v in packed)
-            return cls(field, n, rows, pivots, packed)
         rows, pivots = _rref_table(field, n, vecs)
-        return cls(field, n, tuple(rows), tuple(pivots), None)
+        return cls._from_rref(field, n, tuple(rows), tuple(pivots))
 
     @classmethod
     def zero(cls, field, n):

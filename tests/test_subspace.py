@@ -7,8 +7,8 @@ import pytest
 from qdiam.errors import AmbientMismatch, DimensionMismatch, ParseError
 from qdiam.gfq import SUPPORTED_ORDERS, field_new
 from qdiam.grassmann import build_index
-from qdiam.subspace import (Subspace, _echelon_bits, _echelon_table, _rref_bits,
-                            _rref_table, vector_index)
+from qdiam.subspace import (Subspace, _echelon_bits, _echelon_table, _rref_table,
+                            vector_index)
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -52,6 +52,15 @@ def test_ragged_input_rejected():
 def test_entry_out_of_range_rejected():
     with pytest.raises(ValueError):
         Subspace.from_generators(F2, 3, [[0, 2, 0]])
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_non_integer_entry_rejected(q):
+    field = field_new(q)
+    for bad in (1.0, 0.0, "1"):
+        with pytest.raises(ValueError):
+            Subspace.from_generators(field, 3, [[1, 0, 1], [0, bad, 1]])
+    assert span(field, 3, [True, False, True]) == span(field, 3, [1, 0, 1])
 
 
 def test_rref_canonical_equality():
@@ -339,7 +348,7 @@ def _assert_table_core_matches_sweep(field, n, rows):
     assert _rref_table(field, n, rows) == _sweep_rref(field, n, rows)
 
 
-@pytest.mark.parametrize("q,n", [(3, 4), (4, 3)])
+@pytest.mark.parametrize("q,n", [(2, 4), (3, 4), (4, 3)])
 def test_table_core_matches_sweep_on_stacked_pairs(q, n):
     field = field_new(q)
     subs = build_index(field, n, budget=None).subspaces
@@ -349,10 +358,10 @@ def test_table_core_matches_sweep_on_stacked_pairs(q, n):
             assert a.rank_with(b) == len(_sweep_echelon(field, n, a.rows + b.rows)[1])
 
 
-@pytest.mark.parametrize("q", [q for q in SUPPORTED_ORDERS if q > 2])
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
 def test_table_core_matches_sweep_on_random_generators(q):
-    # 5,600 lists per order, 50,400 over the nine orders above 2: random,
-    # zero and dependent rows (combinations of the rows drawn before)
+    # 5,600 lists per order, 56,000 over the ten orders: random, zero and
+    # dependent rows (combinations of the rows drawn before)
     field = field_new(q)
     add, mul = field.add_table, field.mul_table
     rng = random.Random(q)
@@ -376,10 +385,12 @@ def test_table_core_matches_sweep_on_random_generators(q):
 
 def _assert_bit_core_matches_table_core(rows, n):
     packed = [vector_index(r, 2) for r in rows]
-    table_rows, pivots = _rref_table(F2, n, rows)
+    sweep_rows, pivots = _sweep_rref(F2, n, rows)
     rank = len(_echelon_bits(packed))
     assert rank == len(_echelon_table(F2, n, rows)) == len(pivots)
-    assert _rref_bits(packed) == [vector_index(r, 2) for r in table_rows]
+    s = Subspace.from_generators(F2, n, rows)
+    assert s.rows == tuple(sweep_rows) and s.pivots == tuple(pivots)
+    assert s.bits == tuple(vector_index(r, 2) for r in sweep_rows)
 
 
 def test_bit_core_matches_table_core_on_stacked_pairs():
