@@ -21,7 +21,11 @@ All member-pair statistics share one scan, `_min_meet`, which meets a
 pair by the popcount of its two vector masks (|U ∩ W| = q^dim(U ∩ W)) and
 masks each member on first use, once per scan or per shared mask dict;
 `cross_intersection_profile` takes the diameter from the same per-layer-pair
-minimum meets it reports, so a check scans each layer pair once.
+minimum meets it reports, so a check scans each layer pair once.  A layer
+pair's scan stops at the floor its layers prove (`_meet_floor`): every
+meet holds what the two layers' common subspaces share and is at least
+a + b - dim(S_a + S_b), S_k the span of layer k; so a ball's members,
+which all hold its centre, are not met pair by pair.
 One-off subspaces (the candidate centers and their covers) meet the
 members by row elimination, `Subspace.distance`.
 
@@ -377,22 +381,71 @@ def _layer_pair_min_meet(fam, a, b, stop, masks=None):
                      masks)
 
 
+def _common_or_span(members, field, n, span=False):
+    """The common subspace of the members (F_q^n if there are none), or
+    with `span` their span (0 if none), walked with contains and stopped
+    at 0 or F_q^n, which no further member moves."""
+    acc = Subspace.zero(field, n) if span else Subspace.full(field, n)
+    for s in members:
+        if span and not acc.contains(s):
+            acc = acc.sum(s)
+        elif not span and not s.contains(acc):
+            acc = acc.intersect(s)
+        else:
+            continue
+        if acc.dim in (0, n):
+            break
+    return acc
+
+
+def _meet_floor(fam):
+    """floor(a, b): a dimension no meet of an a-member and a b-member goes
+    below, for one scan call.
+
+    With C_k and S_k the common subspace and the span of layer k, such a
+    pair A, B has C_a ∩ C_b ⊂ A ∩ B and A + B ⊂ S_a + S_b, so
+    dim(A ∩ B) >= max(a + b - dim(S_a + S_b), dim(C_a ∩ C_b), 0).  C_k and
+    S_k are built on a layer's first use.  A layer pair of at most 16 pairs
+    per member gets max(0, a + b - n), which needs no walk: there the walks
+    cost about as much as meeting every pair.
+    """
+    field, n = fam.field, fam.n
+    hulls = {}
+
+    def floor(a, b):
+        xs, ys = fam.layer(a), fam.layer(b)
+        pairs, members = ((len(xs) * (len(xs) - 1) // 2, len(xs)) if a == b
+                          else (len(xs) * len(ys), len(xs) + len(ys)))
+        if pairs <= 16 * members:
+            return max(0, a + b - n)
+        for k in (a, b):
+            if k not in hulls:
+                layer = fam.layer(k)
+                hulls[k] = (_common_or_span(layer, field, n),
+                            _common_or_span(layer, field, n, span=True))
+        (ca, sa), (cb, sb) = hulls[a], hulls[b]
+        return max(0, a + b - sa.rank_with(sb), _meet_dim(ca, cb))
+    return floor
+
+
 def diameter(fam: SubspaceFamily) -> int:
     """Exact maximum pairwise distance, exhaustive over member pairs.
 
     An a-space and a b-space are at distance a + b - 2 dim(a ∩ b), so each
     layer pair contributes a + b minus twice its smallest meet; the scan of a
-    layer pair stops at the floor max(0, a + b - n) that no meet goes below.
+    layer pair stops at the floor its layers prove (_meet_floor), which no
+    meet goes below, so a pair reaching it has the smallest meet.
     Layer pairs are visited in decreasing dimension-sum order and the scan
     stops as soon as no remaining pair can beat the running maximum.
     """
     if not fam.members:
         raise EmptyFamily("diameter of an empty family")
+    floor = _meet_floor(fam)
     best = 0
     for dimsum, a, b in _layer_pairs_by_dimsum(fam):
         if dimsum <= best:
             break
-        m, _ = _layer_pair_min_meet(fam, a, b, max(0, dimsum - fam.n))
+        m, _ = _layer_pair_min_meet(fam, a, b, floor(a, b))
         if m is not None:
             best = max(best, dimsum - 2 * m)
     return best
@@ -402,22 +455,24 @@ def diameter_at_most(fam: SubspaceFamily, d: int, masks=None):
     """(True, None) if every pairwise distance is <= d, else (False, pair).
 
     A pair of an a-space and a b-space is farther apart than d exactly when
-    it meets in at most (a + b - d - 1) // 2 dimensions.  Pairs whose
-    dimension sum is at most d are skipped outright, and so are pairs whose
-    meets cannot go that low: no pair meets in fewer than a + b - n
-    dimensions, so none is farther apart than 2n - a - b.  For `masks`
-    see _min_meet.
+    it meets in at most (a + b - d - 1) // 2 dimensions.  Layer pairs whose
+    dimension sum is at most d are skipped outright, and so are layer pairs
+    whose meets cannot go that low: none goes below a + b - n (so no pair
+    is farther apart than 2n - a - b), checked first as it needs no walk,
+    or below the floor the layers prove (_meet_floor).  For `masks` see
+    _min_meet.
     """
     if not fam.members:
         raise EmptyFamily("diameter of an empty family")
     if d < 0:  # a member is at distance 0 from itself
         top = fam.layer(fam.support[-1])[0]
         return False, (top, top)
+    floor = _meet_floor(fam)
     for dimsum, a, b in _layer_pairs_by_dimsum(fam):
         if dimsum <= d:
             break
         stop = (dimsum - d - 1) // 2
-        if stop < dimsum - fam.n:
+        if stop < dimsum - fam.n or stop < floor(a, b):
             continue
         m, pair = _layer_pair_min_meet(fam, a, b, stop, masks)
         if m is not None and m <= stop:
@@ -466,17 +521,18 @@ def cross_intersection_profile(fam: SubspaceFamily):
     """The diameter d and, per layer pair (i, j), the minimum meet dimension
     with the level the diameter condition guarantees: ceil((i + j - d) / 2).
 
-    Each layer pair is scanned once, down to the floor max(0, i + j - n), and
-    d is the largest i + j - 2 * meet over the layer pairs.  Returns
-    (d, rows) with rows of (i, j, required, achieved, ok).
+    Each layer pair is scanned once, down to the floor its layers prove
+    (_meet_floor), and d is the largest i + j - 2 * meet over the layer
+    pairs.  Returns (d, rows) with rows of (i, j, required, achieved, ok).
     """
     if not fam.members:
         raise EmptyFamily("cross-intersection profile of an empty family")
+    floor = _meet_floor(fam)
     meets = []
     supp = fam.support
     for ii, i in enumerate(supp):
         for j in supp[ii:]:
-            got, _ = _layer_pair_min_meet(fam, i, j, max(0, i + j - fam.n))
+            got, _ = _layer_pair_min_meet(fam, i, j, floor(i, j))
             if got is None:
                 got = i  # a single member pairs with itself only
             meets.append((i, j, got))
@@ -603,21 +659,11 @@ def _centre_pairs(fam, family_class, t, probes, budget):
         yield full, full, full, probes, "upper_layers", ()
     elif family_class == "A_odd":
         if big_m <= t + 1:
-            common = full
-            for s in fam.layer(t + 1):
-                if not s.contains(common):
-                    common = common.intersect(s)
-                    if common.dim == 0:
-                        break
+            common = _common_or_span(fam.layer(t + 1), field, n)
             for x in _meeting(common, 1, 1):
                 yield zero, x, zero, probes, "canonical_double_ball", (x,)
         if m >= n - t - 1:
-            span = zero
-            for s in fam.layer(n - t - 1):
-                if not span.contains(s):
-                    span = span.sum(s)
-                    if span.dim == n:
-                        break
+            span = _common_or_span(fam.layer(n - t - 1), field, n, span=True)
             for x in _meeting(span.perp(), 1, 1):
                 yield (full, x.perp(), full, probes,
                        "canonical_double_ball_perp", (x,))

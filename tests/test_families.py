@@ -369,6 +369,11 @@ def test_odd_and_even_extremal_families_at_n8():
     b = ball(x, 2)
     assert len(b) == type_a_even_bound(8, 2, 2)
     assert diameter(b) == 4
+    # every 2- and 3-member holds x, so no scan meets them pair by pair
+    assert diameter_at_most(b, 4) == (True, None)
+    assert cross_intersection_profile(b)[0] == 4
+    rep = is_admissible(b, "B_even", 2)
+    assert (rep.witness_kind, rep.witness_centers) == ("ball", (x,))
 
 
 # -- statistics -----------------------------------------------------------------
@@ -492,6 +497,108 @@ def test_diameter_at_most_skips_pairs_that_cannot_exceed_d(monkeypatch):
     fam = upper_layers(F2, 7, 2)
     assert is_admissible(fam, "A_even", 2).witness_kind == "upper_layers"
     assert calls == []
+
+
+def _structured_families(field, n, rng):
+    """Families whose layers share a common subspace or a span: balls
+    around a random centre of every dimension at every radius, the stars
+    of those centres, the Hilton-Milner families and their extensions, the
+    canonical double balls of a random line; then the perp of each, then a
+    random half of each.  Families of more than 250 members are left out."""
+    centres = [rng.choice(list(enumerate_layer(field, n, k)))
+               for k in range(n + 1)]
+    x = axis_line(field, n)
+    fams = [ball(c, r) for c in centres for r in range(n + 1)]
+    fams += [star(c, k) for c in centres for k in range(c.dim, n + 1)]
+    fams += [canonical_double_ball(centres[1], t) for t in range(n)]
+    for k in range(1, n):
+        y = axis_subspace(field, n, range(1, k + 1))
+        fams += [hilton_milner_family(x, y), extremal_odd_family(x, y)]
+    if n >= 3:
+        y = axis_subspace(field, n, range(n - 3, n))
+        fams += [hilton_milner_triple(y), extremal_odd_triple(y)]
+    fams = [f for f in fams if len(f) <= 250]
+    fams += [perp_family(f) for f in fams]
+    fams += [SubspaceFamily(field, n, rng.sample(f.members, (len(f) + 1) // 2))
+             for f in fams if len(f) > 1]
+    return list(dict.fromkeys(fams))
+
+
+@pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6),
+                                 (3, 2), (3, 3), (3, 4), (3, 5), (4, 2), (4, 3),
+                                 (4, 4)])
+def test_scans_at_the_layer_floor_match_every_pair(q, n):
+    # diameter, cross_intersection_profile and diameter_at_most stop at the
+    # floor the layers prove (_meet_floor); against the scans of every pair.
+    # The floor is either max(0, a + b - n) or the one from each layer's
+    # common subspace C and span S, which every meet respects.
+    field = field_new(q)
+    zero, full = Subspace.zero(field, n), Subspace.full(field, n)
+    for fam in _structured_families(field, n, random.Random(100 * q + n)):
+        floor = families._meet_floor(fam)
+        hulls = {}
+        for k in fam.support:
+            layer = fam.layer(k)
+            c, s = full, zero
+            for member in layer:  # every member, past 0 and F_q^n
+                if not member.contains(c):
+                    c = c.intersect(member)
+                if not s.contains(member):
+                    s = s.sum(member)
+            assert families._common_or_span(layer, field, n) == c
+            assert families._common_or_span(layer, field, n, span=True) == s
+            hulls[k] = c, s
+        meets = {}
+        for _, a, b in families._layer_pairs_by_dimsum(fam):
+            m, _ = _min_meet_by_rows(fam.layer(a),
+                                     None if a == b else fam.layer(b), -1)
+            (ca, sa), (cb, sb) = hulls[a], hulls[b]
+            f = max(0, a + b - sa.sum(sb).dim, ca.intersect(cb).dim)
+            assert floor(a, b) in (max(0, a + b - n), f)
+            assert m is None or f <= m, (fam, a, b)
+            meets[a, b] = min(a, b) if m is None else m
+        brute = max(a + b - 2 * m for (a, b), m in meets.items())
+        assert diameter(fam) == brute, fam
+        profile_d, rows = cross_intersection_profile(fam)
+        assert profile_d == brute
+        assert {(i, j): got for i, j, _, got, _ in rows} == meets
+        for d in range(n + 1):
+            assert (diameter_at_most(fam, d)
+                    == _diameter_at_most_every_pair(fam, d)), (fam, d)
+
+
+def test_ball_scan_stops_at_the_centre(monkeypatch):
+    # every 3-space of the r=2 ball around a line of F_2^7 holds the line,
+    # so the (3, 3) layer pair stops at meet 1, after at most 651 of its
+    # 211,575 pairs; pairs are met in combinations order (_min_meet)
+    x = axis_line(F2, 7)
+    fam = ball(x, 2)
+    assert len(fam.layer(3)) == 651
+    scans = []
+    min_meet = families._min_meet
+
+    def recorded(xs, ys, stop, masks=None):
+        scans.append((xs, ys, stop))
+        return min_meet(xs, ys, stop, masks)
+
+    def pairs_met(xs, ys, stop):
+        pairs = combinations(xs, 2) if ys is None else product(xs, ys)
+        for met, (a, b) in enumerate(pairs, 1):
+            if a.dim + b.dim - a.rank_with(b) <= stop:
+                return met
+        return met
+
+    monkeypatch.setattr(families, "_min_meet", recorded)
+    assert diameter(fam) == 4
+    assert cross_intersection_profile(fam)[0] == 4
+    for xs, ys, stop in scans:
+        if len(xs) == 651 and ys is None:
+            assert stop == 1
+            assert pairs_met(xs, ys, stop) <= 651
+    assert sum(len(xs) == 651 and ys is None for xs, ys, _ in scans) == 2
+    scans.clear()
+    assert diameter_at_most(fam, 4) == (True, None)
+    assert scans == []
 
 
 @pytest.mark.parametrize("family_class", ADMISSIBILITY_CLASSES)
