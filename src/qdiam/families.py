@@ -25,7 +25,9 @@ minimum meets it reports, so a check scans each layer pair once.  A layer
 pair's scan stops at the floor its layers prove (`_meet_floor`): every
 meet holds what the two layers' common subspaces share and is at least
 a + b - dim(S_a + S_b), S_k the span of layer k; so a ball's members,
-which all hold its centre, are not met pair by pair.
+which all hold its centre, are not met pair by pair.  The family keeps
+each layer's common subspace and span, its hull, from the one walk that
+builds both, for every later scan and for the A_odd listing.
 One-off subspaces (the candidate centers and their covers) meet the
 members by row elimination, `Subspace.distance`.
 
@@ -49,11 +51,12 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import (AmbientMismatch, BudgetExceeded, EmptyFamily,
-                     InvalidConfiguration, ParameterOutOfRange, ParseError)
+                     InvalidConfiguration, NonPrimePower, ParameterOutOfRange,
+                     ParseError)
 from .gfq import field_new
 from .grassmann import (DEFAULT_DISTANCE_CELL_BUDGET, DEFAULT_ENUM_BUDGET,
                         enumerate_layer, write_subspaces)
-from .qcount import gauss_binom
+from .qcount import count_profile, gauss_binom
 from .subspace import Subspace
 
 
@@ -61,10 +64,11 @@ class SubspaceFamily:
     """Immutable, deduplicated set of subspaces of one ambient space.
 
     Members are kept as a canonically sorted tuple; the layer partition and
-    the support are cached at construction.
+    the support are cached at construction, and each layer's hull (`hull`)
+    on its first use.  Equality and hash are those of the member set.
     """
 
-    __slots__ = ("field", "n", "members", "member_set", "_layers")
+    __slots__ = ("field", "n", "members", "member_set", "_layers", "_hulls")
 
     def __init__(self, field, n, members):
         seen = set()
@@ -81,6 +85,7 @@ class SubspaceFamily:
         for s in self.members:
             layers.setdefault(s.dim, []).append(s)
         self._layers = {k: tuple(v) for k, v in layers.items()}
+        self._hulls = None
 
     @property
     def support(self):
@@ -88,6 +93,15 @@ class SubspaceFamily:
 
     def layer(self, k):
         return self._layers.get(k, ())
+
+    def hull(self, k):
+        """(C_k, S_k): the common subspace and the span of layer k (F_q^n and
+        0 for an empty layer), walked once, on the first call for k."""
+        if self._hulls is None:
+            self._hulls = {}
+        if k not in self._hulls:
+            self._hulls[k] = _hull(self.layer(k), self.field, self.n)
+        return self._hulls[k]
 
     def layer_sizes(self):
         return {k: len(v) for k, v in sorted(self._layers.items())}
@@ -140,19 +154,16 @@ def _meeting(c: Subspace, k: int, j: int):
                 v = [add[a][mul[e][b]] for a, b in zip(v, row)]
         return v
 
-    if k == j:  # W' = 0, so s = u
-        for y in enumerate_layer(field, m, j, budget=None):
-            yield Subspace.from_generators(
-                field, n, [combine(r, c.rows) for r in y.rows])
-        return
     unit = [[int(i == f) for i in range(n)]
             for f in range(n) if f not in c.pivots]
+    spaces = [[combine(r, unit) for r in w.rows]
+              for w in enumerate_layer(field, n - m, k - j, budget=None)]
     for y in enumerate_layer(field, m, j, budget=None):
         u = [combine(r, c.rows) for r in y.rows]
         off = [r for i, r in enumerate(c.rows) if i not in y.pivots]
-        images = [combine(e, off) for e in product(range(field.q), repeat=m - j)]
-        for w in enumerate_layer(field, n - m, k - j, budget=None):
-            ws = [combine(r, unit) for r in w.rows]
+        digits = product(range(field.q), repeat=m - j)
+        images = [combine(e, off) for e in digits] if k > j else []
+        for ws in spaces:
             for phi in product(images, repeat=k - j):
                 yield Subspace.from_generators(field, n, u + [
                     [add[a][b] for a, b in zip(x, p)] for x, p in zip(ws, phi)])
@@ -165,8 +176,7 @@ def _meets(c: Subspace, k: int, lo: int):
     if lo <= max(0, k + m - n):
         return k, gauss_binom(n, k, q), enumerate_layer(c.field, n, k, None)
     js = range(lo, min(k, m) + 1)
-    count = sum(gauss_binom(m, j, q) * gauss_binom(n - m, k - j, q)
-                * q ** ((k - j) * (m - j)) for j in js)
+    count = sum(count_profile(n, m, k, j, q) for j in js)
     return k, count, (s for j in js for s in _meeting(c, k, j))
 
 
@@ -381,51 +391,35 @@ def _layer_pair_min_meet(fam, a, b, stop, masks=None):
                      masks)
 
 
-def _common_or_span(members, field, n, span=False):
-    """The common subspace of the members (F_q^n if there are none), or
-    with `span` their span (0 if none), walked with contains and stopped
-    at 0 or F_q^n, which no further member moves."""
-    acc = Subspace.zero(field, n) if span else Subspace.full(field, n)
+def _hull(members, field, n):
+    """(common subspace, span) of the members, F_q^n and 0 if there are
+    none, in one walk with contains; each half stops moving at 0 or F_q^n,
+    which no further member moves."""
+    common, span = Subspace.full(field, n), Subspace.zero(field, n)
     for s in members:
-        if span and not acc.contains(s):
-            acc = acc.sum(s)
-        elif not span and not s.contains(acc):
-            acc = acc.intersect(s)
-        else:
-            continue
-        if acc.dim in (0, n):
-            break
-    return acc
+        if common.dim and not s.contains(common):
+            common = common.intersect(s)
+        if span.dim < n and not span.contains(s):
+            span = span.sum(s)
+    return common, span
 
 
-def _meet_floor(fam):
-    """floor(a, b): a dimension no meet of an a-member and a b-member goes
-    below, for one scan call.
+def _meet_floor(fam, a, b):
+    """A dimension no meet of an a-member and a b-member goes below.
 
-    With C_k and S_k the common subspace and the span of layer k, such a
+    With (C_k, S_k) the hull of layer k (`SubspaceFamily.hull`), such a
     pair A, B has C_a ∩ C_b ⊂ A ∩ B and A + B ⊂ S_a + S_b, so
-    dim(A ∩ B) >= max(a + b - dim(S_a + S_b), dim(C_a ∩ C_b), 0).  C_k and
-    S_k are built on a layer's first use.  A layer pair of at most 16 pairs
-    per member gets max(0, a + b - n), which needs no walk: there the walks
-    cost about as much as meeting every pair.
+    dim(A ∩ B) >= max(a + b - dim(S_a + S_b), dim(C_a ∩ C_b), 0).  A layer
+    pair of at most 16 pairs per member gets max(0, a + b - n), which needs
+    no walk: there the walks cost about as much as meeting every pair.
     """
-    field, n = fam.field, fam.n
-    hulls = {}
-
-    def floor(a, b):
-        xs, ys = fam.layer(a), fam.layer(b)
-        pairs, members = ((len(xs) * (len(xs) - 1) // 2, len(xs)) if a == b
-                          else (len(xs) * len(ys), len(xs) + len(ys)))
-        if pairs <= 16 * members:
-            return max(0, a + b - n)
-        for k in (a, b):
-            if k not in hulls:
-                layer = fam.layer(k)
-                hulls[k] = (_common_or_span(layer, field, n),
-                            _common_or_span(layer, field, n, span=True))
-        (ca, sa), (cb, sb) = hulls[a], hulls[b]
-        return max(0, a + b - sa.rank_with(sb), _meet_dim(ca, cb))
-    return floor
+    xs, ys = fam.layer(a), fam.layer(b)
+    pairs, members = ((len(xs) * (len(xs) - 1) // 2, len(xs)) if a == b
+                      else (len(xs) * len(ys), len(xs) + len(ys)))
+    if pairs <= 16 * members:
+        return max(0, a + b - fam.n)
+    (ca, sa), (cb, sb) = fam.hull(a), fam.hull(b)
+    return max(0, a + b - sa.rank_with(sb), _meet_dim(ca, cb))
 
 
 def diameter(fam: SubspaceFamily) -> int:
@@ -440,12 +434,11 @@ def diameter(fam: SubspaceFamily) -> int:
     """
     if not fam.members:
         raise EmptyFamily("diameter of an empty family")
-    floor = _meet_floor(fam)
     best = 0
     for dimsum, a, b in _layer_pairs_by_dimsum(fam):
         if dimsum <= best:
             break
-        m, _ = _layer_pair_min_meet(fam, a, b, floor(a, b))
+        m, _ = _layer_pair_min_meet(fam, a, b, _meet_floor(fam, a, b))
         if m is not None:
             best = max(best, dimsum - 2 * m)
     return best
@@ -467,12 +460,11 @@ def diameter_at_most(fam: SubspaceFamily, d: int, masks=None):
     if d < 0:  # a member is at distance 0 from itself
         top = fam.layer(fam.support[-1])[0]
         return False, (top, top)
-    floor = _meet_floor(fam)
     for dimsum, a, b in _layer_pairs_by_dimsum(fam):
         if dimsum <= d:
             break
         stop = (dimsum - d - 1) // 2
-        if stop < dimsum - fam.n or stop < floor(a, b):
+        if stop < dimsum - fam.n or stop < _meet_floor(fam, a, b):
             continue
         m, pair = _layer_pair_min_meet(fam, a, b, stop, masks)
         if m is not None and m <= stop:
@@ -527,12 +519,11 @@ def cross_intersection_profile(fam: SubspaceFamily):
     """
     if not fam.members:
         raise EmptyFamily("cross-intersection profile of an empty family")
-    floor = _meet_floor(fam)
     meets = []
     supp = fam.support
     for ii, i in enumerate(supp):
         for j in supp[ii:]:
-            got, _ = _layer_pair_min_meet(fam, i, j, floor(i, j))
+            got, _ = _layer_pair_min_meet(fam, i, j, _meet_floor(fam, i, j))
             if got is None:
                 got = i  # a single member pairs with itself only
             meets.append((i, j, got))
@@ -659,12 +650,10 @@ def _centre_pairs(fam, family_class, t, probes, budget):
         yield full, full, full, probes, "upper_layers", ()
     elif family_class == "A_odd":
         if big_m <= t + 1:
-            common = _common_or_span(fam.layer(t + 1), field, n)
-            for x in _meeting(common, 1, 1):
+            for x in _meeting(fam.hull(t + 1)[0], 1, 1):
                 yield zero, x, zero, probes, "canonical_double_ball", (x,)
         if m >= n - t - 1:
-            span = _common_or_span(fam.layer(n - t - 1), field, n, span=True)
-            for x in _meeting(span.perp(), 1, 1):
+            for x in _meeting(fam.hull(n - t - 1)[1].perp(), 1, 1):
                 yield (full, x.perp(), full, probes,
                        "canonical_double_ball_perp", (x,))
     elif family_class == "B_even":
@@ -745,8 +734,11 @@ def read_family(fileobj) -> SubspaceFamily:
         q, n, count = int(parts[1]), int(parts[2]), int(parts[3])
     except ValueError:
         raise ParseError(f"non-integer header fields in {header!r}", line=1) from None
-    field = field_new(q)
-    members = []
+    try:
+        field = field_new(q)
+    except NonPrimePower as exc:
+        raise ParseError(str(exc), line=1) from None
+    members = {}
     lineno = 1
     for raw in fileobj:
         lineno += 1
@@ -761,7 +753,10 @@ def read_family(fileobj) -> SubspaceFamily:
             raise ParseError(
                 f"subspace over GF({s.field.q})^{s.n} in a GF({q})^{n} family",
                 line=lineno)
-        members.append(s)
+        if s in members:
+            raise ParseError(f"member {text} repeats line {members[s]}",
+                             line=lineno)
+        members[s] = lineno
     if len(members) != count:
         raise ParseError(
             f"header declares {count} members, file has {len(members)}",

@@ -14,7 +14,7 @@ from itertools import combinations, product
 
 from .errors import BudgetExceeded
 from .gfq import FieldSpec
-from .qcount import gauss_binom
+from .qcount import gauss_binom, layer_sum
 from .subspace import Subspace, vector_index
 
 DEFAULT_ENUM_BUDGET = 10**7
@@ -28,7 +28,7 @@ DEFAULT_DISTANCE_CELL_BUDGET = 2 * 1024**3
 
 def lattice_size(q: int, n: int) -> int:
     """Total number of subspaces of F_q^n."""
-    return sum(gauss_binom(n, k, q) for k in range(n + 1))
+    return layer_sum(n, n, q)
 
 
 def ripple_add(planes, mask):

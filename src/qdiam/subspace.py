@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from functools import total_ordering
 
-from .errors import AmbientMismatch, DimensionMismatch, ParseError
+from .errors import (AmbientMismatch, DimensionMismatch, NonPrimePower,
+                     ParseError)
 from .gfq import FieldSpec, field_new
 
 _DIGITS = "0123456789abcdef"
@@ -307,7 +308,10 @@ class Subspace:
             q, n, d = int(parts[0]), int(parts[1]), int(parts[2])
         except ValueError:
             raise ParseError(f"non-integer header in {token!r}") from None
-        field = field_new(q)
+        try:
+            field = field_new(q)
+        except NonPrimePower as exc:
+            raise ParseError(f"{exc} in {token!r}") from None
         if n < 0 or d < 0 or d > n:
             raise ParseError(f"invalid dimensions in {token!r}")
         row_part = parts[3]

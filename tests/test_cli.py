@@ -159,6 +159,8 @@ def test_construct_conflicting_params(capsys):
     (("construct", "U", "--q", "2", "--n", "3", "--t", "-2"),
      "t must be >= 0, got -2"),
     (("enumerate", "--q", "2", "--n", "-1"), "n must be >= 0, got -1"),
+    (("construct", "star", "--x", "6:3:1:100", "--k", "1"),
+     "bad --x subspace token: 6 is not a prime power in '6:3:1:100'"),
 ])
 def test_parameter_flag_usage_error(capsys, command, message):
     code, out, err = run_cli(capsys, *command)

@@ -8,6 +8,7 @@ from qdiam.errors import (AmbientMismatch, BudgetExceeded, EmptyFamily,
                           InvalidConfiguration, ParameterOutOfRange,
                           ParseError)
 from qdiam import families
+from qdiam.cli import main
 from qdiam.families import (ADMISSIBILITY_CLASSES, SubspaceFamily,
                             _covers_of, _min_meet, ball,
                             canonical_double_ball, canonical_family,
@@ -531,11 +532,10 @@ def test_scans_at_the_layer_floor_match_every_pair(q, n):
     # diameter, cross_intersection_profile and diameter_at_most stop at the
     # floor the layers prove (_meet_floor); against the scans of every pair.
     # The floor is either max(0, a + b - n) or the one from each layer's
-    # common subspace C and span S, which every meet respects.
+    # hull, its common subspace C and span S, which every meet respects.
     field = field_new(q)
     zero, full = Subspace.zero(field, n), Subspace.full(field, n)
     for fam in _structured_families(field, n, random.Random(100 * q + n)):
-        floor = families._meet_floor(fam)
         hulls = {}
         for k in fam.support:
             layer = fam.layer(k)
@@ -545,8 +545,7 @@ def test_scans_at_the_layer_floor_match_every_pair(q, n):
                     c = c.intersect(member)
                 if not s.contains(member):
                     s = s.sum(member)
-            assert families._common_or_span(layer, field, n) == c
-            assert families._common_or_span(layer, field, n, span=True) == s
+            assert families._hull(layer, field, n) == (c, s)
             hulls[k] = c, s
         meets = {}
         for _, a, b in families._layer_pairs_by_dimsum(fam):
@@ -554,7 +553,7 @@ def test_scans_at_the_layer_floor_match_every_pair(q, n):
                                      None if a == b else fam.layer(b), -1)
             (ca, sa), (cb, sb) = hulls[a], hulls[b]
             f = max(0, a + b - sa.sum(sb).dim, ca.intersect(cb).dim)
-            assert floor(a, b) in (max(0, a + b - n), f)
+            assert families._meet_floor(fam, a, b) in (max(0, a + b - n), f)
             assert m is None or f <= m, (fam, a, b)
             meets[a, b] = min(a, b) if m is None else m
         brute = max(a + b - 2 * m for (a, b), m in meets.items())
@@ -565,6 +564,8 @@ def test_scans_at_the_layer_floor_match_every_pair(q, n):
         for d in range(n + 1):
             assert (diameter_at_most(fam, d)
                     == _diameter_at_most_every_pair(fam, d)), (fam, d)
+        for k in fam.support:  # the hulls the scans kept are the walked ones
+            assert fam.hull(k) == hulls[k]
 
 
 def test_ball_scan_stops_at_the_centre(monkeypatch):
@@ -599,6 +600,33 @@ def test_ball_scan_stops_at_the_centre(monkeypatch):
     scans.clear()
     assert diameter_at_most(fam, 4) == (True, None)
     assert scans == []
+
+
+def test_each_layer_hull_is_walked_once(tmp_path, monkeypatch, capsys):
+    # the check's profile, is_admissible's diameter test and the A_odd
+    # listing all read a layer's hull from the family, which walks it once
+    walks = []
+    hull = families._hull
+
+    def recorded(members, field, n):
+        walks.append(members)
+        return hull(members, field, n)
+
+    monkeypatch.setattr(families, "_hull", recorded)
+    x = axis_line(F2, 7)
+    path = tmp_path / "k.fam"
+    with open(path, "w") as fh:
+        write_family(extremal_odd_family(x, axis_subspace(F2, 7, [1, 2, 3])),
+                     fh)
+    assert main(["check", str(path), "--class", "B_odd", "--t", "2"]) == 0
+    assert "admissibility[B_odd, t=2]: admissible" in capsys.readouterr().out
+    assert sorted(members[0].dim for members in walks) == [1, 2, 3]
+    walks.clear()
+    x = axis_line(F2, 6)
+    rep = is_admissible(canonical_double_ball(x, 2), "A_odd", 2)
+    assert (rep.witness_kind, rep.witness_centers) == (
+        "canonical_double_ball", (x,))
+    assert [members[0].dim for members in walks] == [3]
 
 
 @pytest.mark.parametrize("family_class", ADMISSIBILITY_CLASSES)
@@ -1028,6 +1056,16 @@ def test_family_file_errors_carry_line_numbers():
     with pytest.raises(ParseError) as exc:
         read_family(io.StringIO(mixed))
     assert exc.value.line == 2
+    for text, line, message in (
+            ("family 2 3 1\n6:3:1:100\n", 2,
+             "6 is not a prime power in '6:3:1:100'"),
+            ("family 6 3 1\n2:3:1:100\n", 1, "6 is not a prime power"),
+            ("family 2 3 2\n2:3:1:100\n\n2:3:1:100\n", 4,
+             "member 2:3:1:100 repeats line 2")):
+        with pytest.raises(ParseError) as exc:
+            read_family(io.StringIO(text))
+        assert (exc.value.line, str(exc.value)) == (
+            line, f"line {line}: {message}")
 
 
 def test_b_odd_admissibility_implies_a_odd():

@@ -556,6 +556,8 @@ def test_token_rejects_non_rref():
         Subspace.from_token("2:3:1:012")          # digit out of field
     with pytest.raises(ParseError):
         Subspace.from_token("2:3:1")              # missing rows section
+    with pytest.raises(ParseError):
+        Subspace.from_token("6:3:1:100")          # no field of order 6
 
 
 def test_token_accepts_canonical_non_leading_pivot_rows():
