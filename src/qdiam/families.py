@@ -330,7 +330,8 @@ def _min_meet(xs, ys, stop, masks=None):
 
     Pairs are met in the order of combinations(xs, 2) or product(xs, ys),
     and the scan stops at the first pair meeting in at most `stop`
-    dimensions.  Returns (None, None) when there is no pair.
+    dimensions.  Returns (None, None) when there is no pair, whatever the
+    byte budget.
 
     A pair meets by popcount: U ∩ W holds q^dim(U ∩ W) vectors, the bits
     the two vector masks share, so the scan compares counts and looks the
@@ -344,7 +345,7 @@ def _min_meet(xs, ys, stop, masks=None):
     same = ys is None
     if same:
         ys = xs
-    if not xs or not ys:
+    if not xs or not ys or same and len(xs) < 2:
         return None, None
     q, n = xs[0].field.q, xs[0].n
     if len(ys) * q ** n > 8 * DEFAULT_DISTANCE_CELL_BUDGET:

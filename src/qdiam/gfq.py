@@ -134,10 +134,6 @@ class FieldSpec:
             raise ZeroInverse("0 has no multiplicative inverse")
         return self.inv_table[x]
 
-    @property
-    def elements(self):
-        return range(self.q)
-
     def __repr__(self):
         return f"FieldSpec(q={self.q})"
 

@@ -44,17 +44,18 @@ clique at once: every maximum family below it holds them all
 The search is one loop over an explicit stack of frames, so a clique of
 1332 members at (3, 5, 4) is not bounded by Python's recursion limit.  A
 frame holds the vertices still to try, their color bounds, the next
-position, the untried candidates, the live clauses and the clique size
-before its branch vertex.  The root is the first frame, branched with no
-bound; each root vertex has a settle mask that leaves the untried set once
-its branch is done.  An optimum search roots the first k-space of each
-layer pair (k, n-k), middle pair first, and settles the whole pair, its
-mask in the cap table: GL(n, q) and perp preserve distance, the caps and
-every class's clauses, so some maximum family holds the representative of
-the first pair it meets (orbital branching, Ostrowski et al. 2011;
+position, the untried candidates, the live clauses and the clique at its
+node as one vertex mask: backtracking pops the frame, and the group bound
+reads the one mask cand | clique.  The root is the first frame, branched
+with no bound; each root vertex has a settle mask that leaves the untried
+set once its branch is done.  An optimum search roots the first k-space of
+each layer pair (k, n-k), middle pair first, and settles the whole pair,
+its mask in the cap table: GL(n, q) and perp preserve distance, the caps
+and every class's clauses, so some maximum family holds the representative
+of the first pair it meets (orbital branching, Ostrowski et al. 2011;
 docs/decisions.md).  With enumerate_all every vertex is a root, pair by
-pair in the same order, each settling itself; every vertex of a pair has the
-same degree, so this is also the ascending-degree order.
+pair in the same order, each settling itself; every vertex of a pair has
+the same degree, so this is also the ascending-degree order.
 
 Recorded witnesses are always re-verified by the families' own diameter
 scan, ``diameter_at_most``, which meets member pairs by vector masks, not
@@ -153,6 +154,14 @@ class SearchReport:
         }
 
 
+def _bits(mask):
+    """The set bits of mask, lowest first."""
+    while mask:
+        b = mask & -mask
+        yield b.bit_length() - 1
+        mask ^= b
+
+
 class _CliqueEngine:
     """Branch-and-bound maximum clique over a lattice distance graph.
 
@@ -186,12 +195,11 @@ class _CliqueEngine:
         self.layer_mask = [(1 << hi) - (1 << lo)
                            for lo, hi in index.layer_bounds.values()]
         # One entry per complementary layer pair (k, n-k), k = 0..n//2: its
-        # vertex mask and its cap; vertex v lies in pair group_of[v].  Two
-        # j-spaces at distance <= d meet in >= j-t dimensions, so for j > t
-        # and n >= j+t layer j is (j-t)-intersecting and holds at most e[j] =
-        # ekr_bound(n, j, j-t) members (Frankl-Wilson); elsewhere, and when
-        # d >= n, e[j] = [n j].  A pair holds at most e[k] + e[n-k], and
-        # when d < n at most [n k].
+        # vertex mask and its cap.  Two j-spaces at distance <= d meet in
+        # >= j-t dimensions, so for j > t and n >= j+t layer j is
+        # (j-t)-intersecting and holds at most e[j] = ekr_bound(n, j, j-t)
+        # members (Frankl-Wilson); elsewhere, and when d >= n, e[j] = [n j].
+        # A pair holds at most e[k] + e[n-k], and when d < n at most [n k].
         t = d // 2
         e = [ekr_bound(n, j, j - t, q) if t < j <= n - t and d < n
              else gauss_binom(n, j, q) for j in range(n + 1)]
@@ -202,8 +210,6 @@ class _CliqueEngine:
                 cap = min(cap, gauss_binom(n, k, q))
             self.groups.append((self.layer_mask[k] | self.layer_mask[n - k],
                                 cap))
-        self.group_of = [min(k, n - k) for k, (lo, hi)
-                         in index.layer_bounds.items() for _ in range(lo, hi)]
         self.forbidden, self.clause_of = self._clauses(family_class, t)
 
     def _clauses(self, family_class, t):
@@ -243,10 +249,7 @@ class _CliqueEngine:
             for k in range(index.n):  # F_q^n has no cover
                 for c1 in range(*index.layer_range(k)):
                     covers = index.ball(c1, 1) & self.layer_mask[k + 1]
-                    while covers:
-                        b = covers & -covers
-                        centres.append((c1, b.bit_length() - 1))
-                        covers ^= b
+                    centres += [(c1, c2) for c2 in _bits(covers)]
         ends = {}  # centre -> the indices of the clauses centred there
         for j, cs in enumerate(centres):
             for u in cs:
@@ -256,11 +259,8 @@ class _CliqueEngine:
         clause_of = [0] * self.nv
         for u, js in ends.items():
             mask = sum(1 << j for j in js)
-            rest = balls[u]
-            while rest:
-                b = rest & -rest
-                clause_of[b.bit_length() - 1] |= mask
-                rest ^= b
+            for v in _bits(balls[u]):
+                clause_of[v] |= mask
         return clauses, clause_of
 
     def _build(self, mask):
@@ -268,11 +268,8 @@ class _CliqueEngine:
         rest = mask & ~self.built
         self.built |= rest
         full = (1 << self.nv) - 1
-        while rest:
-            b = rest & -rest
-            v = b.bit_length() - 1
+        for v in _bits(rest):
             self.non[v] = full ^ self.index.ball(v, self.d)
-            rest ^= b
 
     def _degeneracy_order(self):
         """Every vertex, by layer pair (k, n-k) for k = n//2 down to 0, layer
@@ -344,20 +341,24 @@ class _CliqueEngine:
             rest ^= b
         return forced
 
-    def _group_bound(self, psize, used, cand):
-        total = psize
-        for gi, (mask, cap) in enumerate(self.groups):
-            avail = (cand & mask).bit_count()
-            room = cap - used[gi]
-            total += avail if avail < room else room
+    def _group_bound(self, mask):
+        """The most members a clique inside mask can place, each layer pair
+        counted up to its cap.  A node passes cand | clique: the two are
+        disjoint, and min(a + u, cap) = u + min(a, cap - u).  A plain loop:
+        sum() of min() over a generator is three times slower per call."""
+        total = 0
+        for g, cap in self.groups:
+            a = (mask & g).bit_count()
+            total += a if a < cap else cap
         return total
 
-    def _record(self, plist):
-        """Count a clique of the best size and keep it while the cap (one
+    def _record(self, members):
+        """Count a clique of the best size, members being a fresh vertex
+        list of a leaf's clique mask, and keep that list while the cap (one
         without collect_all) allows: the kept cliques are the first the
         search reaches, so a capped subset follows the root and branch
         order, while collected_count stays exact."""
-        size = len(plist)
+        size = len(members)
         if size < self.best:
             return
         if size > self.best:
@@ -366,21 +367,20 @@ class _CliqueEngine:
             self.collected_count = 0
         self.collected_count += 1
         if len(self.collected) < (self.witness_cap if self.collect_all else 1):
-            self.collected.append(list(plist))
+            self.collected.append(members)
 
     def search(self, *, seed_vertices=None, collect_all=False,
                witness_cap=DEFAULT_WITNESS_CAP, deadline=None):
         """Run the search; returns (best, collected, count, nodes, timed_out).
 
         A frame is [vertices still to try, their color bounds (None at the
-        root), next position, untried candidates, live clauses, keep], the
-        live clauses being those that contain the partial clique plist and
-        keep the length of plist before the frame's branch vertex.  A tried
-        vertex leaves the untried candidates; at the root its settle mask
-        (see _roots) leaves with it.  A root node builds its vertex's row,
-        and a node that passes both checks builds its candidates' rows and
-        forces the universal ones into plist; backtracking pops plist down
-        to keep.
+        root), next position, untried candidates, live clauses, clique]: the
+        clique at the frame's node as one vertex mask (0 at the root), and
+        the live clauses those that contain it.  A tried vertex leaves the
+        untried candidates; at the root its settle mask (see _roots) leaves
+        with it.  A root node builds its vertex's row, and a node that
+        passes both checks builds its candidates' rows and forces the
+        universal ones into its clique; backtracking pops the frame.
         deadline is a time.monotonic() value, checked at every root node, at
         every 1024th node and after every node that built rows.
         """
@@ -396,9 +396,6 @@ class _CliqueEngine:
         non = self.non
         forbidden = self.forbidden
         clause_of = self.clause_of
-        group_of = self.group_of
-        plist = []
-        used = [0] * len(self.groups)
         root, settle = self._roots(collect_all)
         stack = [[root, None, len(root), (1 << self.nv) - 1,
                   (1 << len(forbidden)) - 1, 0]]
@@ -406,18 +403,16 @@ class _CliqueEngine:
         timed_out = False
         while stack:
             frame = stack[-1]
-            order, bounds, i, cur, alive, keep = frame
+            order, bounds, i, cur, alive, clique = frame
             i -= 1
-            if i < 0 or (bounds is not None
-                         and len(plist) + bounds[i] < self.best + slack):
+            if i < 0 or (bounds is not None and clique.bit_count() + bounds[i]
+                         < self.best + slack):
                 stack.pop()
-                while len(plist) > keep:
-                    used[group_of[plist.pop()]] -= 1
                 continue
             v = order[i]
             if bounds is None:
                 self._build(1 << v)
-            # The child node: plist plus v, over the untried neighbours of v.
+            # The child node: clique plus v, over the untried neighbours of v.
             cur ^= 1 << v
             cand = cur ^ (cur & non[v])
             if bounds is None:
@@ -430,9 +425,7 @@ class _CliqueEngine:
                     break
             nodes += 1
             alive = alive and alive & clause_of[v]
-            keep = len(plist)
-            plist.append(v)
-            used[group_of[v]] += 1
+            clique |= 1 << v
             need = self.best + slack
             # A live clause that also holds every candidate prunes the node.
             rest = alive
@@ -441,7 +434,7 @@ class _CliqueEngine:
                 if cand & ~forbidden[b.bit_length() - 1] == 0:
                     break
                 rest ^= b
-            if not rest and self._group_bound(len(plist), used, cand) >= need:
+            if not rest and self._group_bound(cand | clique) >= need:
                 if cand & self.built != cand:
                     self._build(cand)
                     if deadline is not None and time.monotonic() > deadline:
@@ -449,23 +442,19 @@ class _CliqueEngine:
                         break
                 forced = self._universal(cand)
                 cand ^= forced
-                while forced:
-                    b = forced & -forced
-                    u = b.bit_length() - 1
-                    plist.append(u)
-                    used[group_of[u]] += 1
-                    alive = alive and alive & clause_of[u]
-                    forced ^= b
+                clique |= forced
+                if alive:
+                    for u in _bits(forced):
+                        alive &= clause_of[u]
                 if cand:
                     # need only rises below, so a vertex colored under
-                    # need - |plist| now would be cut at its turn anyway.
-                    order, bounds = self._color_order(cand, need - len(plist))
+                    # need - |clique| now would be cut at its turn anyway.
+                    order, bounds = self._color_order(
+                        cand, need - clique.bit_count())
                     stack.append([order, bounds, len(order), cand, alive,
-                                  keep])
+                                  clique])
                     continue
-                self._record(plist)
-            while len(plist) > keep:
-                used[group_of[plist.pop()]] -= 1
+                self._record(list(_bits(clique)))
         if collect_all and seed_vertices and not self.collected_count:
             # Nothing at the seed size was enumerated (timeout before any
             # leaf); fall back to the seed itself.
@@ -714,7 +703,7 @@ def verify_characterization(report: SearchReport):
     elif d % 2 == 0:
         # n is odd: there is no middle layer, so every key is empty
         census = {frozenset(): ("boundary_split_even", "complementary split")}
-        miss = None  # never used: the empty key is always found
+        miss = None  # never read: the empty key is always found
     else:
         # the star of each line, its (t+1)-spaces, grouped in one pass
         stars = {x: [] for x in enumerate_layer(field, n, 1, budget=None)}

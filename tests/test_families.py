@@ -700,6 +700,18 @@ def test_min_meet_refuses_masks_over_the_byte_budget(monkeypatch):
     assert exc.value.would_be_count == 70
 
 
+def test_one_member_needs_no_masks(tmp_path, capsys):
+    # One member of F_2^40 has no pair to meet, so no mask of 2^40 bits
+    # is asked for and the byte budget does not apply.
+    zero = Subspace.zero(F2, 40)
+    assert _min_meet([zero], None, -1) == (None, None)
+    assert is_s_intersecting([Subspace.full(F2, 40)], 40)
+    path = tmp_path / "one.fam"
+    path.write_text("family 2 40 1\n2:40:0:\n")
+    assert main(["check", str(path)]) == 0
+    assert "diameter 0 " in capsys.readouterr().out
+
+
 def test_dim_spread_and_min_supp_norm():
     fam = lower_layers(F2, 5, 2)
     assert dim_spread(fam) == 2

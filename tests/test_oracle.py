@@ -91,8 +91,8 @@ CAP_CASES = [(q, n, d, cls) for q in (2, 3) for n in range(1, 5)
 
 class _NoCapEngine(_CliqueEngine):
     """The engine with every layer pair capped by its own size, so the
-    group bound is |plist| + |cand| and the search uses no theorem; kept as
-    the reference the caps are tested against."""
+    group bound is the popcount of cand | clique and the search uses no
+    theorem; kept as the reference the caps are tested against."""
 
     def __init__(self, index, d, family_class=None):
         super().__init__(index, d, family_class)
@@ -128,12 +128,42 @@ def test_group_caps_use_ekr_bound(q, n, d, caps):
     assert [cap for _, cap in engine.groups] == caps
     assert sum(mask.bit_count() for mask, _ in engine.groups) == index.size
     for v, s in enumerate(index.subspaces):
-        mask, _ = engine.groups[engine.group_of[v]]
-        assert mask >> v & 1 and engine.group_of[v] == min(s.dim, n - s.dim)
+        mask, _ = engine.groups[min(s.dim, n - s.dim)]
+        assert mask >> v & 1
     reference = _NoCapEngine(index, d)
     assert ([mask for mask, _ in reference.groups]
             == [mask for mask, _ in engine.groups])
     assert all(cap == mask.bit_count() for mask, cap in reference.groups)
+
+
+# The clique-search and lattice-frontier benchmark jobs and README's counts:
+# (q, n, d, class, --all, optimum, witness_count, nodes_explored).  The
+# reference engines in this file share _group_bound with the production
+# search, so only fixed numbers catch a pruning slip they share.
+PINNED_SEARCHES = [
+    (3, 4, 3, None, True, 54, 320, 1550),
+    (2, 5, 3, None, True, 47, 62, 687),
+    (2, 5, 2, "B_even", False, 8, 1, 606),
+    (3, 4, 2, "B_even", False, 14, 1, 4108),
+    (3, 4, 2, "A_even", False, 15, 1, 3664),
+    (2, 6, 3, None, False, 95, 1, 6),
+    (3, 5, 2, None, False, 122, 1, 3),
+    (2, 6, 2, "B_even", False, 8, 1, 13807),
+    (2, 5, 3, "A_odd", False, 39, 1, 9009),
+    (2, 5, 3, "B_odd", False, 39, 1, 9009),
+    (3, 5, 2, "B_even", False, 14, 1, 15565),
+    (3, 5, 4, None, True, 1332, 8, 2722),
+]
+
+
+@pytest.mark.parametrize("q,n,d,family_class,enumerate_all,optimum,count,nodes",
+                         PINNED_SEARCHES)
+def test_search_counts_are_pinned(q, n, d, family_class, enumerate_all,
+                                  optimum, count, nodes):
+    rep = max_admissible_family(q, n, d, family_class, enumerate_all)
+    assert rep.proven_optimal
+    assert (rep.optimum, rep.witness_count, rep.nodes_explored) == (
+        optimum, count, nodes)
 
 
 def test_ekr_caps_prove_the_boundary_at_the_root():
@@ -788,13 +818,11 @@ class _FullScanEngine(_CliqueEngine):
         later = (1 << self.nv) - 1
         roots, settle = self._roots(collect_all)
         for v, done in zip(reversed(roots), reversed(settle)):
-            used = [0] * len(self.groups)
-            used[self.group_of[v]] = 1
-            self._expand([v], later & self.adj[v], used)
+            self._expand([v], later & self.adj[v])
             later &= ~done
         return self.best, self.collected, self.collected_count, self.nodes, False
 
-    def _expand(self, plist, cand, used):
+    def _expand(self, plist, cand):
         self.nodes += 1
         union = cand
         for v in plist:
@@ -803,18 +831,15 @@ class _FullScanEngine(_CliqueEngine):
             if union & ~fm == 0:
                 return
         need = self.best if self.collect_all else self.best + 1
-        if self._group_bound(len(plist), used, cand) < need:
+        if self._group_bound(union) < need:
             return
         forced = [u for u in range(self.nv)
                   if cand >> u & 1 and cand & ~self.adj[u] == 1 << u]
         for u in forced:
-            used[self.group_of[u]] += 1
             cand ^= 1 << u
-        self._branch(plist + forced, cand, used)
-        for u in forced:
-            used[self.group_of[u]] -= 1
+        self._branch(plist + forced, cand)
 
-    def _branch(self, plist, cand, used):
+    def _branch(self, plist, cand):
         if not cand:
             self._record(plist)
             return
@@ -826,11 +851,8 @@ class _FullScanEngine(_CliqueEngine):
             if psize + bounds[i] < need:
                 return
             v = order[i]
-            gi = self.group_of[v]
             plist.append(v)
-            used[gi] += 1
-            self._expand(plist, cur & self.adj[v], used)
-            used[gi] -= 1
+            self._expand(plist, cur & self.adj[v])
             plist.pop()
             cur ^= 1 << v
 
