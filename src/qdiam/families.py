@@ -48,7 +48,8 @@ from its row echelon form rather than by a scan of F_q^n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import groupby, product
+from operator import attrgetter
 
 from .errors import (AmbientMismatch, BudgetExceeded, EmptyFamily,
                      InvalidConfiguration, NonPrimePower, ParameterOutOfRange,
@@ -71,20 +72,21 @@ class SubspaceFamily:
     __slots__ = ("field", "n", "members", "member_set", "_layers", "_hulls")
 
     def __init__(self, field, n, members):
-        seen = set()
+        # sorting the input first costs one comparison per member when it
+        # comes in canonical order, as witnesses and family files do
+        members = sorted(members, key=Subspace.sort_key)
+        q = field.q
         for s in members:
-            if s.field.q != field.q or s.n != n:
-                raise AmbientMismatch(
-                    f"member {s!r} not in GF({field.q})^{n}")
-            seen.add(s)
+            if s.n != n or s.field.q != q:
+                raise AmbientMismatch(f"member {s!r} not in GF({q})^{n}")
         self.field = field
         self.n = n
-        self.members = tuple(sorted(seen, key=Subspace.sort_key))
-        self.member_set = frozenset(seen)
-        layers = {}
-        for s in self.members:
-            layers.setdefault(s.dim, []).append(s)
-        self._layers = {k: tuple(v) for k, v in layers.items()}
+        self.member_set = frozenset(members)
+        if len(self.member_set) < len(members):
+            members = [s for s, _ in groupby(members)]
+        self.members = tuple(members)
+        self._layers = {k: tuple(layer) for k, layer
+                        in groupby(self.members, attrgetter("dim"))}
         self._hulls = None
 
     @property

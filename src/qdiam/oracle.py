@@ -125,7 +125,9 @@ class SearchReport:
 
     def to_json_dict(self) -> dict:
         """JSON form: optimum and formula_value are decimal strings, the
-        other counts integers, and witnesses family files."""
+        other counts integers, and witnesses family files.  The witnesses
+        hold the lattice index's own subspaces, each of which keeps its
+        token, so a vertex shared by many witnesses is formatted once."""
         witness_files = []
         for fam in self.witnesses:
             buf = io.StringIO()
@@ -679,7 +681,7 @@ def verify_characterization(report: SearchReport):
     point-stars and the hyperplane duals, their perps (Newman 2004; Tanaka
     2006), so the boundary census holds 2^(t+1) witnesses per middle layer.
     For odd d the stars come from one pass over layer t+1, each (t+1)-space
-    filed under its lines by row elimination.
+    filed under its lines by row elimination and its perp taken once.
     """
     if not report.exhaustive:
         raise NotExhaustive("characterization needs an enumerate_all run")
@@ -705,9 +707,12 @@ def verify_characterization(report: SearchReport):
         census = {frozenset(): ("boundary_split_even", "complementary split")}
         miss = None  # never read: the empty key is always found
     else:
-        # the star of each line, its (t+1)-spaces, grouped in one pass
+        # the star of each line, its (t+1)-spaces, grouped in one pass that
+        # also takes each (t+1)-space's perp once, for every star through it
         stars = {x: [] for x in enumerate_layer(field, n, 1, budget=None)}
+        perp = {}
         for w in enumerate_layer(field, n, t + 1, budget=None):
+            perp[w] = w.perp()
             for x in _meeting(w, 1, 1):
                 stars[x].append(w)
         if boundary:
@@ -715,7 +720,7 @@ def verify_characterization(report: SearchReport):
                     "complementary split + intersecting middle")
             for through in stars.values():
                 census[frozenset(through)] = case
-                census[frozenset(w.perp() for w in through)] = case
+                census[frozenset(perp[w] for w in through)] = case
             miss = (f"middle layer {t + 1} is not a point-star or a "
                     f"hyperplane dual")
         else:
@@ -727,7 +732,7 @@ def verify_characterization(report: SearchReport):
                 census[frozenset(lower + through)] = (
                     "canonical_double_ball", reason)
                 census.setdefault(
-                    frozenset(upper + [w.perp() for w in through]),
+                    frozenset(upper + [perp[w] for w in through]),
                     ("canonical_double_ball_perp", reason))
             miss = "not a canonical double ball or its perp"
     expected = len(census) * 2 ** (t + 1) if boundary else len(census)

@@ -112,9 +112,10 @@ class Subspace:
 
     Instances are immutable and totally ordered by (dim, pivots, rows),
     which fixes a deterministic enumeration and branching order everywhere.
+    The token is formatted on the first ``to_token`` call and kept.
     """
 
-    __slots__ = ("field", "n", "rows", "pivots", "bits", "_h")
+    __slots__ = ("field", "n", "rows", "pivots", "bits", "_h", "_token")
 
     def __init__(self, field, n, rows, pivots, bits):
         # Internal: callers go through from_generators / _from_rref.
@@ -294,9 +295,19 @@ class Subspace:
     # -- serialization -------------------------------------------------------
 
     def to_token(self) -> str:
-        """Render as ``q:n:d:`` followed by comma-separated base-q row digits."""
+        """Render as ``q:n:d:`` followed by comma-separated base-q row digits.
+
+        The string is formatted once per instance and kept in ``_token``,
+        which construction leaves unset, so building a subspace costs no
+        more and every writer formats each subspace at most once.
+        """
+        try:
+            return self._token
+        except AttributeError:
+            pass
         rows = ",".join("".join(_DIGITS[e] for e in row) for row in self.rows)
-        return f"{self.field.q}:{self.n}:{self.dim}:{rows}"
+        self._token = token = f"{self.field.q}:{self.n}:{self.dim}:{rows}"
+        return token
 
     @classmethod
     def from_token(cls, token: str) -> "Subspace":

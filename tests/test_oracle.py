@@ -427,6 +427,40 @@ def test_report_json_schema_fields():
     assert isinstance(doc["elapsed_ms"], int)
 
 
+def _token_from_rows(s):
+    rows = ",".join("".join(format(e, "x") for e in row) for row in s.rows)
+    return f"{s.field.q}:{s.n}:{len(s.rows)}:{rows}"
+
+
+@pytest.mark.parametrize("q,n,d", [(3, 4, 3), (2, 5, 3)])
+def test_witness_files_spell_each_member_from_its_rows(q, n, d):
+    rep = max_diameter_family(q, n, d, enumerate_all=True)
+    files = rep.to_json_dict()["witnesses"]
+    assert len(files) == len(rep.witnesses) == rep.witness_count
+    for text, fam in zip(files, rep.witnesses):
+        assert text.splitlines() == [f"family {q} {n} {len(fam)}"] + [
+            _token_from_rows(s) for s in fam.members]
+
+
+def test_report_formats_each_lattice_vertex_once(monkeypatch):
+    # The witnesses hold the index's own subspaces, 17,280 members over
+    # 320 witnesses of (3,4,3), but at most the 212 subspaces of the
+    # lattice; each is formatted once, so every later call returns the
+    # string object its first call made.
+    rep = max_diameter_family(3, 4, 3, enumerate_all=True)
+    tokens = []
+    to_token = Subspace.to_token
+
+    def kept(self):
+        tokens.append(to_token(self))
+        return tokens[-1]
+
+    monkeypatch.setattr(Subspace, "to_token", kept)
+    rep.to_json_dict()
+    assert len(tokens) == sum(len(fam) for fam in rep.witnesses) == 17280
+    assert len({id(t) for t in tokens}) <= lattice_size(3, 4)
+
+
 # -- sweeps ------------------------------------------------------------------------------
 
 def test_sweep_lemma26_reduced():

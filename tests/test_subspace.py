@@ -540,6 +540,25 @@ def test_token_round_trip():
             assert Subspace.from_token(s.to_token()) == s
 
 
+def _token_from_rows(s):
+    """The token format spelled out from the rows: hex digits serve every
+    supported q <= 16."""
+    rows = ",".join("".join(format(e, "x") for e in row) for row in s.rows)
+    return f"{s.field.q}:{s.n}:{len(s.rows)}:{rows}"
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_kept_token_matches_the_rows_on_every_small_lattice(q):
+    # to_token keeps its string; the kept string must be the one the rows
+    # spell, on every call, and parse back (q >= 11 writes digits a-f)
+    field = field_new(q)
+    for n in range(4):
+        for s in build_index(field, n, budget=None).subspaces:
+            first = s.to_token()
+            assert s.to_token() == first == _token_from_rows(s)
+            assert Subspace.from_token(first) == s
+
+
 def test_token_format_example():
     s = span(F2, 4, [1, 1, 0, 0], [0, 0, 1, 1])
     assert s.to_token() == "2:4:2:1100,0011"
