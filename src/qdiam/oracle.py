@@ -23,11 +23,9 @@ hereditary, so it cannot be folded into the graph.  Every class is instead
 a list of exclusion clauses, the vertex masks of its forbidden
 configurations, built from the index's ball masks before the search: a
 clique inside a clause must leave it.  A clause can prune a subtree only
-while the partial clique lies inside it, and the partial clique only grows
-on the way down, so the engine keeps a per-vertex index of the clauses
-containing each vertex: a node inherits its parent's live clauses narrowed
-by the vertex it adds and checks its candidates against the live ones
-alone.
+while the partial clique lies inside it, so a node checks its candidates
+against its live clauses alone: a root's are those centred within t of its
+vertex, and a node below keeps those of its parent that hold what it adds.
 
 One driver, max_admissible_family, runs every search: index, seed,
 engine, search, witness re-verification, formula and report.  Class None
@@ -178,12 +176,15 @@ class _CliqueEngine:
         n = index.n
         q = index.field.q
         self.nv = nv
-        clauses = {"A_even": 2, "A_odd": 2 * gauss_binom(n, 1, q), "B_even": nv,
-                   "B_odd": sum(gauss_binom(n, k, q) * gauss_binom(n - k, 1, q)
-                                for k in range(n))}.get(family_class, 0)
-        # Non-neighbour bitsets and the clauses with their per-vertex index,
-        # in bits, and the line incidence the rows are built from.
-        need = ((nv * nv + 2 * clauses * nv + 7) // 8
+        lines, covers = gauss_binom(n, 1, q), sum(
+            gauss_binom(n, k, q) * gauss_binom(n - k, 1, q) for k in range(n))
+        # Bits for the rows, clauses and centre balls that are no clause, and
+        # bytes for the clause lists (an entry per centre) and the incidence.
+        clauses, balls, entries = {
+            "A_even": (2, 0, 2), "A_odd": (2 * lines, 2 + 2 * lines, 4 * lines),
+            "B_even": (nv, 0, nv), "B_odd": (covers, nv, 2 * covers),
+        }.get(family_class, (0, 0, 0))
+        need = ((nv * (nv + clauses + balls) + 7) // 8 + 8 * entries
                 + index.incidence_bytes())
         if need > DEFAULT_DISTANCE_CELL_BUDGET:
             raise BudgetExceeded(
@@ -212,58 +213,54 @@ class _CliqueEngine:
                 cap = min(cap, gauss_binom(n, k, q))
             self.groups.append((self.layer_mask[k] | self.layer_mask[n - k],
                                 cap))
-        self.forbidden, self.clause_of = self._clauses(family_class, t)
+        self.forbidden, self.centred = self._clauses(family_class, t)
 
     def _clauses(self, family_class, t):
         """Vertex masks of the forbidden configurations of family_class, and
-        the per-vertex clause index clause_of: bit j of clause_of[v] is set
-        when clause j contains vertex v.  Without a class there are no
-        clauses and clause_of is None.
+        centred: each centre u -> (ball(u, t), the masks of the clauses
+        centred at u).  Without a class there are no clauses.
 
         A_even forbids the radius-t balls around 0 and F_q^n.  A_odd forbids,
         for every line x, the union of the balls around 0 and x and the union
         of those around F_q^n and x-perp.  B_even forbids every radius-t ball,
         and B_odd the union of the balls around c1 and c2 for every cover
-        pair c1 < c2.
-
-        Every clause is a union of radius-t balls around its centres, and v
-        lies in ball(u, t) exactly when u lies in ball(v, t).  So B_even's
-        clause list is its own index, and for the other classes the clauses
-        centred at u are added to clause_of[v] for every v in ball(u, t).
+        pair c1 < c2.  Every clause is the union of the radius-t balls around
+        its centres; a one-centre clause is its centre's ball itself.
         """
-        if family_class is None:
-            return [], None
         index = self.index
         top = self.nv - 1  # F_q^n
-        if family_class == "B_even":
-            balls = [index.ball(v, t) for v in range(self.nv)]
-            return balls, balls
+        centres = []
         if family_class == "A_even":
             centres = [(0,), (top,)]
         elif family_class == "A_odd":
-            centres = []
             lines = index.layer_range(1) if index.n else (0, 0)  # F_q^0 has none
             for x in range(*lines):
                 perp = index.position(index.subspaces[x].perp())
                 centres += [(0, x), (top, perp)]
-        else:
-            centres = []
+        elif family_class == "B_even":
+            centres = [(v,) for v in range(self.nv)]
+        elif family_class == "B_odd":
             for k in range(index.n):  # F_q^n has no cover
                 for c1 in range(*index.layer_range(k)):
                     covers = index.ball(c1, 1) & self.layer_mask[k + 1]
                     centres += [(c1, c2) for c2 in _bits(covers)]
-        ends = {}  # centre -> the indices of the clauses centred there
-        for j, cs in enumerate(centres):
+        balls = {u: index.ball(u, t) for u in {u for cs in centres for u in cs}}
+        centred = {u: (ball, []) for u, ball in balls.items()}
+        clauses = [balls[cs[0]] if len(cs) == 1 else balls[cs[0]] | balls[cs[1]]
+                   for cs in centres]
+        for cs, mask in zip(centres, clauses):
             for u in cs:
-                ends.setdefault(u, []).append(j)
-        balls = {u: index.ball(u, t) for u in ends}
-        clauses = [balls[cs[0]] | balls[cs[-1]] for cs in centres]
-        clause_of = [0] * self.nv
-        for u, js in ends.items():
-            mask = sum(1 << j for j in js)
-            for v in _bits(balls[u]):
-                clause_of[v] |= mask
-        return clauses, clause_of
+                centred[u][1].append(mask)
+        return clauses, centred
+
+    def _clauses_at(self, v):
+        """The masks of the clauses that hold v: those centred within t of v,
+        as v is in ball(c, t) iff c is in ball(v, t) (a clause may come twice);
+        a vertex that is no centre, in the A classes, is tested in each ball."""
+        centred = self.centred
+        near = (_bits(centred[v][0]) if v in centred else
+                [u for u, (ball, _) in centred.items() if ball >> v & 1])
+        return [m for u in near if u in centred for m in centred[u][1]]
 
     def _build(self, mask):
         """Fill the non-neighbour rows of the vertices in mask not built yet."""
@@ -396,11 +393,8 @@ class _CliqueEngine:
         self.collected_count = len(self.collected)
         slack = 0 if collect_all else 1  # a clique must reach best + slack
         non = self.non
-        forbidden = self.forbidden
-        clause_of = self.clause_of
         root, settle = self._roots(collect_all)
-        stack = [[root, None, len(root), (1 << self.nv) - 1,
-                  (1 << len(forbidden)) - 1, 0]]
+        stack = [[root, None, len(root), (1 << self.nv) - 1, [], 0]]
         nodes = 0
         timed_out = False
         while stack:
@@ -426,37 +420,39 @@ class _CliqueEngine:
                     timed_out = True
                     break
             nodes += 1
-            alive = alive and alive & clause_of[v]
-            clique |= 1 << v
+            bit = 1 << v
+            clique |= bit
             need = self.best + slack
-            # A live clause that also holds every candidate prunes the node.
-            rest = alive
-            while rest:
-                b = rest & -rest
-                if cand & ~forbidden[b.bit_length() - 1] == 0:
-                    break
-                rest ^= b
-            if not rest and self._group_bound(cand | clique) >= need:
-                if cand & self.built != cand:
-                    self._build(cand)
-                    if deadline is not None and time.monotonic() > deadline:
-                        timed_out = True
+            # The live clauses, those that hold the clique: the parent's that
+            # hold v, or a root's own.  One that holds every candidate prunes.
+            live = []
+            pruned = False
+            for m in self._clauses_at(v) if bounds is None else alive:
+                if m & bit:
+                    if cand & m == cand:
+                        pruned = True
                         break
-                forced = self._universal(cand)
-                cand ^= forced
-                clique |= forced
-                if alive:
-                    for u in _bits(forced):
-                        alive &= clause_of[u]
-                if cand:
-                    # need only rises below, so a vertex colored under
-                    # need - |clique| now would be cut at its turn anyway.
-                    order, bounds = self._color_order(
-                        cand, need - clique.bit_count())
-                    stack.append([order, bounds, len(order), cand, alive,
-                                  clique])
-                    continue
-                self._record(list(_bits(clique)))
+                    live.append(m)
+            if pruned or self._group_bound(cand | clique) < need:
+                continue
+            if cand & self.built != cand:
+                self._build(cand)
+                if deadline is not None and time.monotonic() > deadline:
+                    timed_out = True
+                    break
+            forced = self._universal(cand)
+            cand ^= forced
+            clique |= forced
+            if live:
+                live = [m for m in live if m & forced == forced]
+            if cand:
+                # need only rises below, so a vertex colored under
+                # need - |clique| now would be cut at its turn anyway.
+                order, bounds = self._color_order(
+                    cand, need - clique.bit_count())
+                stack.append([order, bounds, len(order), cand, live, clique])
+                continue
+            self._record(list(_bits(clique)))
         if collect_all and seed_vertices and not self.collected_count:
             # Nothing at the seed size was enumerated (timeout before any
             # leaf); fall back to the seed itself.

@@ -136,8 +136,9 @@ def test_group_caps_use_ekr_bound(q, n, d, caps):
     assert all(cap == mask.bit_count() for mask, cap in reference.groups)
 
 
-# The clique-search and lattice-frontier benchmark jobs and README's counts:
-# (q, n, d, class, --all, optimum, witness_count, nodes_explored).  The
+# The clique-search and lattice-frontier benchmark jobs, README's counts and
+# three (2, 6) class searches whose time is mostly the clauses: (q, n, d,
+# class, --all, optimum, witness_count, nodes_explored).  The
 # reference engines in this file share _group_bound with the production
 # search, so only fixed numbers catch a pruning slip they share.
 PINNED_SEARCHES = [
@@ -153,6 +154,9 @@ PINNED_SEARCHES = [
     (2, 5, 3, "B_odd", False, 39, 1, 9009),
     (3, 5, 2, "B_even", False, 14, 1, 15565),
     (3, 5, 4, None, True, 1332, 8, 2722),
+    (2, 6, 5, "B_odd", False, 870, 1, 4),
+    (2, 6, 1, "B_odd", False, 0, 0, 21),
+    (2, 6, 3, "A_odd", False, 71, 1, 61426),
 ]
 
 
@@ -692,29 +696,34 @@ def test_ball_matches_popcount_reference(q, n):
                                                            radius)
 
 
-def _clause_index_by_bits(clauses, nv):
-    """Per-vertex clause index transposed one bit at a time."""
-    clause_of = [0] * nv
-    for j, rest in enumerate(clauses):
-        while rest:
-            b = rest & -rest
-            clause_of[b.bit_length() - 1] |= 1 << j
-            rest ^= b
-    return clause_of
-
-
 @pytest.mark.parametrize("q", [2, 3])
 def test_b_even_clause_list_is_its_own_index(q):
+    # B_even's clause v is the ball around v itself, the ball a root at v
+    # gathers its clauses from, so the engine keeps no second copy of it.
     engine = _CliqueEngine(build_index(field_new(q), 4), 2, "B_even")
-    assert engine.clause_of == _clause_index_by_bits(engine.forbidden, engine.nv)
+    assert len(engine.forbidden) == len(engine.centred) == engine.nv
+    for v, clause in enumerate(engine.forbidden):
+        ball, centred_here = engine.centred[v]
+        assert clause is ball and centred_here == [clause]
 
 
+# Every class at two values of d on (2, 4), (3, 4) and (2, 5).
 @pytest.mark.parametrize("q,n,d,family_class",
-                         [(q, n, 3, cls) for q, n in ((2, 4), (3, 4), (2, 5))
-                          for cls in ("A_odd", "B_odd")] + [(2, 4, 2, "A_even")])
+                         [(q, n, d, cls) for q, n in ((2, 4), (3, 4), (2, 5))
+                          for d in (1, 2, 3, 4)
+                          for cls in (("A_even", "B_even") if d % 2 == 0
+                                      else ("A_odd", "B_odd"))])
 def test_clause_index_from_centres_matches_transposition(q, n, d, family_class):
+    # The clauses a root gathers from the centres within t of its vertex are
+    # the clauses whose mask holds the vertex, each once, or twice when both
+    # of its centres lie within t.
     engine = _CliqueEngine(build_index(field_new(q), n), d, family_class)
-    assert engine.clause_of == _clause_index_by_bits(engine.forbidden, engine.nv)
+    for v in range(engine.nv):
+        holding = Counter(m for m in engine.forbidden if m >> v & 1)
+        gathered = Counter(engine._clauses_at(v))
+        assert gathered.keys() == holding.keys(), v
+        assert all(holding[m] <= gathered[m] <= 2 * holding[m]
+                   for m in holding), v
 
 
 @pytest.mark.parametrize("q,n", SMALL_LATTICES)
@@ -810,23 +819,38 @@ def test_incidence_estimate_covers_its_peak(q, n):
 # Clauses of each class on F_2^3: the two canonical balls; two per line;
 # one ball per subspace; and one double ball per cover pair, 7 lines over 0,
 # 3 planes over each of the 7 lines and F_2^3 over each of the 7 planes.
+# Each is a 16-bit mask with an 8-byte list entry per centre.  A one-centre
+# clause is its centre's ball; the others keep their centres' balls besides:
+# A_odd's 0, F_2^3, 7 lines and 7 planes, and every subspace for B_odd.
+_CENTRE_BALLS_AND_ENTRIES = {"A_even": (0, 2), "A_odd": (16, 28),
+                             "B_even": (0, 16), "B_odd": (16, 70)}
+
+
 @pytest.mark.parametrize("family_class,d,clauses",
                          [("A_even", 2, 2), ("A_odd", 3, 14),
                           ("B_even", 2, 16), ("B_odd", 1, 35)])
 def test_clause_memory_budget_checked_before_allocation(monkeypatch, family_class,
                                                         d, clauses):
     index = build_index(F2, 3)
-    need = (16 * 16 + 2 * clauses * 16 + 7) // 8 + _F2_3_INCIDENCE
+    balls, entries = _CENTRE_BALLS_AND_ENTRIES[family_class]
+    need = ((16 * (16 + clauses + balls) + 7) // 8 + 8 * entries
+            + _F2_3_INCIDENCE)
     monkeypatch.setattr(oracle, "DEFAULT_DISTANCE_CELL_BUDGET", need - 1)
     with pytest.raises(BudgetExceeded) as exc:
         _CliqueEngine(index, d, family_class)
     assert exc.value.would_be_count == need
     assert index._incidence is None
     monkeypatch.setattr(oracle, "DEFAULT_DISTANCE_CELL_BUDGET", need)
-    assert len(_CliqueEngine(index, d, family_class).forbidden) == clauses
+    engine = _CliqueEngine(index, d, family_class)
+    assert len(engine.forbidden) == clauses
+    # the charge counts what the engine keeps
+    kept = {id(m) for m in engine.forbidden}
+    assert sum(len(ms) for _, ms in engine.centred.values()) == entries
+    assert sum(id(ball) not in kept
+               for ball, _ in engine.centred.values()) == balls
 
 
-# -- per-vertex clause index against the full clause scan --------------------------
+# -- live clause lists against the full clause scan ---------------------------------
 
 class _FullScanEngine(_CliqueEngine):
     """The engine with every node testing every clause and coloring every
@@ -918,9 +942,12 @@ _COSTLY_ALL = {(3, 4, 1, "B_odd"), (3, 4, 2, "A_even"), (3, 4, 2, "B_even"),
 CLAUSE_CASES = [(q, n, d, cls) for q in (2, 3) for n in range(2, 5)
                 for d in range(1, n)
                 for cls in ((None, "A_even", "B_even") if d % 2 == 0
-                            else (None, "A_odd", "B_odd"))] + [(2, 5, 2, "B_even")]
+                            else (None, "A_odd", "B_odd"))] + [
+    (2, 5, 2, "B_even"), (2, 5, 1, "B_odd")]
 
 
+# Each node's live clauses, gathered from the centres at its root and
+# narrowed below it, must prune exactly as testing every clause does.
 @pytest.mark.parametrize("q,n,d,family_class", CLAUSE_CASES)
 def test_clause_index_matches_full_scan(monkeypatch, q, n, d, family_class):
     enumerate_all = (q, n, d, family_class) not in _COSTLY_ALL
@@ -933,8 +960,6 @@ def test_clause_index_matches_full_scan(monkeypatch, q, n, d, family_class):
     assert rep.witness_count == ref.witness_count
     assert rep.witnesses == ref.witnesses
     assert engine.forbidden == ref_engine.forbidden
-    if family_class is None:
-        assert engine.clause_of is None  # no clauses, no index
 
 
 # -- forced candidates against one node per vertex ----------------------------------
