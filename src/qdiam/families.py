@@ -18,8 +18,8 @@ enumeration budget bounds the subspaces built per layer, checked before
 the first is built.
 
 All member-pair statistics share one scan, `_min_meet`, which meets a
-pair by the popcount of its two vector masks (|U ∩ W| = q^dim(U ∩ W)) and
-masks each member on first use, once per scan or per shared mask dict;
+pair by the popcount of its two vector masks (|U ∩ W| = q^dim(U ∩ W)),
+each member masked on its first meet and keeping the mask for later scans;
 `cross_intersection_profile` takes the diameter from the same per-layer-pair
 minimum meets it reports, so a check scans each layer pair once.  A layer
 pair's scan stops at the floor its layers prove (`_meet_floor`): every
@@ -326,7 +326,7 @@ def _meet_dim(a: Subspace, b: Subspace) -> int:
     return a.dim + b.dim - a.rank_with(b)
 
 
-def _min_meet(xs, ys, stop, masks=None):
+def _min_meet(xs, ys, stop):
     """Smallest dim(a ∩ b) over the pairs a in xs, b in ys, and a pair that
     reaches it; ys=None means the pairs of distinct positions of xs.
 
@@ -337,12 +337,11 @@ def _min_meet(xs, ys, stop, masks=None):
 
     A pair meets by popcount: U ∩ W holds q^dim(U ∩ W) vectors, the bits
     the two vector masks share, so the scan compares counts and looks the
-    dimension up at the end.  Each member's mask is built on its first
-    meet and dropped when the scan returns, so a scan that stops early
-    masks only the members it reached; a `masks` dict (subspace -> mask)
-    keeps them for the scans that share it.  A mask is q^n bits; the scan
-    raises BudgetExceeded when the masks of ys would take more than
-    DEFAULT_DISTANCE_CELL_BUDGET bytes.
+    dimension up at the end.  A member's mask is built on its first meet
+    and kept (Subspace.vector_mask), so a scan that stops early masks only
+    the members it reached.  A mask is q^n bits; before building any, the
+    scan raises BudgetExceeded when the masks of xs and ys would take more
+    than DEFAULT_DISTANCE_CELL_BUDGET bytes.
     """
     same = ys is None
     if same:
@@ -350,27 +349,21 @@ def _min_meet(xs, ys, stop, masks=None):
     if not xs or not ys or same and len(xs) < 2:
         return None, None
     q, n = xs[0].field.q, xs[0].n
-    if len(ys) * q ** n > 8 * DEFAULT_DISTANCE_CELL_BUDGET:
+    kept = len(xs) if same else len(xs) + len(ys)
+    if kept * q ** n > 8 * DEFAULT_DISTANCE_CELL_BUDGET:
         raise BudgetExceeded(
-            f"vector masks of {len(ys)} members of GF({q})^{n} exceed the "
-            f"byte budget", would_be_count=len(ys) * q ** n // 8)
-    if masks is None:
-        mask_of = Subspace.vector_mask
-    else:
-        def mask_of(s):  # a mask holds the zero vector, so it is never 0
-            return masks.get(s) or masks.setdefault(s, s.vector_mask())
+            f"vector masks of {kept} members of GF({q})^{n} exceed the "
+            f"byte budget", would_be_count=kept * q ** n // 8)
     dim_of = {q ** m: m for m in range(n + 1)}
     limit = q ** stop if stop >= 0 else 0  # a count <= limit stops the scan
     best, pair = q ** n + 1, None
     ymasks = [None] * len(ys)
     for i, a in enumerate(xs):
-        ma = ymasks[i] if same else None
-        if ma is None:
-            ma = mask_of(a)
+        ma = a.vector_mask()
         for j in range(i + 1 if same else 0, len(ys)):
             mb = ymasks[j]
             if mb is None:
-                mb = ymasks[j] = mask_of(ys[j])
+                mb = ymasks[j] = ys[j].vector_mask()
             c = (ma & mb).bit_count()
             if c < best:
                 best, pair = c, (a, ys[j])
@@ -389,9 +382,8 @@ def _layer_pairs_by_dimsum(fam):
     return pairs
 
 
-def _layer_pair_min_meet(fam, a, b, stop, masks=None):
-    return _min_meet(fam.layer(a), None if a == b else fam.layer(b), stop,
-                     masks)
+def _layer_pair_min_meet(fam, a, b, stop):
+    return _min_meet(fam.layer(a), None if a == b else fam.layer(b), stop)
 
 
 def _hull(members, field, n):
@@ -447,7 +439,7 @@ def diameter(fam: SubspaceFamily) -> int:
     return best
 
 
-def diameter_at_most(fam: SubspaceFamily, d: int, masks=None):
+def diameter_at_most(fam: SubspaceFamily, d: int):
     """(True, None) if every pairwise distance is <= d, else (False, pair).
 
     A pair of an a-space and a b-space is farther apart than d exactly when
@@ -455,8 +447,7 @@ def diameter_at_most(fam: SubspaceFamily, d: int, masks=None):
     dimension sum is at most d are skipped outright, and so are layer pairs
     whose meets cannot go that low: none goes below a + b - n (so no pair
     is farther apart than 2n - a - b), checked first as it needs no walk,
-    or below the floor the layers prove (_meet_floor).  For `masks` see
-    _min_meet.
+    or below the floor the layers prove (_meet_floor).
     """
     if not fam.members:
         raise EmptyFamily("diameter of an empty family")
@@ -469,7 +460,7 @@ def diameter_at_most(fam: SubspaceFamily, d: int, masks=None):
         stop = (dimsum - d - 1) // 2
         if stop < dimsum - fam.n or stop < _meet_floor(fam, a, b):
             continue
-        m, pair = _layer_pair_min_meet(fam, a, b, stop, masks)
+        m, pair = _layer_pair_min_meet(fam, a, b, stop)
         if m is not None and m <= stop:
             return False, pair
     return True, None

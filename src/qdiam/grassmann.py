@@ -20,9 +20,9 @@ from .subspace import Subspace, vector_index
 DEFAULT_ENUM_BUDGET = 10**7
 # Bytes: the distance table takes one per lattice pair; clique adjacency takes
 # n_v^2 / 8 for its bitsets and LatticeIndex.incidence_bytes for the line
-# incidence.  A member-pair scan takes q^n / 8 for each member's vector mask.
-# The oracle's witness check keeps one per witness member, at most
-# n_v q^n / 8: below n_v^2 / 8 for n >= 4, and about 280 KB for n <= 3.
+# incidence.  A member-pair scan charges q^n / 8 for the vector mask of each
+# member it may mask, which the member then keeps.  The oracle's witnesses
+# keep at most n_v q^n / 8: below n_v^2 / 8 for n >= 4, about 280 KB else.
 DEFAULT_DISTANCE_CELL_BUDGET = 2 * 1024**3
 
 

@@ -57,8 +57,8 @@ the same degree, so this is also the ascending-degree order.
 
 Recorded witnesses are always re-verified by the families' own diameter
 scan, ``diameter_at_most``, which meets member pairs by vector masks, not
-by the line incidence the search adjacency came from; the witnesses share
-one mask dict, so each member is masked once.  The characterization
+by the line incidence the search adjacency came from; a member keeps its
+mask, so one held by several witnesses is masked once.  The characterization
 builds the census once, each family keyed by its member set, and
 classifies every witness by one lookup; at the boundary n = d+1 the key
 is the witness's middle layer, after a full/empty test of each
@@ -240,9 +240,13 @@ class _CliqueEngine:
         elif family_class == "B_even":
             centres = [(v,) for v in range(self.nv)]
         elif family_class == "B_odd":
+            lines_of, columns = index.line_incidence()
             for k in range(index.n):  # F_q^n has no cover
                 for c1 in range(*index.layer_range(k)):
-                    covers = index.ball(c1, 1) & self.layer_mask[k + 1]
+                    # the (k+1)-spaces that hold every line of c1
+                    covers = self.layer_mask[k + 1]
+                    for x in lines_of[c1]:
+                        covers &= columns[x]
                     centres += [(c1, c2) for c2 in _bits(covers)]
         balls = {u: index.ball(u, t) for u in {u for cs in centres for u in cs}}
         centred = {u: (ball, []) for u, ball in balls.items()}
@@ -489,19 +493,18 @@ def _materialize_witnesses(index, collected, d):
     """Vertex lists -> families, each re-verified by diameter_at_most.
 
     It meets pairs by vector masks, not by the line incidence the search
-    adjacency came from.  The witnesses share one mask dict, so each of their
-    members is masked once, in at most |union| * q^n / 8 bytes: for n >= 4,
-    [n 2]_q >= q^n, so below the n_v^2 / 8 the engine already charged; for
-    n <= 3, at most about 280 KB (q = 16).
+    adjacency came from.  Each member keeps its mask while the report holds
+    the witnesses, so their union is masked once, in at most |union| * q^n
+    / 8 bytes: for n >= 4, [n 2]_q >= q^n, so below the n_v^2 / 8 the
+    engine already charged; for n <= 3, at most about 280 KB (q = 16).
     """
     field, n = index.field, index.n
     subspaces = index.subspaces
-    masks = {}
     witnesses = []
     # index order is canonical order, so this sorts by the member tuples
     for vertices in sorted(sorted(c) for c in collected):
         fam = SubspaceFamily(field, n, [subspaces[v] for v in vertices])
-        ok, pair = diameter_at_most(fam, d, masks)
+        ok, pair = diameter_at_most(fam, d)
         if not ok:
             raise AssertionError(
                 "search produced a witness violating the diameter bound: "

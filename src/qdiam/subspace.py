@@ -112,10 +112,11 @@ class Subspace:
 
     Instances are immutable and totally ordered by (dim, pivots, rows),
     which fixes a deterministic enumeration and branching order everywhere.
-    The token is formatted on the first ``to_token`` call and kept.
+    The token and the vector mask are each built on first use and kept.
     """
 
-    __slots__ = ("field", "n", "rows", "pivots", "bits", "_h", "_token")
+    __slots__ = ("field", "n", "rows", "pivots", "bits", "_h", "_token",
+                 "_mask")
 
     def __init__(self, field, n, rows, pivots, bits):
         # Internal: callers go through from_generators / _from_rref.
@@ -243,26 +244,31 @@ class Subspace:
         The indices are listed at most 2^_MASK_CHUNK_BITS at a time, so the
         numeral is the only transient of size q^n: the span of the first m
         rows is listed once per vector h of the span of the others, starting
-        from h (each column from h's entry for q > 2) instead of 0.
+        from h (each column from h's entry for q > 2) instead of 0.  The
+        int is kept in ``_mask``, unset at construction, like ``_token``.
         """
+        try:
+            return self._mask
+        except AttributeError:
+            pass
         top = self.field.q ** self.n - 1
         numeral = bytearray(b"0") * (top + 1)
         bits = self.bits
         if bits is None:
             self._mark_table_vectors(numeral)
-            return int(numeral, 2)
-        # the digit of vector v is numeral[top - v], and top - v = top ^ v
-        offsets = [top]
-        low = bits[:_MASK_CHUNK_BITS]
-        for r in bits[_MASK_CHUNK_BITS:]:
-            offsets += [h ^ r for h in offsets]
-        for h in offsets:
-            vecs = [h]
-            for r in low:
-                vecs += [v ^ r for v in vecs]
-            for v in vecs:
-                numeral[v] = 49  # ord("1")
-        return int(numeral, 2)
+        else:  # the digit of vector v is numeral[top - v] = numeral[top ^ v]
+            offsets = [top]
+            low = bits[:_MASK_CHUNK_BITS]
+            for r in bits[_MASK_CHUNK_BITS:]:
+                offsets += [h ^ r for h in offsets]
+            for h in offsets:
+                vecs = [h]
+                for r in low:
+                    vecs += [v ^ r for v in vecs]
+                for v in vecs:
+                    numeral[v] = 49  # ord("1")
+        self._mask = mask = int(numeral, 2)
+        return mask
 
     def _mark_table_vectors(self, numeral):
         """vector_mask's digits for q > 2: the Horner columns of the span of

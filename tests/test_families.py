@@ -392,20 +392,27 @@ def test_diameter_examples():
         diameter(SubspaceFamily(F2, 3, []))
 
 
-def test_diameter_matches_bruteforce(monkeypatch):
-    # every statistic built on the member-pair meet scan, against all pairs;
-    # meets come from intersect(), which does not go through rank_with.
-    # diameter_at_most gives the same answer with a mask dict, which ends
-    # up holding one mask per member the scan reached; a dict shared by
-    # later scans is read, not rebuilt.
+def mask_builds(monkeypatch):
+    """The list of subspaces whose vector mask is built from here on, one
+    entry per build; a kept mask read back is not a build."""
     vector_mask = Subspace.vector_mask
     built = []
 
     def counted(self):
-        built.append(self)
+        if not hasattr(self, "_mask"):
+            built.append(self)
         return vector_mask(self)
 
     monkeypatch.setattr(Subspace, "vector_mask", counted)
+    return built
+
+
+def test_diameter_matches_bruteforce(monkeypatch):
+    # every statistic built on the member-pair meet scan, against all pairs;
+    # meets come from intersect(), which does not go through rank_with.
+    # Across all those scans each member builds its vector mask at most
+    # once, and the mask it keeps is the one a fresh copy builds.
+    built = mask_builds(monkeypatch)
     rng = random.Random(31)
     for field in (F2, F3, field_new(4)):
         for _ in range(60):
@@ -414,24 +421,13 @@ def test_diameter_matches_bruteforce(monkeypatch):
             mem = fam.members
             pairs = [(a, b) for i, a in enumerate(mem) for b in mem[i + 1:]]
             brute = max(a.distance(b) for a in fam for b in fam)
+            built.clear()
             assert diameter(fam) == brute
             profile_d, rows = cross_intersection_profile(fam)
             assert profile_d == brute
-            shared = {}
             for d in range(n + 1):
-                built.clear()
                 ok, pair = diameter_at_most(fam, d)
-                scanned = set(built)
-                built.clear()
-                masks = {}
-                assert diameter_at_most(fam, d, masks) == (ok, pair)
-                assert len(built) == len(masks) and masks.keys() == scanned
-                assert all(m == vector_mask(s) for s, m in masks.items())
-                held = set(shared)
-                built.clear()
-                assert diameter_at_most(fam, d, shared) == (ok, pair)
-                assert len(built) == len(set(built))
-                assert set(built) == scanned - held
+                assert diameter_at_most(fam, d) == (ok, pair)
                 assert ok == (brute <= d)
                 if not ok:
                     assert pair[0] in fam and pair[1] in fam
@@ -450,6 +446,10 @@ def test_diameter_matches_bruteforce(monkeypatch):
                     and all(a.intersect(b).dim >= s for a, b in pairs))
                 assert is_cross_intersecting(xs, ys, s) == all(
                     a.intersect(b).dim >= s for a in xs for b in ys)
+            assert len(built) == len(set(built)) and set(built) <= set(mem)
+            for a in set(built):
+                fresh = Subspace.from_generators(field, n, a.rows)
+                assert a.vector_mask() == fresh.vector_mask()
 
 
 def _diameter_at_most_every_pair(fam, d):
@@ -571,16 +571,18 @@ def test_scans_at_the_layer_floor_match_every_pair(q, n):
 def test_ball_scan_stops_at_the_centre(monkeypatch):
     # every 3-space of the r=2 ball around a line of F_2^7 holds the line,
     # so the (3, 3) layer pair stops at meet 1, after at most 651 of its
-    # 211,575 pairs; pairs are met in combinations order (_min_meet)
+    # 211,575 pairs; pairs are met in combinations order (_min_meet).  The
+    # profile's scans read the masks the diameter's scans built.
     x = axis_line(F2, 7)
     fam = ball(x, 2)
     assert len(fam.layer(3)) == 651
     scans = []
     min_meet = families._min_meet
+    built = mask_builds(monkeypatch)
 
-    def recorded(xs, ys, stop, masks=None):
+    def recorded(xs, ys, stop):
         scans.append((xs, ys, stop))
-        return min_meet(xs, ys, stop, masks)
+        return min_meet(xs, ys, stop)
 
     def pairs_met(xs, ys, stop):
         pairs = combinations(xs, 2) if ys is None else product(xs, ys)
@@ -597,6 +599,7 @@ def test_ball_scan_stops_at_the_centre(monkeypatch):
             assert stop == 1
             assert pairs_met(xs, ys, stop) <= 651
     assert sum(len(xs) == 651 and ys is None for xs, ys, _ in scans) == 2
+    assert len(built) == len(set(built))
     scans.clear()
     assert diameter_at_most(fam, 4) == (True, None)
     assert scans == []
@@ -627,6 +630,21 @@ def test_each_layer_hull_is_walked_once(tmp_path, monkeypatch, capsys):
     assert (rep.witness_kind, rep.witness_centers) == (
         "canonical_double_ball", (x,))
     assert [members[0].dim for members in walks] == [3]
+
+
+def test_class_check_masks_each_member_once(tmp_path, monkeypatch, capsys):
+    # the check's profile masks the members, and is_admissible's diameter
+    # test reads those masks back; the B_odd centres meet by row elimination
+    x = axis_line(F2, 7)
+    fam = extremal_odd_family(x, axis_subspace(F2, 7, [1, 2, 3]))
+    path = tmp_path / "k.fam"
+    with open(path, "w") as fh:
+        write_family(fam, fh)
+    built = mask_builds(monkeypatch)
+    assert main(["check", str(path), "--class", "B_odd", "--t", "2"]) == 0
+    assert "admissibility[B_odd, t=2]: admissible" in capsys.readouterr().out
+    assert built and len(built) == len(set(built))
+    assert set(built) <= fam.member_set
 
 
 @pytest.mark.parametrize("family_class", ADMISSIBILITY_CLASSES)
@@ -698,6 +716,26 @@ def test_min_meet_refuses_masks_over_the_byte_budget(monkeypatch):
     with pytest.raises(BudgetExceeded) as exc:
         _min_meet(xs, None, -1)
     assert exc.value.would_be_count == 70
+
+
+def test_cross_layer_min_meet_charges_both_sides(monkeypatch):
+    # a cross-layer scan may leave both sides masked, so it charges both:
+    # 15 lines and 35 planes of F_2^4 take 50 masks of 16 bits, 100 bytes,
+    # where the planes alone take 70
+    xs = list(enumerate_layer(F2, 4, 1))
+    ys = list(enumerate_layer(F2, 4, 2))
+    monkeypatch.setattr(families, "DEFAULT_DISTANCE_CELL_BUDGET", 99)
+
+    def no_mask(self):
+        raise AssertionError("built a mask over the budget")
+
+    with monkeypatch.context() as m:
+        m.setattr(Subspace, "vector_mask", no_mask)
+        with pytest.raises(BudgetExceeded) as exc:
+            _min_meet(xs, ys, -1)
+    assert exc.value.would_be_count == 100
+    monkeypatch.setattr(families, "DEFAULT_DISTANCE_CELL_BUDGET", 100)
+    assert _min_meet(xs, ys, -1) == _min_meet_by_rows(xs, ys, -1)
 
 
 def test_one_member_needs_no_masks(tmp_path, capsys):

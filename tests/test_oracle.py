@@ -1392,26 +1392,35 @@ def test_materialize_skips_pairs_within_dimension_sum(monkeypatch):
 
 @pytest.mark.parametrize("q,n,d", [(2, 4, 3), (2, 5, 3), (3, 4, 3)])
 def test_materialize_masks_each_member_once(monkeypatch, q, n, d):
-    # The witnesses share one mask dict, so a member held by several of
-    # them is masked once, and no pair is met by row elimination.
+    # Each member keeps its mask, so a member held by several witnesses is
+    # masked once; a second re-check and is_admissible's diameter test mask
+    # nothing, and no pair of the re-checks is met by row elimination.
     rep = max_diameter_family(q, n, d, enumerate_all=True)
     index = build_index(field_new(q), n)
     collected = [[index.position(s) for s in fam] for fam in rep.witnesses]
-    calls = []
+    built = []
     vector_mask = Subspace.vector_mask
 
     def counted(self):
-        calls.append(self)
+        if not hasattr(self, "_mask"):
+            built.append(self)
         return vector_mask(self)
 
     def no_rows(self, other):
         raise AssertionError("met a pair by row elimination")
 
     monkeypatch.setattr(Subspace, "vector_mask", counted)
-    monkeypatch.setattr(Subspace, "distance", no_rows)
-    monkeypatch.setattr(Subspace, "rank_with", no_rows)
-    assert oracle._materialize_witnesses(index, collected, d) == rep.witnesses
-    assert calls and len(calls) == len(set(calls))
+    with monkeypatch.context() as m:
+        m.setattr(Subspace, "distance", no_rows)
+        m.setattr(Subspace, "rank_with", no_rows)
+        for _ in range(2):
+            witnesses = oracle._materialize_witnesses(index, collected, d)
+            assert witnesses == rep.witnesses
+    assert built and len(built) == len(set(built))
+    built.clear()
+    for fam in witnesses:
+        is_admissible(fam, "B_odd", d // 2)
+    assert built == []
 
 
 # -- characterization against per-witness classification -------------------------

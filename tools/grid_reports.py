@@ -1,11 +1,22 @@
-"""Print one line per oracle search of the small grid, for diffing two trees.
+"""Print one line per oracle search and family job of small grids, for
+diffing two trees.
 
-The grid is q=2 with n <= 5, q=3 with n <= 4 and q=4, 5 with n <= 3, every
-0 <= d <= n, the plain search and both classes of d's parity, each with and
-without enumerate_all: 336 searches.  Each line is the tuple and the SHA-256
-of the report's JSON form without elapsed_ms, so two trees that search alike
-print the same lines, nodes_explored and witnesses included.  A search that
-raises prints the exception's type and message instead of a hash.
+The search grid is q=2 with n <= 5, q=3 with n <= 4 and q=4, 5 with n <= 3,
+every 0 <= d <= n, the plain search and both classes of d's parity, each
+with and without enumerate_all: 336 searches.  Each line is the tuple and
+the SHA-256 of the report's JSON form without elapsed_ms, so two trees that
+search alike print the same lines, nodes_explored and witnesses included.
+A search that raises prints the exception's type and message instead of a
+hash.
+
+The family grid is q=2 with 1 <= n <= 5 and q=3 with 1 <= n <= 4.  Every
+`qdiam construct` family kind is built around the first line x, the first
+k-space (for a ball's centre) and the first k-space y not holding x (for
+the second centre of a double ball and for HM and K), with t, r <= 2.  Each
+family file is then checked by `qdiam check --format json`, without a class
+and with every class at every t <= 2.  Each job runs in process through
+`qdiam.cli.main` and prints its argv and the SHA-256 of its exit code,
+stdout and stderr; a construct's stdout is the family file the checks read.
 
 Run it on each tree and diff the outputs:
 
@@ -14,13 +25,22 @@ Run it on each tree and diff the outputs:
     diff before.txt after.txt
 """
 
+import contextlib
 import hashlib
+import io
 import json
+import os
 import sys
+import tempfile
 
+from qdiam.cli import main as cli_main
+from qdiam.families import ADMISSIBILITY_CLASSES
+from qdiam.gfq import field_new
+from qdiam.grassmann import enumerate_layer
 from qdiam.oracle import max_admissible_family
 
 GRID = ((2, 5), (3, 4), (4, 3), (5, 3))  # (q, largest n)
+FAMILY_GRID = ((2, 5), (3, 4))  # (q, largest n)
 
 
 def grid():
@@ -43,6 +63,70 @@ def report_digest(q, n, d, family_class, enumerate_all):
         json.dumps(data, sort_keys=True).encode()).hexdigest()
 
 
+def construct_argvs(q, n):
+    """The construct jobs of one lattice, each as its argv."""
+    field = field_new(q)
+    firsts = [next(enumerate_layer(field, n, k)).to_token()
+              for k in range(n + 1)]
+    x = next(enumerate_layer(field, n, 1))
+    outside = {k: next(y for y in enumerate_layer(field, n, k)
+                       if not y.contains(x)).to_token() for k in range(1, n)}
+    x = x.to_token()
+    small = range(min(n, 2) + 1)
+    jobs = [["L", "--q", str(q), "--n", str(n), "--t", str(t)] for t in small]
+    jobs += [["U", "--q", str(q), "--n", str(n), "--t", str(t)] for t in small]
+    jobs += [["D", "--x", x, "--t", str(t)] for t in small if t < n]
+    jobs += [["ball", "--center", c, "--r", str(r)]
+             for c in firsts for r in small]
+    jobs += [["double-ball", "--center", x, "--center2", y, "--r", str(r)]
+             for y in outside.values() for r in small]
+    jobs += [["star", "--x", x, "--k", str(k)] for k in range(1, n + 1)]
+    jobs += [[kind, "--x", x, "--y", y]
+             for kind in ("HM", "K") for y in outside.values()]
+    if n >= 3:
+        jobs += [[kind, "--y", firsts[3]] for kind in ("HM3", "K3")]
+    return [["construct", *job, "--format", "json"] for job in jobs]
+
+
+def run_cli(argv):
+    """(exit code, stdout, stderr) of one in-process `qdiam` run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli_main(argv)
+        except SystemExit as exc:  # argparse refusing the argv
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def job_digest(code, out, err):
+    return hashlib.sha256(
+        json.dumps([code, out, err]).encode()).hexdigest()
+
+
+def family_jobs(workdir):
+    """(printed argv, digest) per construct and check job of the family
+    grid; each family file is written to workdir as the checks' input."""
+    for q, top in FAMILY_GRID:
+        for n in range(1, top + 1):
+            for argv in construct_argvs(q, n):
+                code, out, err = run_cli(argv)
+                yield argv, job_digest(code, out, err)
+                if code != 0:
+                    continue
+                path = os.path.join(workdir, "family.fam")
+                with open(path, "w") as fh:
+                    fh.write(out)
+                checks = [[]] + [["--class", c, "--t", str(t)]
+                                 for c in ADMISSIBILITY_CLASSES
+                                 for t in range(3)]
+                for extra in checks:
+                    code, out, err = run_cli(
+                        ["check", path, *extra, "--format", "json"])
+                    yield ["check", *argv[1:-2], *extra], job_digest(
+                        code, out, err)
+
+
 def main():
     for case in grid():
         try:
@@ -50,6 +134,9 @@ def main():
         except Exception as exc:  # a raising search is a result to compare
             outcome = f"{type(exc).__name__}: {exc}"
         print(*case, outcome, flush=True)
+    with tempfile.TemporaryDirectory() as workdir:
+        for argv, digest in family_jobs(workdir):
+            print(*argv, digest, flush=True)
     return 0
 
 
