@@ -39,21 +39,16 @@ universal candidates, those adjacent to every other candidate, into the
 clique at once: every maximum family below it holds them all
 (docs/decisions.md).  Forced vertices are not counted in nodes_explored.
 
-The search is one loop over an explicit stack of frames, so a clique of
-1332 members at (3, 5, 4) is not bounded by Python's recursion limit.  A
-frame holds the vertices still to try, their color bounds, the next
-position, the untried candidates, the live clauses and the clique at its
-node as one vertex mask: backtracking pops the frame, and the group bound
-reads the one mask cand | clique.  The root is the first frame, branched
-with no bound; each root vertex has a settle mask that leaves the untried
-set once its branch is done.  An optimum search roots the first k-space of
-each layer pair (k, n-k), middle pair first, and settles the whole pair,
-its mask in the cap table: GL(n, q) and perp preserve distance, the caps
-and every class's clauses, so some maximum family holds the representative
-of the first pair it meets (orbital branching, Ostrowski et al. 2011;
-docs/decisions.md).  With enumerate_all every vertex is a root, pair by
-pair in the same order, each settling itself; every vertex of a pair has
-the same degree, so this is also the ascending-degree order.
+The search is one branch per root, each one loop over an explicit stack
+of frames, so a clique of 1332 members at (3, 5, 4) is not bounded by
+Python's recursion limit.  An optimum search roots the first k-space of
+each layer pair (k, n-k), middle pair first, and settles the whole pair
+once its branch is done: GL(n, q) and perp preserve distance, the caps
+and every class's clauses, so some maximum family holds the
+representative of the first pair it meets (orbital branching, Ostrowski
+et al. 2011; docs/decisions.md).  With enumerate_all every vertex is a
+root, pair by pair in the same order, each settling itself; every vertex
+of a pair has the same degree, so this is also the ascending-degree order.
 
 Recorded witnesses are always re-verified by the families' own diameter
 scan, ``diameter_at_most``, which meets member pairs by vector masks, not
@@ -287,7 +282,7 @@ class _CliqueEngine:
         return order
 
     def _roots(self, collect_all):
-        """The root's vertices, tried from the end, and their settle masks:
+        """The roots, tried from the end, and their settle masks:
         with collect_all every vertex in _degeneracy_order, settling itself;
         else the first k-space of each pair, settling the pair."""
         if collect_all:
@@ -376,16 +371,11 @@ class _CliqueEngine:
                witness_cap=DEFAULT_WITNESS_CAP, deadline=None):
         """Run the search; returns (best, collected, count, nodes, timed_out).
 
-        A frame is [vertices still to try, their color bounds (None at the
-        root), next position, untried candidates, live clauses, clique]: the
-        clique at the frame's node as one vertex mask (0 at the root), and
-        the live clauses those that contain it.  A tried vertex leaves the
-        untried candidates; at the root its settle mask (see _roots) leaves
-        with it.  A root node builds its vertex's row, and a node that
-        passes both checks builds its candidates' rows and forces the
-        universal ones into its clique; backtracking pops the frame.
-        deadline is a time.monotonic() value, checked at every root node, at
-        every 1024th node and after every node that built rows.
+        Each root (see _roots), tried from the end, builds its row and runs
+        _subsearch over its untried neighbours; its settle mask then leaves
+        the untried set, and self.best and the recorded cliques carry over.
+        deadline, a time.monotonic() value, is checked before each root's
+        row is built and inside each branch.
         """
         self.collect_all = collect_all
         self.witness_cap = witness_cap
@@ -395,43 +385,69 @@ class _CliqueEngine:
         self.collected = ([list(seed_vertices)]
                           if seed_vertices and not collect_all else [])
         self.collected_count = len(self.collected)
-        slack = 0 if collect_all else 1  # a clique must reach best + slack
-        non = self.non
-        root, settle = self._roots(collect_all)
-        stack = [[root, None, len(root), (1 << self.nv) - 1, [], 0]]
+        roots, settle = self._roots(collect_all)
+        untried = (1 << self.nv) - 1
         nodes = 0
-        timed_out = False
+        for v, settled in zip(reversed(roots), reversed(settle)):
+            timed_out = deadline is not None and time.monotonic() > deadline
+            if timed_out:
+                break
+            self._build(1 << v)
+            branch, timed_out = self._subsearch(
+                v, untried & ~(self.non[v] | 1 << v), self._clauses_at(v),
+                deadline)
+            nodes += branch
+            if timed_out:
+                break
+            untried &= ~settled
+        if collect_all and seed_vertices and not self.collected_count:
+            # Nothing at the seed size was enumerated (timeout before any
+            # leaf); fall back to the seed itself.
+            self.collected = [list(seed_vertices)][:witness_cap]
+            self.collected_count = 1
+        return self.best, self.collected, self.collected_count, nodes, timed_out
+
+    def _subsearch(self, v0, cand, clauses, deadline):
+        """Explore the branch of clique {v0} over cand, v0's untried
+        neighbours, with clauses, those that hold v0 (v0's row built);
+        returns (nodes, timed_out).
+
+        A frame is [vertices still to try, their color bounds, next
+        position, untried candidates, live clauses, clique mask]; the first
+        holds v0 alone, with a bound that never cuts.  A node that passes
+        both checks builds its candidates' rows and forces the universal
+        ones into its clique.  deadline is checked at the first node, every
+        1024th node and after every node that built rows.
+        """
+        slack = 0 if self.collect_all else 1  # a clique must reach best + slack
+        non = self.non
+        stack = [[[v0], [float("inf")], 1, cand | 1 << v0, clauses, 0]]
+        nodes = 0
         while stack:
             frame = stack[-1]
             order, bounds, i, cur, alive, clique = frame
             i -= 1
-            if i < 0 or (bounds is not None and clique.bit_count() + bounds[i]
-                         < self.best + slack):
+            if i < 0 or clique.bit_count() + bounds[i] < self.best + slack:
                 stack.pop()
                 continue
             v = order[i]
-            if bounds is None:
-                self._build(1 << v)
             # The child node: clique plus v, over the untried neighbours of v.
             cur ^= 1 << v
             cand = cur ^ (cur & non[v])
-            if bounds is None:
-                cur &= ~settle[i]
             frame[2] = i
             frame[3] = cur
-            if (nodes & 1023 == 0 or bounds is None) and deadline is not None:
+            if nodes & 1023 == 0 and deadline is not None:
                 if time.monotonic() > deadline:
-                    timed_out = True
-                    break
+                    return nodes, True
             nodes += 1
             bit = 1 << v
             clique |= bit
             need = self.best + slack
             # The live clauses, those that hold the clique: the parent's that
-            # hold v, or a root's own.  One that holds every candidate prunes.
+            # hold v.  One that holds every candidate prunes.
             live = []
             pruned = False
-            for m in self._clauses_at(v) if bounds is None else alive:
+            for m in alive:
                 if m & bit:
                     if cand & m == cand:
                         pruned = True
@@ -442,8 +458,7 @@ class _CliqueEngine:
             if cand & self.built != cand:
                 self._build(cand)
                 if deadline is not None and time.monotonic() > deadline:
-                    timed_out = True
-                    break
+                    return nodes, True
             forced = self._universal(cand)
             cand ^= forced
             clique |= forced
@@ -457,12 +472,7 @@ class _CliqueEngine:
                 stack.append([order, bounds, len(order), cand, live, clique])
                 continue
             self._record(list(_bits(clique)))
-        if collect_all and seed_vertices and not self.collected_count:
-            # Nothing at the seed size was enumerated (timeout before any
-            # leaf); fall back to the seed itself.
-            self.collected = [list(seed_vertices)][:witness_cap]
-            self.collected_count = 1
-        return self.best, self.collected, self.collected_count, nodes, timed_out
+        return nodes, False
 
 
 def _seed_family(field, n, d):

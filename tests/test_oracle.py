@@ -992,6 +992,47 @@ def test_forcing_matches_unforced_search(monkeypatch, q, n, d, family_class,
     assert rep.nodes_explored <= ref.nodes_explored
 
 
+# -- each root branch on its own -----------------------------------------------------
+
+class _BranchEngine(_CliqueEngine):
+    """The production engine, logging each root branch as (v0, cand, best
+    before it, its nodes, the cliques it passed to _record)."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.branches = []
+
+    def _subsearch(self, v0, cand, clauses, deadline):
+        best, self.recorded = self.best, []
+        nodes, timed_out = super()._subsearch(v0, cand, clauses, deadline)
+        self.branches.append((v0, cand, best, nodes, self.recorded))
+        return nodes, timed_out
+
+    def _record(self, members):
+        self.recorded.append(members)
+        super()._record(members)
+
+
+# A branch sees the branches before it only through best and its candidates,
+# so run alone on a fresh engine primed with that best it explores the same
+# nodes and records the same cliques.
+@pytest.mark.parametrize("q,n,d,family_class,enumerate_all", FORCING_CASES)
+def test_root_branches_are_independent(monkeypatch, q, n, d, family_class,
+                                       enumerate_all):
+    rep, engine = _search_with(monkeypatch, _BranchEngine, q, n, d,
+                               family_class, enumerate_all)
+    assert sum(nodes for _, _, _, nodes, _ in engine.branches) == (
+        rep.nodes_explored)
+    for branch in engine.branches:
+        v0, cand, best, _, _ = branch
+        fresh = _BranchEngine(engine.index, d, family_class)
+        fresh.collect_all, fresh.witness_cap = enumerate_all, engine.witness_cap
+        fresh.best, fresh.collected, fresh.collected_count = best, [], 0
+        fresh._build(1 << v0)
+        fresh._subsearch(v0, cand, fresh._clauses_at(v0), None)
+        assert fresh.branches == [branch]
+
+
 # -- static clauses against clauses learned at the leaves ---------------------------
 
 def _forbidden_mask_from_report(index, report, t):
@@ -1225,6 +1266,36 @@ def test_timeout_counts_row_building(monkeypatch, steps, enumerate_all, nodes):
     monkeypatch.setattr(_CliqueEngine, "_build", build)
     rep = max_diameter_family(2, n, d, enumerate_all, timeout_secs=4.0)
     assert not rep.timed_out and rep.nodes_explored > 1
+
+
+@pytest.mark.parametrize("q,n,d,family_class", [
+    (2, 4, 3, None), (2, 5, 2, "B_even"), (3, 4, 2, "A_even")])
+def test_timeout_between_root_branches(monkeypatch, q, n, d, family_class):
+    # The fake clock passes the deadline once the first root branch returns:
+    # the search stops with that branch's nodes and builds no row after it,
+    # not even the next root's.
+    now = [0.0]
+    monkeypatch.setattr(oracle, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    late_builds = []
+
+    class FirstBranchEngine(_BranchEngine):
+        def _subsearch(self, *args):
+            result = super()._subsearch(*args)
+            now[0] = 5.0
+            return result
+
+        def _build(self, mask):
+            if now[0]:
+                late_builds.append(mask)
+            super()._build(mask)
+
+    rep, engine = _search_with(monkeypatch, FirstBranchEngine, q, n, d,
+                               family_class, False, timeout_secs=4.0)
+    assert rep.timed_out and not rep.proven_optimal
+    [(_, _, _, nodes, _)] = engine.branches
+    assert rep.nodes_explored == nodes > 0
+    assert late_builds == []
+    assert len(engine._roots(False)[0]) > 1
 
 
 @pytest.mark.parametrize("q,n,d,family_class,optimum", [

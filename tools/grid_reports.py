@@ -1,13 +1,16 @@
-"""Print one line per oracle search and family job of small grids, for
-diffing two trees.
+"""Print one row per oracle search and one line per family job of small
+grids, for diffing two trees.
 
 The search grid is q=2 with n <= 5, q=3 with n <= 4 and q=4, 5 with n <= 3,
 every 0 <= d <= n, the plain search and both classes of d's parity, each
-with and without enumerate_all: 336 searches.  Each line is the tuple and
-the SHA-256 of the report's JSON form without elapsed_ms, so two trees that
-search alike print the same lines, nodes_explored and witnesses included.
-A search that raises prints the exception's type and message instead of a
-hash.
+with and without --all: 336 searches.  Each runs as `qdiam oracle max` in
+process, so characterization_match is what that command sets.  Its row
+(see search_row) holds the tuple and every field of the JSON report but
+schema, witness_cap and elapsed_ms, with the witness files as one SHA-256,
+so two trees that search alike print the same rows, nodes_explored and
+witnesses included.  A search the command refuses prints its exit code
+and stderr instead.
+tests/data/oracle_grid.txt holds these rows, and tier-1 recomputes them.
 
 The family grid is q=2 with 1 <= n <= 5 and q=3 with 1 <= n <= 4.  Every
 `qdiam construct` family kind is built around the first line x, the first
@@ -23,6 +26,10 @@ Run it on each tree and diff the outputs:
     PYTHONPATH=src python tools/grid_reports.py > after.txt
     PYTHONPATH=../parent/src python tools/grid_reports.py > before.txt
     diff before.txt after.txt
+
+The first 337 lines, the header and the search rows, are the grid table:
+
+    head -n 337 after.txt > tests/data/oracle_grid.txt
 """
 
 import contextlib
@@ -37,10 +44,15 @@ from qdiam.cli import main as cli_main
 from qdiam.families import ADMISSIBILITY_CLASSES
 from qdiam.gfq import field_new
 from qdiam.grassmann import enumerate_layer
-from qdiam.oracle import max_admissible_family
 
 GRID = ((2, 5), (3, 4), (4, 3), (5, 3))  # (q, largest n)
 FAMILY_GRID = ((2, 5), (3, 4))  # (q, largest n)
+# The report fields of a search row, after its tuple; witnesses_sha256 ends it.
+ROW_FIELDS = ("optimum", "witness_count", "nodes_explored", "proven_optimal",
+              "exhaustive", "timed_out", "infeasible", "bound_match",
+              "formula_value", "in_hypothesis_range", "characterization_match",
+              "greedy_seed_size")
+HEADER = " ".join(["# q n d class all", *ROW_FIELDS, "witnesses_sha256"])
 
 
 def grid():
@@ -54,13 +66,23 @@ def grid():
                         yield q, n, d, family_class, enumerate_all
 
 
-def report_digest(q, n, d, family_class, enumerate_all):
-    """The SHA-256 of one search's JSON report without elapsed_ms."""
-    report = max_admissible_family(q, n, d, family_class, enumerate_all)
-    data = report.to_json_dict()
-    del data["elapsed_ms"]
-    return hashlib.sha256(
-        json.dumps(data, sort_keys=True).encode()).hexdigest()
+def search_row(q, n, d, family_class, enumerate_all):
+    """One search's row: its tuple and report fields, space-separated in
+    HEADER's order, None as "-"."""
+    argv = ["oracle", "max", "--q", str(q), "--n", str(n), "--d", str(d)]
+    if family_class is not None:
+        argv += ["--class", family_class]
+    if enumerate_all:
+        argv.append("--all")
+    code, out, err = run_cli(argv)
+    case = [q, n, d, family_class, enumerate_all]
+    if not out:  # the command refused the search; its message is the result
+        return " ".join(map(str, case + [f"exit {code}:", err.strip()]))
+    doc = json.loads(out)
+    witnesses = hashlib.sha256(json.dumps(doc["witnesses"]).encode())
+    values = case + [doc[field] for field in ROW_FIELDS]
+    return " ".join("-" if v is None else str(v)
+                    for v in values + [witnesses.hexdigest()])
 
 
 def construct_argvs(q, n):
@@ -128,12 +150,9 @@ def family_jobs(workdir):
 
 
 def main():
+    print(HEADER, flush=True)
     for case in grid():
-        try:
-            outcome = report_digest(*case)
-        except Exception as exc:  # a raising search is a result to compare
-            outcome = f"{type(exc).__name__}: {exc}"
-        print(*case, outcome, flush=True)
+        print(search_row(*case), flush=True)
     with tempfile.TemporaryDirectory() as workdir:
         for argv, digest in family_jobs(workdir):
             print(*argv, digest, flush=True)
