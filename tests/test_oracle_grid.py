@@ -2,7 +2,8 @@
 
 tests/data/oracle_grid.txt holds one row per search, as tools/grid_reports.py
 prints it: tuple, optimum, witness count, nodes, proven, bound and
-characterization match, formula value and a SHA-256 of the witness files.
+characterization match, formula value, a SHA-256 of the witness files and
+one of the characterization diagnostics.
 A change that moves a row on purpose regenerates the file with that tool
 (see its docstring) and says so in CHANGES.md.
 """

@@ -6,10 +6,11 @@ every 0 <= d <= n, the plain search and both classes of d's parity, each
 with and without --all: 336 searches.  Each runs as `qdiam oracle max` in
 process, so characterization_match is what that command sets.  Its row
 (see search_row) holds the tuple and every field of the JSON report but
-schema, witness_cap and elapsed_ms, with the witness files as one SHA-256,
-so two trees that search alike print the same rows, nodes_explored and
-witnesses included.  A search the command refuses prints its exit code
-and stderr instead.
+schema, witness_cap and elapsed_ms, with the witness files as one SHA-256
+and the characterization_diagnostics list as another, so two trees that
+search and characterize alike print the same rows, nodes_explored,
+witnesses and every diagnostics line included.  A search the command
+refuses prints its exit code and stderr instead.
 tests/data/oracle_grid.txt holds these rows, and tier-1 recomputes them.
 
 The family grid is q=2 with 1 <= n <= 5 and q=3 with 1 <= n <= 4.  Every
@@ -47,12 +48,14 @@ from qdiam.grassmann import enumerate_layer
 
 GRID = ((2, 5), (3, 4), (4, 3), (5, 3))  # (q, largest n)
 FAMILY_GRID = ((2, 5), (3, 4))  # (q, largest n)
-# The report fields of a search row, after its tuple; witnesses_sha256 ends it.
+# The report fields of a search row, after its tuple; the SHA-256 of the
+# witness files and of the characterization diagnostics end it.
 ROW_FIELDS = ("optimum", "witness_count", "nodes_explored", "proven_optimal",
               "exhaustive", "timed_out", "infeasible", "bound_match",
               "formula_value", "in_hypothesis_range", "characterization_match",
               "greedy_seed_size")
-HEADER = " ".join(["# q n d class all", *ROW_FIELDS, "witnesses_sha256"])
+HEADER = " ".join(["# q n d class all", *ROW_FIELDS, "witnesses_sha256",
+                   "characterization_diagnostics"])
 
 
 def grid():
@@ -68,7 +71,7 @@ def grid():
 
 def search_row(q, n, d, family_class, enumerate_all):
     """One search's row: its tuple and report fields, space-separated in
-    HEADER's order, None as "-"."""
+    HEADER's order, None as "-"; so is a report without diagnostics."""
     argv = ["oracle", "max", "--q", str(q), "--n", str(n), "--d", str(d)]
     if family_class is not None:
         argv += ["--class", family_class]
@@ -80,9 +83,13 @@ def search_row(q, n, d, family_class, enumerate_all):
         return " ".join(map(str, case + [f"exit {code}:", err.strip()]))
     doc = json.loads(out)
     witnesses = hashlib.sha256(json.dumps(doc["witnesses"]).encode())
+    diagnostics = doc.get("characterization_diagnostics")
+    if diagnostics is not None:
+        diagnostics = hashlib.sha256(
+            json.dumps(diagnostics).encode()).hexdigest()
     values = case + [doc[field] for field in ROW_FIELDS]
     return " ".join("-" if v is None else str(v)
-                    for v in values + [witnesses.hexdigest()])
+                    for v in values + [witnesses.hexdigest(), diagnostics])
 
 
 def construct_argvs(q, n):
