@@ -54,10 +54,10 @@ Recorded witnesses are always re-verified by the families' own diameter
 scan, ``diameter_at_most``, which meets member pairs by vector masks, not
 by the line incidence the search adjacency came from; a member keeps its
 mask, so one held by several witnesses is masked once.  The characterization
-builds the census once, each family keyed by its member set, and
-classifies every witness by one lookup; at the boundary n = d+1 the key
-is the witness's middle layer, after a full/empty test of each
-complementary layer pair.
+census is the A-class clauses' configurations, as vertex masks of ball
+unions in a lattice index, and every witness's vertex mask is classified
+by one lookup; at the boundary n = d+1 only the middle layer is keyed,
+after a full/empty test of each complementary layer pair.
 The timeout runs from the entry of the driver, so the index, the seed and
 the masks count against it.
 
@@ -67,16 +67,17 @@ final canonical sort of witnesses.
 
 from __future__ import annotations
 
+import functools
 import io
 import operator
 import time
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, NotExhaustive, ParameterOutOfRange
-from .families import (SubspaceFamily, _first_line, _meeting, ball,
+from .families import (SubspaceFamily, _first_line, ball,
                        canonical_double_ball, diameter_at_most,
                        extremal_odd_family, is_admissible, lower_layers,
-                       perp_family, star, upper_layers, write_family)
+                       perp_family, star, write_family)
 from .gfq import field_new
 from .grassmann import (DEFAULT_DISTANCE_CELL_BUDGET, build_index,
                         enumerate_layer)
@@ -157,6 +158,23 @@ def _bits(mask):
         mask ^= b
 
 
+def _canonical_centres(index, odd):
+    """Centre tuples of the canonical extremal configurations, each the
+    union of the radius-t balls around its centres: for even d, (0,) for
+    layers 0..t and (F_q^n,) for layers n-t..n; for odd d, for each line x
+    in canonical order, (0, x), the canonical double ball at x, then
+    (F_q^n, x-perp), its perp.  The A-class clauses and the census of
+    verify_characterization both read this list."""
+    top = index.size - 1  # F_q^n
+    if not odd:
+        return [(0,), (top,)]
+    lines = index.layer_range(1) if index.n else (0, 0)  # F_q^0 has none
+    centres = []
+    for x in range(*lines):
+        centres += [(0, x), (top, index.position(index.subspaces[x].perp()))]
+    return centres
+
+
 class _CliqueEngine:
     """Branch-and-bound maximum clique over a lattice distance graph.
 
@@ -215,23 +233,16 @@ class _CliqueEngine:
         centred: each centre u -> (ball(u, t), the masks of the clauses
         centred at u).  Without a class there are no clauses.
 
-        A_even forbids the radius-t balls around 0 and F_q^n.  A_odd forbids,
-        for every line x, the union of the balls around 0 and x and the union
-        of those around F_q^n and x-perp.  B_even forbids every radius-t ball,
-        and B_odd the union of the balls around c1 and c2 for every cover
-        pair c1 < c2.  Every clause is the union of the radius-t balls around
-        its centres; a one-centre clause is its centre's ball itself.
+        The A classes forbid the canonical extremal configurations
+        (_canonical_centres).  B_even forbids every radius-t ball, and B_odd
+        the union of the balls around c1 and c2 for every cover pair
+        c1 < c2.  Every clause is the union of the radius-t balls around its
+        centres; a one-centre clause is its centre's ball itself.
         """
         index = self.index
-        top = self.nv - 1  # F_q^n
         centres = []
-        if family_class == "A_even":
-            centres = [(0,), (top,)]
-        elif family_class == "A_odd":
-            lines = index.layer_range(1) if index.n else (0, 0)  # F_q^0 has none
-            for x in range(*lines):
-                perp = index.position(index.subspaces[x].perp())
-                centres += [(0, x), (top, perp)]
+        if family_class in ("A_even", "A_odd"):
+            centres = _canonical_centres(index, family_class == "A_odd")
         elif family_class == "B_even":
             centres = [(v,) for v in range(self.nv)]
         elif family_class == "B_odd":
@@ -680,17 +691,17 @@ def verify_characterization(report: SearchReport):
     witness that fits no case, and the census mismatch if one side lost a
     family.
 
-    Each witness is classified by one lookup in a census built once.  For
-    n >= d+2 the census holds the canonical extremal families: the unions
-    of layers 0..t and n-t..n for even d, every canonical double ball and
-    its perp for odd d, a ball's own label first.  At the boundary n = d+1
-    a witness must first split every complementary layer pair full/empty;
-    its middle layer t+1 (none for odd n) is then looked up.  For odd d the
-    maximum intersecting families of (t+1)-spaces in F_q^(2t+2) are the
-    point-stars and the hyperplane duals, their perps (Newman 2004; Tanaka
-    2006), so the boundary census holds 2^(t+1) witnesses per middle layer.
-    For odd d the stars come from one pass over layer t+1, each (t+1)-space
-    filed under its lines by row elimination and its perp taken once.
+    Each witness is classified by one lookup of its vertex mask, over a
+    lattice index of F_q^n, in a census of ball unions built once from the
+    centres of the A-class clauses (_canonical_centres): for n >= d+2 the
+    unions of layers 0..t and n-t..n for even d, every canonical double
+    ball and its perp for odd d, a ball's own label first.  At the boundary
+    n = d+1 a witness must first split every complementary layer pair
+    full/empty; only the bits of its middle layer t+1 (none for odd n) are
+    then keyed.  For odd d those keys are the point-stars and hyperplane
+    duals, the maximum intersecting families of (t+1)-spaces in
+    F_q^(2t+2) (Newman 2004; Tanaka 2006), so the boundary census holds
+    2^(t+1) witnesses per middle layer.
     """
     if not report.exhaustive:
         raise NotExhaustive("characterization needs an enumerate_all run")
@@ -701,59 +712,46 @@ def verify_characterization(report: SearchReport):
     if not report.bound_match:
         raise NotExhaustive("optimum does not match the bound formula")
     q, n, d = report.q, report.n, report.d
-    field = field_new(q)
+    index = build_index(field_new(q), n)
     t = d // 2
     boundary = n == d + 1
-    census = {}
-    if d % 2 == 0 and not boundary:
-        census = {lower_layers(field, n, t, budget=None).member_set:
-                  ("full_lower_layers", "union of layers 0..t"),
-                  upper_layers(field, n, t, budget=None).member_set:
-                  ("full_upper_layers", "union of layers n-t..n")}
-        miss = "not a full lower/upper layer union"
-    elif d % 2 == 0:
-        # n is odd: there is no middle layer, so every key is empty
-        census = {frozenset(): ("boundary_split_even", "complementary split")}
-        miss = None  # never read: the empty key is always found
+    centres = _canonical_centres(index, d % 2)
+    keyed = -1  # the bits of a family that make its key: all of them
+    if boundary:
+        # a full/empty split leaves the middle layer n/2 (none for odd n)
+        lo, hi = index.layer_range(n // 2)
+        keyed = 0 if n % 2 else (1 << hi) - (1 << lo)
+        case = (("boundary_split_odd",
+                 "complementary split + intersecting middle") if d % 2
+                else ("boundary_split_even", "complementary split"))
+        cases = [case] * len(centres)
+        # for even d never read: the empty key is always found
+        miss = (f"middle layer {t + 1} is not a point-star or a "
+                f"hyperplane dual")
+    elif d % 2:
+        cases = []
+        for _, x in centres[::2]:
+            reason = f"double ball at {index.subspaces[x].to_token()}"
+            cases += [("canonical_double_ball", reason),
+                      ("canonical_double_ball_perp", reason)]
+        miss = "not a canonical double ball or its perp"
     else:
-        # the star of each line, its (t+1)-spaces, grouped in one pass that
-        # also takes each (t+1)-space's perp once, for every star through it
-        stars = {x: [] for x in enumerate_layer(field, n, 1, budget=None)}
-        perp = {}
-        for w in enumerate_layer(field, n, t + 1, budget=None):
-            perp[w] = w.perp()
-            for x in _meeting(w, 1, 1):
-                stars[x].append(w)
-        if boundary:
-            case = ("boundary_split_odd",
-                    "complementary split + intersecting middle")
-            for through in stars.values():
-                census[frozenset(through)] = case
-                census[frozenset(perp[w] for w in through)] = case
-            miss = (f"middle layer {t + 1} is not a point-star or a "
-                    f"hyperplane dual")
-        else:
-            # a double ball's perp: the upper layers and its star's perps
-            lower = list(lower_layers(field, n, t, budget=None))
-            upper = list(upper_layers(field, n, t, budget=None))
-            for x, through in stars.items():
-                reason = f"double ball at {x.to_token()}"
-                census[frozenset(lower + through)] = (
-                    "canonical_double_ball", reason)
-                census.setdefault(
-                    frozenset(upper + [perp[w] for w in through]),
-                    ("canonical_double_ball_perp", reason))
-            miss = "not a canonical double ball or its perp"
+        cases = [("full_lower_layers", "union of layers 0..t"),
+                 ("full_upper_layers", "union of layers n-t..n")]
+        miss = "not a full lower/upper layer union"
+    census = {}
+    for cs, case in zip(centres, cases):
+        mask = functools.reduce(operator.or_, (index.ball(u, t) for u in cs))
+        census.setdefault(mask & keyed, case)
     expected = len(census) * 2 ** (t + 1) if boundary else len(census)
+    position = index.position
     ok = True
     diagnostics = []
     for i, fam in enumerate(report.witnesses):
-        key, split = fam.member_set, None
-        if boundary:
-            split = _split_violation(fam, q, n, t)
-            # a full/empty split leaves the middle layer n/2 (none for odd n)
-            key = frozenset(s for s in fam if 2 * s.dim == n)
-        label, reason = (None, split) if split else census.get(key, (None, miss))
+        mask = sum(1 << position(s) for s in fam)  # the OR of distinct bits
+        split = _split_violation(fam, q, n, t) if boundary else None
+        label, reason = ((None, split) if split
+                         else census.get(mask & keyed, (None, miss)))
         if label is None:
             ok = False
             diagnostics.append(f"witness {i}: VIOLATION: {reason}")

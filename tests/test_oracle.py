@@ -4,6 +4,7 @@ import sys
 import tracemalloc
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from itertools import product
 from types import SimpleNamespace
 
 import pytest
@@ -13,10 +14,10 @@ from qdiam.errors import BudgetExceeded, NotExhaustive
 from qdiam.families import (SubspaceFamily, canonical_double_ball,
                             diameter_at_most, is_admissible,
                             is_s_intersecting, lower_layers, perp_family,
-                            upper_layers)
+                            star, upper_layers)
 from qdiam.gfq import SUPPORTED_ORDERS, field_new
 from qdiam.grassmann import build_index, enumerate_layer, lattice_size
-from qdiam.oracle import (_CliqueEngine, max_admissible_family,
+from qdiam.oracle import (SearchReport, _CliqueEngine, max_admissible_family,
                           max_diameter_family, sweep_hm_positive,
                           sweep_lemma26, sweep_type_compare, sweep_type_ratio,
                           verify_characterization)
@@ -1638,3 +1639,87 @@ def test_boundary_middle_layer_outside_the_census_is_a_violation():
                        "point-star or a hyperplane dual")
     assert not any("VIOLATION" in line for line in diag[1:-1])
     assert diag[-1].startswith("census mismatch")
+
+
+# -- the census and the A-class clauses against the family constructors ----------
+
+# No --all search reaches these lattices in tier-1.
+BEYOND_ALL = [(q, n, d) for q, n in ((2, 6), (3, 5)) for d in range(2, n)]
+
+
+def _canonical_configurations(field, n, d):
+    """The canonical extremal configurations from the constructors, in the
+    A-class clause order: L then U for even d; for odd d, for each line x
+    in canonical order, its canonical double ball, then that ball's perp."""
+    t = d // 2
+    if d % 2 == 0:
+        return [lower_layers(field, n, t), upper_layers(field, n, t)]
+    configurations = []
+    for x in enumerate_layer(field, n, 1):
+        fam = canonical_double_ball(x, t)
+        configurations += [fam, perp_family(fam)]
+    return configurations
+
+
+def _maximum_families(field, n, d):
+    """Every maximum family of diameter <= d, from the constructors: the
+    canonical configurations for n >= d+2; at n = d+1 every full/empty
+    split of the layer pairs (k, n-k), k <= t, joined for odd d with the
+    star of a line x in layer t+1 or that star's perp."""
+    if n >= d + 2:
+        return _canonical_configurations(field, n, d)
+    t = d // 2
+    middles = [[]]
+    if d % 2:
+        middles = []
+        for x in enumerate_layer(field, n, 1):
+            through = star(x, t + 1)
+            middles += [through.members, perp_family(through).members]
+    families = []
+    for upper in product((False, True), repeat=t + 1):
+        split = [s for k, up in enumerate(upper)
+                 for s in enumerate_layer(field, n, n - k if up else k)]
+        families += [SubspaceFamily(field, n, split + list(middle))
+                     for middle in middles]
+    return families
+
+
+def _exhaustive_report(q, n, d, witnesses):
+    return SearchReport(
+        q=q, n=n, d=d, family_class=None, optimum=len(witnesses[0]),
+        witness_count=len(witnesses), witnesses=witnesses, nodes_explored=0,
+        elapsed_ms=0, proven_optimal=True, exhaustive=True, bound_match=True)
+
+
+@pytest.mark.parametrize("q,n,d", BEYOND_ALL)
+def test_census_accepts_the_constructed_maximum_families(q, n, d):
+    families = _maximum_families(field_new(q), n, d)
+    assert {len(fam) for fam in families} == {kleitman_bound(n, d, q)}
+    assert len(set(families)) == len(families)
+    ok, diag = verify_characterization(_exhaustive_report(q, n, d, families))
+    assert ok and not any("VIOLATION" in line for line in diag)
+    if n == d + 1:
+        parity = "odd" if d % 2 else "even"
+        assert diag[-1] == (f"census at n = d+1: boundary_split_{parity}="
+                            f"{len(families)}")
+    else:
+        assert diag[-1] == (f"census: all {len(families)} canonical "
+                            f"extremal families found")
+    # one family dropped: every witness left fits, the census does not
+    ok, diag = verify_characterization(
+        _exhaustive_report(q, n, d, families[1:]))
+    assert not ok and not any("VIOLATION" in line for line in diag)
+    assert diag[-1] == (f"census mismatch: expected {len(families)} "
+                        f"canonical extremal families, witness set has "
+                        f"{len(families) - 1}")
+
+
+@pytest.mark.parametrize("q,n,d", BEYOND_ALL)
+def test_a_class_clauses_are_the_constructed_configurations(q, n, d):
+    # The A-class clauses and the census read one centre listing; its
+    # clauses are the constructors' configurations, in their order.
+    index = build_index(field_new(q), n)
+    engine = _CliqueEngine(index, d, "A_odd" if d % 2 else "A_even")
+    assert engine.forbidden == [
+        sum(1 << index.position(s) for s in fam)
+        for fam in _canonical_configurations(index.field, n, d)]
