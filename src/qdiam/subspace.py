@@ -29,7 +29,9 @@ from .errors import (AmbientMismatch, DimensionMismatch, NonPrimePower,
 from .gfq import FieldSpec, field_new
 
 _DIGITS = "0123456789abcdef"
-_DIGIT_VALUE = {c: i for i, c in enumerate(_DIGITS)}
+# a row's digit string <-> its entries as bytes, one translate per row
+_DECODE = bytes.maketrans(_DIGITS.encode(), bytes(range(16)))
+_ENCODE = bytes.maketrans(bytes(range(16)), _DIGITS.encode())
 _MASK_CHUNK_BITS = 12  # vector_mask lists at most 2^12 indices at a time
 
 
@@ -102,6 +104,24 @@ def _rref_table(field, n, rows):
                 for j in range(col, n):
                     ri[j] = sub[ri[j]][mrow[row[j]]]
     return [tuple(r) for r in mat], pivots
+
+
+def _rref_pivots(rows, n):
+    """The pivots of rows (each a bytes of entries) if they are the RREF of
+    their span, else None.  That holds iff each row is led by a 1 strictly
+    right of the lead above it and each lead's column is clear in the rows
+    above; the rows below are zero there, left of their own leads."""
+    pivots = []
+    for row in rows:
+        p = n - len(row.lstrip(b"\0"))
+        if p == n or row[p] != 1 or (pivots and p <= pivots[-1]):
+            return None
+        pivots.append(p)
+    for i, row in enumerate(rows):
+        for p in pivots[i + 1:]:
+            if row[p]:
+                return None
+    return tuple(pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -311,14 +331,22 @@ class Subspace:
             return self._token
         except AttributeError:
             pass
-        rows = ",".join("".join(_DIGITS[e] for e in row) for row in self.rows)
+        rows = b",".join(map(bytes, self.rows)).translate(_ENCODE).decode()
         self._token = token = f"{self.field.q}:{self.n}:{self.dim}:{rows}"
         return token
 
     @classmethod
     def from_token(cls, token: str) -> "Subspace":
-        """Parse the serialization format, rejecting non-canonical input."""
-        parts = token.strip().split(":")
+        """Parse the serialization format, rejecting non-canonical input.
+
+        The rows must be the RREF of their span, checked on the rows as read
+        (``_rref_pivots``), not by eliminating them again, and each header
+        field must be its own decimal spelling (not ``+2``, ``02`` or
+        `` 2``).  Outer whitespace is stripped; the rest is then the
+        canonical token, kept as ``_token``.
+        """
+        text = token.strip()
+        parts = text.split(":")
         if len(parts) != 4:
             raise ParseError(f"expected 'q:n:d:rows', got {token!r}")
         try:
@@ -336,20 +364,23 @@ class Subspace:
         if len(row_strs) != d:
             raise ParseError(
                 f"declared dim {d} but {len(row_strs)} rows in {token!r}")
+        digits = _DIGITS[:q]
         rows = []
         for s in row_strs:
             if len(s) != n:
                 raise ParseError(f"row {s!r} has length {len(s)}, expected {n}")
-            row = []
-            for ch in s:
-                val = _DIGIT_VALUE.get(ch)
-                if val is None or val >= q:
-                    raise ParseError(f"digit {ch!r} invalid over GF({q})")
-                row.append(val)
-            rows.append(tuple(row))
-        sub = cls.from_generators(field, n, rows)
-        if sub.rows != tuple(rows):
+            if s.strip(digits):  # empty iff every character is a digit
+                ch = next(ch for ch in s if ch not in digits)
+                raise ParseError(f"digit {ch!r} invalid over GF({q})")
+            rows.append(s.encode().translate(_DECODE))
+        pivots = _rref_pivots(rows, n)
+        if pivots is None:
             raise ParseError(f"rows of {token!r} are not in canonical RREF")
+        # the rows are canonical by now, so this makes text the token
+        if parts[:3] != [str(q), str(n), str(d)]:
+            raise ParseError(f"non-canonical header in {token!r}")
+        sub = cls._from_rref(field, n, tuple(map(tuple, rows)), pivots)
+        sub._token = text
         return sub
 
     # -- dunder --------------------------------------------------------------

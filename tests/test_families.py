@@ -1111,7 +1111,13 @@ def test_family_file_errors_carry_line_numbers():
              "6 is not a prime power in '6:3:1:100'"),
             ("family 6 3 1\n2:3:1:100\n", 1, "6 is not a prime power"),
             ("family 2 3 2\n2:3:1:100\n\n2:3:1:100\n", 4,
-             "member 2:3:1:100 repeats line 2")):
+             "member 2:3:1:100 repeats line 2"),
+            ("family 2 3 2\n2:3:1:100\n2:3:2:110,010\n", 3,
+             "rows of '2:3:2:110,010' are not in canonical RREF"),
+            ("family 3 3 2\n3:3:1:100\n\n3:3:1:013\n", 4,
+             "digit '3' invalid over GF(3)"),
+            ("family 2 3 1\n2:3:01:100\n", 2,
+             "non-canonical header in '2:3:01:100'")):
         with pytest.raises(ParseError) as exc:
             read_family(io.StringIO(text))
         assert (exc.value.line, str(exc.value)) == (

@@ -1,5 +1,6 @@
 import operator
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -556,7 +557,11 @@ def test_kept_token_matches_the_rows_on_every_small_lattice(q):
         for s in build_index(field, n, budget=None).subspaces:
             first = s.to_token()
             assert s.to_token() == first == _token_from_rows(s)
-            assert Subspace.from_token(first) == s
+            # a token that parses is canonical, so from_token keeps its
+            # stripped text and writing it back formats nothing
+            parsed = Subspace.from_token(f" {first}\n")
+            assert parsed == s and parsed._token == first
+            assert parsed.to_token() is parsed._token
 
 
 def test_token_format_example():
@@ -577,6 +582,76 @@ def test_token_rejects_non_rref():
         Subspace.from_token("2:3:1")              # missing rows section
     with pytest.raises(ParseError):
         Subspace.from_token("6:3:1:100")          # no field of order 6
+    # header fields that int() reads as 2:3:1 but that are not its spelling
+    for token in ("+2:3:1:100", "2:03:1:100", "2:0_3:1:100", "2: 3:1:100",
+                  "2:3:01:100", "\uff12:3:1:100", "2:3 :1:100"):
+        with pytest.raises(ParseError, match="non-canonical header"):
+            Subspace.from_token(token)
+    # row characters outside the lowercase digits of the field
+    for token, ch in (("16:2:1:1A", "A"), ("16:2:1:1\u0661", "\u0661"),
+                      ("2:3:1:\uff11\uff10\uff10", "\uff11"),
+                      ("2:3:1:1_0", "_"), ("2:3:1:+10", "+")):
+        with pytest.raises(ParseError, match=re.escape(f"digit {ch!r} ")):
+            Subspace.from_token(token)
+
+
+def _perturbed(rows, q, rng):
+    """rows with one of the faults a hand-edited token can have."""
+    rows = [list(r) for r in rows]
+    n = len(rows[0]) if rows else 0
+    kind = rng.randrange(5)
+    if kind == 0 and n:                          # one entry changed
+        r = rng.randrange(len(rows))
+        j = rng.randrange(n)
+        rows[r][j] = (rows[r][j] + rng.randrange(1, q)) % q
+    elif kind == 1 and len(rows) > 1:            # two rows swapped
+        i, j = rng.sample(range(len(rows)), 2)
+        rows[i], rows[j] = rows[j], rows[i]
+    elif kind == 2 and q > 2:                    # a lead scaled
+        r = rows[rng.randrange(len(rows))]
+        c = rng.randrange(2, q)
+        p = next(j for j, e in enumerate(r) if e)
+        r[p] = c
+    elif kind == 3:                              # a zero row inserted
+        rows.insert(rng.randrange(len(rows) + 1), [0] * n)
+    else:                                        # a dependent row inserted
+        field = field_new(q)
+        dep = [0] * n
+        for r in rows:
+            c = rng.randrange(q)
+            dep = [field.add_table[x][field.mul_table[c][e]]
+                   for x, e in zip(dep, r)]
+        rows.insert(rng.randrange(len(rows) + 1), dep)
+    return [tuple(r) for r in rows]
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_token_check_agrees_with_elimination(q):
+    # from_token checks canonical form on the rows as read; elimination is
+    # the reference: a token parses iff from_generators leaves its rows
+    # unchanged, and then to the same subspace, packed bits included
+    field = field_new(q)
+    rng = random.Random(f"token-check:{q}")
+    accepted = rejected = 0
+    for _ in range(300):
+        n = rng.randint(0, 6)
+        rows = random_subspace(field, n, rng).rows
+        if rows and rng.randrange(3):
+            rows = _perturbed(rows, q, rng)
+        if len(rows) > n:
+            continue
+        token = "{}:{}:{}:{}".format(q, n, len(rows), ",".join(
+            "".join(format(e, "x") for e in r) for r in rows))
+        ref = Subspace.from_generators(field, n, rows)
+        if ref.rows == tuple(rows):
+            s = Subspace.from_token(token)
+            assert s == ref and s.pivots == ref.pivots and s.bits == ref.bits
+            accepted += 1
+        else:
+            with pytest.raises(ParseError, match="not in canonical RREF"):
+                Subspace.from_token(token)
+            rejected += 1
+    assert accepted > 50 and rejected > 50
 
 
 def test_token_accepts_canonical_non_leading_pivot_rows():
