@@ -342,11 +342,9 @@ class Subspace:
         The rows must be the RREF of their span, checked on the rows as read
         (``_rref_pivots``), not by eliminating them again, and each header
         field must be its own decimal spelling (not ``+2``, ``02`` or
-        `` 2``).  Outer whitespace is stripped; the rest is then the
-        canonical token, kept as ``_token``.
+        `` 2``).  Outer whitespace is stripped.
         """
-        text = token.strip()
-        parts = text.split(":")
+        parts = token.strip().split(":")
         if len(parts) != 4:
             raise ParseError(f"expected 'q:n:d:rows', got {token!r}")
         try:
@@ -376,12 +374,10 @@ class Subspace:
         pivots = _rref_pivots(rows, n)
         if pivots is None:
             raise ParseError(f"rows of {token!r} are not in canonical RREF")
-        # the rows are canonical by now, so this makes text the token
+        # checked last, so a token with another fault keeps its message
         if parts[:3] != [str(q), str(n), str(d)]:
             raise ParseError(f"non-canonical header in {token!r}")
-        sub = cls._from_rref(field, n, tuple(map(tuple, rows)), pivots)
-        sub._token = text
-        return sub
+        return cls._from_rref(field, n, tuple(map(tuple, rows)), pivots)
 
     # -- dunder --------------------------------------------------------------
 
