@@ -44,10 +44,6 @@ class EmptyFamily(QdiamError):
     """Operation requires a nonempty family."""
 
 
-class NotExhaustive(QdiamError):
-    """Characterization check needs a complete witness enumeration."""
-
-
 class ParseError(QdiamError):
     """Malformed subspace token or family file.
 

@@ -55,11 +55,11 @@ scan, ``diameter_at_most``, which meets member pairs by vector masks, not
 by the line incidence the search adjacency came from; a member keeps its
 mask, so one held by several witnesses is masked once.  The characterization
 census is the A-class clauses' configurations, as vertex masks of ball
-unions in a lattice index, and every witness's vertex mask is classified
-by one lookup; at the boundary n = d+1 only the middle layer is keyed,
-after a full/empty test of each complementary layer pair.
+unions in the search's own index, and every witness's vertex mask is
+classified by one lookup; at the boundary n = d+1 only the middle layer
+is keyed, after a full/empty test of each complementary layer pair.
 The timeout runs from the entry of the driver, so the index, the seed and
-the masks count against it.
+the masks count against it; elapsed_ms runs on to the report.
 
 Everything is deterministic: vertex order, branching, tie-breaks, and the
 final canonical sort of witnesses.
@@ -73,7 +73,7 @@ import operator
 import time
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, NotExhaustive, ParameterOutOfRange
+from .errors import BudgetExceeded, ParameterOutOfRange
 from .families import (SubspaceFamily, _first_line, ball,
                        canonical_double_ball, diameter_at_most,
                        extremal_odd_family, is_admissible, lower_layers,
@@ -112,6 +112,7 @@ class SearchReport:
     infeasible: bool = False
     bound_match: bool | None = None
     characterization_match: bool | None = None
+    characterization_diagnostics: list | None = None
     formula_value: int | None = None
     in_hypothesis_range: bool | None = None
     greedy_seed_size: int = 0
@@ -119,7 +120,8 @@ class SearchReport:
 
     def to_json_dict(self) -> dict:
         """JSON form: optimum and formula_value are decimal strings, the
-        other counts integers, and witnesses family files.  The witnesses
+        other counts integers, and witnesses family files;
+        characterization_diagnostics is a key only when set.  The witnesses
         hold the lattice index's own subspaces, each of which keeps its
         token, so a vertex shared by many witnesses is formatted once."""
         witness_files = []
@@ -127,7 +129,7 @@ class SearchReport:
             buf = io.StringIO()
             write_family(fam, buf)
             witness_files.append(buf.getvalue())
-        return {
+        doc = {
             "schema": "qdiam.search_report/1",
             "parameters": {"q": self.q, "n": self.n, "d": self.d,
                            "family_class": self.family_class},
@@ -148,6 +150,10 @@ class SearchReport:
             "greedy_seed_size": self.greedy_seed_size,
             "witness_cap": self.witness_cap,
         }
+        diagnostics = self.characterization_diagnostics
+        if diagnostics is not None:
+            doc["characterization_diagnostics"] = diagnostics
+        return doc
 
 
 def _bits(mask):
@@ -511,7 +517,8 @@ def _search_index(q, n, d, witness_cap, lattice_budget):
 
 
 def _materialize_witnesses(index, collected, d):
-    """Vertex lists -> families, each re-verified by diameter_at_most.
+    """Vertex lists -> families in the same order, each re-verified by
+    diameter_at_most.
 
     It meets pairs by vector masks, not by the line incidence the search
     adjacency came from.  Each member keeps its mask while the report holds
@@ -522,8 +529,7 @@ def _materialize_witnesses(index, collected, d):
     field, n = index.field, index.n
     subspaces = index.subspaces
     witnesses = []
-    # index order is canonical order, so this sorts by the member tuples
-    for vertices in sorted(sorted(c) for c in collected):
+    for vertices in collected:
         fam = SubspaceFamily(field, n, [subspaces[v] for v in vertices])
         ok, pair = diameter_at_most(fam, d)
         if not ok:
@@ -604,9 +610,13 @@ def max_admissible_family(q, n, d, family_class, enumerate_all=False, *,
     asserted against the formula.
 
     With enumerate_all, every maximum family is collected (up to the witness
-    cap; the true count is always reported).  The search is sequential and
+    cap; the true count is always reported).  A plain enumeration whose
+    optimum matched the bound is characterized on the search's own index
+    (verify_characterization), unless the cap cut it short: then its one
+    diagnostics line names the cap.  The search is sequential and
     deterministic.  timeout_secs runs from this call's entry, so building
-    the index, the seed and the adjacency count against it.
+    the index, the seed and the adjacency count against it; elapsed_ms
+    runs from the entry to the report, the post-search checks included.
     """
     start = time.monotonic()
     deadline = None if timeout_secs is None else start + timeout_secs
@@ -628,8 +638,8 @@ def max_admissible_family(q, n, d, family_class, enumerate_all=False, *,
     best, collected, count, nodes, timed_out = engine.search(
         seed_vertices=seed_vertices, collect_all=enumerate_all,
         witness_cap=witness_cap, deadline=deadline)
-    elapsed_ms = int((time.monotonic() - start) * 1000)
-
+    # index order is canonical order, so this sorts by the member tuples
+    collected = sorted(sorted(c) for c in collected)
     witnesses = _materialize_witnesses(index, collected, d)
     if family_class is not None:
         for fam in witnesses:
@@ -645,12 +655,24 @@ def max_admissible_family(q, n, d, family_class, enumerate_all=False, *,
     bound_match = (relation(best, formula)
                    if formula is not None and in_range and not timed_out
                    else None)
+    characterized = diagnostics = None
+    if family_class is None and enumerate_all and bound_match:
+        if count == len(collected):
+            characterized, diagnostics = verify_characterization(
+                index, d, collected)
+        else:
+            diagnostics = [
+                f"not characterized: witness cap {witness_cap} kept "
+                f"{len(collected)} of {count} witnesses"]
     return SearchReport(
         q=q, n=n, d=d, family_class=family_class, optimum=best,
         witness_count=count, witnesses=witnesses, nodes_explored=nodes,
-        elapsed_ms=elapsed_ms, proven_optimal=not timed_out,
+        elapsed_ms=int((time.monotonic() - start) * 1000),
+        proven_optimal=not timed_out,
         exhaustive=enumerate_all and not timed_out, timed_out=timed_out,
         infeasible=(best == 0), bound_match=bound_match,
+        characterization_match=characterized,
+        characterization_diagnostics=diagnostics,
         formula_value=formula, in_hypothesis_range=in_range,
         greedy_seed_size=0 if seed is None else len(seed),
         witness_cap=witness_cap)
@@ -669,50 +691,42 @@ def max_diameter_family(q, n, d, enumerate_all=False, *, lattice_budget=None,
 # ---------------------------------------------------------------------------
 # characterization of equality families
 
-def _split_violation(fam, q, n, t):
-    """At the boundary n = 2t+1 or 2t+2: why fam is not full on one side and
-    empty on the other of every complementary layer pair (k, n-k), k <= t,
-    or None when it is."""
+def _split_violation(mask, index, t):
+    """At the boundary n = 2t+1 or 2t+2: why the vertex mask is not full on
+    one side and empty on the other of every complementary layer pair
+    (k, n-k), k <= t, or None when it is."""
+    n = index.n
     for k in range(t + 1):
-        full_size = gauss_binom(n, k, q)
-        a = len(fam.layer(k))
-        b = len(fam.layer(n - k))
+        full_size = gauss_binom(n, k, index.field.q)
+        a, b = ((mask & ((1 << hi) - (1 << lo))).bit_count()
+                for lo, hi in map(index.layer_range, (k, n - k)))
         if not ((a == full_size and b == 0) or (a == 0 and b == full_size)):
             return (f"layer pair ({k},{n - k}): sizes ({a},{b}) are not "
                     f"a full/empty split of {full_size}")
     return None
 
 
-def verify_characterization(report: SearchReport):
-    """Check that the witness set is exactly the census of maximum families.
+def verify_characterization(index, d, witnesses):
+    """Check that the witnesses, vertex lists of index in report order, are
+    exactly the census of maximum families of diameter <= d.
 
-    Requires a complete enumeration whose optimum matched the bound formula.
-    Returns (ok, diagnostics); diagnostics name the violated clause for any
-    witness that fits no case, and the census mismatch if one side lost a
-    family.
+    The driver calls it on a complete enumeration whose optimum matched the
+    bound formula.  Returns (ok, diagnostics); diagnostics name the violated
+    clause for any witness that fits no case, and the census mismatch if one
+    side lost a family.
 
-    Each witness is classified by one lookup of its vertex mask, over a
-    lattice index of F_q^n, in a census of ball unions built once from the
-    centres of the A-class clauses (_canonical_centres): for n >= d+2 the
-    unions of layers 0..t and n-t..n for even d, every canonical double
-    ball and its perp for odd d, a ball's own label first.  At the boundary
-    n = d+1 a witness must first split every complementary layer pair
-    full/empty; only the bits of its middle layer t+1 (none for odd n) are
-    then keyed.  For odd d those keys are the point-stars and hyperplane
-    duals, the maximum intersecting families of (t+1)-spaces in
-    F_q^(2t+2) (Newman 2004; Tanaka 2006), so the boundary census holds
-    2^(t+1) witnesses per middle layer.
+    Each witness is classified by one lookup of its vertex mask in a census
+    of ball unions built once from the centres of the A-class clauses
+    (_canonical_centres): for n >= d+2 the unions of layers 0..t and
+    n-t..n for even d, every canonical double ball and its perp for odd d,
+    a ball's own label first.  At the boundary n = d+1 a witness must first
+    split every complementary layer pair full/empty; only the bits of its
+    middle layer t+1 (none for odd n) are then keyed.  For odd d those keys
+    are the point-stars and hyperplane duals, the maximum intersecting
+    families of (t+1)-spaces in F_q^(2t+2) (Newman 2004; Tanaka 2006), so
+    the boundary census holds 2^(t+1) witnesses per middle layer.
     """
-    if not report.exhaustive:
-        raise NotExhaustive("characterization needs an enumerate_all run")
-    if report.witness_count != len(report.witnesses):
-        raise NotExhaustive(
-            f"witness cap truncated the enumeration "
-            f"({report.witness_count} found, {len(report.witnesses)} kept)")
-    if not report.bound_match:
-        raise NotExhaustive("optimum does not match the bound formula")
-    q, n, d = report.q, report.n, report.d
-    index = build_index(field_new(q), n)
+    n = index.n
     t = d // 2
     boundary = n == d + 1
     centres = _canonical_centres(index, d % 2)
@@ -744,12 +758,12 @@ def verify_characterization(report: SearchReport):
         mask = functools.reduce(operator.or_, (index.ball(u, t) for u in cs))
         census.setdefault(mask & keyed, case)
     expected = len(census) * 2 ** (t + 1) if boundary else len(census)
-    position = index.position
     ok = True
     diagnostics = []
-    for i, fam in enumerate(report.witnesses):
-        mask = sum(1 << position(s) for s in fam)  # the OR of distinct bits
-        split = _split_violation(fam, q, n, t) if boundary else None
+    masks = [sum(1 << v for v in vertices)  # the OR of distinct bits
+             for vertices in witnesses]
+    for i, mask in enumerate(masks):
+        split = _split_violation(mask, index, t) if boundary else None
         label, reason = ((None, split) if split
                          else census.get(mask & keyed, (None, miss)))
         if label is None:
@@ -757,7 +771,7 @@ def verify_characterization(report: SearchReport):
             diagnostics.append(f"witness {i}: VIOLATION: {reason}")
         else:
             diagnostics.append(f"witness {i}: {label} ({reason})")
-    found = len(set(report.witnesses))
+    found = len(set(masks))
     if not ok or found != expected:
         ok = False
         diagnostics.append(

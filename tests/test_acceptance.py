@@ -24,8 +24,7 @@ from qdiam.gfq import field_new
 from qdiam.grassmann import build_index, enumerate_layer, lattice_size
 from qdiam.oracle import (max_admissible_family, max_diameter_family,
                           sweep_hm_positive, sweep_lemma26,
-                          sweep_type_compare, sweep_type_ratio,
-                          verify_characterization)
+                          sweep_type_compare, sweep_type_ratio)
 from qdiam.qcount import (count_profile, gauss_binom, hilton_milner_bound,
                           kleitman_bound, layer_sum, odd_stability_bound,
                           type_a_even_bound, type_b_even_bound)
@@ -107,8 +106,7 @@ def test_criterion1_frontier_proven(q, n, d):
     (2, 3, 2, 4), (2, 4, 2, 2), (2, 4, 3, 120), (3, 3, 2, 4)])
 def test_criterion2_characterization(q, n, d, expected_count):
     rep = max_diameter_family(q, n, d, enumerate_all=True)
-    ok, diagnostics = verify_characterization(rep)
-    assert ok, diagnostics
+    assert rep.characterization_match, rep.characterization_diagnostics
     assert rep.witness_count == expected_count
     field = field_new(q)
     t = d // 2
@@ -160,8 +158,7 @@ def test_criterion2_stretch_n_d_plus_2_odd_census():
     # and their 31 perps
     rep = max_diameter_family(2, 5, 3, enumerate_all=True, timeout_secs=600.0)
     assert not rep.timed_out
-    ok, diagnostics = verify_characterization(rep)
-    assert ok, diagnostics
+    assert rep.characterization_match, rep.characterization_diagnostics
     assert rep.witness_count == 2 * gauss_binom(5, 1, 2) == 62
     expected = set()
     for x in enumerate_layer(F2, 5, 1):

@@ -263,6 +263,24 @@ def test_oracle_exit_zero_and_report(tmp_path, capsys):
     assert doc["exhaustive"] is True
 
 
+def test_oracle_all_builds_one_lattice_index(capsys, monkeypatch):
+    # The search and the characterization of its witnesses share one index.
+    import qdiam.oracle as oracle
+    calls = []
+    build = oracle.build_index
+
+    def counted_build(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "build_index", counted_build)
+    code, out, _ = run_cli(capsys, "oracle", "max", "--q", "2", "--n", "5",
+                           "--d", "3", "--all")
+    assert code == 0
+    assert json.loads(out)["characterization_match"] is True
+    assert len(calls) == 1
+
+
 def test_oracle_budget_exit_two(capsys):
     code, _, err = run_cli(capsys, "oracle", "max", "--q", "2", "--n", "9",
                            "--d", "2")

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 import qdiam.oracle as oracle
-from qdiam.errors import BudgetExceeded, NotExhaustive
+from qdiam.errors import BudgetExceeded
 from qdiam.families import (SubspaceFamily, canonical_double_ball,
                             diameter_at_most, is_admissible,
                             is_s_intersecting, lower_layers, perp_family,
@@ -238,6 +238,23 @@ def test_timeout_counts_setup(monkeypatch):
     assert not rep.timed_out and rep.optimum == 23
 
 
+def test_elapsed_counts_the_work_after_the_search(monkeypatch):
+    # The fake clock moves only while the witnesses are re-verified, after
+    # the search: the run is not timed out, but its elapsed time shows it.
+    now = [0.0]
+    monkeypatch.setattr(oracle, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    materialize = oracle._materialize_witnesses
+
+    def slow_materialize(*args, **kwargs):
+        now[0] += 5.0
+        return materialize(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_materialize_witnesses", slow_materialize)
+    rep = max_diameter_family(2, 4, 3, timeout_secs=4.0)
+    assert not rep.timed_out and rep.optimum == 23
+    assert rep.elapsed_ms == 5000
+
+
 def test_timeout_reports_lower_bound():
     rep = max_diameter_family(2, 5, 3, enumerate_all=True, timeout_secs=0.0)
     assert rep.timed_out
@@ -249,24 +266,50 @@ def test_timeout_reports_lower_bound():
 
 # -- characterization --------------------------------------------------------------
 
+def _characterize(report):
+    """The characterization of any report on a fresh lattice index, one
+    position lookup per member, then the core: the reference for the
+    driver's own fields, and the path of synthetic and corrupted reports."""
+    index = build_index(field_new(report.q), report.n)
+    witnesses = [[index.position(s) for s in fam] for fam in report.witnesses]
+    return verify_characterization(index, report.d, witnesses)
+
+
 def test_characterization_all_four_tuples():
     for (q, n, d) in [(2, 3, 2), (2, 4, 2), (2, 4, 3), (3, 3, 2)]:
         rep = max_diameter_family(q, n, d, enumerate_all=True)
-        ok, diag = verify_characterization(rep)
-        assert ok, diag
+        assert rep.characterization_match is True, rep.characterization_diagnostics
 
 
 def test_characterization_census_n5():
     rep = max_diameter_family(2, 5, 2, enumerate_all=True)
-    ok, diag = verify_characterization(rep)
-    assert ok
+    assert rep.characterization_match is True
     assert set(rep.witnesses) == {lower_layers(F2, 5, 1), upper_layers(F2, 5, 1)}
 
 
 def test_characterization_requires_exhaustive():
-    rep = max_diameter_family(2, 3, 2, enumerate_all=False)
-    with pytest.raises(NotExhaustive):
-        verify_characterization(rep)
+    # neither an optimum search nor a timed-out enumeration is characterized
+    for rep in (max_diameter_family(2, 3, 2, enumerate_all=False),
+                max_diameter_family(2, 5, 3, enumerate_all=True,
+                                    timeout_secs=0.0)):
+        assert not rep.exhaustive
+        assert rep.characterization_match is None
+        assert rep.characterization_diagnostics is None
+
+
+# The criterion-2 tuples and the two --all jobs of the clique-search workload.
+DIFFERENTIAL = [(2, 3, 2), (2, 4, 2), (2, 4, 3), (3, 3, 2), (2, 5, 3),
+                (3, 4, 3)]
+
+
+@pytest.mark.parametrize("q,n,d", DIFFERENTIAL)
+def test_driver_characterization_matches_a_rebuilt_index(q, n, d):
+    # The driver keys witnesses by the search's vertex lists; a rebuilt
+    # index with one position lookup per member must read the same.
+    rep = max_diameter_family(q, n, d, enumerate_all=True)
+    assert rep.characterization_match is True
+    assert ((rep.characterization_match, rep.characterization_diagnostics)
+            == _characterize(rep))
 
 
 def test_characterization_negative_control():
@@ -278,7 +321,7 @@ def test_characterization_negative_control():
     members = list(fam.members[:-1]) + [outsider]
     corrupted = SubspaceFamily(F2, 4, members)
     rep.witnesses[0] = corrupted
-    ok, diag = verify_characterization(rep)
+    ok, diag = _characterize(rep)
     assert not ok
     assert any("VIOLATION" in line for line in diag)
 
@@ -287,8 +330,10 @@ def test_characterization_witness_cap_truncation_detected():
     rep = max_diameter_family(2, 4, 3, enumerate_all=True, witness_cap=10)
     assert rep.witness_count == 120
     assert len(rep.witnesses) == 10
-    with pytest.raises(NotExhaustive):
-        verify_characterization(rep)
+    assert rep.bound_match is True
+    assert rep.characterization_match is None
+    assert rep.characterization_diagnostics == [
+        "not characterized: witness cap 10 kept 10 of 120 witnesses"]
 
 
 def test_capped_all_keeps_witnesses_of_the_full_set():
@@ -558,7 +603,7 @@ def test_characterization_census_negative_control():
     rep = max_diameter_family(2, 4, 2, enumerate_all=True)
     rep.witnesses = rep.witnesses[:-1]
     rep.witness_count = 1
-    ok, diag = verify_characterization(rep)
+    ok, diag = _characterize(rep)
     assert not ok
     assert any("census mismatch" in line for line in diag)
 
@@ -569,8 +614,7 @@ def test_enumerate_all_census_n5_d4_boundary_splits():
     rep = max_diameter_family(2, 5, 4, enumerate_all=True)
     assert rep.optimum == 187
     assert rep.witness_count == 8
-    ok, _ = verify_characterization(rep)
-    assert ok
+    assert rep.characterization_match is True
     for fam in rep.witnesses:
         for k in range(3):
             sizes = (len(fam.layer(k)), len(fam.layer(5 - k)))
@@ -585,14 +629,12 @@ def test_oracle_q3_n4_within_default_budget():
     # the q=3, n=4 lattice (212 subspaces) also fits the default budget
     rep = max_diameter_family(3, 4, 2, enumerate_all=True)
     assert rep.optimum == kleitman_bound(4, 2, 3) == 41
-    ok, _ = verify_characterization(rep)
-    assert ok and rep.witness_count == 2
+    assert rep.characterization_match is True and rep.witness_count == 2
 
     rep = max_diameter_family(3, 4, 3, enumerate_all=True)
     assert rep.optimum == kleitman_bound(4, 3, 3) == 54
     assert rep.nodes_explored < 10_000  # 61,826 without the EKR middle cap 13
-    ok, _ = verify_characterization(rep)
-    assert ok
+    assert rep.characterization_match is True
     # boundary census: 4 complementary splits x 80 maximum 1-intersecting
     # middle layers (40 stars + 40 hyperplane families)
     assert rep.witness_count == 320
@@ -1539,7 +1581,7 @@ def _classify_witness(fam, q, n, d, field):
 
 
 def _characterization_by_classify(report):
-    """verify_characterization's diagnostics with every witness classified
+    """The characterization's diagnostics with every witness classified
     by _classify_witness and the census rebuilt per call, kept as reference.
     The boundary census is not counted here."""
     q, n, d = report.q, report.n, report.d
@@ -1592,7 +1634,8 @@ CHARACTERIZED = [(q, n, d) for q in (2, 3) for n in range(3, 5)
 def test_characterization_matches_per_witness_classification(q, n, d):
     rep = max_diameter_family(q, n, d, enumerate_all=True)
     assert rep.bound_match
-    assert verify_characterization(rep) == _characterization_by_classify(rep)
+    assert ((rep.characterization_match, rep.characterization_diagnostics)
+            == _characterization_by_classify(rep))
 
 
 @pytest.mark.parametrize("n,d", [(4, 2), (5, 3)])
@@ -1602,7 +1645,7 @@ def test_characterization_matches_per_witness_classification_when_corrupted(n, d
     fam = rep.witnesses[0]
     outsider = next(s for s in enumerate_layer(F2, n, 2) if s not in fam)
     rep.witnesses[0] = SubspaceFamily(F2, n, list(fam.members[:-1]) + [outsider])
-    ok, diag = verify_characterization(rep)
+    ok, diag = _characterize(rep)
     assert not ok and "VIOLATION" in diag[0]
     assert (ok, diag) == _characterization_by_classify(rep)
 
@@ -1612,11 +1655,12 @@ def test_boundary_census_counts_the_witnesses(q, n, d):
     # every witness left still fits a boundary case, but the witness set
     # has one family fewer than the 2^(t+1) splits times the middle census
     rep = max_diameter_family(q, n, d, enumerate_all=True)
-    ok, diag = verify_characterization(rep)
-    assert ok and diag[-1].startswith("census at n = d+1: ")
+    diag = rep.characterization_diagnostics
+    assert rep.characterization_match and diag[-1].startswith(
+        "census at n = d+1: ")
     rep.witnesses = rep.witnesses[:-1]
     rep.witness_count -= 1
-    ok, diag = verify_characterization(rep)
+    ok, diag = _characterize(rep)
     assert not ok
     assert not any("VIOLATION" in line for line in diag)
     assert diag[-1] == (f"census mismatch: expected {rep.witness_count + 1} "
@@ -1633,7 +1677,7 @@ def test_boundary_middle_layer_outside_the_census_is_a_violation():
     outsider = next(s for s in enumerate_layer(F2, 4, 2) if s not in fam)
     rep.witnesses[0] = SubspaceFamily(
         F2, 4, [s for s in fam if s != middle[-1]] + [outsider])
-    ok, diag = verify_characterization(rep)
+    ok, diag = _characterize(rep)
     assert not ok
     assert diag[0] == ("witness 0: VIOLATION: middle layer 2 is not a "
                        "point-star or a hyperplane dual")
@@ -1696,7 +1740,7 @@ def test_census_accepts_the_constructed_maximum_families(q, n, d):
     families = _maximum_families(field_new(q), n, d)
     assert {len(fam) for fam in families} == {kleitman_bound(n, d, q)}
     assert len(set(families)) == len(families)
-    ok, diag = verify_characterization(_exhaustive_report(q, n, d, families))
+    ok, diag = _characterize(_exhaustive_report(q, n, d, families))
     assert ok and not any("VIOLATION" in line for line in diag)
     if n == d + 1:
         parity = "odd" if d % 2 else "even"
@@ -1706,8 +1750,7 @@ def test_census_accepts_the_constructed_maximum_families(q, n, d):
         assert diag[-1] == (f"census: all {len(families)} canonical "
                             f"extremal families found")
     # one family dropped: every witness left fits, the census does not
-    ok, diag = verify_characterization(
-        _exhaustive_report(q, n, d, families[1:]))
+    ok, diag = _characterize(_exhaustive_report(q, n, d, families[1:]))
     assert not ok and not any("VIOLATION" in line for line in diag)
     assert diag[-1] == (f"census mismatch: expected {len(families)} "
                         f"canonical extremal families, witness set has "

@@ -4,7 +4,8 @@ grids, for diffing two trees.
 The search grid is q=2 with n <= 5, q=3 with n <= 4 and q=4, 5 with n <= 3,
 every 0 <= d <= n, the plain search and both classes of d's parity, each
 with and without --all: 336 searches.  Each runs as `qdiam oracle max` in
-process, so characterization_match is what that command sets.  Its row
+process and is read from the JSON report it prints, whose characterization
+fields the search driver sets.  Its row
 (see search_row) holds the tuple and every field of the JSON report but
 schema, witness_cap and elapsed_ms, with the witness files as one SHA-256
 and the characterization_diagnostics list as another, so two trees that
