@@ -8,15 +8,16 @@ the search first reads it, so no step loops over vertex pairs in Python.
 The engine branches over one representative per layer pair at the root
 (every vertex, pair by pair, when every maximum family is wanted) and uses
 greedy-coloring upper bounds inside (San Segundo et al. 2011): coloring a
-vertex is one AND with its non-neighbour mask, and only the vertices whose
-color reaches k_min = need - |clique| are returned for branching, since
-the others are cut anyway (Konc and Janezic 2007).  It adds domain caps,
-one per complementary layer pair (k, n-k): when d < n a partial solution
-together with its candidates can never place more than [n k] members on a
-pair, and a layer holds at most the Frankl-Wilson EKR bound (see
-__init__).  The caps keep the 374-vertex lattice of F_2^5 tractable, and
-the EKR cap on the middle layer is what proves the boundary n = d+1 at
-(2, 6, 5); generic coloring alone stalls there.
+vertex is one AND with its non-neighbour mask, and a vertex colored below
+k_min = need - |clique| is cut before it becomes a node (Konc and Janezic
+2007), by the branch loop, as |clique| counts the vertices the coloring
+forces.  It adds domain caps, one per complementary layer pair (k, n-k):
+when d < n a partial solution together with its candidates can never
+place more than [n k] members on a pair, and a layer holds at most the
+Frankl-Wilson EKR bound (see __init__).  The caps keep the 374-vertex
+lattice of F_2^5 tractable, and the EKR cap on the middle layer is what
+proves the boundary n = d+1 at (2, 6, 5); generic coloring alone stalls
+there.
 
 Admissibility ("not contained in any forbidden configuration") is not
 hereditary, so it cannot be folded into the graph.  Every class is instead
@@ -37,7 +38,9 @@ row of _FORMULAS.
 A node that passes the clause check and the group bound moves its
 universal candidates, those adjacent to every other candidate, into the
 clique at once: every maximum family below it holds them all
-(docs/decisions.md).  Forced vertices are not counted in nodes_explored.
+(docs/decisions.md).  They are found in the coloring pass, by testing
+each color class's leader.  Forced vertices are not counted in
+nodes_explored.
 
 The search is one branch per root, each one loop over an explicit stack
 of frames, so a clique of 1332 members at (3, 5, 4) is not bounded by
@@ -310,30 +313,36 @@ class _CliqueEngine:
                  for k in range(len(self.groups))],
                 [mask for mask, _ in self.groups])
 
-    def _color_order(self, cand, kmin):
-        """Greedy coloring of cand; returns the vertices whose color is at
-        least kmin, with their ascending color bounds.
+    def _color_force(self, cand):
+        """Greedy coloring of cand, and its universal candidates, those
+        adjacent to every other candidate; returns (the other candidates in
+        class order, their ascending color bounds, the universal mask).
 
-        A vertex with a lower color cannot lead to a clique of the size the
-        caller needs, so it is colored but not returned.  Coloring a vertex
-        v keeps, of the vertices still free for its class, only its
-        non-neighbours: one AND with non[v], which also drops v.  The rows
-        of cand must be built.
+        Coloring a vertex v keeps, of the vertices still free for its class,
+        only its non-neighbours: one AND with non[v], which also drops v.
+        Only a class's leader is tested for universality: a universal vertex
+        is in no candidate's row, so it only ever leads, alone, and its
+        class is dropped uncounted, which leaves the coloring of cand minus
+        the universal ones.  The rows of cand must be built.
         """
         non = self.non
         order = []
         bounds = []
+        forced = 0
         color = 0
         uncolored = cand
         while uncolored:
-            color += 1
-            avail = uncolored
-            if color < kmin:
-                while avail:
-                    b = avail & -avail
-                    avail &= non[b.bit_length() - 1]
-                    uncolored ^= b
+            b = uncolored & -uncolored
+            v = b.bit_length() - 1
+            avail = non[v]
+            uncolored ^= b
+            if not avail & cand:
+                forced |= b
                 continue
+            color += 1
+            order.append(v)
+            bounds.append(color)
+            avail &= uncolored
             while avail:
                 b = avail & -avail
                 v = b.bit_length() - 1
@@ -341,20 +350,7 @@ class _CliqueEngine:
                 uncolored ^= b
                 order.append(v)
                 bounds.append(color)
-        return order, bounds
-
-    def _universal(self, cand):
-        """The mask of the candidates adjacent to every other candidate;
-        the rows of cand must be built."""
-        non = self.non
-        forced = 0
-        rest = cand
-        while rest:
-            b = rest & -rest
-            if not non[b.bit_length() - 1] & cand:
-                forced |= b
-            rest ^= b
-        return forced
+        return order, bounds, forced
 
     def _group_bound(self, mask):
         """The most members a clique inside mask can place, each layer pair
@@ -432,9 +428,11 @@ class _CliqueEngine:
         A frame is [vertices still to try, their color bounds, next
         position, untried candidates, live clauses, clique mask]; the first
         holds v0 alone, with a bound that never cuts.  A node that passes
-        both checks builds its candidates' rows and forces the universal
-        ones into its clique.  deadline is checked at the first node, every
-        1024th node and after every node that built rows.
+        both checks builds its candidates' rows, and _color_force colors
+        them and forces the universal ones into its clique.  Low colors are
+        returned too: best only rises, so the frame's bound check cuts them
+        before they count as nodes.  deadline is checked at the first node,
+        every 1024th node and after every node that built rows.
         """
         slack = 0 if self.collect_all else 1  # a clique must reach best + slack
         non = self.non
@@ -459,7 +457,6 @@ class _CliqueEngine:
             nodes += 1
             bit = 1 << v
             clique |= bit
-            need = self.best + slack
             # The live clauses, those that hold the clique: the parent's that
             # hold v.  One that holds every candidate prunes.
             live = []
@@ -470,22 +467,18 @@ class _CliqueEngine:
                         pruned = True
                         break
                     live.append(m)
-            if pruned or self._group_bound(cand | clique) < need:
+            if pruned or self._group_bound(cand | clique) < self.best + slack:
                 continue
             if cand & self.built != cand:
                 self._build(cand)
                 if deadline is not None and time.monotonic() > deadline:
                     return nodes, True
-            forced = self._universal(cand)
+            order, bounds, forced = self._color_force(cand)
             cand ^= forced
             clique |= forced
             if live:
                 live = [m for m in live if m & forced == forced]
             if cand:
-                # need only rises below, so a vertex colored under
-                # need - |clique| now would be cut at its turn anyway.
-                order, bounds = self._color_order(
-                    cand, need - clique.bit_count())
                 stack.append([order, bounds, len(order), cand, live, clique])
                 continue
             self._record(list(_bits(clique)))

@@ -689,8 +689,9 @@ def _adjacency(engine):
 
 
 def _color_order_by_scan(adj, cand):
-    """Greedy coloring of every candidate over adjacency rows, the kernel the
-    non-neighbour masks and the kmin cut replaced; kept as reference."""
+    """Greedy coloring of every candidate over adjacency rows, with no
+    candidate forced: the kernel the non-neighbour masks replaced; kept as
+    reference."""
     order = []
     bounds = []
     color = 0
@@ -781,23 +782,32 @@ def test_engine_adjacency_matches_distance_table(q, n):
 
 @pytest.mark.parametrize("q,n", DESK_LATTICES)
 def test_color_order_matches_full_coloring(q, n):
-    # The kernel returns exactly the reference's entries colored kmin or
-    # more, for every kmin up to one past the last color.
+    # The fused kernel forces exactly the candidates adjacent to every other
+    # one, and colors the rest as the reference colors cand minus them; in
+    # the reference's coloring of all of cand each forced vertex is a class
+    # of its own, so the kernel only drops those classes.
     index = build_index(field_new(q), n)
     nv = index.size
     full = (1 << nv) - 1
     rng = random.Random(f"color:{q}:{n}")
+    mixed = 0  # candidate sets with vertices both forced and colored
     for d in range(n + 1):
         engine = _CliqueEngine(index, d)
         adj = _adjacency(engine)
         cands = [0, full] + [rng.getrandbits(nv) for _ in range(4)] + [
             rng.getrandbits(nv) & rng.getrandbits(nv) for _ in range(4)]
         for cand in cands:
-            order, bounds = _color_order_by_scan(adj, cand)
-            for kmin in range(1, max(bounds, default=0) + 2):
-                kept = [(v, k) for v, k in zip(order, bounds) if k >= kmin]
-                expected = ([v for v, _ in kept], [k for _, k in kept])
-                assert engine._color_order(cand, kmin) == expected, (d, kmin)
+            order, bounds, forced = engine._color_force(cand)
+            mixed += bool(forced and order)
+            assert forced == sum(1 << v for v in range(nv) if cand >> v & 1
+                                 and cand & ~adj[v] == 1 << v), d
+            assert (order, bounds) == _color_order_by_scan(
+                adj, cand & ~forced), d
+            every, colors = _color_order_by_scan(adj, cand)
+            sizes = Counter(colors)
+            assert all(sizes[k] == 1 for v, k in zip(every, colors)
+                       if forced >> v & 1), d
+    assert mixed or n < 2
 
 
 @pytest.mark.parametrize("q,n", DESK_LATTICES)
@@ -1009,17 +1019,24 @@ def test_clause_index_matches_full_scan(monkeypatch, q, n, d, family_class):
 
 class _UnforcedEngine(_CliqueEngine):
     """The production engine with no candidate forced, so every member of
-    a clique is a node of its own, as before forcing; kept as reference."""
+    a clique is a node of its own, as before forcing; kept as reference.
+    A node colors all of cand over adjacency rows, each universal vertex a
+    class of its own."""
 
-    def _universal(self, cand):
-        return 0
+    def __init__(self, index, d, family_class=None):
+        super().__init__(index, d, family_class)
+        self.adj = _adjacency(self)
+
+    def _color_force(self, cand):
+        return (*_color_order_by_scan(self.adj, cand), 0)
 
 
 # The clause grid, and the five jobs of the clique-search benchmark.
+CLIQUE_SEARCH_JOBS = [(3, 4, 3, None, True), (2, 5, 3, None, True),
+                      (2, 5, 2, "B_even", False), (3, 4, 2, "B_even", False),
+                      (3, 4, 2, "A_even", False)]
 FORCING_CASES = ([case + ((case not in _COSTLY_ALL),) for case in CLAUSE_CASES]
-                 + [(3, 4, 3, None, True), (2, 5, 3, None, True),
-                    (2, 5, 2, "B_even", False), (3, 4, 2, "B_even", False),
-                    (3, 4, 2, "A_even", False)])
+                 + CLIQUE_SEARCH_JOBS)
 
 
 @pytest.mark.parametrize("q,n,d,family_class,enumerate_all", FORCING_CASES)
@@ -1033,6 +1050,9 @@ def test_forcing_matches_unforced_search(monkeypatch, q, n, d, family_class,
     assert rep.witness_count == ref.witness_count
     assert rep.witnesses == ref.witnesses
     assert rep.nodes_explored <= ref.nodes_explored
+    if (q, n, d, family_class, enumerate_all) in CLIQUE_SEARCH_JOBS:
+        # forcing saves nodes on each, so a reference that forced too fails
+        assert rep.nodes_explored < ref.nodes_explored
 
 
 # -- each root branch on its own -----------------------------------------------------
