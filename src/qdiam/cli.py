@@ -36,8 +36,8 @@ from .families import (ADMISSIBILITY_CLASSES, ball, canonical_double_ball,
                        hilton_milner_triple, is_admissible, min_supp_norm,
                        read_family, star, write_family)
 from .gfq import _prime_power, field_new
-from .grassmann import (DEFAULT_ENUM_BUDGET, build_index, enumerate_layer,
-                        write_subspaces)
+from .grassmann import (DEFAULT_ENUM_BUDGET, check_lattice_budget,
+                        enumerate_layer, write_subspaces)
 # verify_characterization is not called here: perfbench/spans.py patches
 # it by name.
 from .oracle import (DEFAULT_SEARCH_LATTICE_BUDGET, DEFAULT_TIMEOUT_SECS,
@@ -318,7 +318,9 @@ def cmd_enumerate(args) -> int:
     if args.k is not None:
         subs = enumerate_layer(field, args.n, args.k, budget=budget)
     else:
-        subs = build_index(field, args.n, budget=budget).subspaces
+        check_lattice_budget(field, args.n, budget)
+        subs = (s for k in range(args.n + 1)
+                for s in enumerate_layer(field, args.n, k, budget=None))
     buf = io.StringIO()
     count = write_subspaces(subs, buf)
     _emit(args, buf.getvalue())

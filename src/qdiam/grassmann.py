@@ -1,18 +1,19 @@
 """Exhaustive enumeration of Grassmannian layers and the full lattice.
 
-Enumeration walks RREF pivot patterns directly: choose the pivot columns,
-then run through every filling of the free cells.  Each matrix produced is
-already canonical, so no deduplication pass is needed, and the emission
-order coincides with the canonical total order on subspaces (dimension,
-then pivot columns, then row entries).  Everything is deterministic across
-runs and platforms.
+Enumeration walks RREF pivot patterns directly: a pattern's subspaces are
+the product of its rows' option lists (``_pivot_patterns``).  Each matrix
+produced is already canonical, so no deduplication pass is needed, and
+the emission order coincides with the canonical total order on subspaces
+(dimension, then pivot columns, then row entries).  The lattice index
+keeps only each subspace's packed rows.  Everything is deterministic
+across runs and platforms.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
 
-from .errors import BudgetExceeded
+from .errors import AmbientMismatch, BudgetExceeded
 from .gfq import FieldSpec
 from .qcount import gauss_binom, layer_sum
 from .subspace import Subspace, vector_index
@@ -61,6 +62,40 @@ def _at_least(planes, t):
     return above | equal
 
 
+def _pivot_patterns(q, n, k):
+    """Yield (pivots, options) for each pivot pattern of a k-subspace of
+    F_q^n, patterns in lexicographic order: options[i] lists what RREF row
+    i can be, as tuples of entries in lexicographic order.
+
+    Row i holds 1 at pivots[i], 0 left of it and at every other pivot, and
+    anything in its free cells; the rows constrain each other in nothing
+    else, so the pattern's subspaces are the product of the rows' options.
+    The product varies the first row slowest, so the first free cell in
+    row-major order is the most significant: canonical order.
+    """
+    for pivots in combinations(range(n), k):
+        pivset = set(pivots)
+        options = []
+        for p in pivots:
+            opts = [(0,) * p + (1,)]
+            for j in range(p + 1, n):
+                cells = (0,) if j in pivset else range(q)
+                opts = [o + (v,) for o in opts for v in cells]
+            options.append(opts)
+        yield pivots, options
+
+
+def _packed(options, q):
+    return [[vector_index(r, q) for r in opts] for opts in options]
+
+
+def _layer_keys(q, n, k):
+    """The k-subspaces of F_q^n in canonical order, each as the tuple of
+    its RREF rows' vector indices (for q = 2, its bits)."""
+    for _, options in _pivot_patterns(q, n, k):
+        yield from product(*_packed(options, q))
+
+
 def enumerate_layer(field: FieldSpec, n: int, k: int, budget: int | None = DEFAULT_ENUM_BUDGET):
     """Yield every k-subspace of F_q^n exactly once, in canonical order."""
     if not 0 <= k <= n:
@@ -71,42 +106,45 @@ def enumerate_layer(field: FieldSpec, n: int, k: int, budget: int | None = DEFAU
             f"layer (q={field.q}, n={n}, k={k}) has {expected} subspaces, "
             f"budget is {budget}", would_be_count=expected)
     q = field.q
-    for pivots in combinations(range(n), k):
-        pivset = set(pivots)
-        # Free cells in row-major order; the first cell is the most
-        # significant in the fill iteration, which keeps rows lexicographic.
-        free = [(i, j) for i in range(k) for j in range(pivots[i] + 1, n)
-                if j not in pivset]
-        base = []
-        for i in range(k):
-            row = [0] * n
-            row[pivots[i]] = 1
-            base.append(row)
-        for fill in product(range(q), repeat=len(free)):
-            for (i, j), v in zip(free, fill):
-                base[i][j] = v
-            rows = tuple(tuple(r) for r in base)
-            yield Subspace._from_rref(field, n, rows, pivots)
+    from_rref = Subspace._from_rref
+    for pivots, options in _pivot_patterns(q, n, k):
+        if q == 2:
+            for rows, bits in zip(product(*options),
+                                  product(*_packed(options, 2))):
+                yield from_rref(field, n, rows, pivots, bits)
+        else:
+            for rows in product(*options):
+                yield from_rref(field, n, rows, pivots)
 
 
-def _bit_lines(s):
-    """Vector indices of the lines of s, for q = 2: every nonzero vector of
-    the span, which grows by XOR from the last packed row to the first."""
+def _bit_lines(key):
+    """Vector indices of the lines of a subspace, for q = 2, from its
+    packed rows: every nonzero vector of the span, which grows by XOR from
+    the last packed row to the first."""
     span = [0]
-    for r in reversed(s.bits):
+    for r in reversed(key):
         span += [r ^ v for v in span]
     return span[1:]
 
 
+def _entries(v, q, n):
+    """The n entries of the vector with index v (vector_index's inverse)."""
+    out = [0] * n
+    for j in range(n - 1, -1, -1):
+        v, out[j] = divmod(v, q)
+    return tuple(out)
+
+
 def _table_lines(field, n):
-    """The line lister of F_q^n for q > 2: s -> the vector indices of the
-    RREF rows of the lines of s.
+    """The line lister of F_q^n for q > 2: the packed RREF rows of a
+    subspace -> the vector indices of the RREF rows of its lines.
 
     The lines led by RREF row r_i are r_i + span(r_{i+1..k}), read off r_i's
     addition row (r_i + v for each v over the columns after its pivot, built
-    on first use).  Walking the rows from last to first, the span grows by
-    those lines and their multiples from one scale table per c not in
-    {0, 1}, over the q^(n-1) vectors below r_1, whose column 0 is clear.
+    on first use and keyed by r_i's vector index).  Walking the rows from
+    last to first, the span grows by those lines and their multiples from
+    one scale table per c not in {0, 1}, over the q^(n-1) vectors below
+    r_1, whose column 0 is clear.
     """
     q = field.q
     add = field.add_table
@@ -119,25 +157,27 @@ def _table_lines(field, n):
         scales.append(table)
     add_rows = {}
 
-    def lines(s):
-        rows = s.rows
-        if not rows:
+    def addition_row(r):
+        e = _entries(r, q, n)
+        a = [1]
+        for x in e[e.index(1) + 1:]:  # r's entries after its leading 1
+            plus = add[x]
+            a = [y * q + z for y in a for z in plus]
+        return a
+
+    def lines(key):
+        if not key:
             return []
-        led = [vector_index(rows[-1], q)]
+        led = [key[-1]]
         out = led[:]
         span = [0]
-        for i in range(len(rows) - 2, -1, -1):
+        for r in key[-2::-1]:
             span += led
             for table in scales:
                 span += [table[x] for x in led]
-            r = rows[i]
             a = add_rows.get(r)
             if a is None:
-                a = [1]
-                for e in r[s.pivots[i] + 1:]:
-                    plus = add[e]
-                    a = [x * q + y for x in a for y in plus]
-                add_rows[r] = a
+                a = add_rows[r] = addition_row(r)
             led = [a[v] for v in span]
             out += led
         return out
@@ -145,67 +185,114 @@ def _table_lines(field, n):
     return lines
 
 
+def _key(s):
+    """A subspace's index key: its RREF rows' vector indices."""
+    if s.bits is not None:
+        return s.bits
+    q = s.field.q
+    return tuple(vector_index(r, q) for r in s.rows)
+
+
 class LatticeIndex:
     """All subspaces of F_q^n in canonical order, with layer offsets.
 
+    The index holds each subspace as its key, the tuple of its RREF rows'
+    vector indices (for q = 2, ``Subspace.bits``), and a key -> position
+    dict.  The keys carry no q or n, so lookups check the ambient space.
+    ``subspace(i)`` builds vertex i's ``Subspace`` on first use and keeps
+    it, so each vertex is one object however often it is asked for.
+
     Distances come from line incidence: U ∩ W holds [dim(U ∩ W) 1]_q
     lines, and those are the lines U and W share.  The incidence is listed
-    from each subspace's RREF rows once, on first use.  The full pairwise
-    byte table of row-elimination distances is kept as the reference the
-    incidence is tested against.
+    from the keys once, on first use.  The full pairwise byte table of
+    row-elimination distances is kept as the reference the incidence is
+    tested against.
     """
 
-    __slots__ = ("field", "n", "subspaces", "layer_bounds", "_pos",
-                 "_incidence")
+    __slots__ = ("field", "n", "keys", "layer_bounds", "_pos", "_built",
+                 "_subspaces", "_incidence")
 
-    def __init__(self, field, n, subspaces, layer_bounds):
+    def __init__(self, field, n, keys, layer_bounds):
         self.field = field
         self.n = n
-        self.subspaces = subspaces
+        self.keys = keys
         self.layer_bounds = layer_bounds
-        self._pos = {s: i for i, s in enumerate(subspaces)}
+        self._pos = {key: i for i, key in enumerate(keys)}
+        self._built = [None] * len(keys)
+        self._subspaces = None
         self._incidence = None
 
     @property
     def size(self):
-        return len(self.subspaces)
+        return len(self.keys)
 
     def layer_range(self, k):
         """Index range [lo, hi) of the dimension-k layer."""
         return self.layer_bounds[k]
 
+    def subspace(self, i: int) -> Subspace:
+        """Vertex i's subspace, built on first use and kept."""
+        s = self._built[i]
+        if s is None:
+            key = self.keys[i]
+            q, n = self.field.q, self.n
+            rows = tuple(_entries(r, q, n) for r in key)
+            # an RREF row's first nonzero entry is its leading 1
+            pivots = tuple(r.index(1) for r in rows)
+            s = self._built[i] = Subspace._from_rref(
+                self.field, n, rows, pivots, key if q == 2 else None)
+        return s
+
+    @property
+    def subspaces(self):
+        """Every vertex's subspace, in index order, built on first use."""
+        if self._subspaces is None:
+            self._subspaces = tuple(map(self.subspace, range(self.size)))
+        return self._subspaces
+
     def layer(self, k):
         lo, hi = self.layer_bounds[k]
         return self.subspaces[lo:hi]
 
+    def _in_ambient(self, s):
+        return s.field.q == self.field.q and s.n == self.n
+
     def position(self, s: Subspace) -> int:
-        return self._pos[s]
+        """Index of s; raises AmbientMismatch if s is not in F_q^n."""
+        if not self._in_ambient(s):
+            raise AmbientMismatch(
+                f"subspace of GF({s.field.q})^{s.n} looked up in the lattice "
+                f"of GF({self.field.q})^{self.n}")
+        return self._pos[_key(s)]
 
     def __contains__(self, s):
-        return s in self._pos
+        return (isinstance(s, Subspace) and self._in_ambient(s)
+                and _key(s) in self._pos)
 
     def line_incidence(self):
         """Materialize (once) the lines of every vertex and, per line, the
         vertex mask of the subspaces that contain it.
 
-        A line's RREF row is its one vector with leading entry 1.  Each
-        vertex lists the vector indices of its lines' rows from its own RREF
-        rows (``_bit_lines``, ``_table_lines``), and a list of q^n entries
-        maps each index to its line number.  The columns are the transpose
-        of the per-vertex line lists, written as one digit string per line.
+        A line's RREF row is its one vector with leading entry 1, and its
+        key is that row's vector index.  Each vertex lists the vector
+        indices of its lines' rows from its key (``_bit_lines``,
+        ``_table_lines``), and a list of q^n entries maps each index to its
+        line number.  The columns are the transpose of the per-vertex line
+        lists, written as one digit string per line.
         """
         if self._incidence is None:
             q = self.field.q
+            keys = self.keys
             lo, hi = self.layer_bounds.get(1, (0, 0))  # F_q^0 has no lines
             line_at = [None] * q ** self.n
             for x in range(lo, hi):
-                line_at[vector_index(self.subspaces[x].rows[0], q)] = x - lo
+                line_at[keys[x][0]] = x - lo
             lines_in = _bit_lines if q == 2 else _table_lines(self.field, self.n)
-            nv = len(self.subspaces)
+            nv = len(keys)
             digits = [bytearray(b"0" * nv) for _ in range(hi - lo)]
             lines_of = []
-            for w, s in enumerate(self.subspaces):
-                lines = [line_at[v] for v in lines_in(s)]
+            for w, key in enumerate(keys):
+                lines = [line_at[v] for v in lines_in(key)]
                 for x in lines:
                     digits[x][nv - 1 - w] = 49  # ord("1")
                 lines_of.append(lines)
@@ -240,7 +327,7 @@ class LatticeIndex:
         """
         n = self.n
         q = self.field.q
-        a = self.subspaces[i].dim
+        a = len(self.keys[i])
         planes = None
         at_least = {}
         out = 0
@@ -262,7 +349,7 @@ class LatticeIndex:
 
     def distance_table(self, cell_budget: int = DEFAULT_DISTANCE_CELL_BUDGET) -> bytearray:
         """The full pairwise distance table, built by row elimination."""
-        nv = len(self.subspaces)
+        nv = self.size
         if nv * nv > cell_budget:
             raise BudgetExceeded(
                 f"distance table needs {nv * nv} cells, budget is {cell_budget}",
@@ -279,20 +366,26 @@ class LatticeIndex:
         return table
 
 
-def build_index(field: FieldSpec, n: int, budget: int | None = DEFAULT_ENUM_BUDGET) -> LatticeIndex:
-    """Enumerate the whole lattice of F_q^n into a LatticeIndex."""
+def check_lattice_budget(field: FieldSpec, n: int, budget: int | None) -> None:
+    """Raise BudgetExceeded if the lattice of F_q^n exceeds the budget."""
     total = lattice_size(field.q, n)
     if budget is not None and total > budget:
         raise BudgetExceeded(
             f"lattice (q={field.q}, n={n}) has {total} subspaces, budget is {budget}",
             would_be_count=total)
-    subspaces = []
+
+
+def build_index(field: FieldSpec, n: int, budget: int | None = DEFAULT_ENUM_BUDGET) -> LatticeIndex:
+    """Enumerate the whole lattice of F_q^n into a LatticeIndex of keys;
+    it builds no Subspace."""
+    check_lattice_budget(field, n, budget)
+    keys = []
     layer_bounds = {}
     for k in range(n + 1):
-        lo = len(subspaces)
-        subspaces.extend(enumerate_layer(field, n, k, budget=None))
-        layer_bounds[k] = (lo, len(subspaces))
-    return LatticeIndex(field, n, tuple(subspaces), layer_bounds)
+        lo = len(keys)
+        keys.extend(_layer_keys(field.q, n, k))
+        layer_bounds[k] = (lo, len(keys))
+    return LatticeIndex(field, n, tuple(keys), layer_bounds)
 
 
 def write_subspaces(subspaces, fileobj) -> int:

@@ -180,7 +180,7 @@ def _canonical_centres(index, odd):
     lines = index.layer_range(1) if index.n else (0, 0)  # F_q^0 has none
     centres = []
     for x in range(*lines):
-        centres += [(0, x), (top, index.position(index.subspaces[x].perp()))]
+        centres += [(0, x), (top, index.position(index.subspace(x).perp()))]
     return centres
 
 
@@ -520,10 +520,9 @@ def _materialize_witnesses(index, collected, d):
     engine already charged; for n <= 3, at most about 280 KB (q = 16).
     """
     field, n = index.field, index.n
-    subspaces = index.subspaces
     witnesses = []
     for vertices in collected:
-        fam = SubspaceFamily(field, n, [subspaces[v] for v in vertices])
+        fam = SubspaceFamily(field, n, [index.subspace(v) for v in vertices])
         ok, pair = diameter_at_most(fam, d)
         if not ok:
             raise AssertionError(
@@ -738,7 +737,7 @@ def verify_characterization(index, d, witnesses):
     elif d % 2:
         cases = []
         for _, x in centres[::2]:
-            reason = f"double ball at {index.subspaces[x].to_token()}"
+            reason = f"double ball at {index.subspace(x).to_token()}"
             cases += [("canonical_double_ball", reason),
                       ("canonical_double_ball_perp", reason)]
         miss = "not a canonical double ball or its perp"

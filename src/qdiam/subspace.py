@@ -148,8 +148,11 @@ class Subspace:
         self._h = hash((field.q, n, rows))
 
     @classmethod
-    def _from_rref(cls, field, n, rows, pivots):
-        bits = tuple(vector_index(r, 2) for r in rows) if field.q == 2 else None
+    def _from_rref(cls, field, n, rows, pivots, bits=None):
+        """The subspace of canonical rows; a caller that has the packed rows
+        of a q = 2 subspace passes them as bits."""
+        if bits is None and field.q == 2:
+            bits = tuple(vector_index(r, 2) for r in rows)
         return cls(field, n, rows, pivots, bits)
 
     @classmethod
@@ -377,7 +380,8 @@ class Subspace:
         # checked last, so a token with another fault keeps its message
         if parts[:3] != [str(q), str(n), str(d)]:
             raise ParseError(f"non-canonical header in {token!r}")
-        return cls._from_rref(field, n, tuple(map(tuple, rows)), pivots)
+        bits = tuple(int(s, 2) for s in row_strs) if q == 2 else None
+        return cls._from_rref(field, n, tuple(map(tuple, rows)), pivots, bits)
 
     # -- dunder --------------------------------------------------------------
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shlex
@@ -228,6 +229,37 @@ def test_negative_budget_is_usage_error(capsys, monkeypatch, command, via_env):
     assert code == 2
     assert out == ""
     assert err.splitlines() == ["error: budget must be >= 0, got -5"]
+
+
+# SHA-256 of `enumerate` without --k, as it printed when it listed a lattice
+# index's subspaces: the 67 tokens of F_2^4 and the 28 of F_3^3.
+_LATTICE_TOKENS_SHA256 = {
+    (2, 4): "70463e1e40fd0cbef7088ee430755a20f251c001ce74db241de57b6e4a6b69f3",
+    (3, 3): "a2efaf14c79d642ba5bf3e80f890729de287acd9a190fcd5e822c9e47ecaeb26",
+}
+
+
+@pytest.mark.parametrize("q,n,size", [(2, 4, 67), (3, 3, 28)])
+def test_enumerate_lattice_streams_the_layers(capsys, monkeypatch, q, n, size):
+    import qdiam.grassmann as grassmann
+
+    def no_index(*args, **kwargs):
+        raise AssertionError("built a lattice index")
+
+    monkeypatch.setattr(grassmann.LatticeIndex, "__init__", no_index)
+    code, out, err = run_cli(capsys, "enumerate", "--q", str(q), "--n", str(n))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        _LATTICE_TOKENS_SHA256[q, n]
+    assert err == f"{size} subspaces\n"
+    # a budget of exactly the lattice size is met
+    assert run_cli(capsys, "enumerate", "--q", str(q), "--n", str(n),
+                   "--budget", str(size)) == (0, out, err)
+    code, out, err = run_cli(capsys, "enumerate", "--q", str(q), "--n", str(n),
+                             "--budget", str(size - 1))
+    assert (code, out) == (2, "")
+    assert err == (f"budget exceeded: lattice (q={q}, n={n}) has {size} "
+                   f"subspaces, budget is {size - 1}\n")
 
 
 def test_enumerate_budget(capsys, monkeypatch):

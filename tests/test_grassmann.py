@@ -1,10 +1,11 @@
 import io
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdiam.errors import BudgetExceeded
+from qdiam.errors import AmbientMismatch, BudgetExceeded
 from qdiam.gfq import SUPPORTED_ORDERS, field_new
 from qdiam.grassmann import (build_index, enumerate_layer, lattice_size,
                              write_subspaces)
@@ -45,6 +46,107 @@ def test_patterns_without_free_cells(q):
                 field, n, [[int(j == p) for j in range(n)] for p in pivots])
             assert found == [units]
             assert _stored(found[0]) == _stored(units)
+
+
+def _enumerate_by_fill(field, n, k):
+    """Reference: the k-subspaces of F_q^n, filling the free cells of each
+    pivot pattern in row-major order, the first cell most significant."""
+    q = field.q
+    for pivots in combinations(range(n), k):
+        pivset = set(pivots)
+        free = [(i, j) for i in range(k) for j in range(pivots[i] + 1, n)
+                if j not in pivset]
+        base = []
+        for i in range(k):
+            row = [0] * n
+            row[pivots[i]] = 1
+            base.append(row)
+        for fill in product(range(q), repeat=len(free)):
+            for (i, j), v in zip(free, fill):
+                base[i][j] = v
+            rows = tuple(tuple(r) for r in base)
+            yield Subspace._from_rref(field, n, rows, pivots)
+
+
+def _full(s):
+    return s.rows, s.pivots, s.bits, hash(s)
+
+
+# Every lattice of at most 3,000 subspaces, every supported q, and (2, 7).
+SMALL_LATTICES = [(q, n) for q in SUPPORTED_ORDERS for n in range(9)
+                  if lattice_size(q, n) <= 3000] + [(2, 7)]
+
+
+@pytest.mark.parametrize("q,n", SMALL_LATTICES)
+def test_row_option_walk_matches_fill_loop(q, n):
+    field = field_new(q)
+    expected = []
+    for k in range(n + 1):
+        layer = [_full(s) for s in _enumerate_by_fill(field, n, k)]
+        assert [_full(s) for s in enumerate_layer(field, n, k)] == layer
+        expected += layer
+    # the index's keys are the packed rows, in the same order; a vertex
+    # built alone and one of the whole tuple match the reference alike
+    index = build_index(field, n, budget=None)
+    assert list(index.keys) == [tuple(vector_index(r, q) for r in rows)
+                                for rows, *_ in expected]
+    assert [_full(s) for s in index.subspaces] == expected
+    index = build_index(field, n, budget=None)
+    assert [_full(index.subspace(i)) for i in range(index.size)] == expected
+
+
+@pytest.mark.parametrize("q,n", [(2, 5), (3, 4), (4, 3), (16, 2)])
+def test_index_positions_and_shared_vertices(q, n):
+    index = build_index(field_new(q), n)
+    middle = index.size // 2
+    early = index.subspace(middle)
+    # the whole tuple keeps the vertices built before it and shares the rest
+    subs = index.subspaces
+    assert subs[middle] is early
+    for i in range(index.size):
+        s = index.subspace(i)
+        assert s is subs[i]
+        assert index.subspace(i) is s
+        assert index.position(s) == i
+        assert s in index
+    # an equal subspace built elsewhere is found at the same position
+    for i, s in enumerate(enumerate_layer(index.field, n, 1)):
+        assert index.position(s) == index.layer_range(1)[0] + i
+
+
+def test_build_index_and_incidence_build_no_subspace(monkeypatch):
+    init = Subspace.__init__
+    calls = []
+
+    def counted_init(self, *args):
+        calls.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Subspace, "__init__", counted_init)
+    for q, n in ((2, 5), (3, 4)):
+        build_index(field_new(q), n).line_incidence()
+    assert calls == []
+    build_index(F2, 3).subspace(5)
+    assert len(calls) == 1
+
+
+def test_index_lookups_check_the_ambient_space():
+    # The key (1,) is <e_4> in F_2^5 and <e_5> in F_2^6.
+    def last_axis(field, n):
+        return Subspace.from_generators(field, n, [[0] * (n - 1) + [1]])
+
+    small, large = build_index(F2, 5), build_index(F2, 6)
+    ternary = build_index(F3, 5)
+    for index, s in ((small, last_axis(F2, 6)), (large, last_axis(F2, 5)),
+                     (small, last_axis(F3, 5)), (ternary, last_axis(F2, 5))):
+        assert s not in index
+        with pytest.raises(AmbientMismatch):
+            index.position(s)
+    for index in (small, large, ternary):
+        s = last_axis(index.field, index.n)
+        assert s in index
+        assert index.subspace(index.position(s)) == s
+    assert (1,) not in small
 
 
 @pytest.mark.parametrize("q,nmax", [(2, 6), (3, 6)])
