@@ -16,7 +16,7 @@ from itertools import combinations, product
 from .errors import AmbientMismatch, BudgetExceeded
 from .gfq import FieldSpec
 from .qcount import gauss_binom, layer_sum
-from .subspace import Subspace, vector_index
+from .subspace import Subspace, _entries, vector_index
 
 DEFAULT_ENUM_BUDGET = 10**7
 # Bytes: the distance table takes one per lattice pair; clique adjacency takes
@@ -91,7 +91,7 @@ def _packed(options, q):
 
 def _layer_keys(q, n, k):
     """The k-subspaces of F_q^n in canonical order, each as the tuple of
-    its RREF rows' vector indices (for q = 2, its bits)."""
+    its RREF rows' vector indices: its ``Subspace.key``."""
     for _, options in _pivot_patterns(q, n, k):
         yield from product(*_packed(options, q))
 
@@ -108,13 +108,8 @@ def enumerate_layer(field: FieldSpec, n: int, k: int, budget: int | None = DEFAU
     q = field.q
     from_rref = Subspace._from_rref
     for pivots, options in _pivot_patterns(q, n, k):
-        if q == 2:
-            for rows, bits in zip(product(*options),
-                                  product(*_packed(options, 2))):
-                yield from_rref(field, n, rows, pivots, bits)
-        else:
-            for rows in product(*options):
-                yield from_rref(field, n, rows, pivots)
+        for rows, key in zip(product(*options), product(*_packed(options, q))):
+            yield from_rref(field, n, rows, pivots, key)
 
 
 def _bit_lines(key):
@@ -125,14 +120,6 @@ def _bit_lines(key):
     for r in reversed(key):
         span += [r ^ v for v in span]
     return span[1:]
-
-
-def _entries(v, q, n):
-    """The n entries of the vector with index v (vector_index's inverse)."""
-    out = [0] * n
-    for j in range(n - 1, -1, -1):
-        v, out[j] = divmod(v, q)
-    return tuple(out)
 
 
 def _table_lines(field, n):
@@ -185,20 +172,12 @@ def _table_lines(field, n):
     return lines
 
 
-def _key(s):
-    """A subspace's index key: its RREF rows' vector indices."""
-    if s.bits is not None:
-        return s.bits
-    q = s.field.q
-    return tuple(vector_index(r, q) for r in s.rows)
-
-
 class LatticeIndex:
     """All subspaces of F_q^n in canonical order, with layer offsets.
 
-    The index holds each subspace as its key, the tuple of its RREF rows'
-    vector indices (for q = 2, ``Subspace.bits``), and a key -> position
-    dict.  The keys carry no q or n, so lookups check the ambient space.
+    The index holds each subspace as its ``Subspace.key``, the tuple of
+    its RREF rows' vector indices, and a key -> position dict.  The keys
+    carry no q or n, so lookups check the ambient space.
     ``subspace(i)`` builds vertex i's ``Subspace`` on first use and keeps
     it, so each vertex is one object however often it is asked for.
 
@@ -234,13 +213,8 @@ class LatticeIndex:
         """Vertex i's subspace, built on first use and kept."""
         s = self._built[i]
         if s is None:
-            key = self.keys[i]
-            q, n = self.field.q, self.n
-            rows = tuple(_entries(r, q, n) for r in key)
-            # an RREF row's first nonzero entry is its leading 1
-            pivots = tuple(r.index(1) for r in rows)
-            s = self._built[i] = Subspace._from_rref(
-                self.field, n, rows, pivots, key if q == 2 else None)
+            s = self._built[i] = Subspace._from_key(self.field, self.n,
+                                                    self.keys[i])
         return s
 
     @property
@@ -263,11 +237,11 @@ class LatticeIndex:
             raise AmbientMismatch(
                 f"subspace of GF({s.field.q})^{s.n} looked up in the lattice "
                 f"of GF({self.field.q})^{self.n}")
-        return self._pos[_key(s)]
+        return self._pos[s.key]
 
     def __contains__(self, s):
         return (isinstance(s, Subspace) and self._in_ambient(s)
-                and _key(s) in self._pos)
+                and s.key in self._pos)
 
     def line_incidence(self):
         """Materialize (once) the lines of every vertex and, per line, the

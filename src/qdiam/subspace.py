@@ -3,13 +3,13 @@
 A subspace is stored as its reduced row echelon basis (RREF), which is the
 unique canonical representative, so structural equality of the stored rows
 is equality of subspaces and hashing is cheap.  Rows are tuples of field
-elements; for q = 2 a bit-packed copy of each row (column j <-> bit n-1-j)
-is kept alongside.  Each row format has one forward-elimination core, a
-dict from leading column to a row led by 1, each generator reduced
-against it and inserted at its first free leading column: a rank is the
-size of the dict.  For every q the RREF is the table core's dict
-back-substituted in pivot order, and the packed copy is read off its
-rows; the bit core serves ranks only.
+elements, and every subspace keeps its key, the tuple of its rows' vector
+indices (for q = 2, the bit-packed rows).  Each row format has one
+forward-elimination core, a dict from leading column to a row led by 1,
+each generator reduced against it and inserted at its first free leading
+column: a rank is the size of the dict.  For every q the RREF is the
+table core's dict back-substituted in pivot order; the bit core serves
+ranks only.
 
 The distance between subspaces U, W is
 
@@ -45,6 +45,14 @@ def vector_index(row, q):
     for e in row:
         v = v * q + e
     return v
+
+
+def _entries(v, q, n):
+    """The n entries of the vector with index v (vector_index's inverse)."""
+    out = [0] * n
+    for j in range(n - 1, -1, -1):
+        v, out[j] = divmod(v, q)
+    return tuple(out)
 
 
 def _echelon_bits(vecs):
@@ -130,30 +138,41 @@ def _rref_pivots(rows, n):
 class Subspace:
     """A subspace of F_q^n in canonical reduced row echelon form.
 
-    Instances are immutable and totally ordered by (dim, pivots, rows),
-    which fixes a deterministic enumeration and branching order everywhere.
-    The token and the vector mask are each built on first use and kept.
+    Instances are immutable and totally ordered by (dim, pivots, key),
+    which is the order of (dim, pivots, rows) and fixes a deterministic
+    enumeration and branching order everywhere.  The token and the vector
+    mask are each built on first use and kept.
     """
 
-    __slots__ = ("field", "n", "rows", "pivots", "bits", "_h", "_token",
+    __slots__ = ("field", "n", "rows", "pivots", "key", "_h", "_token",
                  "_mask")
 
-    def __init__(self, field, n, rows, pivots, bits):
+    def __init__(self, field, n, rows, pivots, key):
         # Internal: callers go through from_generators / _from_rref.
         self.field = field
         self.n = n
         self.rows = rows
         self.pivots = pivots
-        self.bits = bits
-        self._h = hash((field.q, n, rows))
+        self.key = key
+        self._h = hash((field.q, n, key))
 
     @classmethod
-    def _from_rref(cls, field, n, rows, pivots, bits=None):
-        """The subspace of canonical rows; a caller that has the packed rows
-        of a q = 2 subspace passes them as bits."""
-        if bits is None and field.q == 2:
-            bits = tuple(vector_index(r, 2) for r in rows)
-        return cls(field, n, rows, pivots, bits)
+    def _from_rref(cls, field, n, rows, pivots, key=None):
+        """The subspace of canonical rows; a caller that has their key
+        passes it."""
+        if key is None:
+            q = field.q
+            key = tuple(vector_index(r, q) for r in rows)
+        return cls(field, n, rows, pivots, key)
+
+    @classmethod
+    def _from_key(cls, field, n, key):
+        """The subspace whose canonical rows have the vector indices key."""
+        q = field.q
+        rows = tuple(_entries(r, q, n) for r in key)
+        # an RREF row's first nonzero entry is its leading 1
+        return cls._from_rref(field, n, rows, tuple(r.index(1) for r in rows),
+                              key)
 
     @classmethod
     def from_generators(cls, field: FieldSpec, n: int, gens) -> "Subspace":
@@ -193,7 +212,7 @@ class Subspace:
         return len(self.rows)
 
     def sort_key(self):
-        return (len(self.rows), self.pivots, self.rows)
+        return (len(self.rows), self.pivots, self.key)
 
     def _check_ambient(self, other):
         if self.field.q != other.field.q or self.n != other.n:
@@ -221,8 +240,8 @@ class Subspace:
 
     def rank_with(self, other: "Subspace") -> int:
         """dim(self + other) without building the canonical sum."""
-        if self.bits is not None:
-            return len(_echelon_bits(self.bits + other.bits))
+        if self.field.q == 2:
+            return len(_echelon_bits(self.key + other.key))
         return len(_echelon_table(self.field, self.n, self.rows + other.rows))
 
     def distance(self, other: "Subspace") -> int:
@@ -276,13 +295,12 @@ class Subspace:
             pass
         top = self.field.q ** self.n - 1
         numeral = bytearray(b"0") * (top + 1)
-        bits = self.bits
-        if bits is None:
+        if self.field.q != 2:
             self._mark_table_vectors(numeral)
         else:  # the digit of vector v is numeral[top - v] = numeral[top ^ v]
             offsets = [top]
-            low = bits[:_MASK_CHUNK_BITS]
-            for r in bits[_MASK_CHUNK_BITS:]:
+            low = self.key[:_MASK_CHUNK_BITS]
+            for r in self.key[_MASK_CHUNK_BITS:]:
                 offsets += [h ^ r for h in offsets]
             for h in offsets:
                 vecs = [h]
@@ -380,8 +398,8 @@ class Subspace:
         # checked last, so a token with another fault keeps its message
         if parts[:3] != [str(q), str(n), str(d)]:
             raise ParseError(f"non-canonical header in {token!r}")
-        bits = tuple(int(s, 2) for s in row_strs) if q == 2 else None
-        return cls._from_rref(field, n, tuple(map(tuple, rows)), pivots, bits)
+        key = tuple(int(s, q) for s in row_strs)
+        return cls._from_rref(field, n, tuple(map(tuple, rows)), pivots, key)
 
     # -- dunder --------------------------------------------------------------
 
@@ -389,7 +407,7 @@ class Subspace:
         if not isinstance(other, Subspace):
             return NotImplemented
         return (self.field.q == other.field.q and self.n == other.n
-                and self.rows == other.rows)
+                and self.key == other.key)
 
     def __lt__(self, other):
         if not isinstance(other, Subspace):

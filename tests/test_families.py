@@ -938,7 +938,7 @@ def test_covers_match_vector_scan():
                 assert len(covers) == gauss_binom(n - s.dim, 1, q)
                 for c in covers:
                     canon = Subspace.from_generators(field, n, c.rows)
-                    assert (c.pivots, c.bits) == (canon.pivots, canon.bits)
+                    assert (c.pivots, c.key) == (canon.pivots, canon.key)
             n += 1
 
 

@@ -1,11 +1,13 @@
 import io
-from itertools import combinations, product
+import random
+from itertools import combinations, islice, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdiam.errors import AmbientMismatch, BudgetExceeded
+from qdiam.families import _covers_of, _meeting
 from qdiam.gfq import SUPPORTED_ORDERS, field_new
 from qdiam.grassmann import (build_index, enumerate_layer, lattice_size,
                              write_subspaces)
@@ -25,7 +27,7 @@ def test_layer_examples():
 
 
 def _stored(s):
-    return s.rows, s.pivots, s.bits
+    return s.rows, s.pivots, s.key
 
 
 @pytest.mark.parametrize("q", SUPPORTED_ORDERS)
@@ -69,7 +71,7 @@ def _enumerate_by_fill(field, n, k):
 
 
 def _full(s):
-    return s.rows, s.pivots, s.bits, hash(s)
+    return s.rows, s.pivots, s.key, hash(s)
 
 
 # Every lattice of at most 3,000 subspaces, every supported q, and (2, 7).
@@ -93,6 +95,52 @@ def test_row_option_walk_matches_fill_loop(q, n):
     assert [_full(s) for s in index.subspaces] == expected
     index = build_index(field, n, budget=None)
     assert [_full(index.subspace(i)) for i in range(index.size)] == expected
+
+
+def _built_every_way(index, rng):
+    """Subspaces of the index's lattice from every builder: the walk, the
+    index, tokens and generators for every vertex; zero, full, perp, sum
+    and intersect on a sample; covers and meeting spaces of a few centres."""
+    field, n = index.field, index.n
+    subs = list(index.subspaces)
+    built = subs + [s for k in range(n + 1)
+                    for s in enumerate_layer(field, n, k, budget=None)]
+    built += [Subspace.from_token(s.to_token()) for s in subs]
+    built += [Subspace.from_generators(field, n, s.rows) for s in subs]
+    built += [Subspace.zero(field, n), Subspace.full(field, n)]
+    sample = rng.sample(subs, min(len(subs), 200))
+    for a, b in zip(sample, reversed(sample)):
+        built += [a.perp(), a.sum(b), a.intersect(b)]
+    for c in sample[:3]:
+        built += _covers_of(c)
+        k = rng.randint(0, n)
+        j = rng.randint(max(0, k + c.dim - n), min(k, c.dim))
+        built += islice(_meeting(c, k, j), 500)
+    return built
+
+
+@pytest.mark.parametrize("q,n", SMALL_LATTICES)
+def test_every_builder_keeps_the_key(q, n):
+    # the key is the rows' vector indices however a subspace is built, and
+    # ==, hash and the order read it as they would read the rows
+    index = build_index(field_new(q), n, budget=None)
+    rng = random.Random(f"key:{q}:{n}")
+    built = _built_every_way(index, rng)
+    for s in built:
+        assert s.key == tuple(vector_index(r, q) for r in s.rows)
+        assert index.subspace(index.position(s)) == s
+    by_subspace = {}
+    for s in built:
+        by_subspace.setdefault(s, set()).add((s.field.q, s.n, s.rows))
+    assert all(len(rows) == 1 for rows in by_subspace.values())
+    assert len(by_subspace) == len({(q, n, s.rows) for s in built})
+    rng.shuffle(built)
+    assert (sorted(built, key=Subspace.sort_key)
+            == sorted(built, key=lambda s: (s.dim, s.pivots, s.rows)))
+    # the key (1,) names the last axis of every F_q^n, each its own subspace
+    axes = [Subspace.from_generators(index.field, m, [[0] * (m - 1) + [1]])
+            for m in (n + 1, n + 2)]
+    assert axes[0].key == axes[1].key and axes[0] != axes[1]
 
 
 @pytest.mark.parametrize("q,n", [(2, 5), (3, 4), (4, 3), (16, 2)])

@@ -171,6 +171,20 @@ def test_search_counts_are_pinned(q, n, d, family_class, enumerate_all,
         optimum, count, nodes)
 
 
+# B_even at d = 2 (t = 1), where the paper states no bound: (q, n,
+# nodes_explored).  Each proven optimum is q^2 + q + 2, an observation on
+# these lattices, not a theorem (docs/decisions.md, "B_even at d = 2:
+# every proven optimum is q² + q + 2").
+B_EVEN_AT_D2 = [(2, 6, 13807), (3, 5, 15565), (4, 4, 47950), (5, 4, 341486)]
+
+
+@pytest.mark.parametrize("q,n,nodes", B_EVEN_AT_D2)
+def test_b_even_optimum_at_d2_is_q2_plus_q_plus_2(q, n, nodes):
+    rep = max_admissible_family(q, n, 2, "B_even")
+    assert rep.proven_optimal
+    assert (rep.optimum, rep.nodes_explored) == (q * q + q + 2, nodes)
+
+
 def test_ekr_caps_prove_the_boundary_at_the_root():
     # (2, 6, 5): the root bound 1 + 63 + 651 + 155 is the seed's 870, so
     # each of the 6//2 + 1 root subproblems dies at its first node.

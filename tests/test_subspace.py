@@ -391,7 +391,7 @@ def _assert_bit_core_matches_table_core(rows, n):
     assert rank == len(_echelon_table(F2, n, rows)) == len(pivots)
     s = Subspace.from_generators(F2, n, rows)
     assert s.rows == tuple(sweep_rows) and s.pivots == tuple(pivots)
-    assert s.bits == tuple(vector_index(r, 2) for r in sweep_rows)
+    assert s.key == tuple(vector_index(r, 2) for r in sweep_rows)
 
 
 def test_bit_core_matches_table_core_on_stacked_pairs():
@@ -527,8 +527,7 @@ def test_from_generators_is_reduced_and_spans_generators():
             for i, (row, p) in enumerate(zip(s.rows, s.pivots)):
                 assert not any(row[:p]) and row[p] == 1
                 assert all(r[p] == 0 for j, r in enumerate(s.rows) if j != i)
-            if q == 2:
-                assert s.bits == tuple(vector_index(r, 2) for r in s.rows)
+            assert s.key == tuple(vector_index(r, q) for r in s.rows)
             assert s.vector_mask() == _mask_by_parse(field, n, gens)
 
 
@@ -627,7 +626,7 @@ def _perturbed(rows, q, rng):
 def test_token_check_agrees_with_elimination(q):
     # from_token checks canonical form on the rows as read; elimination is
     # the reference: a token parses iff from_generators leaves its rows
-    # unchanged, and then to the same subspace, packed bits included
+    # unchanged, and then to the same subspace, key included
     field = field_new(q)
     rng = random.Random(f"token-check:{q}")
     accepted = rejected = 0
@@ -643,7 +642,7 @@ def test_token_check_agrees_with_elimination(q):
         ref = Subspace.from_generators(field, n, rows)
         if ref.rows == tuple(rows):
             s = Subspace.from_token(token)
-            assert s == ref and s.pivots == ref.pivots and s.bits == ref.bits
+            assert s == ref and s.pivots == ref.pivots and s.key == ref.key
             accepted += 1
         else:
             with pytest.raises(ParseError, match="not in canonical RREF"):
