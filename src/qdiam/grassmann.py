@@ -5,8 +5,9 @@ the product of its rows' option lists (``_pivot_patterns``).  Each matrix
 produced is already canonical, so no deduplication pass is needed, and
 the emission order coincides with the canonical total order on subspaces
 (dimension, then pivot columns, then row entries).  The lattice index
-keeps only each subspace's packed rows.  Everything is deterministic
-across runs and platforms.
+keeps only each subspace's packed rows, and one incidence column per
+line; a vertex's lines are listed from its packed rows when read.
+Everything is deterministic across runs and platforms.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .subspace import Subspace, _entries, vector_index
 DEFAULT_ENUM_BUDGET = 10**7
 # Bytes: the distance table takes one per lattice pair; clique adjacency takes
 # n_v^2 / 8 for its bitsets and LatticeIndex.incidence_bytes for the line
-# incidence.  A member-pair scan charges q^n / 8 for the vector mask of each
+# incidence's columns and lister.  A member-pair scan charges q^n / 8 for the vector mask of each
 # member it may mask, which the member then keeps.  The oracle's witnesses
 # keep at most n_v q^n / 8: below n_v^2 / 8 for n >= 4, about 280 KB else.
 DEFAULT_DISTANCE_CELL_BUDGET = 2 * 1024**3
@@ -112,26 +113,16 @@ def enumerate_layer(field: FieldSpec, n: int, k: int, budget: int | None = DEFAU
             yield from_rref(field, n, rows, pivots, key)
 
 
-def _bit_lines(key):
-    """Vector indices of the lines of a subspace, for q = 2, from its
-    packed rows: every nonzero vector of the span, which grows by XOR from
-    the last packed row to the first."""
-    span = [0]
-    for r in reversed(key):
-        span += [r ^ v for v in span]
-    return span[1:]
-
-
 def _table_lines(field, n):
-    """The line lister of F_q^n for q > 2: the packed RREF rows of a
-    subspace -> the vector indices of the RREF rows of its lines.
+    """The line lister of F_q^n: the packed RREF rows of a subspace -> the
+    vector indices of the RREF rows of its lines, which are the lines' keys.
 
     The lines led by RREF row r_i are r_i + span(r_{i+1..k}), read off r_i's
     addition row (r_i + v for each v over the columns after its pivot, built
-    on first use and keyed by r_i's vector index).  Walking the rows from
-    last to first, the span grows by those lines and their multiples from
-    one scale table per c not in {0, 1}, over the q^(n-1) vectors below
-    r_1, whose column 0 is clear.
+    on first use and keyed by r_i's vector index; for q = 2, r_i XOR v).
+    Walking the rows from last to first, the span grows by those lines and
+    their multiples from one scale table per c not in {0, 1} (none for
+    q = 2), over the q^(n-1) vectors below r_1, whose column 0 is clear.
     """
     q = field.q
     add = field.add_table
@@ -182,14 +173,16 @@ class LatticeIndex:
     it, so each vertex is one object however often it is asked for.
 
     Distances come from line incidence: U ∩ W holds [dim(U ∩ W) 1]_q
-    lines, and those are the lines U and W share.  The incidence is listed
-    from the keys once, on first use.  The full pairwise byte table of
+    lines, and those are the lines U and W share.  The index keeps one
+    incidence column per line, listed from the keys once, on first use;
+    ``lines(i)`` lists vertex i's lines from its key each time it is read,
+    for ``ball`` and ``covers``.  The full pairwise byte table of
     row-elimination distances is kept as the reference the incidence is
     tested against.
     """
 
     __slots__ = ("field", "n", "keys", "layer_bounds", "_pos", "_built",
-                 "_subspaces", "_incidence")
+                 "_subspaces", "_lines_in", "_incidence")
 
     def __init__(self, field, n, keys, layer_bounds):
         self.field = field
@@ -199,6 +192,7 @@ class LatticeIndex:
         self._pos = {key: i for i, key in enumerate(keys)}
         self._built = [None] * len(keys)
         self._subspaces = None
+        self._lines_in = _table_lines(field, n)
         self._incidence = None
 
     @property
@@ -243,50 +237,56 @@ class LatticeIndex:
         return (isinstance(s, Subspace) and self._in_ambient(s)
                 and s.key in self._pos)
 
+    def lines(self, i):
+        """Vertex i's lines, each as the one entry of its key (a vector
+        index), listed from vertex i's key on each call."""
+        return self._lines_in(self.keys[i])
+
     def line_incidence(self):
-        """Materialize (once) the lines of every vertex and, per line, the
-        vertex mask of the subspaces that contain it.
+        """Materialize (once) the incidence columns: each line's vector
+        index -> the vertex mask of the subspaces that contain it.
 
         A line's RREF row is its one vector with leading entry 1, and its
-        key is that row's vector index.  Each vertex lists the vector
-        indices of its lines' rows from its key (``_bit_lines``,
-        ``_table_lines``), and a list of q^n entries maps each index to its
-        line number.  The columns are the transpose of the per-vertex line
-        lists, written as one digit string per line.
+        key is the 1-tuple of that row's vector index.  The columns are
+        written as one digit string per line, a digit per vertex from the
+        vertex's ``lines``.
         """
         if self._incidence is None:
-            q = self.field.q
             keys = self.keys
             lo, hi = self.layer_bounds.get(1, (0, 0))  # F_q^0 has no lines
-            line_at = [None] * q ** self.n
-            for x in range(lo, hi):
-                line_at[keys[x][0]] = x - lo
-            lines_in = _bit_lines if q == 2 else _table_lines(self.field, self.n)
             nv = len(keys)
-            digits = [bytearray(b"0" * nv) for _ in range(hi - lo)]
-            lines_of = []
+            digits = {keys[x][0]: bytearray(b"0" * nv) for x in range(lo, hi)}
+            lines_in = self._lines_in
             for w, key in enumerate(keys):
-                lines = [line_at[v] for v in lines_in(key)]
-                for x in lines:
-                    digits[x][nv - 1 - w] = 49  # ord("1")
-                lines_of.append(lines)
-            self._incidence = (lines_of, [int(col, 2) for col in digits])
+                for v in lines_in(key):
+                    digits[v][nv - 1 - w] = 49  # ord("1")
+            self._incidence = {v: int(col, 2) for v, col in digits.items()}
         return self._incidence
+
+    def covers(self, i):
+        """Vertex mask of the (k+1)-spaces that hold the k-space i: the AND
+        of its lines' columns within layer k+1 (none for F_q^n)."""
+        bounds = self.layer_bounds.get(len(self.keys[i]) + 1)
+        if bounds is None:
+            return 0
+        columns = self.line_incidence()
+        out = (1 << bounds[1]) - (1 << bounds[0])
+        for v in self.lines(i):
+            out &= columns[v]
+        return out
 
     def incidence_bytes(self):
         """Upper estimate of line_incidence()'s peak bytes, known before it
-        runs: per line an n_v-byte digit string and an n_v-bit column; per
-        vertex a list, 16 bytes per line in it; 40 per entry of the line map
-        and of _table_lines's scale tables and addition rows (q^m entries for
-        each of the q^m - (q-1)^m rows led at column n-1-m with a zero after
-        it); and the object headers."""
+        runs: per line an n_v-byte digit string, an n_v-bit column (4 bytes
+        per 30 bits) and 200 for their headers and two dict entries; 40 per
+        entry of _table_lines's scale tables and addition rows (q^m entries
+        for each of the q^m - (q-1)^m rows led at column n-1-m with a zero
+        after it); and 2 KB for the dicts' own headers."""
         q, n, nv = self.field.q, self.n, self.size
-        held = sum(gauss_binom(n, k, q) * gauss_binom(k, 1, q)
-                   for k in range(n + 1))
-        lookups = q ** n + (q - 2) * q ** n // q + (sum(
-            (q ** m - (q - 1) ** m) * q ** m for m in range(n)) if q > 2 else 0)
-        return (gauss_binom(n, 1, q) * (nv + (nv + 7) // 8 + 100)
-                + 96 * nv + 16 * held + 40 * lookups + 1024)
+        lookups = (q - 2) * q ** n // q + sum(
+            (q ** m - (q - 1) ** m) * q ** m for m in range(n))
+        return (gauss_binom(n, 1, q) * (nv + 4 * ((nv + 29) // 30) + 200)
+                + 40 * lookups + 2048)
 
     def ball(self, i: int, radius: int) -> int:
         """Vertex bitmask of the subspaces at distance <= radius from vertex i.
@@ -312,10 +312,10 @@ class LatticeIndex:
                 out |= layer
             elif s <= min(a, b):
                 if planes is None:
-                    lines_of, columns = self.line_incidence()
+                    columns = self.line_incidence()
                     planes = []
-                    for x in lines_of[i]:
-                        ripple_add(planes, columns[x])
+                    for v in self.lines(i):
+                        ripple_add(planes, columns[v])
                 if s not in at_least:
                     at_least[s] = _at_least(planes, (q ** s - 1) // (q - 1))
                 out |= at_least[s] & layer

@@ -255,14 +255,8 @@ class _CliqueEngine:
         elif family_class == "B_even":
             centres = [(v,) for v in range(self.nv)]
         elif family_class == "B_odd":
-            lines_of, columns = index.line_incidence()
-            for k in range(index.n):  # F_q^n has no cover
-                for c1 in range(*index.layer_range(k)):
-                    # the (k+1)-spaces that hold every line of c1
-                    covers = self.layer_mask[k + 1]
-                    for x in lines_of[c1]:
-                        covers &= columns[x]
-                    centres += [(c1, c2) for c2 in _bits(covers)]
+            for c1 in range(self.nv):
+                centres += [(c1, c2) for c2 in _bits(index.covers(c1))]
         balls = {u: index.ball(u, t) for u in {u for cs in centres for u in cs}}
         centred = {u: (ball, []) for u, ball in balls.items()}
         clauses = [balls[cs[0]] if len(cs) == 1 else balls[cs[0]] | balls[cs[1]]

@@ -314,41 +314,54 @@ INCIDENCE_LATTICES = [(q, n) for q in SUPPORTED_ORDERS for n in range(6)
 
 
 def _line_incidence_by_masks(index):
-    """The line incidence read off vector masks, lines as sets: a line's
+    """The line incidence read off vector masks: each vertex's lines as a
+    set, and the columns, both keyed by each line's vector index.  A line's
     RREF row is its one vector with leading entry 1, so the vector indices
     of those rows pick the lines out of any vector mask."""
     q = index.field.q
     lo, hi = index.layer_bounds.get(1, (0, 0))
-    line_at = {vector_index(index.subspaces[x].rows[0], q): x - lo
-               for x in range(lo, hi)}
-    reps = sum(1 << v for v in line_at)
+    reps = {vector_index(index.subspaces[x].rows[0], q) for x in range(lo, hi)}
+    rep_mask = sum(1 << v for v in reps)
     nv = index.size
-    digits = [bytearray(b"0" * nv) for _ in line_at]
+    digits = {v: bytearray(b"0" * nv) for v in reps}
     lines_of = []
     for w, s in enumerate(index.subspaces):
-        m = s.vector_mask() & reps
+        m = s.vector_mask() & rep_mask
         lines = set()
         while m:
             b = m & -m
             m ^= b
-            x = line_at[b.bit_length() - 1]
-            lines.add(x)
-            digits[x][nv - 1 - w] = 49  # ord("1")
+            v = b.bit_length() - 1
+            lines.add(v)
+            digits[v][nv - 1 - w] = 49  # ord("1")
         lines_of.append(lines)
-    return lines_of, [int(col, 2) for col in digits]
+    return lines_of, {v: int(col, 2) for v, col in digits.items()}
 
 
 def _incidence_as_sets(index):
-    lines_of, columns = index.line_incidence()
-    return [set(lines) for lines in lines_of], columns
+    columns = index.line_incidence()
+    return [set(index.lines(i)) for i in range(index.size)], columns
 
 
 @pytest.mark.parametrize("q,n", INCIDENCE_LATTICES)
 def test_line_incidence_matches_vector_masks(q, n):
     index = build_index(field_new(q), n)
-    assert all(len(lines) == len(set(lines))
-               for lines in index.line_incidence()[0])
+    assert all(len(index.lines(i)) == len(set(index.lines(i)))
+               for i in range(index.size))
     assert _incidence_as_sets(index) == _line_incidence_by_masks(index)
+
+
+@pytest.mark.parametrize("q,n", INCIDENCE_LATTICES)
+def test_covers_match_containment(q, n):
+    index = build_index(field_new(q), n)
+    for i in range(index.size):
+        u = index.subspace(i)
+        expected = 0
+        if u.dim < n:
+            for w in range(*index.layer_range(u.dim + 1)):
+                if index.subspace(w).contains(u):
+                    expected |= 1 << w
+        assert index.covers(i) == expected
 
 
 @pytest.mark.parametrize("q,n", [(3, 4), (2, 5)])

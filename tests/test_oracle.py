@@ -834,10 +834,17 @@ def test_ball_mask_matches_distance_table_rows(q, n):
             assert _ball_mask(index, center, radius) == _table_ball(table, nv, i, radius)
 
 
-# The line incidence of F_2^3: 7 lines of 16 digits, 16 bits and 100 bytes
-# of headers each; 16 line lists, 35 entries in all (7 lines, 7 planes of 3,
-# F_2^3 with 7); the 8-entry line map; 1 KB.
-_F2_3_INCIDENCE = 7 * (16 + 2 + 100) + 96 * 16 + 16 * 35 + 40 * 2 ** 3 + 1024
+# The line incidence of F_2^3, term by term.
+_F2_3_INCIDENCE = (
+    # 7 lines, each 16 digits, a 16-bit column in one 4-byte digit, and 200
+    # bytes of headers and dict entries
+    7 * (16 + 4 + 200)
+    # no scale table at q = 2; the addition rows of the one row led at
+    # column 1 with a zero after it (2 entries) and of the three led at
+    # column 0 (4 entries each)
+    + 40 * (1 * 2 + 3 * 4)
+    # the dicts' own headers
+    + 2048)
 
 
 def test_engine_memory_budget_checked_before_allocation(monkeypatch):
@@ -853,13 +860,19 @@ def test_engine_memory_budget_checked_before_allocation(monkeypatch):
 
 
 def test_engine_memory_budget_counts_the_incidence_lookups(monkeypatch):
-    # F_3^3: 28 subspaces, 13 lines, 78 line-list entries (13 lines, 13
-    # planes of 4, F_3^3 with 13); the lookups are the 27-entry line map,
-    # one 9-entry scale table, and the addition rows of the one row led at
-    # column 1 and the five led at column 0 that have a zero after the pivot.
     index = build_index(field_new(3), 3)
-    need = ((28 * 28 + 7) // 8 + 13 * (28 + 4 + 100) + 96 * 28 + 16 * 78
-            + 40 * (27 + 9 + 1 * 3 + 5 * 9) + 1024)
+    need = (
+        # the adjacency bitsets of F_3^3's 28 subspaces
+        (28 * 28 + 7) // 8
+        # 13 lines, each 28 digits, a 28-bit column in one 4-byte digit,
+        # and 200 bytes of headers and dict entries
+        + 13 * (28 + 4 + 200)
+        # the lookups: one 9-entry scale table (c = 2), and the addition
+        # rows of the one row led at column 1 (3 entries) and of the five
+        # led at column 0 that have a zero after the pivot (9 entries each)
+        + 40 * (9 + 1 * 3 + 5 * 9)
+        # the dicts' own headers
+        + 2048)
     monkeypatch.setattr(oracle, "DEFAULT_DISTANCE_CELL_BUDGET", need - 1)
     with pytest.raises(BudgetExceeded) as exc:
         _CliqueEngine(index, 2)
@@ -870,9 +883,8 @@ def test_engine_memory_budget_counts_the_incidence_lookups(monkeypatch):
 
 @pytest.mark.parametrize("q,n", [(2, 6), (3, 5)])
 def test_incidence_estimate_covers_its_peak(q, n):
-    # The budget charges the incidence's digit strings, columns, per-vertex
-    # line lists and lookups; what it allocates stays under that, and not
-    # far under it.
+    # The budget charges the incidence's digit strings, columns and
+    # lookups; what it allocates stays under that, and not far under it.
     index = build_index(field_new(q), n)
     tracemalloc.start()
     try:
