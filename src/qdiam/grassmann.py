@@ -5,9 +5,10 @@ the product of its rows' option lists (``_pivot_patterns``).  Each matrix
 produced is already canonical, so no deduplication pass is needed, and
 the emission order coincides with the canonical total order on subspaces
 (dimension, then pivot columns, then row entries).  The lattice index
-keeps only each subspace's packed rows, and one incidence column per
-line; a vertex's lines are listed from its packed rows when read.
-Everything is deterministic across runs and platforms.
+keeps only each subspace's packed rows; a vertex's lines are listed from
+its packed rows when read, and a line's incidence column is built from
+the pivot-pattern blocks that can hold the line the first time it is
+read, and kept.  Everything is deterministic across runs and platforms.
 """
 
 from __future__ import annotations
@@ -22,9 +23,11 @@ from .subspace import Subspace, _entries, vector_index
 DEFAULT_ENUM_BUDGET = 10**7
 # Bytes: the distance table takes one per lattice pair; clique adjacency takes
 # n_v^2 / 8 for its bitsets and LatticeIndex.incidence_bytes for the line
-# incidence's columns and lister.  A member-pair scan charges q^n / 8 for the vector mask of each
-# member it may mask, which the member then keeps.  The oracle's witnesses
-# keep at most n_v q^n / 8: below n_v^2 / 8 for n >= 4, about 280 KB else.
+# incidence once every column is built: the columns, the block tables they
+# are built from, and the addition rows and scale tables.  A member-pair
+# scan charges q^n / 8 for the vector mask of each member it may mask, which
+# the member then keeps.  The oracle's witnesses keep at most n_v q^n / 8:
+# below n_v^2 / 8 for n >= 4, about 280 KB else.
 DEFAULT_DISTANCE_CELL_BUDGET = 2 * 1024**3
 
 
@@ -113,39 +116,136 @@ def enumerate_layer(field: FieldSpec, n: int, k: int, budget: int | None = DEFAU
             yield from_rref(field, n, rows, pivots, key)
 
 
-def _table_lines(field, n):
-    """The line lister of F_q^n: the packed RREF rows of a subspace -> the
-    vector indices of the RREF rows of its lines, which are the lines' keys.
+def _repunit(count, width):
+    """Sum of 2^(j*width) over j < count: one bit every width positions."""
+    r = a = 0
+    for bit in bin(count)[2:]:
+        r |= r << a * width
+        a *= 2
+        if bit == "1":
+            r |= 1 << a * width
+            a += 1
+    return r
 
-    The lines led by RREF row r_i are r_i + span(r_{i+1..k}), read off r_i's
-    addition row (r_i + v for each v over the columns after its pivot, built
-    on first use and keyed by r_i's vector index; for q = 2, r_i XOR v).
-    Walking the rows from last to first, the span grows by those lines and
-    their multiples from one scale table per c not in {0, 1} (none for
-    q = 2), over the q^(n-1) vectors below r_1, whose column 0 is clear.
+
+def _pattern_shapes(q, n):
+    """Yield (offset, pivots, lens, strides) for each pivot pattern of
+    F_q^n in canonical order: the position of its first subspace, and per
+    RREF row i its number of options L_i = q^(free cells) and its stride
+    s_i, the product of L over the rows after it (``_pivot_patterns``'s
+    product varies the first row slowest)."""
+    offset = 0
+    for k in range(n + 1):
+        for pivots in combinations(range(n), k):
+            # row i has n - k - p_i + i free cells, after its pivot p_i
+            lens = [q ** (n - k - p + i) for i, p in enumerate(pivots)]
+            strides = [1] * k
+            for i in range(k - 1, 0, -1):
+                strides[i - 1] = strides[i] * lens[i]
+            yield offset, pivots, lens, strides
+            offset += lens[0] * strides[0] if k else 1
+
+
+def _line_blocks(q, n):
+    """The pivot-pattern blocks that can hold a line: the merge's pairs of
+    block ranks, and for each leading column c, (the first block's offset,
+    the shift of each merge pair, the suffix entries).
+
+    A k-space with pivots p holds the line x led at p_m iff its RREF row m
+    is x - sum over i > m of x[p_i] r_i, since x's entries at the pivots
+    are its coordinates in the RREF rows.  The block's subspaces are the
+    product of its rows' options (``_pivot_patterns``), so a subspace's
+    place in it is the base-q number of its free cells, row by row: row i
+    has L_i options and stride s_i, the product of L over the rows after
+    it.  The rows before m are free, so the block's mask is a suffix mask
+    over the rows from m on times the repunit of the prefix's places (one
+    bit every L_m s_m), and the suffix mask depends on the suffix, the
+    pattern's pivots from m on, alone.  A suffix entry holds s_m, L_m s_m,
+    row m's free columns, each later row with more than one option as (its
+    pivot, the places of its options, its repunit), and its blocks as
+    (rank by offset, prefix repunit).
     """
-    q = field.q
-    add = field.add_table
-    scales = []
-    for c in range(2, q):
-        mul = field.mul_table[c]
-        table = [0]
-        for _ in range(n - 1):
-            table = [x * q + mul[y] for x in table for y in range(q)]
-        scales.append(table)
-    add_rows = {}
+    suffixes = [{} for _ in range(n)]
+    offsets = [[] for _ in range(n)]  # ascending: patterns come in order
+    for offset, pivots, lens, strides in _pattern_shapes(q, n):
+        count = 1  # the number of prefix places
+        for m, c in enumerate(pivots):
+            lead = lens[m] * strides[m]
+            entry = suffixes[c].get(pivots[m:])
+            if entry is None:  # m = 0: the pattern is its own suffix
+                free = tuple(j for j in range(c + 1, n) if j not in pivots)
+                later = tuple(
+                    (pivots[i], range(0, lens[i] * strides[i], strides[i]),
+                     _repunit(lens[i], strides[i]))
+                    for i in range(1, len(pivots)) if lens[i] > 1)
+                entry = suffixes[c][pivots] = (strides[0], lead, free, later,
+                                               [])
+            entry[4].append((len(offsets[c]),
+                             _repunit(count, lead) if count > 1 else 1))
+            offsets[c].append(offset)
+            count *= lens[m]
+    # Each column has 2^(n-1) blocks, one per pattern that holds its leading
+    # column.  The merge ORs their masks pairwise, neighbours by rank first,
+    # so that each round shifts about as many bits as the column has.
+    pairs = []
+    step = 1
+    while step < 2 ** n // 2:
+        pairs += [(i, i + step) for i in range(0, 2 ** n // 2 - step, 2 * step)]
+        step *= 2
+    return pairs, [(starts[0], [starts[j] - starts[i] for i, j in pairs],
+                    list(entries.values()))
+                   for entries, starts in zip(suffixes, offsets)]
 
-    def addition_row(r):
-        e = _entries(r, q, n)
+
+class _LineTables:
+    """The key arithmetic of F_q^n's lines: a subspace's packed RREF rows
+    -> the vector indices of its lines' RREF rows, which are the lines'
+    keys, and a line's vector index -> its incidence column.
+
+    ``mults[c][y]`` is c·y over the q^(n-1) vectors y whose column 0 is
+    clear (``mults[1]`` is the identity, a range), and ``minus[x]`` is
+    ``mults[-x]``.  An addition row, built on first use and keyed by a
+    vector r with leading 1, holds r + v for each v over the columns after
+    that 1 (for q = 2, r XOR v).  The pivot-pattern blocks
+    (``_line_blocks``) are built on the first column.
+    """
+
+    __slots__ = ("q", "n", "add", "mults", "minus", "rows", "blocks")
+
+    def __init__(self, field, n):
+        q = self.q = field.q
+        self.n = n
+        self.add = field.add_table
+        self.mults = [None, range(q ** n // q)]
+        for c in range(2, q):
+            mul = field.mul_table[c]
+            table = [0]
+            for _ in range(n - 1):
+                table = [x * q + mul[y] for x in table for y in range(q)]
+            self.mults.append(table)
+        self.minus = [None] + [self.mults[field.neg_table[x]]
+                               for x in range(1, q)]
+        self.rows = {}
+        self.blocks = None
+
+    def addition_row(self, r):
+        """Build r's addition row and keep it; callers read ``rows`` first."""
+        q = self.q
+        e = _entries(r, q, self.n)
         a = [1]
         for x in e[e.index(1) + 1:]:  # r's entries after its leading 1
-            plus = add[x]
+            plus = self.add[x]
             a = [y * q + z for y in a for z in plus]
+        self.rows[r] = a
         return a
 
-    def lines(key):
+    def lines(self, key):
+        """The lines led by RREF row r_i are r_i + span(r_{i+1..k}), read
+        off r_i's addition row.  Walking the rows from last to first, the
+        span grows by those lines and their multiples c·v, c >= 2."""
         if not key:
             return []
+        scales, rows = self.mults[2:], self.rows
         led = [key[-1]]
         out = led[:]
         span = [0]
@@ -153,14 +253,65 @@ def _table_lines(field, n):
             span += led
             for table in scales:
                 span += [table[x] for x in led]
-            a = add_rows.get(r)
-            if a is None:
-                a = add_rows[r] = addition_row(r)
+            a = rows.get(r) or self.addition_row(r)
             led = [a[v] for v in span]
             out += led
         return out
 
-    return lines
+    def column(self, v):
+        """The vertex mask of the subspaces that hold the line with vector
+        index v, one block of ``_line_blocks`` at a time.
+
+        In a suffix block, x's entries at row m's free columns give y, the
+        vector 1 followed by them.  A later row with x[p_i] = 0 is free and
+        multiplies the mask by its repunit; one with x[p_i] != 0 is walked:
+        each of its options j moves row m from y to y - x[p_i]·j, read off
+        y's addition row, and adds j's place.  Row m's place is then
+        (y - q^f) s_m, with f its number of free columns."""
+        q = self.q
+        e = _entries(v, q, self.n)
+        c = e.index(1)
+        if self.blocks is None:
+            self.blocks = _line_blocks(q, self.n)
+        pairs, columns = self.blocks
+        first, shifts, entries = columns[c]
+        masks = [0] * (len(shifts) + 1)
+        minus_of, rows = self.minus, self.rows
+        for sm, lead, free, later, prefixes in entries:
+            y = 1
+            for j in free:
+                y = y * q + e[j]
+            mask = 1
+            walked = []
+            for p, places, rep in later:
+                x = e[p]
+                if x:
+                    walked.append((minus_of[x], places))
+                else:
+                    mask *= rep
+            if walked:
+                minus, places = walked.pop()  # the last, walked into bits
+                walk = [(y, -lead)]  # (row m, the walked rows' places)
+                for step_minus, step_places in walked:
+                    step = []
+                    for z, u in walk:
+                        a = rows.get(z) or self.addition_row(z)
+                        step += [(a[t], u + o)
+                                 for t, o in zip(step_minus, step_places)]
+                    walk = step
+                bits = 0
+                for z, u in walk:
+                    a = rows.get(z) or self.addition_row(z)
+                    for t, o in zip(minus, places):
+                        bits |= 1 << a[t] * sm + u + o
+                mask *= bits
+            else:
+                mask <<= y * sm - lead
+            for r, prefix in prefixes:
+                masks[r] = mask * prefix
+        for (i, j), shift in zip(pairs, shifts):
+            masks[i] |= masks[j] << shift
+        return masks[0] << first
 
 
 class LatticeIndex:
@@ -173,16 +324,17 @@ class LatticeIndex:
     it, so each vertex is one object however often it is asked for.
 
     Distances come from line incidence: U ∩ W holds [dim(U ∩ W) 1]_q
-    lines, and those are the lines U and W share.  The index keeps one
-    incidence column per line, listed from the keys once, on first use;
-    ``lines(i)`` lists vertex i's lines from its key each time it is read,
-    for ``ball`` and ``covers``.  The full pairwise byte table of
-    row-elimination distances is kept as the reference the incidence is
-    tested against.
+    lines, and those are the lines U and W share.  ``lines(i)`` lists
+    vertex i's lines from its key each time it is read, and
+    ``column(v)`` builds line v's incidence column the first time
+    ``ball`` or ``covers`` reads it, from the pivot-pattern blocks that
+    can hold the line, and keeps it; no other column is built.  The
+    full pairwise byte table of row-elimination distances is kept as the
+    reference the incidence is tested against.
     """
 
     __slots__ = ("field", "n", "keys", "layer_bounds", "_pos", "_built",
-                 "_subspaces", "_lines_in", "_incidence")
+                 "_subspaces", "_tables", "_columns")
 
     def __init__(self, field, n, keys, layer_bounds):
         self.field = field
@@ -192,8 +344,8 @@ class LatticeIndex:
         self._pos = {key: i for i, key in enumerate(keys)}
         self._built = [None] * len(keys)
         self._subspaces = None
-        self._lines_in = _table_lines(field, n)
-        self._incidence = None
+        self._tables = _LineTables(field, n)
+        self._columns = {}
 
     @property
     def size(self):
@@ -240,28 +392,15 @@ class LatticeIndex:
     def lines(self, i):
         """Vertex i's lines, each as the one entry of its key (a vector
         index), listed from vertex i's key on each call."""
-        return self._lines_in(self.keys[i])
+        return self._tables.lines(self.keys[i])
 
-    def line_incidence(self):
-        """Materialize (once) the incidence columns: each line's vector
-        index -> the vertex mask of the subspaces that contain it.
-
-        A line's RREF row is its one vector with leading entry 1, and its
-        key is the 1-tuple of that row's vector index.  The columns are
-        written as one digit string per line, a digit per vertex from the
-        vertex's ``lines``.
-        """
-        if self._incidence is None:
-            keys = self.keys
-            lo, hi = self.layer_bounds.get(1, (0, 0))  # F_q^0 has no lines
-            nv = len(keys)
-            digits = {keys[x][0]: bytearray(b"0" * nv) for x in range(lo, hi)}
-            lines_in = self._lines_in
-            for w, key in enumerate(keys):
-                for v in lines_in(key):
-                    digits[v][nv - 1 - w] = 49  # ord("1")
-            self._incidence = {v: int(col, 2) for v, col in digits.items()}
-        return self._incidence
+    def column(self, v):
+        """Line v's incidence column, the vertex mask of the subspaces that
+        hold the line with vector index v; built on first use and kept."""
+        col = self._columns.get(v)
+        if col is None:
+            col = self._columns[v] = self._tables.column(v)
+        return col
 
     def covers(self, i):
         """Vertex mask of the (k+1)-spaces that hold the k-space i: the AND
@@ -269,24 +408,53 @@ class LatticeIndex:
         bounds = self.layer_bounds.get(len(self.keys[i]) + 1)
         if bounds is None:
             return 0
-        columns = self.line_incidence()
         out = (1 << bounds[1]) - (1 << bounds[0])
         for v in self.lines(i):
-            out &= columns[v]
+            out &= self.column(v)
         return out
 
     def incidence_bytes(self):
-        """Upper estimate of line_incidence()'s peak bytes, known before it
-        runs: per line an n_v-byte digit string, an n_v-bit column (4 bytes
-        per 30 bits) and 200 for their headers and two dict entries; 40 per
-        entry of _table_lines's scale tables and addition rows (q^m entries
-        for each of the q^m - (q-1)^m rows led at column n-1-m with a zero
-        after it); and 2 KB for the dicts' own headers."""
+        """Upper estimate of the bytes the incidence holds once every column
+        is built, and at most while one is, known before any is.
+
+        Per line its column (an int: 24 bytes and 4 per 30 bits) and 100
+        for its dict entry; three columns and 40 per block for the column
+        in progress.  Per entry of the scale tables (q - 2 of q^(n-1)
+        entries) and of the addition rows (q^f entries each) 8 bytes, and
+        32 more where its value can pass 256; 100 per row.  Reading every
+        column builds the q^f rows led at column n-1-f for f = 1..n-2, and
+        listing lines adds those led at column 0 with a zero after the 1.
+        The block tables: per pivot of each pivot pattern 64, and its prefix
+        repunit when it has more than one place; per pattern, as a suffix,
+        300, 8 per column after its first pivot, and 180 and the repunit of
+        each later row with more than one option; per merge step 64, and 40
+        for each column.  And 2 KB."""
         q, n, nv = self.field.q, self.n, self.size
-        lookups = (q - 2) * q ** n // q + sum(
-            (q ** m - (q - 1) ** m) * q ** m for m in range(n))
-        return (gauss_binom(n, 1, q) * (nv + 4 * ((nv + 29) // 30) + 200)
-                + 40 * lookups + 2048)
+
+        def int_bytes(bits):
+            return 24 + 4 * ((bits + 29) // 30)
+
+        def lookups(count, size, top):  # count tables of size entries < top
+            return count * (100 + size * (8 if top <= 257 else 40))
+
+        column = int_bytes(nv)
+        blocks = 2 ** n // 2  # per column
+        total = (gauss_binom(n, 1, q) * (column + 100) + 3 * column
+                 + 40 * blocks + lookups(q - 2, q ** n // q, q ** n // q)
+                 + sum(lookups(q ** f - (f == n - 1) * (q - 1) ** f,
+                               q ** f, 2 * q ** f) for f in range(1, n))
+                 + (64 + 40 * n) * (blocks - 1) + 2048)
+        for _, pivots, lens, strides in _pattern_shapes(q, n):
+            count = 1
+            for m in range(len(pivots)):
+                lead = lens[m] * strides[m]
+                total += 64 + (count > 1) * int_bytes((count - 1) * lead + 1)
+                count *= lens[m]
+            if pivots:
+                total += 300 + 8 * (n - 1 - pivots[0]) + sum(
+                    180 + int_bytes((L - 1) * s + 1)
+                    for L, s in zip(lens[1:], strides[1:]) if L > 1)
+        return total
 
     def ball(self, i: int, radius: int) -> int:
         """Vertex bitmask of the subspaces at distance <= radius from vertex i.
@@ -312,10 +480,10 @@ class LatticeIndex:
                 out |= layer
             elif s <= min(a, b):
                 if planes is None:
-                    columns = self.line_incidence()
                     planes = []
+                    columns = self._columns
                     for v in self.lines(i):
-                        ripple_add(planes, columns[v])
+                        ripple_add(planes, columns.get(v) or self.column(v))
                 if s not in at_least:
                     at_least[s] = _at_least(planes, (q ** s - 1) // (q - 1))
                 out |= at_least[s] & layer

@@ -172,7 +172,11 @@ def test_build_index_and_incidence_build_no_subspace(monkeypatch):
 
     monkeypatch.setattr(Subspace, "__init__", counted_init)
     for q, n in ((2, 5), (3, 4)):
-        build_index(field_new(q), n).line_incidence()
+        index = build_index(field_new(q), n)
+        _every_column(index)
+        for i in range(index.size):
+            index.covers(i)
+            index.ball(i, 1)
     assert calls == []
     build_index(F2, 3).subspace(5)
     assert len(calls) == 1
@@ -338,17 +342,40 @@ def _line_incidence_by_masks(index):
     return lines_of, {v: int(col, 2) for v, col in digits.items()}
 
 
-def _incidence_as_sets(index):
-    columns = index.line_incidence()
+def _every_column(index, seed=0):
+    """Every line's column, read in a seeded random order: line vector
+    index -> column."""
+    lo, hi = index.layer_bounds.get(1, (0, 0))
+    lines = [index.keys[x][0] for x in range(lo, hi)]
+    random.Random(seed).shuffle(lines)
+    return {v: index.column(v) for v in lines}
+
+
+def _incidence_as_sets(index, seed=0):
+    columns = _every_column(index, seed)
     return [set(index.lines(i)) for i in range(index.size)], columns
 
 
 @pytest.mark.parametrize("q,n", INCIDENCE_LATTICES)
 def test_line_incidence_matches_vector_masks(q, n):
+    # the columns are read first, on a fresh index, in a random order
     index = build_index(field_new(q), n)
+    expected = _line_incidence_by_masks(build_index(field_new(q), n))
+    assert _incidence_as_sets(index, seed=100 * q + n) == expected
     assert all(len(index.lines(i)) == len(set(index.lines(i)))
                for i in range(index.size))
-    assert _incidence_as_sets(index) == _line_incidence_by_masks(index)
+
+
+@pytest.mark.parametrize("q,n", [(2, 4), (3, 3)])
+def test_each_column_builds_alone(q, n):
+    # Each line's column is the first one read on its own fresh index, so
+    # it depends on no other column built before it.
+    _, columns = _line_incidence_by_masks(build_index(field_new(q), n))
+    for v, column in columns.items():
+        index = build_index(field_new(q), n)
+        assert not index._columns
+        assert index.column(v) == column
+        assert list(index._columns) == [v]
 
 
 @pytest.mark.parametrize("q,n", INCIDENCE_LATTICES)
@@ -366,14 +393,17 @@ def test_covers_match_containment(q, n):
 
 @pytest.mark.parametrize("q,n", [(3, 4), (2, 5)])
 def test_line_incidence_builds_no_vector_mask(monkeypatch, q, n):
+    expected = _line_incidence_by_masks(build_index(field_new(q), n))
     index = build_index(field_new(q), n)
-    expected = _line_incidence_by_masks(index)
 
     def no_mask(self):
         raise AssertionError("built a vector mask")
 
     monkeypatch.setattr(Subspace, "vector_mask", no_mask)
-    assert _incidence_as_sets(index) == expected
+    assert _incidence_as_sets(index, seed=1) == expected
+    for i in range(index.size):
+        index.covers(i)
+        index.ball(i, 1)
 
 
 def test_write_subspaces_round_trip():

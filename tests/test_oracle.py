@@ -16,7 +16,8 @@ from qdiam.families import (SubspaceFamily, canonical_double_ball,
                             is_s_intersecting, lower_layers, perp_family,
                             star, upper_layers)
 from qdiam.gfq import SUPPORTED_ORDERS, field_new
-from qdiam.grassmann import build_index, enumerate_layer, lattice_size
+from qdiam.grassmann import (LatticeIndex, build_index, enumerate_layer,
+                             lattice_size)
 from qdiam.oracle import (SearchReport, _CliqueEngine, max_admissible_family,
                           max_diameter_family, sweep_hm_positive,
                           sweep_lemma26, sweep_type_compare, sweep_type_ratio,
@@ -836,14 +837,30 @@ def test_ball_mask_matches_distance_table_rows(q, n):
 
 # The line incidence of F_2^3, term by term.
 _F2_3_INCIDENCE = (
-    # 7 lines, each 16 digits, a 16-bit column in one 4-byte digit, and 200
-    # bytes of headers and dict entries
-    7 * (16 + 4 + 200)
-    # no scale table at q = 2; the addition rows of the one row led at
-    # column 1 with a zero after it (2 entries) and of the three led at
-    # column 0 (4 entries each)
-    + 40 * (1 * 2 + 3 * 4)
-    # the dicts' own headers
+    # 7 columns of 16 bits, each an int of one 4-byte digit and a 24-byte
+    # header, and 100 bytes for its dict entry
+    7 * (28 + 100)
+    # the column in progress: three columns and 40 bytes for each of its
+    # 4 blocks
+    + 3 * 28 + 40 * 4
+    # no scale table at q = 2; the addition rows, entries below 257: 100
+    # bytes per row and 8 per entry.  The 2 rows of 2 entries led at column
+    # 1 (f = 1), and the 3 of 4 entries led at column 0 that have a zero
+    # after the 1 (f = 2: 4 rows, less the 1 without a zero)
+    + 2 * (100 + 2 * 8) + 3 * (100 + 4 * 8)
+    # per pivot of each pivot pattern (3 + 6 + 3 = 12 of them) 64 bytes,
+    # and a prefix repunit of at most 30 bits where the prefix has more
+    # than one place: row 1 of pivots (0, 1) and of (0, 2)
+    + 12 * 64 + 2 * 28
+    # per nonempty pattern as a suffix, 300 bytes and 8 per column after
+    # its first pivot (2 + 1 + 0 + 2 + 2 + 1 + 2 = 10 columns), and for the
+    # one later row with more than one option, row 1 of pivots (0, 1), 180
+    # bytes and its repunit
+    + 7 * 300 + 8 * 10 + (180 + 28)
+    # the merge plans: 3 steps for the 4 blocks of a column, 64 bytes each
+    # and 40 more for each of the 3 columns
+    + 64 * 3 + 40 * 3 * 3
+    # the dicts' and lists' own headers
     + 2048)
 
 
@@ -854,7 +871,7 @@ def test_engine_memory_budget_checked_before_allocation(monkeypatch):
     with pytest.raises(BudgetExceeded) as exc:
         _CliqueEngine(index, 2)
     assert exc.value.would_be_count == need
-    assert index._incidence is None
+    assert not index._columns  # no column built
     monkeypatch.setattr(oracle, "DEFAULT_DISTANCE_CELL_BUDGET", need)
     assert len(_CliqueEngine(index, 2).non) == 16
 
@@ -864,15 +881,23 @@ def test_engine_memory_budget_counts_the_incidence_lookups(monkeypatch):
     need = (
         # the adjacency bitsets of F_3^3's 28 subspaces
         (28 * 28 + 7) // 8
-        # 13 lines, each 28 digits, a 28-bit column in one 4-byte digit,
-        # and 200 bytes of headers and dict entries
-        + 13 * (28 + 4 + 200)
-        # the lookups: one 9-entry scale table (c = 2), and the addition
-        # rows of the one row led at column 1 (3 entries) and of the five
-        # led at column 0 that have a zero after the pivot (9 entries each)
-        + 40 * (9 + 1 * 3 + 5 * 9)
-        # the dicts' own headers
-        + 2048)
+        # 13 columns of 28 bits, each an int of one 4-byte digit and a
+        # 24-byte header, and 100 bytes for its dict entry
+        + 13 * (28 + 100)
+        # the column in progress: three columns and 40 bytes per block
+        + 3 * 28 + 40 * 4
+        # the lookups, all below 257: one scale table (c = 2) of 9
+        # entries, the addition rows led at column 1 (f = 1), 3 rows of 3
+        # entries, and the 9 - 2^2 = 5 rows of 9 entries led at column 0
+        # with a zero after the 1; 100 bytes per table or row and 8 per
+        # entry
+        + (100 + 9 * 8) + 3 * (100 + 3 * 8) + 5 * (100 + 9 * 8)
+        # the block tables, as for F_2^3: 12 pivots and 2 prefix repunits,
+        # 7 suffixes over 10 columns, and the later row of pivots (0, 1),
+        # now with 3 options
+        + 12 * 64 + 2 * 28 + 7 * 300 + 8 * 10 + (180 + 28)
+        # the merge plans and the dicts' and lists' own headers
+        + 64 * 3 + 40 * 3 * 3 + 2048)
     monkeypatch.setattr(oracle, "DEFAULT_DISTANCE_CELL_BUDGET", need - 1)
     with pytest.raises(BudgetExceeded) as exc:
         _CliqueEngine(index, 2)
@@ -883,12 +908,17 @@ def test_engine_memory_budget_counts_the_incidence_lookups(monkeypatch):
 
 @pytest.mark.parametrize("q,n", [(2, 6), (3, 5)])
 def test_incidence_estimate_covers_its_peak(q, n):
-    # The budget charges the incidence's digit strings, columns and
-    # lookups; what it allocates stays under that, and not far under it.
+    # The budget charges the columns, the block tables and the lookups;
+    # building every column and listing every vertex's lines, as a search
+    # may, allocates less than that, and not far less.
     index = build_index(field_new(q), n)
+    lines = [index.keys[x][0] for x in range(*index.layer_range(1))]
     tracemalloc.start()
     try:
-        index.line_incidence()
+        for v in lines:
+            index.column(v)
+        for i in range(index.size):
+            index.lines(i)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -918,7 +948,7 @@ def test_clause_memory_budget_checked_before_allocation(monkeypatch, family_clas
     with pytest.raises(BudgetExceeded) as exc:
         _CliqueEngine(index, d, family_class)
     assert exc.value.would_be_count == need
-    assert index._incidence is None
+    assert not index._columns  # no column built
     monkeypatch.setattr(oracle, "DEFAULT_DISTANCE_CELL_BUDGET", need)
     engine = _CliqueEngine(index, d, family_class)
     assert len(engine.forbidden) == clauses
@@ -1321,6 +1351,28 @@ def test_search_builds_only_the_rows_it_reads(monkeypatch, q, n, d,
     assert engine.built.bit_count() == rows
     if enumerate_all:
         assert rows == engine.nv
+
+
+@pytest.mark.parametrize("q,n,d,columns", [(3, 5, 2, 4), (2, 6, 3, 63)])
+def test_search_builds_only_the_columns_it_reads(monkeypatch, q, n, d,
+                                                 columns):
+    # A plain search reads lines only for its balls, and builds the
+    # columns of those lines and no other: 4 of (3, 5)'s 121 lines, and
+    # every one of (2, 6)'s 63.
+    lines = LatticeIndex.lines
+    read = set()
+
+    def recorded(self, i):
+        out = lines(self, i)
+        read.update(out)
+        return out
+
+    monkeypatch.setattr(LatticeIndex, "lines", recorded)
+    rep, engine = _search_with(monkeypatch, _CliqueEngine, q, n, d, None,
+                               False)
+    assert rep.proven_optimal and rep.optimum == kleitman_bound(n, d, q)
+    assert set(engine.index._columns) == read
+    assert len(read) == columns
 
 
 @pytest.mark.parametrize("steps,enumerate_all,nodes", [
