@@ -559,11 +559,6 @@ def _probe_members(fam):
     return probes
 
 
-def _first_line(field, n) -> Subspace:
-    """The first line of F_q^n in canonical order."""
-    return next(enumerate_layer(field, n, 1, budget=None))
-
-
 def _covers_of(s: Subspace):
     """The [n-k 1]_q subspaces covering the k-space s, each built once.
 

@@ -355,6 +355,11 @@ class LatticeIndex:
         """Index range [lo, hi) of the dimension-k layer."""
         return self.layer_bounds[k]
 
+    def layer_mask(self, k):
+        """Vertex mask of the dimension-k layer: its index range as bits."""
+        lo, hi = self.layer_bounds[k]
+        return (1 << hi) - (1 << lo)
+
     def subspace(self, i: int) -> Subspace:
         """Vertex i's subspace, built on first use and kept."""
         s = self._built[i]
@@ -405,10 +410,10 @@ class LatticeIndex:
     def covers(self, i):
         """Vertex mask of the (k+1)-spaces that hold the k-space i: the AND
         of its lines' columns within layer k+1 (none for F_q^n)."""
-        bounds = self.layer_bounds.get(len(self.keys[i]) + 1)
-        if bounds is None:
+        k = len(self.keys[i]) + 1
+        if k > self.n:
             return 0
-        out = (1 << bounds[1]) - (1 << bounds[0])
+        out = self.layer_mask(k)
         for v in self.lines(i):
             out &= self.column(v)
         return out
@@ -473,9 +478,9 @@ class LatticeIndex:
         planes = None
         at_least = {}
         out = 0
-        for b, (lo, hi) in self.layer_bounds.items():
+        for b in self.layer_bounds:
             s = (a + b - radius + 1) // 2
-            layer = (1 << hi) - (1 << lo)
+            layer = self.layer_mask(b)
             if s <= max(0, a + b - n):
                 out |= layer
             elif s <= min(a, b):

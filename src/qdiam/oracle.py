@@ -33,7 +33,8 @@ engine, search, witness re-verification, formula and report.  Class None
 is the plain search against the Kleitman bound; max_diameter_family is
 that call.  A class adds only data and checks: its parity of d, its
 clauses, its seed, the is_admissible re-check of its witnesses and its
-row of _FORMULAS.
+row of _FORMULAS.  Seeds, like clauses, are vertex masks of ball unions
+and layers in the search's index.
 
 A node that passes the clause check and the group bound moves its
 universal candidates, those adjacent to every other candidate, into the
@@ -77,19 +78,15 @@ import time
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, ParameterOutOfRange
-from .families import (SubspaceFamily, _first_line, ball,
-                       canonical_double_ball, diameter_at_most,
-                       extremal_odd_family, is_admissible, lower_layers,
-                       perp_family, star, write_family)
+from .families import (SubspaceFamily, diameter_at_most, is_admissible,
+                       write_family)
 from .gfq import field_new
-from .grassmann import (DEFAULT_DISTANCE_CELL_BUDGET, build_index,
-                        enumerate_layer)
+from .grassmann import DEFAULT_DISTANCE_CELL_BUDGET, build_index
 from .qcount import (ekr_bound, gauss_binom, hilton_milner_bound,
                      kleitman_bound, kleitman_in_range, odd_stability_bound,
                      odd_stability_in_range, small_s_nontrivial_bound,
                      type_a_even_bound, type_a_even_in_range,
                      type_b_even_bound, type_b_even_in_range)
-from .subspace import Subspace
 
 DEFAULT_SEARCH_LATTICE_BUDGET = 3000
 DEFAULT_TIMEOUT_SECS = 600.0
@@ -159,12 +156,21 @@ class SearchReport:
         return doc
 
 
+# each byte value's set bits, and a table that marks the nonzero bytes
+_BYTE_BITS = [[i for i in range(8) if b >> i & 1] for b in range(256)]
+_NONZERO = bytes(1) + b"\1" * 255
+
+
 def _bits(mask):
-    """The set bits of mask, lowest first."""
-    while mask:
-        b = mask & -mask
-        yield b.bit_length() - 1
-        mask ^= b
+    """The set bits of mask, lowest first, in time linear in its length:
+    one translate marks its nonzero bytes, and bytes.find finds them."""
+    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    nonzero = data.translate(_NONZERO)
+    j = nonzero.find(1)
+    while j >= 0:
+        for i in _BYTE_BITS[data[j]]:
+            yield 8 * j + i
+        j = nonzero.find(1, j + 1)
 
 
 def _canonical_centres(index, odd):
@@ -173,15 +179,20 @@ def _canonical_centres(index, odd):
     layers 0..t and (F_q^n,) for layers n-t..n; for odd d, for each line x
     in canonical order, (0, x), the canonical double ball at x, then
     (F_q^n, x-perp), its perp.  The A-class clauses and the census of
-    verify_characterization both read this list."""
+    verify_characterization list them all; the plain seed takes the
+    first."""
     top = index.size - 1  # F_q^n
     if not odd:
-        return [(0,), (top,)]
-    lines = index.layer_range(1) if index.n else (0, 0)  # F_q^0 has none
-    centres = []
-    for x in range(*lines):
-        centres += [(0, x), (top, index.position(index.subspace(x).perp()))]
-    return centres
+        yield from ((0,), (top,))
+        return
+    for x in range(*index.layer_bounds.get(1, (0, 0))):  # F_q^0 has none
+        yield 0, x
+        yield top, index.position(index.subspace(x).perp())
+
+
+def _union(index, centres, t):
+    """Vertex mask of the union of the radius-t balls around the centres."""
+    return functools.reduce(operator.or_, (index.ball(u, t) for u in centres))
 
 
 class _CliqueEngine:
@@ -216,9 +227,6 @@ class _CliqueEngine:
         # excluded; row v is built on first use (_build), bit v of built.
         self.non = [0] * nv
         self.built = 0
-        # Layer k's vertex mask: its index range [lo, hi) as bits.
-        self.layer_mask = [(1 << hi) - (1 << lo)
-                           for lo, hi in index.layer_bounds.values()]
         # One entry per complementary layer pair (k, n-k), k = 0..n//2: its
         # vertex mask and its cap.  Two j-spaces at distance <= d meet in
         # >= j-t dimensions, so for j > t and n >= j+t layer j is
@@ -233,7 +241,7 @@ class _CliqueEngine:
             cap = e[k] if 2 * k == n else e[k] + e[n - k]
             if d < n:
                 cap = min(cap, gauss_binom(n, k, q))
-            self.groups.append((self.layer_mask[k] | self.layer_mask[n - k],
+            self.groups.append((index.layer_mask(k) | index.layer_mask(n - k),
                                 cap))
         self.forbidden, self.centred = self._clauses(family_class, t)
 
@@ -251,7 +259,7 @@ class _CliqueEngine:
         index = self.index
         centres = []
         if family_class in ("A_even", "A_odd"):
-            centres = _canonical_centres(index, family_class == "A_odd")
+            centres = list(_canonical_centres(index, family_class == "A_odd"))
         elif family_class == "B_even":
             centres = [(v,) for v in range(self.nv)]
         elif family_class == "B_odd":
@@ -479,17 +487,15 @@ class _CliqueEngine:
         return nodes, False
 
 
-def _seed_family(field, n, d):
-    """Largest known-by-construction family of diameter <= d.  It is
-    reported only when the search does not beat it, and every reported
-    family is re-verified, so it is not checked here."""
-    t = d // 2
-    if d >= n:
+def _seed_family(index, d):
+    """Largest known-by-construction family of diameter <= d, as a sorted
+    vertex list.  It is reported only when the search does not beat it,
+    and every reported family is re-verified, so it is not checked here."""
+    if d >= index.n:
         # no two subspaces are farther apart than n: the whole lattice
-        return lower_layers(field, n, n, budget=None)
-    if d % 2 == 0:
-        return lower_layers(field, n, t, budget=None)
-    return canonical_double_ball(_first_line(field, n), t, budget=None)
+        return list(range(index.size))
+    return list(_bits(_union(index, next(_canonical_centres(index, d % 2)),
+                             d // 2)))
 
 
 def _search_index(q, n, d, witness_cap, lattice_budget):
@@ -529,41 +535,40 @@ def _materialize_witnesses(index, collected, d):
 # ---------------------------------------------------------------------------
 # the search driver
 
-def _admissible_seed(field, n, d, family_class):
-    """Best known-by-construction admissible family, if any."""
-    t = d // 2
-    if n < 1:
-        return None
-    x = _first_line(field, n)
+def _admissible_seed(index, d, family_class):
+    """Best known-by-construction admissible family, as a sorted vertex
+    list, if any; each candidate is a vertex mask of layers and balls of
+    index (docs/decisions.md)."""
+    n, t, ball, layer = index.n, d // 2, index.ball, index.layer_mask
+    x = 1  # the first line, <e_0>, follows the zero space
     candidates = []
     if d % 2 == 0 and 1 <= t and t + 1 <= n:
-        candidates.append(ball(x, t, budget=None))
+        candidates.append(ball(x, t))
     if d % 2 == 1 and t + 2 <= n:
-        gens = [[1 if j == i else 0 for j in range(n)]
-                for i in range(1, t + 2)]
-        y = Subspace.from_generators(field, n, gens)
-        candidates.append(extremal_odd_family(x, y, budget=None))
+        # K(x, y), y = <e_1, ..., e_(t+1)>: layers 0..t and the (t+1)-spaces
+        # through x (within t of x) meeting y (within 2t-1 of z = x + y, the
+        # first (t+2)-space) or in z (within 1 of z)
+        z = index.layer_range(t + 2)[0]
+        candidates.append(ball(0, t) | layer(t + 1) & (
+            ball(x, t) & ball(z, 2 * t - 1) | ball(z, 1)))
     if n == d + 1 and t >= 1:
         # mixed complementary split: lower layers below t, top layer n-t,
-        # and for odd d the (t+1)-spaces through x
-        split = [*lower_layers(field, n, t - 1, budget=None),
-                 *enumerate_layer(field, n, n - t, budget=None)]
-        if d % 2 == 1:
-            split += star(x, t + 1, budget=None)
-        candidates.append(SubspaceFamily(field, n, split))
+        # and for odd d the star of x in layer t+1
+        candidates.append(ball(0, t - 1) | layer(n - t) | (
+            ball(x, t) & layer(t + 1) if d % 2 else 0))
     if d % 2 == 0 and 2 * t < n <= 3 * t:
         # a t-space is n-t <= 2t from F_q^n, so layer t with F_q^n has
         # diameter <= d; so does its perp, layer n-t with 0
-        layer_top = SubspaceFamily(field, n, list(enumerate_layer(
-            field, n, t, budget=None)) + [Subspace.full(field, n)])
-        candidates += [layer_top, perp_family(layer_top)]
+        candidates += [layer(t) | layer(n), layer(n - t) | layer(0)]
     best = None
-    for fam in candidates:
+    for mask in candidates:
         # is_admissible checks the diameter first; a candidate no larger
         # than the best so far needs no check.
-        if (best is None or len(fam) > len(best)) and is_admissible(
-                fam, family_class, t, budget=None).admissible:
-            best = fam
+        vertices = list(_bits(mask))
+        if (best is None or len(vertices) > len(best)) and is_admissible(
+                SubspaceFamily(index.field, n, map(index.subspace, vertices)),
+                family_class, t, budget=None).admissible:
+            best = vertices
     return best
 
 
@@ -614,12 +619,8 @@ def max_admissible_family(q, n, d, family_class, enumerate_all=False, *,
             f"class {family_class} needs {'odd' if d % 2 == 0 else 'even'} d, "
             f"got {d}")
     index = _search_index(q, n, d, witness_cap, lattice_budget)
-    if family_class is None:
-        seed = _seed_family(index.field, n, d)
-    else:
-        seed = _admissible_seed(index.field, n, d, family_class)
-    seed_vertices = (None if seed is None
-                     else sorted(index.position(s) for s in seed))
+    seed_vertices = (_seed_family(index, d) if family_class is None
+                     else _admissible_seed(index, d, family_class))
     engine = _CliqueEngine(index, d, family_class)
     best, collected, count, nodes, timed_out = engine.search(
         seed_vertices=seed_vertices, collect_all=enumerate_all,
@@ -660,7 +661,7 @@ def max_admissible_family(q, n, d, family_class, enumerate_all=False, *,
         characterization_match=characterized,
         characterization_diagnostics=diagnostics,
         formula_value=formula, in_hypothesis_range=in_range,
-        greedy_seed_size=0 if seed is None else len(seed),
+        greedy_seed_size=len(seed_vertices or ()),
         witness_cap=witness_cap)
 
 
@@ -684,8 +685,7 @@ def _split_violation(mask, index, t):
     n = index.n
     for k in range(t + 1):
         full_size = gauss_binom(n, k, index.field.q)
-        a, b = ((mask & ((1 << hi) - (1 << lo))).bit_count()
-                for lo, hi in map(index.layer_range, (k, n - k)))
+        a, b = ((mask & index.layer_mask(j)).bit_count() for j in (k, n - k))
         if not ((a == full_size and b == 0) or (a == 0 and b == full_size)):
             return (f"layer pair ({k},{n - k}): sizes ({a},{b}) are not "
                     f"a full/empty split of {full_size}")
@@ -715,12 +715,11 @@ def verify_characterization(index, d, witnesses):
     n = index.n
     t = d // 2
     boundary = n == d + 1
-    centres = _canonical_centres(index, d % 2)
+    centres = list(_canonical_centres(index, d % 2))
     keyed = -1  # the bits of a family that make its key: all of them
     if boundary:
         # a full/empty split leaves the middle layer n/2 (none for odd n)
-        lo, hi = index.layer_range(n // 2)
-        keyed = 0 if n % 2 else (1 << hi) - (1 << lo)
+        keyed = 0 if n % 2 else index.layer_mask(n // 2)
         case = (("boundary_split_odd",
                  "complementary split + intersecting middle") if d % 2
                 else ("boundary_split_even", "complementary split"))
@@ -741,8 +740,7 @@ def verify_characterization(index, d, witnesses):
         miss = "not a full lower/upper layer union"
     census = {}
     for cs, case in zip(centres, cases):
-        mask = functools.reduce(operator.or_, (index.ball(u, t) for u in cs))
-        census.setdefault(mask & keyed, case)
+        census.setdefault(_union(index, cs, t) & keyed, case)
     expected = len(census) * 2 ** (t + 1) if boundary else len(census)
     ok = True
     diagnostics = []

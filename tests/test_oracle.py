@@ -1,20 +1,22 @@
 import json
+import os
 import random
+import subprocess
 import sys
-import tracemalloc
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from itertools import product
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 import qdiam.oracle as oracle
 from qdiam.errors import BudgetExceeded
-from qdiam.families import (SubspaceFamily, canonical_double_ball,
-                            diameter_at_most, is_admissible,
-                            is_s_intersecting, lower_layers, perp_family,
-                            star, upper_layers)
+from qdiam.families import (SubspaceFamily, ball, canonical_double_ball,
+                            diameter_at_most, extremal_odd_family,
+                            is_admissible, is_s_intersecting, lower_layers,
+                            perp_family, star, upper_layers)
 from qdiam.gfq import SUPPORTED_ORDERS, field_new
 from qdiam.grassmann import (LatticeIndex, build_index, enumerate_layer,
                              lattice_size)
@@ -211,8 +213,7 @@ def test_search_deeper_than_the_recursion_limit():
     # trying is a distinct member, and the forced members have no frame, so
     # the stack is at most 16 frames deep.
     index = build_index(field_new(3), 5)
-    seed = sorted(index.position(s)
-                  for s in oracle._seed_family(index.field, 5, 4))
+    seed = oracle._seed_family(index, 4)
     depths = []
 
     class StackEngine(_CliqueEngine):
@@ -450,7 +451,10 @@ def test_admissible_seed_takes_a_layer_with_the_whole_space(family_class):
     # F_q^n has diameter <= 2t; at (2, 6, 4) it has 651 + 1 members, where
     # the one candidate before, the radius-2 ball around a line, has 250
     # and is not B_even-admissible
-    seed = oracle._admissible_seed(F2, 6, 4, family_class)
+    index = build_index(F2, 6)
+    seed = SubspaceFamily(F2, 6, map(index.subspace,
+                                     oracle._admissible_seed(index, 4,
+                                                             family_class)))
     assert len(seed) == 652
     assert seed == SubspaceFamily(
         F2, 6, list(enumerate_layer(F2, 6, 2)) + [Subspace.full(F2, 6)])
@@ -910,19 +914,29 @@ def test_engine_memory_budget_counts_the_incidence_lookups(monkeypatch):
 def test_incidence_estimate_covers_its_peak(q, n):
     # The budget charges the columns, the block tables and the lookups;
     # building every column and listing every vertex's lines, as a search
-    # may, allocates less than that, and not far less.
-    index = build_index(field_new(q), n)
-    lines = [index.keys[x][0] for x in range(*index.layer_range(1))]
-    tracemalloc.start()
-    try:
-        for v in lines:
-            index.column(v)
-        for i in range(index.size):
-            index.lines(i)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= index.incidence_bytes() <= 2 * peak
+    # may, allocates less than that, and not far less.  The traced window
+    # runs in a fresh interpreter: run again in one process, it draws the
+    # block tables' small tuples from CPython's free lists and traces less.
+    code = f"""
+import tracemalloc
+from qdiam.gfq import field_new
+from qdiam.grassmann import build_index
+index = build_index(field_new({q}), {n})
+lines = [index.keys[x][0] for x in range(*index.layer_range(1))]
+tracemalloc.start()
+for v in lines:
+    index.column(v)
+for i in range(index.size):
+    index.lines(i)
+print(tracemalloc.get_traced_memory()[1], index.incidence_bytes())
+"""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    peak, estimate = map(int, proc.stdout.split())
+    assert peak <= estimate <= 2 * peak
 
 
 # Clauses of each class on F_2^3: the two canonical balls; two per line;
@@ -1513,6 +1527,115 @@ def test_search_makes_no_admissibility_check(monkeypatch, q, n, d, family_class)
         assert rep.optimum == 8 and len(rep.witnesses) == 1
 
 
+# -- seeds ---------------------------------------------------------------------
+
+def _seed_by_constructors(field, n, d):
+    """Reference: the plain seed built by the family constructors."""
+    t = d // 2
+    if d >= n:
+        return lower_layers(field, n, n, budget=None)
+    if d % 2 == 0:
+        return lower_layers(field, n, t, budget=None)
+    x = next(enumerate_layer(field, n, 1, budget=None))
+    return canonical_double_ball(x, t, budget=None)
+
+
+def _admissible_seed_by_constructors(field, n, d, family_class):
+    """Reference: the class seed built by the family constructors, from the
+    first line x and y = <e_1, ..., e_(t+1)>, candidate by candidate."""
+    t = d // 2
+    if n < 1:
+        return None
+    x = next(enumerate_layer(field, n, 1, budget=None))
+    candidates = []
+    if d % 2 == 0 and 1 <= t and t + 1 <= n:
+        candidates.append(ball(x, t, budget=None))
+    if d % 2 == 1 and t + 2 <= n:
+        gens = [[1 if j == i else 0 for j in range(n)]
+                for i in range(1, t + 2)]
+        y = Subspace.from_generators(field, n, gens)
+        candidates.append(extremal_odd_family(x, y, budget=None))
+    if n == d + 1 and t >= 1:
+        split = [*lower_layers(field, n, t - 1, budget=None),
+                 *enumerate_layer(field, n, n - t, budget=None)]
+        if d % 2 == 1:
+            split += star(x, t + 1, budget=None)
+        candidates.append(SubspaceFamily(field, n, split))
+    if d % 2 == 0 and 2 * t < n <= 3 * t:
+        layer_top = SubspaceFamily(field, n, list(enumerate_layer(
+            field, n, t, budget=None)) + [Subspace.full(field, n)])
+        candidates += [layer_top, perp_family(layer_top)]
+    best = None
+    for fam in candidates:
+        if (best is None or len(fam) > len(best)) and is_admissible(
+                fam, family_class, t, budget=None).admissible:
+            best = fam
+    return best
+
+
+@pytest.mark.parametrize("q,n", [(q, n) for q, top in ((2, 6), (3, 5), (4, 4),
+                                                       (5, 4))
+                                 for n in range(top + 1)])
+def test_index_seeds_match_the_constructors(q, n):
+    # Every seed is read off the search's own index as ball unions and
+    # layers; it is the constructors' family, vertex for vertex, for the
+    # plain search and both classes of d's parity at every d <= n.
+    field = field_new(q)
+    index = build_index(field, n, budget=None)
+    for d in range(n + 1):
+        classes = ("A_even", "B_even") if d % 2 == 0 else ("A_odd", "B_odd")
+        for family_class in (None, *classes):
+            if family_class is None:
+                fam = _seed_by_constructors(field, n, d)
+                seed = oracle._seed_family(index, d)
+            else:
+                fam = _admissible_seed_by_constructors(field, n, d,
+                                                       family_class)
+                seed = oracle._admissible_seed(index, d, family_class)
+            expected = (None if fam is None
+                        else sorted(map(index.position, fam)))
+            assert seed == expected, (d, family_class)
+
+
+@pytest.mark.parametrize("q,n", [(2, 6), (3, 5), (4, 4)])
+def test_plain_seed_builds_no_subspace_by_elimination(monkeypatch, q, n):
+    # The plain seed is the first canonical configuration's ball union, read
+    # off the index: no perp, no row elimination.
+    def no_elimination(*args):
+        raise AssertionError("the plain seed ran from_generators")
+
+    index = build_index(field_new(q), n)
+    monkeypatch.setattr(Subspace, "from_generators", no_elimination)
+    for d in range(2, n + 1):
+        assert len(oracle._seed_family(index, d)) == (
+            kleitman_bound(n, d, q) if d < n else lattice_size(q, n))
+
+
+def _bits_by_peeling(mask):
+    """Reference: the set bits of mask, the lowest peeled off each time."""
+    while mask:
+        b = mask & -mask
+        yield b.bit_length() - 1
+        mask ^= b
+
+
+@pytest.mark.parametrize("size,ands,ors", [
+    (1, 0, 0), (3, 0, 2), (2825, 8, 0), (2825, 0, 0), (2825, 0, 12),
+    (29212, 3, 0), (29212, 0, 3), (417199, 8, 0), (417199, 12, 0)])
+def test_bits_match_lowest_bit_peeling(size, ands, ors):
+    # A seeded random mask with about one bit in 2^(1+ands) set, or all but
+    # one in 2^(1+ors); and zero, the lowest and the top bit alone.  Dense
+    # masks stop at 29,212 bits: peeling one of 417,199 bits takes seconds.
+    rng = random.Random(size * 31 + ands * 7 + ors)
+    mask = rng.getrandbits(size)
+    for _ in range(ands):
+        mask &= rng.getrandbits(size)
+    for _ in range(ors):
+        mask |= rng.getrandbits(size)
+    for m in (mask, 0, 1, 1 << size - 1):
+        assert list(oracle._bits(m)) == list(_bits_by_peeling(m))
+
+
 # -- witness re-verification ---------------------------------------------------------
 
 def _materialize_by_rows(index, collected, d):
@@ -1584,8 +1707,8 @@ def test_oversized_seed_breaking_the_diameter_bound_raises(monkeypatch,
     # The seed is not checked on its own.  Layers 0..2 of F_2^4 (51
     # members, diameter 4) outgrow the optimum 16 at d = 2, so no search
     # beats them; they are reported, and the re-verification rejects them.
-    monkeypatch.setattr(oracle, "_seed_family",
-                        lambda field, n, d: lower_layers(field, n, 2))
+    monkeypatch.setattr(oracle, "_seed_family", lambda index, d: sorted(
+        map(index.position, lower_layers(index.field, index.n, 2))))
     with pytest.raises(AssertionError, match="violating the diameter bound"):
         max_diameter_family(2, 4, 2, enumerate_all=enumerate_all)
 
